@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,6 +88,11 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
             raw = json.load(fh)
         except ValueError as exc:
             raise SchemaMismatch(f"config is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise SchemaMismatch("config must be a JSON object")
+    for key in ("thresholds", "svm", "paths"):
+        if not isinstance(raw.get(key, {}), dict):
+            raise SchemaMismatch(f"config {key!r} must be a JSON object")
     thresholds = raw.get("thresholds", {})
     svm = raw.get("svm", {})
     try:
@@ -288,9 +294,12 @@ def _read_features(path: Path) -> dict[str, dict[str, float]]:
                 raise SchemaMismatch(f"features line {lineno}: expected 3 columns")
             post_id, name, value = parts
             try:
-                features.setdefault(post_id, {})[name] = float(value)
+                number = float(value)
             except ValueError:
                 raise SchemaMismatch(f"features line {lineno}: bad value {value!r}") from None
+            if not math.isfinite(number):
+                raise SchemaMismatch(f"features line {lineno}: non-finite value {value!r}")
+            features.setdefault(post_id, {})[name] = number
     return features
 
 

@@ -11,10 +11,12 @@ matched ones, and undersampling trims the negatives to a fixed ratio.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from datetime import datetime, timezone
-from typing import Callable, Optional, Sequence
+from datetime import date, datetime, timezone
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DegenerateLabels
 from .impact import default_address_terms, default_human_impact_terms, default_site_terms
@@ -36,16 +38,12 @@ UNMATCHED = "unmatched"
 TARDY = "tardy"
 
 
-@dataclass(frozen=True)
-class MaskRule:
-    """A feature name plus a finder producing (start, end) spans to mask."""
-
-    feature_name: str
-    find: Callable[[str], list[tuple[int, int]]]
+# A mask rule maps a text to the (start, end, feature_name) spans it claims.
+MaskRule = Callable[[str], list[tuple[int, int, str]]]
 
 
 def _taxonomy_rule(name: str, tax: Taxonomy) -> MaskRule:
-    return MaskRule(name, lambda text, _t=tax: [(s, e) for s, e, _ in taxonomy_spans(text, _t)])
+    return lambda text: [(s, e, name) for s, e, _ in taxonomy_spans(text, tax)]
 
 
 def default_mask_rules(
@@ -55,36 +53,25 @@ def default_mask_rules(
     addr_tax: Taxonomy | None = None,
     site_tax: Taxonomy | None = None,
 ) -> tuple[MaskRule, ...]:
-    """Scope patterns plus every shipped taxonomy, each under its feature name."""
+    """Scope patterns plus every shipped taxonomy, each under its feature name.
 
-    def patterns(text: str, feature: str) -> list[tuple[int, int]]:
-        return [(s, e) for s, e, name in scope_pattern_spans(text) if name == feature]
-
-    pattern_names = (
-        "scope_alarm_level",
-        "scope_quake_magnitude",
-        "scope_wildfire_size",
-        "scope_vehicle_count",
-        "scope_weather_scale",
-        "scope_hail_size",
+    The scope patterns are one rule: their spans never overlap each other
+    and come before every taxonomy span, so span selection ties resolve
+    as if each pattern were its own rule.
+    """
+    return (
+        scope_pattern_spans,
+        _taxonomy_rule("scope_scale_adj", scale_lexicon or default_scale_lexicon()),
+        _taxonomy_rule("scope_fire_cause", fire_causes or default_fire_causes()),
+        _taxonomy_rule("impact_human_term", human_tax or default_human_impact_terms()),
+        _taxonomy_rule("impact_address_term", addr_tax or default_address_terms()),
+        _taxonomy_rule("impact_site_term", site_tax or default_site_terms()),
     )
-    rules = [
-        MaskRule(name, lambda text, _n=name: patterns(text, _n)) for name in pattern_names
-    ]
-    rules.append(_taxonomy_rule("scope_scale_adj", scale_lexicon or default_scale_lexicon()))
-    rules.append(_taxonomy_rule("scope_fire_cause", fire_causes or default_fire_causes()))
-    rules.append(_taxonomy_rule("impact_human_term", human_tax or default_human_impact_terms()))
-    rules.append(_taxonomy_rule("impact_address_term", addr_tax or default_address_terms()))
-    rules.append(_taxonomy_rule("impact_site_term", site_tax or default_site_terms()))
-    return tuple(rules)
 
 
 def mask_spans(text: str, rules: Sequence[MaskRule]) -> list[tuple[int, int, str]]:
     """Spans each rule claims, resolved longest-match then leftmost."""
-    cands: list[tuple[int, int, str]] = []
-    for rule in rules:
-        cands.extend((s, e, rule.feature_name) for s, e in rule.find(text))
-    return select_spans(cands)
+    return select_spans([span for rule in rules for span in rule(text)])
 
 
 def mask_taxonomy_tokens(text: str, rules: Sequence[MaskRule]) -> str:
@@ -106,12 +93,83 @@ class MatchResult:
     via_link: bool = False
 
 
+class TermTimeIndex:
+    """Timestamped vectors sorted by time, with term -> rank postings.
+
+    A vector sharing no term with a query scores exactly 0.0 under
+    cosine(), and a 0.0 never replaces an initial best of 0.0 under a
+    strict >. So scoring only the items that share a term, in their
+    original order, finds the same best score and item as scoring all of
+    them (the all-pairs candidate pruning of Bayardo, Ma & Srikant, 2007).
+    """
+
+    def __init__(self, times: Sequence[int], vectors: Sequence[SparseVector]):
+        self.vectors = list(vectors)
+        self._order = sorted(range(len(self.vectors)), key=times.__getitem__)
+        self._times = [times[i] for i in self._order]
+        self._postings: dict[str, list[int]] = {}
+        for rank, i in enumerate(self._order):
+            for term in self.vectors[i].entries:
+                self._postings.setdefault(term, []).append(rank)
+
+    def candidates(self, terms: Iterable[str], after: float, until: float) -> list[int]:
+        """Ascending indices of the items with after < time <= until that
+        hold one of terms."""
+        lo = bisect_right(self._times, after)
+        hi = bisect_right(self._times, until)
+        ranks: set[int] = set()
+        if lo < hi:
+            for term in terms:
+                posting = self._postings.get(term)
+                if posting:
+                    ranks.update(posting[bisect_left(posting, lo) : bisect_left(posting, hi)])
+        return sorted(self._order[r] for r in ranks)
+
+
+def _probe_terms(v: SparseVector, threshold: float) -> list[str]:
+    """Terms of v that every vector scoring at least threshold against v
+    holds one of (the prefix filter of Bayardo, Ma & Srikant, 2007).
+
+    The lightest terms are left out while their squared weights stay under
+    threshold**2 of v's squared norm. By Cauchy-Schwarz a vector holding
+    none of the rest scores below threshold; the 1e-9 margin keeps that
+    true under float rounding. A threshold of 0 (or NaN) keeps every term.
+    """
+    limit = (max(threshold, 0.0) * v.norm) ** 2 * (1.0 - 1e-9)
+    items = sorted(v.entries.items(), key=lambda item: item[1])
+    light = 0.0
+    for cut, (_, weight) in enumerate(items):
+        light += weight * weight
+        if not light < limit:
+            return [term for term, _ in items[cut:]]
+    return []
+
+
+def index_headlines(headlines: Sequence[Headline], tfidf: TfidfModel) -> TermTimeIndex:
+    """Headline vectors indexed by publication time and term."""
+    return TermTimeIndex(
+        [h.published_at for h in headlines],
+        [vectorize(tokenize(h.text), tfidf) for h in headlines],
+    )
+
+
+def _best_headline(
+    v: SparseVector, index: TermTimeIndex, candidates: list[int]
+) -> tuple[float, Optional[int]]:
+    best: tuple[float, Optional[int]] = (0.0, None)
+    for idx in candidates:
+        score = cosine(v, index.vectors[idx])
+        if score > best[0]:
+            best = (score, idx)
+    return best
+
+
 def match_to_headlines(
     post: Post,
     headlines: Sequence[Headline],
     tfidf: TfidfModel,
     threshold: float = 0.5,
-    headline_vectors: Sequence[SparseVector] | None = None,
+    index: TermTimeIndex | None = None,
 ) -> MatchResult:
     """Match one (already masked) post against (already masked) headlines.
 
@@ -119,29 +177,27 @@ def match_to_headlines(
     Tardy: only headlines at or before t clear it. Otherwise unmatched.
     best_score is the best in-window score (the best earlier score for
     tardy posts).
+
+    Scored are the in-window headlines sharing a term with the post and,
+    only when none of them clears the threshold, the earlier headlines
+    that could: those holding one of the post's probe terms. index is
+    index_headlines(headlines, tfidf), built here when not given.
     """
-    if headline_vectors is None:
-        headline_vectors = [vectorize(tokenize(h.text), tfidf) for h in headlines]
+    if index is None:
+        index = index_headlines(headlines, tfidf)
     v = vectorize(tokenize(post.text), tfidf)
-    best_after = (0.0, None)
-    best_before = (0.0, None)
-    window_end = post.created_at + MATCH_WINDOW_SECONDS
-    for idx, h in enumerate(headlines):
-        score = cosine(v, headline_vectors[idx])
-        if post.created_at < h.published_at <= window_end:
-            if score > best_after[0]:
-                best_after = (score, idx)
-        elif h.published_at <= post.created_at:
-            if score > best_before[0]:
-                best_before = (score, idx)
-    if best_after[0] >= threshold:
-        return MatchResult(post.post_id, MATCHED, best_after[1], best_after[0])
-    if best_before[0] >= threshold:
-        return MatchResult(post.post_id, TARDY, best_before[1], best_before[0])
-    return MatchResult(post.post_id, UNMATCHED, best_after[1], best_after[0])
+    t = post.created_at
+    after = _best_headline(v, index, index.candidates(v.entries, t, t + MATCH_WINDOW_SECONDS))
+    if after[0] >= threshold:
+        return MatchResult(post.post_id, MATCHED, after[1], after[0])
+    earlier = index.candidates(_probe_terms(v, threshold), -math.inf, t)
+    before = _best_headline(v, index, earlier)
+    if before[0] >= threshold:
+        return MatchResult(post.post_id, TARDY, before[1], before[0])
+    return MatchResult(post.post_id, UNMATCHED, after[1], after[0])
 
 
-def _utc_date(ts: int):
+def _utc_date(ts: int) -> date:
     return datetime.fromtimestamp(ts, tz=timezone.utc).date()
 
 
@@ -158,30 +214,38 @@ def propagate_links(
     enough to a first-pass matched post from strictly later the same UTC
     day; the threshold drops for matched posts by the same author. Never
     unmatches anything; runs exactly once to avoid long-tail error chains.
+    Matched posts are indexed per UTC day, and only those holding one of
+    the post's probe terms for the lower threshold are scored.
     """
     by_id = {p.post_id: p for p in posts}
-    vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
-    matched = [r for r in results if r.status == MATCHED]
+    vectors = {pid: vectorize(tokenize(p.text), tfidf) for pid, p in by_id.items()}
+    days = {pid: _utc_date(p.created_at) for pid, p in by_id.items()}
+    matched_by_day: dict[date, list[Post]] = {}
+    for r in results:
+        if r.status == MATCHED and r.post_id in by_id:
+            matched_by_day.setdefault(days[r.post_id], []).append(by_id[r.post_id])
+    day_index = {
+        day: (matched, TermTimeIndex(
+            [m.created_at for m in matched], [vectors[m.post_id] for m in matched]
+        ))
+        for day, matched in matched_by_day.items()
+    }
+    min_threshold = min(link_threshold, same_user_threshold)
     out = []
     for r in results:
-        if r.status == MATCHED:
-            out.append(r)
-            continue
         post = by_id.get(r.post_id)
-        if post is None:
+        if r.status == MATCHED or post is None or days[post.post_id] not in day_index:
             out.append(r)
             continue
+        matched, index = day_index[days[post.post_id]]
+        v = vectors[post.post_id]
         best_link = 0.0
-        for m in matched:
-            other = by_id.get(m.post_id)
-            if other is None or other.created_at <= post.created_at:
-                continue
-            if _utc_date(other.created_at) != _utc_date(post.created_at):
-                continue
+        for i in index.candidates(_probe_terms(v, min_threshold), post.created_at, math.inf):
+            other = matched[i]
             threshold = (
                 same_user_threshold if other.user_id == post.user_id else link_threshold
             )
-            score = cosine(vectors[post.post_id], vectors[other.post_id])
+            score = cosine(v, index.vectors[i])
             if score >= threshold and score > best_link:
                 best_link = score
         if best_link > 0.0:
@@ -243,9 +307,9 @@ def label_corpus(
     documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
     documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
     tfidf = fit_tfidf(documents)
-    headline_vectors = [vectorize(tokenize(h.text), tfidf) for h in masked_headlines]
+    index = index_headlines(masked_headlines, tfidf)
     first_pass = [
-        match_to_headlines(p, masked_headlines, tfidf, threshold, headline_vectors)
+        match_to_headlines(p, masked_headlines, tfidf, threshold, index)
         for p in masked_posts
     ]
     final = propagate_links(

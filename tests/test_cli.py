@@ -281,3 +281,37 @@ class TestConfigValidation:
         out_dir = tmp_path / "out"
         (out_dir / "features.tsv").write_text("p1\tloc_lat\tnot_a_number\n")
         assert main(["train", "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_feature_value_exit_4(self, pipeline, capsys, value):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        out_dir = tmp_path / "out"
+        (out_dir / "features.tsv").write_text(f"p1\tloc_lat\t0.5\np1\tloc_lon\t{value}\n")
+        assert main(["train", "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: features line 2: non-finite value")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[1, 2]",
+            '"config"',
+            "null",
+            '{"thresholds": [0.5]}',
+            '{"thresholds": 0.5}',
+            '{"svm": "fast"}',
+            '{"svm": [100]}',
+            '{"paths": ["posts.ndjson"]}',
+            '{"paths": null}',
+        ],
+    )
+    def test_non_object_config_exit_4(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        assert main(["label", "--config", str(path)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        assert err.count("\n") == 1

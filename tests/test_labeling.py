@@ -131,6 +131,24 @@ class TestMatchToHeadlines:
         assert res.status == MATCHED
         assert res.best_headline == 1
 
+    def test_threshold_zero_matches_with_no_headline_in_window(self):
+        # Pins today's threshold-0 behaviour: 0.0 >= 0 makes every post
+        # matched, with no best headline when none is in its window,
+        # whether the only headline is earlier, later or absent.
+        post = Post("p", "u", 1000, "one two three")
+        tfidf = _tfidf_for(["one two three"])
+        for heads in (
+            [],
+            [Headline("one two three", "ap", 900)],
+            [Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS + 1)],
+        ):
+            res = match_to_headlines(post, heads, tfidf, threshold=0.0)
+            assert (res.status, res.best_headline, res.best_score) == (MATCHED, None, 0.0)
+        run = label_corpus([post], [Headline("one two three", "ap", 900)], threshold=0.0)
+        assert run.results[0].status == MATCHED
+        assert run.results[0].best_headline is None
+        assert run.stats["matched_direct"] == 1
+
 
 DAY = 86400
 
