@@ -2,8 +2,9 @@
 
 Verbs: curate, extract, label, train, predict, evaluate, timeliness.
 Every command is deterministic given the config seed and input files.
-Exit codes: 0 ok, 2 missing input file, 3 degenerate labels, 4 model/file
-schema mismatch.
+Exit codes: 0 ok, 2 missing input file, 3 degenerate labels or too few
+examples, 4 model/file schema mismatch (including a bad gazetteer or a
+model without weights).
 """
 
 from __future__ import annotations
@@ -16,18 +17,25 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .curation import CurationConfig, build_trbc_centroids, curate
-from .errors import DegenerateLabels, NoDocuments, SchemaMismatch
+from .errors import (
+    BadGazetteer,
+    DegenerateLabels,
+    InsufficientData,
+    ModelNotFitted,
+    NoDocuments,
+    SchemaMismatch,
+)
 from .geo import load_gazetteer
 from .labeling import label_corpus, undersample
 from .linear import LinearModel
 from .model import (
+    POSITIVE_CLASS,
     SvmConfig,
     ablate,
     assemble_features,
     build_context,
     cross_validate,
-    svm_predict,
-    svm_score,
+    feature_group_weights,
     train_svm,
 )
 from .rarity import TaggedPost, build_background
@@ -167,11 +175,7 @@ def cmd_curate(cfg: PipelineConfig) -> int:
     for post in tweets:
         tweets_by_user.setdefault(post.user_id, []).append(post)
 
-    try:
-        tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
-    except NoDocuments as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE_LABELS
+    tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
     curated, stages = curate(
         profiles,
         tweets_by_user,
@@ -310,21 +314,21 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
     features_path = cfg.out_path("features.tsv")
     if "features" in cfg.paths:
         features_path = cfg.path("features")
-    records, errors = read_ndjson(_require(labeled_path), dict)
-    _warn_errors("labeled", errors)
+    _require(labeled_path)
     features = _read_features(features_path)
-    examples = []
-    for rec in sorted(records, key=lambda r: str(r.get("post_id"))):
+
+    def parse(rec: dict) -> LabeledExample:
         post_id = str(rec["post_id"])
-        examples.append(
-            LabeledExample(
-                post_id=post_id,
-                features=features.get(post_id, {}),
-                label=rec.get("status") == "matched",
-                label_provenance="via_link" if rec.get("via_link") else "direct",
-            )
+        return LabeledExample(
+            post_id=post_id,
+            features=features.get(post_id, {}),
+            label=rec.get("status") == "matched",
+            label_provenance="via_link" if rec.get("via_link") else "direct",
         )
-    return examples
+
+    examples, errors = read_ndjson(labeled_path, parse)
+    _warn_errors("labeled", errors)
+    return sorted(examples, key=lambda e: e.post_id)
 
 
 def cmd_train(cfg: PipelineConfig) -> int:
@@ -333,6 +337,7 @@ def cmd_train(cfg: PipelineConfig) -> int:
     svm_cfg = SvmConfig(epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
     report = cross_validate(examples, folds=cfg.folds, seed=cfg.seed, config=svm_cfg)
     model = train_svm(examples, svm_cfg)
+    report.group_weights = feature_group_weights(model)
     model_path = cfg.out_path("model.json")
     model.save(model_path)
     report_path = cfg.out_path("report.json")
@@ -356,14 +361,8 @@ def cmd_predict(cfg: PipelineConfig, model_path: str | None = None) -> int:
     )
     records = []
     for post_id in sorted(features):
-        score = svm_score(model, features[post_id])
-        records.append(
-            {
-                "post_id": post_id,
-                "score": score,
-                "newsworthy": svm_predict(model, features[post_id]),
-            }
-        )
+        score = model.decision(features[post_id])[POSITIVE_CLASS]
+        records.append({"post_id": post_id, "score": score, "newsworthy": score >= 0.0})
     out = cfg.out_path("predictions.ndjson")
     write_ndjson(out, records)
     positive = sum(1 for r in records if r["newsworthy"])
@@ -401,12 +400,16 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) -> int:
-    feed_rows, errors = read_ndjson(_require(Path(feed_path)), dict)
+    feed_rows, errors = read_ndjson(
+        _require(Path(feed_path)), lambda r: (str(r["event_id"]), int(r["first_tweet_at"]))
+    )
     _warn_errors("feed", errors)
-    wire_rows, errors = read_ndjson(_require(Path(wire_path)), dict)
+    wire_rows, errors = read_ndjson(
+        _require(Path(wire_path)), lambda r: (str(r["event_id"]), int(r["wire_alert_at"]))
+    )
     _warn_errors("wire", errors)
-    feed = {str(r["event_id"]): int(r["first_tweet_at"]) for r in feed_rows}
-    wire = {str(r["event_id"]): int(r["wire_alert_at"]) for r in wire_rows}
+    feed = dict(feed_rows)
+    wire = dict(wire_rows)
     shared = sorted(set(feed) & set(wire))
     skipped = sorted((set(feed) | set(wire)) - set(shared))
     rows = []
@@ -498,10 +501,10 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except DegenerateLabels as exc:
+    except (DegenerateLabels, InsufficientData, NoDocuments) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_LABELS
-    except SchemaMismatch as exc:
+    except (SchemaMismatch, BadGazetteer, ModelNotFitted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA_MISMATCH
 

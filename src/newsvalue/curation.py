@@ -74,16 +74,6 @@ def _stable_seed(seed: int, key: str) -> int:
     return seed ^ zlib.crc32(key.encode("utf-8"))
 
 
-def filter_by_followers(
-    profiles: Sequence[SourceProfile], cap: int = DEFAULT_FOLLOWER_CAP
-) -> list[SourceProfile]:
-    """Drop accounts above the follower cap (they are mature outlets, not
-    early local reporters)."""
-    if cap <= 0:
-        raise ValueError("follower cap must be positive")
-    return [p for p in profiles if p.followers <= cap]
-
-
 def local_focus_ratio(
     profile: SourceProfile,
     sample: Sequence[Post],

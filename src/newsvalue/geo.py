@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Optional
 
 from .errors import BadGazetteer
 from .records import Post, SourceProfile
@@ -222,29 +222,6 @@ def tag_locations(text: str, g: Gazetteer) -> list[GeoResolution]:
             )
         )
     return out
-
-
-class GeocoderBackend(Protocol):
-    """Contract a remote geocoding service must honor to replace the
-    file-backed gazetteer: guided resolution and text tagging. No client
-    implementation ships here; LocalGeocoder adapts a Gazetteer to it."""
-
-    def resolve(self, query: str, anchor: Optional[str]) -> GeoResolution: ...
-
-    def tag(self, text: str) -> list[GeoResolution]: ...
-
-
-class LocalGeocoder:
-    """Gazetteer-backed implementation of the GeocoderBackend contract."""
-
-    def __init__(self, gazetteer: Gazetteer):
-        self.gazetteer = gazetteer
-
-    def resolve(self, query: str, anchor: Optional[str]) -> GeoResolution:
-        return geocode(query, anchor, self.gazetteer)
-
-    def tag(self, text: str) -> list[GeoResolution]:
-        return tag_locations(text, self.gazetteer)
 
 
 def location_features(

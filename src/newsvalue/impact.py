@@ -9,7 +9,6 @@ Also detects physical-site nouns.
 
 from __future__ import annotations
 
-import json
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Optional, Sequence
 from .errors import NoDocuments
 from .linear import LinearModel, SGDConfig, train_one_vs_rest
 from .records import Post
-from .scope import Taxonomy, load_taxonomy, match_phrases
+from .scope import Taxonomy, load_taxonomy
 from .spans import select_spans
 from .textvec import SparseVector, TfidfModel, fit_tfidf, token_spans, tokenize, vectorize
 
@@ -384,8 +383,8 @@ def impact_features(
         monetary_suffix=bool(_ATTACHED_SUFFIX_RE.search(raw)),
         timestamp_symbol=bool(_TS_RE.search(raw)),
         timezone_or_period=bool(near & _TZ_PERIOD),
-        human_terms_hits=len(match_phrases(context, human_tax)),
-        address_terms_hits=len(match_phrases(context, addr_tax)),
+        human_terms_hits=len(human_tax.match(context)),
+        address_terms_hits=len(addr_tax.match(context)),
         tfidf_triple=(triple[0], triple[1], triple[2]),
     )
 
@@ -464,7 +463,7 @@ def extract_site_terms(
     tokens: Sequence[str], site_tax: Taxonomy | None = None
 ) -> list[str]:
     """Physical-site nouns in token order."""
-    return match_phrases(tokens, site_tax or default_site_terms())
+    return (site_tax or default_site_terms()).match(tokens)
 
 
 def build_human_impact_taxonomy(corpus: Sequence[Post]) -> list[tuple[str, int]]:
@@ -488,59 +487,6 @@ def build_human_impact_taxonomy(corpus: Sequence[Post]) -> list[tuple[str, int]]
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     keep = max(1, ceil(len(ranked) * 0.05))
     return ranked[:keep]
-
-
-# ---------------------------------------------------------------------------
-# labeled phrase files
-# ---------------------------------------------------------------------------
-
-def save_labeled_phrases(
-    path, rows: Sequence[tuple[str, tuple[int, int], str]]
-) -> int:
-    """Write one tab-delimited row per phrase: text (JSON-escaped), start,
-    end, label."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, (start, end), label in rows:
-            fh.write(f"{json.dumps(text)}\t{start}\t{end}\t{label}\n")
-            n += 1
-    return n
-
-
-def load_labeled_phrases(path) -> list[tuple[str, tuple[int, int], str]]:
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"labeled phrases line {lineno}: expected 4 columns")
-            text, start, end, label = parts
-            if label not in IMPACT_CLASSES:
-                raise ValueError(f"labeled phrases line {lineno}: bad label {label!r}")
-            out.append((json.loads(text), (int(start), int(end)), label))
-    return out
-
-
-def rows_from_labeled_phrases(
-    records: Sequence[tuple[str, tuple[int, int], str]],
-    human_tax: Taxonomy | None = None,
-    addr_tax: Taxonomy | None = None,
-    cat_tfidf: CategoryTfidf | None = None,
-) -> list[tuple[ImpactFeatureRow, str]]:
-    """Feature rows for training from (text, span, label) records; the
-    phrase is re-extracted at the stored span."""
-    rows = []
-    for text, span, label in records:
-        matching = [p for p in extract_numeric_phrases(text) if p.span == tuple(span)]
-        phrase = matching[0] if matching else NumericPhrase(
-            span=tuple(span), raw=text[span[0] : span[1]], value=0.0,
-            context_tokens=_context_tokens(text, tuple(span)),
-        )
-        rows.append((impact_features(phrase, text, human_tax, addr_tax, cat_tfidf), label))
-    return rows
 
 
 # ---------------------------------------------------------------------------

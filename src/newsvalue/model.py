@@ -273,15 +273,8 @@ def train_svm(
     )
 
 
-def svm_score(model: LinearModel, features: Mapping[str, float]) -> float:
-    w = model.weights[POSITIVE_CLASS]
-    return sum(w[f] * v for f, v in features.items() if f in w) + model.bias.get(
-        POSITIVE_CLASS, 0.0
-    )
-
-
 def svm_predict(model: LinearModel, features: Mapping[str, float]) -> bool:
-    return svm_score(model, features) >= 0.0
+    return model.decision(features)[POSITIVE_CLASS] >= 0.0
 
 
 @dataclass
@@ -305,23 +298,6 @@ class EvalReport:
             "counts": self.counts,
         }
         return json.dumps(payload, sort_keys=True)
-
-    def render(self) -> str:
-        """Human-readable table: pooled metrics, per-fold rows, group weights."""
-        lines = [
-            f"pooled   P={self.precision:6.2f}  R={self.recall:6.2f}  F={self.f1:6.2f}"
-        ]
-        for fold in self.folds:
-            lines.append(
-                f"fold {fold['fold']:>2}  P={fold['precision']:6.2f}  "
-                f"R={fold['recall']:6.2f}  F={fold['f1']:6.2f}"
-            )
-        if self.group_weights:
-            lines.append("group weights (positive sum / negative sum):")
-            for group in sorted(self.group_weights):
-                pos, neg = self.group_weights[group]
-                lines.append(f"  {group:<10} {pos:+10.4f} / {neg:+10.4f}")
-        return "\n".join(lines)
 
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
@@ -360,7 +336,9 @@ def cross_validate(
     """Repeated seeded 80/20 resampling (stratified), pooled P/R/F.
 
     Fold seeds derive from the master seed, so the whole report is
-    bit-reproducible.
+    bit-reproducible. No model is fitted on all examples here, so
+    group_weights stay empty; the caller that fits the final model fills
+    them with feature_group_weights.
     """
     if len(examples) < folds * 2:
         raise InsufficientData(f"{len(examples)} examples for {folds} folds")
@@ -393,15 +371,11 @@ def cross_validate(
              "tp": ftp, "fp": ffp, "fn": ffn, "tn": ftn}
         )
     p, r, f = _prf(tp, fp, fn)
-    final = train_svm(
-        examples, SvmConfig(epochs=base.epochs, C=base.C, seed=seed, class_weight=base.class_weight)
-    )
     return EvalReport(
         precision=p,
         recall=r,
         f1=f,
         folds=fold_rows,
-        group_weights=feature_group_weights(final),
         counts={"tp": tp, "fp": fp, "fn": fn, "tn": tn},
     )
 

@@ -59,42 +59,6 @@ class BackgroundIndex:
     country_topic_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     country_loc_counts: dict[tuple[str, str], int] = field(default_factory=dict)
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"window|{self.window[0]}|{self.window[1]}\n")
-            for (loc, topic), n in sorted(self.counts.items()):
-                fh.write(f"lt|{loc}|{topic}|{n}\n")
-            for loc, n in sorted(self.loc_counts.items()):
-                fh.write(f"l|{loc}|{n}\n")
-            for country, n in sorted(self.country_counts.items()):
-                fh.write(f"c|{country}|{n}\n")
-            for (country, topic), n in sorted(self.country_topic_counts.items()):
-                fh.write(f"ct|{country}|{topic}|{n}\n")
-            for (country, loc), n in sorted(self.country_loc_counts.items()):
-                fh.write(f"cl|{country}|{loc}|{n}\n")
-
-    @classmethod
-    def load(cls, path) -> "BackgroundIndex":
-        idx = cls(window=(0, 0))
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split("|")
-                kind = parts[0]
-                if kind == "window":
-                    idx.window = (int(parts[1]), int(parts[2]))
-                elif kind == "lt":
-                    idx.counts[(parts[1], parts[2])] = int(parts[3])
-                elif kind == "l":
-                    idx.loc_counts[parts[1]] = int(parts[2])
-                elif kind == "c":
-                    idx.country_counts[parts[1]] = int(parts[2])
-                elif kind == "ct":
-                    idx.country_topic_counts[(parts[1], parts[2])] = int(parts[3])
-                elif kind == "cl":
-                    idx.country_loc_counts[(parts[1], parts[2])] = int(parts[3])
-        return idx
-
-
 @dataclass(frozen=True)
 class RarityScore:
     value: float

@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .spans import phrase_spans, select_spans
+from .spans import phrase_matches, phrase_spans, select_spans
 from .textvec import tokenize
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -51,6 +51,10 @@ class Taxonomy:
         self.terms = frozenset(phrases.values())
         self.token_phrases: dict[tuple[str, ...], str] = phrases
         self.max_len = max(len(p) for p in phrases)
+
+    def match(self, tokens: Sequence[str]) -> list[str]:
+        """Phrases found in tokens, in order, duplicates kept (phrase_matches)."""
+        return [hit for _, _, hit in phrase_matches(tokens, self.token_phrases, self.max_len)]
 
     def __len__(self) -> int:
         return len(self.token_phrases)
@@ -116,36 +120,16 @@ class ScopeFeatures:
 # taxonomy indicators
 # ---------------------------------------------------------------------------
 
-def match_phrases(tokens: Sequence[str], taxonomy: Taxonomy) -> list[str]:
-    """All taxonomy phrases in token order, longest match first, duplicates
-    preserved; a matched phrase consumes its tokens."""
-    out = []
-    i, n = 0, len(tokens)
-    while i < n:
-        hit = None
-        for length in range(min(taxonomy.max_len, n - i), 0, -1):
-            cand = tuple(tokens[i : i + length])
-            if cand in taxonomy.token_phrases:
-                hit = taxonomy.token_phrases[cand]
-                break
-        if hit is not None:
-            out.append(hit)
-            i += len(hit.split())
-        else:
-            i += 1
-    return out
-
-
 def extract_scale_adjectives(
     tokens: Sequence[str], lexicon: Taxonomy | None = None
 ) -> list[str]:
-    return match_phrases(tokens, lexicon or default_scale_lexicon())
+    return (lexicon or default_scale_lexicon()).match(tokens)
 
 
 def extract_fire_cause(
     tokens: Sequence[str], causes: Taxonomy | None = None
 ) -> str | None:
-    hits = match_phrases(tokens, causes or default_fire_causes())
+    hits = (causes or default_fire_causes()).match(tokens)
     return hits[0] if hits else None
 
 

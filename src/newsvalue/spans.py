@@ -29,29 +29,36 @@ def select_spans(candidates: Sequence[tuple[int, int, Any]]) -> list[tuple[int, 
     return kept
 
 
+def phrase_matches(
+    tokens: Sequence[str], phrases: dict[tuple[str, ...], Any], max_len: int
+) -> list[tuple[int, int, Any]]:
+    """Greedy longest-match scan of a token sequence against token-tuple
+    phrases: (first token, end token, payload) per hit, in token order.
+
+    A hit consumes its tokens, so hits never overlap.
+    """
+    out: list[tuple[int, int, Any]] = []
+    i, n = 0, len(tokens)
+    while i < n:
+        for length in range(min(max_len, n - i), 0, -1):
+            cand = tuple(tokens[i : i + length])
+            if cand in phrases:
+                out.append((i, i + length, phrases[cand]))
+                i += length
+                break
+        else:
+            i += 1
+    return out
+
+
 def phrase_spans(
     text: str, phrases: dict[tuple[str, ...], Any], max_len: int
 ) -> list[tuple[int, int, Any]]:
-    """Greedy longest-match scan of tokenized text against token-tuple phrases.
+    """phrase_matches over the tokenized text, as character spans.
 
     Matches may cross punctuation (tokens need only be consecutive). Spans
     index into the original text and never overlap.
     """
     toks = token_spans(text)
-    out: list[tuple[int, int, Any]] = []
-    i, n = 0, len(toks)
-    while i < n:
-        hit_len = 0
-        payload = None
-        for length in range(min(max_len, n - i), 0, -1):
-            cand = tuple(tok for tok, _, _ in toks[i : i + length])
-            if cand in phrases:
-                hit_len = length
-                payload = phrases[cand]
-                break
-        if hit_len:
-            out.append((toks[i][1], toks[i + hit_len - 1][2], payload))
-            i += hit_len
-        else:
-            i += 1
-    return out
+    hits = phrase_matches([tok for tok, _, _ in toks], phrases, max_len)
+    return [(toks[i][1], toks[j - 1][2], payload) for i, j, payload in hits]

@@ -117,8 +117,6 @@ class TfidfModel:
     doc_freq: dict[str, int]
     doc_ids: tuple[str, ...]
 
-    FORMAT = "tfidf/1"
-
     def __post_init__(self):
         if self.doc_count < 1:
             raise ValueError("doc_count must be positive")
@@ -130,30 +128,6 @@ class TfidfModel:
         # Smoothed: never negative, defined for unseen terms (df = 0).
         df = self.doc_freq.get(term, 0)
         return math.log((1 + self.doc_count) / (1 + df)) + 1.0
-
-    def save(self, path) -> None:
-        payload = {
-            "format": self.FORMAT,
-            "doc_count": self.doc_count,
-            "doc_ids": list(self.doc_ids),
-            "doc_freq": self.doc_freq,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path) -> "TfidfModel":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != cls.FORMAT:
-            raise ValueError(f"unsupported tfidf file format: {payload.get('format')!r}")
-        return cls(
-            doc_count=int(payload["doc_count"]),
-            doc_freq={t: int(v) for t, v in payload["doc_freq"].items()},
-            doc_ids=tuple(payload["doc_ids"]),
-        )
-
 
 def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
     """Fit document frequencies from (label, tokens) pairs."""

@@ -14,6 +14,7 @@ from conftest import (
     write_ndjson_file,
     write_pipeline_inputs,
 )
+import newsvalue.model
 from newsvalue.cli import (
     EXIT_DEGENERATE_LABELS,
     EXIT_MISSING_INPUT,
@@ -21,6 +22,8 @@ from newsvalue.cli import (
     EXIT_SCHEMA_MISMATCH,
     main,
 )
+from newsvalue.linear import LinearModel
+from newsvalue.model import feature_group_weights
 from newsvalue.records import Headline, Post
 
 
@@ -196,6 +199,110 @@ class TestFullPipeline:
         _, config = pipeline
         assert main(["train", "--config", str(config)]) == EXIT_MISSING_INPUT
 
+    def test_svm_fit_counts(self, pipeline, capsys, monkeypatch):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        folds = json.loads(config.read_text())["svm"]["folds"]
+        calls = []
+        original = newsvalue.model.train_binary_hinge
+
+        def counted(rows, cfg):
+            calls.append(cfg.seed)
+            return original(rows, cfg)
+
+        monkeypatch.setattr(newsvalue.model, "train_binary_hinge", counted)
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == folds + 1
+        calls.clear()
+        assert main(["evaluate", "--config", str(config)]) == EXIT_OK
+        assert len(calls) == 4 * folds
+
+    def test_report_group_weights_are_the_saved_models(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        for verb in ("label", "extract", "train"):
+            assert main([verb, "--config", str(config)]) == EXIT_OK
+        out_dir = tmp_path / "out"
+        report = json.loads((out_dir / "report.json").read_text())
+        model = LinearModel.load(out_dir / "model.json", expect_kind="svm")
+        expected = feature_group_weights(model)
+        assert set(report["group_weights"]) == set(expected)
+        for group, (pos, neg) in expected.items():
+            assert report["group_weights"][group] == [
+                pytest.approx(pos, rel=1e-12, abs=1e-15),
+                pytest.approx(neg, rel=1e-12, abs=1e-15),
+            ]
+        assert any(pos > 0.0 for pos, _ in expected.values())
+
+    def test_labeled_row_without_post_id_skipped(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        labeled = tmp_path / "out" / "labeled.ndjson"
+        n = len(labeled.read_text().splitlines())
+        with open(labeled, "a", encoding="utf-8") as fh:
+            fh.write('{"status": "matched"}\n')
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert f"warning: labeled line {n + 1}: " in err
+        assert "(record skipped)" in err
+        assert "Traceback" not in err
+
+
+class TestErrorExitCodes:
+    """Toolkit errors end in a documented exit code and one error line."""
+
+    def _assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+    def test_bad_gazetteer_exit_4(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        gazetteer = tmp_path / "gazetteer.txt"
+        gazetteer.write_text("Paris|x|1\n")
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["gazetteer"] = str(gazetteer)
+        config.write_text(json.dumps(cfg))
+        assert main(["curate", "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    def test_too_few_examples_exit_3(self, pipeline, capsys, verb):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        cfg = json.loads(config.read_text())
+        cfg["svm"]["folds"] = 500
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_DEGENERATE_LABELS
+        self._assert_one_line_error(capsys)
+
+    def test_model_without_positive_weights_exit_4(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": "linear-model/1", "kind": "svm", "classes": ["matched"],
+            "weights": {}, "bias": {},
+        }))
+        capsys.readouterr()
+        assert (
+            main(["predict", "--config", str(config), "--model", str(model)])
+            == EXIT_SCHEMA_MISMATCH
+        )
+        self._assert_one_line_error(capsys)
+
+    def test_extract_without_topic_headlines_exit_3(self, tmp_path, capsys):
+        posts, _ = make_event_posts()
+        config = write_pipeline_inputs(tmp_path, posts=posts, headlines=[])
+        assert main(["extract", "--config", str(config)]) == EXIT_DEGENERATE_LABELS
+        self._assert_one_line_error(capsys)
+
 
 class TestTimelinessCommand:
     def test_mean_and_beat_fraction(self, tmp_path, capsys):
@@ -240,6 +347,41 @@ class TestTimelinessCommand:
             main(["timeliness", "--feed", str(feed), "--wire", str(tmp_path / "nope")])
             == EXIT_MISSING_INPUT
         )
+
+    @pytest.mark.parametrize(
+        "bad_row",
+        [
+            {"event_id": "e2"},
+            {"event_id": "e2", "first_tweet_at": "soon"},
+            {"event_id": "e2", "first_tweet_at": None},
+            {"first_tweet_at": 0},
+        ],
+    )
+    def test_bad_feed_row_skipped(self, tmp_path, capsys, bad_row):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0}, bad_row])
+        write_ndjson_file(wire, [
+            {"event_id": "e1", "wire_alert_at": 600},
+            {"event_id": "e2", "wire_alert_at": 600},
+        ])
+        assert main(["timeliness", "--feed", str(feed), "--wire", str(wire)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning: feed line 2: " in captured.err
+        assert "(record skipped)" in captured.err
+        assert "Traceback" not in captured.err
+        assert "events: 1" in captured.out
+        assert "skipped (present on one side only): e2" in captured.out
+
+    def test_bad_wire_row_skipped(self, tmp_path, capsys):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0}])
+        write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": "12:00"}])
+        assert main(["timeliness", "--feed", str(feed), "--wire", str(wire)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "warning: wire line 1: " in captured.err
+        assert "events: 0" in captured.out
 
     def test_writes_rows(self, tmp_path, capsys):
         feed = tmp_path / "feed.ndjson"

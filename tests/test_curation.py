@@ -9,7 +9,6 @@ from newsvalue.curation import (
     CurationConfig,
     classify_account,
     curate,
-    filter_by_followers,
     informativeness,
     local_focus_ratio,
     topical_focus,
@@ -23,16 +22,23 @@ def _profile(user_id="u", followers=100, location="Houston", **kwargs):
 
 
 class TestFollowerFilter:
-    def test_over_cap_removed(self):
-        kept = filter_by_followers([_profile(followers=1_000_001)])
-        assert kept == []
+    """The follower cap as curate applies it: followers == cap is kept."""
 
-    def test_boundary_retained(self):
-        assert len(filter_by_followers([_profile(followers=999_999)])) == 1
-        assert len(filter_by_followers([_profile(followers=1_000_000)])) == 1
+    def _removed(self, gazetteer, trbc_model, followers):
+        tfidf, centroids = trbc_model
+        profiles = [_profile(f"u{i}", followers=n) for i, n in enumerate(followers)]
+        _, stages = curate(profiles, {}, [], gazetteer, centroids, tfidf)
+        return stages["removed_follower_cap"]
 
-    def test_empty(self):
-        assert filter_by_followers([]) == []
+    def test_over_cap_removed(self, gazetteer, trbc_model):
+        assert self._removed(gazetteer, trbc_model, [1_000_001]) == 1
+
+    def test_boundary_retained(self, gazetteer, trbc_model):
+        assert self._removed(gazetteer, trbc_model, [999_999]) == 0
+        assert self._removed(gazetteer, trbc_model, [1_000_000]) == 0
+
+    def test_empty(self, gazetteer, trbc_model):
+        assert self._removed(gazetteer, trbc_model, []) == 0
 
 
 class TestLocalFocusRatio:

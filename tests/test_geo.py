@@ -185,12 +185,3 @@ class TestLocationFeatures:
         a = location_features(post, None, gaz)
         b = location_features(post, None, gaz)
         assert a == b
-
-
-class TestLocalGeocoder:
-    def test_adapter_matches_module_functions(self, gaz):
-        from newsvalue.geo import LocalGeocoder
-
-        client = LocalGeocoder(gaz)
-        assert client.resolve("Paris", "France") == geocode("Paris", "France", gaz)
-        assert client.tag("quake near Tokyo") == tag_locations("quake near Tokyo", gaz)

@@ -329,59 +329,3 @@ class TestBuildHumanImpactTaxonomy:
     def test_empty_corpus_raises(self):
         with pytest.raises(NoDocuments):
             build_human_impact_taxonomy([])
-
-
-class TestLabeledPhraseFiles:
-    def _records(self):
-        texts = [
-            ("12 dead after the blast", "human_impact"),
-            ("crews at 3910 Tangle Ln", "address"),
-            ("$2 million in damages", "financial_impact"),
-            ("alert issued 06:02 UTC", "date_time"),
-        ]
-        records = []
-        for text, label in texts:
-            p = extract_numeric_phrases(text)[0]
-            records.append((text, p.span, label))
-        return records
-
-    def test_round_trip(self, tmp_path):
-        from newsvalue.impact import load_labeled_phrases, save_labeled_phrases
-
-        path = tmp_path / "phrases.tsv"
-        records = self._records()
-        assert save_labeled_phrases(path, records) == len(records)
-        assert load_labeled_phrases(path) == records
-
-    def test_text_with_tabs_survives(self, tmp_path):
-        from newsvalue.impact import load_labeled_phrases, save_labeled_phrases
-
-        text = "12\tdead here"
-        p = extract_numeric_phrases(text)[0]
-        path = tmp_path / "phrases.tsv"
-        save_labeled_phrases(path, [(text, p.span, "human_impact")])
-        assert load_labeled_phrases(path)[0][0] == text
-
-    def test_bad_label_rejected(self, tmp_path):
-        from newsvalue.impact import load_labeled_phrases
-
-        path = tmp_path / "phrases.tsv"
-        path.write_text('"x 5"\t2\t3\tnot_a_label\n')
-        with pytest.raises(ValueError, match="line 1"):
-            load_labeled_phrases(path)
-
-    def test_training_from_file(self, tmp_path):
-        from newsvalue.impact import (
-            load_labeled_phrases,
-            rows_from_labeled_phrases,
-            save_labeled_phrases,
-        )
-
-        path = tmp_path / "phrases.tsv"
-        save_labeled_phrases(path, self._records() * 4)
-        rows = rows_from_labeled_phrases(load_labeled_phrases(path))
-        model = train_impact_classifier(
-            rows, SGDConfig(epochs=40, learning_rate=0.01, seed=5)
-        )
-        report = classification_report(model, rows)
-        assert report["micro"]["f1"] >= 0.9

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from newsvalue.rarity import (
-    BackgroundIndex,
     TaggedPost,
     build_background,
     grid_cell,
@@ -137,22 +136,3 @@ class TestRarity:
                     assert 0.0 <= s.country_term <= 1.0
                     assert 0.0 <= s.lambda_ <= 1.0
                     assert 0.0 <= s.value <= 2.0
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        posts = [
-            _post(35.68, 139.69, "JP", "quake"),
-            _post(34.69, 135.5, "JP", "fire"),
-            _post(48.86, 2.35, "FR", "flood"),
-        ]
-        idx = build_background(posts, (0, 100))
-        path = tmp_path / "background.idx"
-        idx.save(path)
-        again = BackgroundIndex.load(path)
-        assert again.window == idx.window
-        assert again.counts == idx.counts
-        assert again.loc_counts == idx.loc_counts
-        assert again.country_counts == idx.country_counts
-        assert again.country_topic_counts == idx.country_topic_counts
-        assert again.country_loc_counts == idx.country_loc_counts

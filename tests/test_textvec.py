@@ -82,13 +82,6 @@ class TestFitTfidf:
         with pytest.raises(NoDocuments):
             fit_tfidf([])
 
-    def test_roundtrip_serialization(self, tmp_path):
-        m = fit_tfidf([("d1", ["a", "b"]), ("d2", ["b"])])
-        path = tmp_path / "tfidf.json"
-        m.save(path)
-        again = type(m).load(path)
-        assert again == m
-
 
 class TestVectorize:
     def test_empty_tokens(self):
