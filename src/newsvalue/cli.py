@@ -90,10 +90,18 @@ class PipelineConfig:
         return out_dir / name
 
 
+def _finite_number(text: str) -> float:
+    """JSON float hook: NaN, Infinity and overflowing literals are errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise SchemaMismatch(f"config number {text} is not finite")
+    return value
+
+
 def load_config(path: str | Path, seed_override: int | None = None) -> PipelineConfig:
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
         except ValueError as exc:
             raise SchemaMismatch(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -117,7 +125,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
             folds=int(svm.get("folds", 10)),
             paths={k: str(v) for k, v in raw.get("paths", {}).items()},
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"bad config value: {exc}") from None
     for name in ("match_threshold", "link_threshold", "same_user_link_threshold",
                  "local_focus_threshold"):
@@ -362,6 +370,8 @@ def cmd_predict(cfg: PipelineConfig, model_path: str | None = None) -> int:
     records = []
     for post_id in sorted(features):
         score = model.decision(features[post_id])[POSITIVE_CLASS]
+        if not math.isfinite(score):
+            raise SchemaMismatch(f"model score for {post_id!r} overflows to {score}")
         records.append({"post_id": post_id, "score": score, "newsworthy": score >= 0.0})
     out = cfg.out_path("predictions.ndjson")
     write_ndjson(out, records)

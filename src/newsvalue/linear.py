@@ -10,9 +10,12 @@ trick keeps every step O(nnz).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import repeat
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import ModelNotFitted, SchemaMismatch
 
@@ -91,59 +94,105 @@ class LinearModel:
                 if isinstance(payload, dict)
                 else "model file is not an object"
             )
-        if expect_kind is not None and payload.get("kind") != expect_kind:
-            raise SchemaMismatch(
-                f"expected a {expect_kind!r} model, got {payload.get('kind')!r}"
-            )
+        kind = payload.get("kind")
+        if expect_kind is not None and kind != expect_kind:
+            raise SchemaMismatch(f"expected a {expect_kind!r} model, got {kind!r}")
+        classes = payload.get("classes")
+        weights = payload.get("weights")
+        bias = payload.get("bias")
+        train_meta = payload.get("train_meta", {})
+        if not isinstance(kind, str) or not isinstance(train_meta, dict):
+            raise SchemaMismatch("model 'kind' must be a string and 'train_meta' an object")
+        if not isinstance(classes, list) or not all(isinstance(c, str) for c in classes):
+            raise SchemaMismatch("model 'classes' must be a list of strings")
+        if not isinstance(weights, dict) or not all(map(_finite_numbers, weights.values())):
+            raise SchemaMismatch("model 'weights' must map classes to objects of finite numbers")
+        if not _finite_numbers(bias):
+            raise SchemaMismatch("model 'bias' must be an object of finite numbers")
         return cls(
-            kind=payload["kind"],
-            classes=tuple(payload["classes"]),
-            weights={c: dict(w) for c, w in payload["weights"].items()},
-            bias=dict(payload["bias"]),
-            train_meta=dict(payload.get("train_meta", {})),
+            kind=kind,
+            classes=tuple(classes),
+            weights=weights,
+            bias=bias,
+            train_meta=train_meta,
         )
 
 
+def _finite_numbers(value) -> bool:
+    """True for a JSON object whose values are all finite numbers."""
+    if not isinstance(value, dict):
+        return False
+    try:
+        return all(not isinstance(x, bool) and math.isfinite(x) for x in value.values())
+    except (TypeError, OverflowError):  # not a number, or an int past float range
+        return False
+
+
 def _objective(
-    rows: list[tuple[FeatureRow, int, float]],
-    v: dict[str, float],
+    rows: list[tuple[tuple[int, ...], tuple[float, ...], int]],
+    cs: tuple[float, float],
+    v: list[float],
+    touched: dict[int, None],
     scale: float,
     l2: float,
 ) -> float:
     """Regularized hinge objective at the current effective weights."""
-    sq_norm = scale * scale * sum(x * x for x in v.values())
+    sq_norm = scale * scale * sum(v[j] * v[j] for j in touched)
     hinge = 0.0
-    for x, y, c in rows:
-        margin = y * scale * sum(v.get(f, 0.0) * val for f, val in x)
-        hinge += c * max(0.0, 1.0 - margin)
+    weight = v.__getitem__
+    for ids, vals, y in rows:
+        margin = y * scale * sum(map(mul, map(weight, ids), vals))
+        hinge += cs[y > 0] * max(0.0, 1.0 - margin)
     return 0.5 * l2 * sq_norm + hinge / len(rows)
 
 
 def train_binary_hinge(
-    rows: list[tuple[FeatureRow, int]], cfg: SGDConfig
+    rows: Iterable[tuple[FeatureRow, int]], cfg: SGDConfig
 ) -> tuple[dict[str, float], float, float, float]:
     """Train one binary hinge classifier over (+1/-1)-labeled sparse rows.
 
-    Rows must already include the bias as a constant feature or accept a
-    zero bias; this function appends BIAS_KEY itself. Returns
+    Rows hold features only; BIAS_KEY is appended to each row here, so the
+    bias is a regularized weight like any other. Returns
     (weights, bias, objective_first_epoch, objective_last_epoch).
+
+    The kernel reads `rows` once and interns feature names to dense ids in
+    first-seen order. It is exact against a dict of weights keyed by name:
+    - a margin is `sum()` over the row's products in row order, the same
+      floats in the same order. Keep it a `sum()`: from Python 3.12 a float
+      `sum()` is compensated, and a `+=` loop would round differently;
+    - an update adds `g * val` to each id in row order, and an id no step
+      has touched holds 0.0, which is what a missing key reads as;
+    - `touched` keeps ids in first-update order, the order a dict inserts
+      keys, so the returned weights and the objective's squared norm
+      iterate as that dict would. A row adds its ids once per clear, which
+      a per-row stamp records; a clear (decay <= 0) zeroes the touched
+      weights, empties the order and starts a new stamp.
     """
-    n = len(rows)
+    index: dict[str, int] = {}
+    prepared = []
+    for x, y in rows:
+        x = tuple(x) + ((BIAS_KEY, 1.0),)
+        # tuple(list), not tuple(genexpr): CPython parks a tuple grown in place
+        # in a free list that later allocations never reuse, raising peak RSS
+        ids = tuple([index.setdefault(f, len(index)) for f, _ in x])
+        prepared.append((ids, tuple([val for _, val in x]), y))
+    n = len(prepared)
     if n == 0:
         raise ModelNotFitted("no training rows")
     if cfg.class_weight == "balanced":
-        n_pos = sum(1 for _, y in rows if y > 0)
+        n_pos = sum(1 for *_, y in prepared if y > 0)
         n_neg = n - n_pos
         pos_w = n / (2.0 * n_pos) if n_pos else 0.0
         neg_w = n / (2.0 * n_neg) if n_neg else 0.0
     else:
         pos_w = neg_w = 1.0
-    prepared = [
-        (tuple(x) + ((BIAS_KEY, 1.0),), y, pos_w if y > 0 else neg_w)
-        for x, y in rows
-    ]
+    cs = (neg_w, pos_w)
 
-    v: dict[str, float] = {}
+    v = [0.0] * len(index)
+    weight = v.__getitem__
+    touched: dict[int, None] = {}
+    stamp = 0
+    row_stamp = [-1] * n
     scale = 1.0
     rng = random.Random(cfg.seed)
     order = list(range(n))
@@ -160,34 +209,42 @@ def train_binary_hinge(
             else:
                 eta = cfg.learning_rate
                 decay = 1.0 - eta * l2
-            x, y, c = prepared[i]
-            margin = y * scale * sum(v.get(f, 0.0) * val for f, val in x)
+            ids, vals, y = prepared[i]
+            margin = y * scale * sum(map(mul, map(weight, ids), vals))
             if decay <= 0.0:
-                v.clear()
+                for j in touched:
+                    v[j] = 0.0
+                touched.clear()
+                stamp += 1
                 scale = 1.0
             else:
                 scale *= decay
             if margin < 1.0:
-                g = eta * c * y / scale
-                for f, val in x:
-                    v[f] = v.get(f, 0.0) + g * val
+                g = eta * cs[y > 0] * y / scale
+                for j, val in zip(ids, vals):
+                    v[j] += g * val
+                if row_stamp[i] != stamp:
+                    row_stamp[i] = stamp
+                    touched.update(zip(ids, repeat(None)))
         if epoch == 0:
-            obj_first = _objective(prepared, v, scale, l2)
+            obj_first = _objective(prepared, cs, v, touched, scale, l2)
         if epoch == cfg.epochs - 1:
-            obj_last = _objective(prepared, v, scale, l2)
+            obj_last = _objective(prepared, cs, v, touched, scale, l2)
 
-    weights = {f: scale * w for f, w in v.items() if scale * w != 0.0}
+    names = list(index)
+    weights = {names[j]: scale * v[j] for j in touched if scale * v[j] != 0.0}
     bias = weights.pop(BIAS_KEY, 0.0)
     return weights, bias, obj_first, obj_last
 
 
 def train_one_vs_rest(
-    rows: list[tuple[FeatureRow, str]],
+    rows: Iterable[tuple[FeatureRow, str]],
     classes: Sequence[str],
     cfg: SGDConfig,
     kind: str,
 ) -> LinearModel:
     """One binary hinge classifier per class, deterministic per seed."""
+    rows = list(rows)
     weights: dict[str, dict[str, float]] = {}
     bias: dict[str, float] = {}
     obj_first: dict[str, float] = {}

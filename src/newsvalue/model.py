@@ -13,9 +13,9 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import DegenerateLabels, InsufficientData, NoFeatures
+from .errors import DegenerateLabels, InsufficientData, NoFeatures, SchemaMismatch
 from .geo import Gazetteer, location_features
 from .impact import (
     CategoryTfidf,
@@ -226,10 +226,20 @@ class SvmConfig:
     class_weight: Optional[str] = "balanced"
 
 
-def _rows(examples: Sequence[LabeledExample]) -> list[tuple[tuple, int]]:
-    return [
-        (tuple(sorted(e.features.items())), 1 if e.label else -1) for e in examples
-    ]
+class _Rows:
+    """(sorted features, +1/-1) per example, made as the kernel reads them,
+    so no fit holds every row's (name, value) pairs at once. Sized, because
+    bench/tracer.py counts SGD steps as len(rows) x epochs."""
+
+    def __init__(self, examples: Sequence[LabeledExample]):
+        self._examples = examples
+
+    def __len__(self) -> int:
+        return len(self._examples)
+
+    def __iter__(self) -> Iterator[tuple[tuple, int]]:
+        for e in self._examples:
+            yield tuple(sorted(e.features.items())), 1 if e.label else -1
 
 
 def train_svm(
@@ -245,7 +255,12 @@ def train_svm(
     labels = {e.label for e in examples}
     if len(labels) < 2:
         raise DegenerateLabels("SVM training needs both classes")
-    lam = 1.0 / (cfg.C * len(examples))
+    lam = 1.0 / (cfg.C * len(examples)) if cfg.C > 0 else math.nan
+    if not (math.isfinite(lam) and lam > 0.0):
+        raise SchemaMismatch(
+            f"svm C={cfg.C} over {len(examples)} examples gives l2={lam}; "
+            "it must be a positive finite number"
+        )
     sgd = SGDConfig(
         epochs=cfg.epochs,
         seed=cfg.seed,
@@ -253,7 +268,9 @@ def train_svm(
         learning_rate=None,
         class_weight=cfg.class_weight,
     )
-    weights, bias, obj_first, obj_last = train_binary_hinge(_rows(examples), sgd)
+    weights, bias, obj_first, obj_last = train_binary_hinge(_Rows(examples), sgd)
+    if not all(map(math.isfinite, (bias, obj_first, obj_last, *weights.values()))):
+        raise SchemaMismatch(f"svm C={cfg.C} overflows the SGD weights or objective; lower C")
     meta = {
         "epochs": cfg.epochs,
         "C": cfg.C,

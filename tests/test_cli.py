@@ -173,6 +173,30 @@ class TestFullPipeline:
         echo_rows = [l for l in features.splitlines() if l.startswith("echo")]
         assert any("\tloc_country_" in l for l in echo_rows)
 
+    def test_byte_identical_reruns_without_non_finite_json(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        out_dir = tmp_path / "out"
+        artifacts = ("curated.ndjson", "labeled.ndjson", "features.tsv", "model.json",
+                     "report.json", "predictions.ndjson", "ablation.json")
+
+        def run_chain():
+            for verb in ("curate", "label", "extract", "train", "predict", "evaluate"):
+                assert main([verb, "--config", str(config)]) == EXIT_OK
+            return {name: (out_dir / name).read_bytes() for name in artifacts}
+
+        first = run_chain()
+        assert run_chain() == first
+
+        def no_constant(name):
+            raise AssertionError(f"non-finite number {name} in a JSON artifact")
+
+        for name, data in first.items():
+            if name.endswith(".json"):
+                json.loads(data, parse_constant=no_constant)
+            elif name.endswith(".ndjson"):
+                for line in data.decode().splitlines():
+                    json.loads(line, parse_constant=no_constant)
+
     def test_predict_schema_mismatch_exit_4(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert main(["label", "--config", str(config)]) == EXIT_OK
@@ -302,6 +326,80 @@ class TestErrorExitCodes:
         config = write_pipeline_inputs(tmp_path, posts=posts, headlines=[])
         assert main(["extract", "--config", str(config)]) == EXIT_DEGENERATE_LABELS
         self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            '{"seed": 1e400}',
+            '{"svm": {"epochs": -1e400}}',
+            '{"svm": {"C": Infinity}}',
+            '{"svm": {"C": NaN}}',
+            '{"svm": {"C": 1' + "0" * 400 + "}}",
+        ],
+        ids=["int-field-1e400", "epochs--1e400", "C-Infinity", "C-NaN", "C-int-overflow"],
+    )
+    def test_non_finite_config_number_exit_4(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_text(content)
+        assert main(["train", "--config", str(path)]) == EXIT_SCHEMA_MISMATCH
+        self._assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("verb", ["train", "evaluate"])
+    @pytest.mark.parametrize(
+        "c",
+        [1e308, 1e300],
+        ids=["l2-underflows-to-0", "objective-overflows"],
+    )
+    def test_svm_c_too_large_exit_4(self, pipeline, capsys, verb, c):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        cfg = json.loads(config.read_text())
+        cfg["svm"]["C"] = c
+        config.write_text(json.dumps(cfg))
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"weights": {"matched": {"text_fire": "1.0"}}},
+            {"weights": [["text_fire", 1.0]]},
+            {"weights": {"matched": {"text_fire": True}}},
+            {"weights": {"matched": {"text_fire": 10**400}}},
+            {"bias": {"matched": float("nan")}},
+            {"bias": {"matched": float("inf")}},
+            {"bias": 0.5},
+            {"classes": "matched"},
+            {"classes": [1]},
+            {"kind": None},
+            {"train_meta": []},
+            {"weights": {"matched": {"text_accident": 1e308}}},
+        ],
+        ids=["string-weight", "weights-list", "bool-weight", "huge-int-weight", "nan-bias",
+             "inf-bias", "bias-number", "classes-string", "classes-int", "kind-null",
+             "meta-list", "score-overflows"],
+    )
+    def test_malformed_model_file_exit_4(self, pipeline, capsys, change):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        payload = {
+            "format": "linear-model/1", "kind": "svm", "classes": ["matched"],
+            "weights": {"matched": {"text_fire": 1.0}}, "bias": {"matched": 0.0},
+        }
+        payload.update(change)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert (
+            main(["predict", "--config", str(config), "--model", str(model)])
+            == EXIT_SCHEMA_MISMATCH
+        )
+        self._assert_one_line_error(capsys)
+        assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
 
 class TestTimelinessCommand:
