@@ -22,7 +22,10 @@ from .errors import (
     DegenerateLabels,
     InsufficientData,
     ModelNotFitted,
+    NoCentroids,
     NoDocuments,
+    NoFeatures,
+    NoVectors,
     SchemaMismatch,
 )
 from .geo import load_gazetteer
@@ -511,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input file: {exc}", file=sys.stderr)
         return EXIT_MISSING_INPUT
-    except (DegenerateLabels, InsufficientData, NoDocuments) as exc:
+    except (DegenerateLabels, InsufficientData, NoCentroids, NoDocuments, NoFeatures, NoVectors) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_LABELS
     except (SchemaMismatch, BadGazetteer, ModelNotFitted) as exc:

@@ -16,7 +16,8 @@ from typing import Optional
 
 from .errors import BadGazetteer
 from .records import Post, SourceProfile
-from .spans import phrase_spans
+from .scope import TextAnalysis
+from .spans import PhraseTable
 from .textvec import tokenize
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -69,17 +70,15 @@ class Gazetteer:
     def __init__(self, entries: list[GazetteerEntry]):
         self.entries = tuple(entries)
         self._by_name: dict[str, list[GazetteerEntry]] = {}
-        self._phrases: dict[tuple[str, ...], list[GazetteerEntry]] = {}
-        self._max_len = 1
+        phrases: dict[tuple[str, ...], list[GazetteerEntry]] = {}
         for entry in entries:
             for surface in (entry.name, *entry.aliases):
                 key = _normalize(surface)
                 if not key:
                     continue
                 self._by_name.setdefault(key, []).append(entry)
-                toks = tuple(key.split())
-                self._phrases.setdefault(toks, []).append(entry)
-                self._max_len = max(self._max_len, len(toks))
+                phrases.setdefault(tuple(key.split()), []).append(entry)
+        self._table = PhraseTable([phrases])
 
     def lookup(self, query: str) -> list[GazetteerEntry]:
         return list(self._by_name.get(_normalize(query), ()))
@@ -201,35 +200,29 @@ def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> GeoResolution:
 
 
 def tag_locations(text: str, g: Gazetteer) -> list[GeoResolution]:
-    """Longest-match scan of the text against gazetteer names and aliases.
+    return tagged_locations(TextAnalysis(text), g)
 
-    Overlaps resolve to the longest match, then leftmost. Each hit carries
-    the span of the matched surface text.
+
+def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[GeoResolution]:
+    """Greedy longest-match scan of the text's raw tokens against gazetteer
+    names and aliases. Each hit carries the span of the matched surface
+    text (every name has at least one entry, so every hit resolves).
     """
-    hits = phrase_spans(text, g._phrases, g._max_len)
-    out = []
-    for start, end, cands in hits:
-        entry = _best_entry(cands)
-        if entry is None:
-            continue
-        out.append(
-            GeoResolution(
-                query=text[start:end],
-                anchor=None,
-                hit=True,
-                entry=entry,
-                span=(start, end),
-            )
-        )
-    return out
+    return [
+        GeoResolution(query=a.text[s:e], anchor=None, hit=True, entry=_best_entry(cands), span=(s, e))
+        for s, e, cands in g._table.spans(a.spans)
+    ]
 
 
 def location_features(
     post: Post, source: Optional[SourceProfile], g: Gazetteer
 ) -> LocationFeatures:
+    return location_of(tag_locations(post.text, g), source)
+
+
+def location_of(tagged: list[GeoResolution], source: Optional[SourceProfile]) -> LocationFeatures:
     """First tagged location of the text; else the profile location of a
     locally-focused source; else nil."""
-    tagged = tag_locations(post.text, g)
     entry = tagged[0].entry if tagged else None
     if entry is None and source is not None and source.locally_focused:
         entry = source.resolved_location

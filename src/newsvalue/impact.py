@@ -10,19 +10,21 @@ Also detects physical-site nouns.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import NoDocuments
 from .linear import LinearModel, SGDConfig, train_one_vs_rest
 from .records import Post
-from .scope import Taxonomy, load_taxonomy
+from .scope import TextAnalysis, Taxonomy, load_taxonomy
 from .spans import select_spans
-from .textvec import SparseVector, TfidfModel, fit_tfidf, token_spans, tokenize, vectorize
+from .textvec import SparseVector, TfidfModel, fit_tfidf, tokenize, vectorize
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -220,13 +222,16 @@ def _chunk_stop(tok: str) -> bool:
     )
 
 
-def _context_tokens(text: str, span: tuple[int, int]) -> tuple[str, ...]:
+def _context_tokens(a: TextAnalysis, span: tuple[int, int]) -> tuple[str, ...]:
     """Noun-phrase-ish tokens around the numeral: contiguous non-function
     words (whitespace/hyphen gaps only), up to 2 left and 3 right,
-    numerals and quantity words excluded."""
-    toks = token_spans(text)
-    left = [(t, s, e) for t, s, e in toks if e <= span[0]]
-    right = [(t, s, e) for t, s, e in toks if s >= span[1]]
+    numerals and quantity words excluded. Token spans are sorted and
+    disjoint: only the last 2 ending by the numeral and the first 3
+    starting after it can be picked."""
+    text, toks = a.text, a.spans
+    k = bisect_right(toks, span[0], key=itemgetter(2))
+    m = bisect_left(toks, span[1], key=itemgetter(1))
+    left, right = toks[max(0, k - 2) : k], toks[m : m + 3]
     picked_left: list[str] = []
     boundary = span[0]
     for tok, start, end in reversed(left):
@@ -249,12 +254,17 @@ def _context_tokens(text: str, span: tuple[int, int]) -> tuple[str, ...]:
 
 
 def extract_numeric_phrases(text: str) -> list[NumericPhrase]:
+    return numeric_phrases(TextAnalysis(text))
+
+
+def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
     """All numeric expressions in the text, spans non-overlapping.
 
     Digits (with comma grouping, decimals, scale suffixes), joined
     timestamp-like runs, English number words, and soft quantities with
     magnitude floors.
     """
+    text = a.text
     cands: list[tuple[int, int, tuple[Optional[float], Optional[str]]]] = []
     for m in _JOINED_RUN_RE.finditer(text):
         lead = float(m.group(0).split(":")[0].split("/")[0].split("-")[0])
@@ -289,7 +299,7 @@ def extract_numeric_phrases(text: str) -> list[NumericPhrase]:
                 raw=text[start:end],
                 value=value,
                 soft_quantity=soft,
-                context_tokens=_context_tokens(text, (start, end)),
+                context_tokens=_context_tokens(a, (start, end)),
             )
         )
     return out
@@ -352,30 +362,29 @@ def impact_features(
     cat_tfidf: CategoryTfidf | None = None,
 ) -> ImpactFeatureRow:
     """Compute the eight classifier features for one phrase in its tweet."""
+    return _phrase_row(p, text, _tfidf_triple(tokenize(text), cat_tfidf), human_tax, addr_tax)
+
+
+def _tfidf_triple(tokens: Sequence[str], cat_tfidf: CategoryTfidf | None) -> tuple[float, ...]:
+    """Per category, the largest weight a tweet token has in its vector."""
+    vectors = (cat_tfidf or default_category_tfidf()).vectors
+    labels = ("address", "human_impact", "financial_impact")
+    weights = [vectors[label].entries if label in vectors else {} for label in labels]
+    return tuple(max([0.0] + [w.get(tok, 0.0) for tok in tokens]) for w in weights)
+
+
+def _phrase_row(
+    p: NumericPhrase, text: str, triple: tuple[float, ...],
+    human_tax: Taxonomy | None, addr_tax: Taxonomy | None,
+) -> ImpactFeatureRow:
     human_tax = human_tax or default_human_impact_terms()
     addr_tax = addr_tax or default_address_terms()
-    cat_tfidf = cat_tfidf or default_category_tfidf()
-
     start, end = p.span
     raw = p.raw
     before = text[max(0, start - 2) : start]
     after = text[end : end + 2]
-
-    window_tokens = tokenize(text[max(0, start - 12) : min(len(text), end + 12)])
-    near = set(window_tokens)
-
-    tweet_tokens = tokenize(text)
-    triple = []
-    for label in ("address", "human_impact", "financial_impact"):
-        vec = cat_tfidf.vectors.get(label)
-        best = 0.0
-        if vec is not None:
-            for tok in tweet_tokens:
-                w = vec.entries.get(tok, 0.0)
-                if w > best:
-                    best = w
-        triple.append(best)
-
+    # a window of its own: tokenizing a substring cuts tokens at its edges
+    near = set(tokenize(text[max(0, start - 12) : min(len(text), end + 12)]))
     context = list(p.context_tokens)
     return ImpactFeatureRow(
         mixed_alnum=bool(_MIXED_RE.search(raw)),
@@ -385,7 +394,7 @@ def impact_features(
         timezone_or_period=bool(near & _TZ_PERIOD),
         human_terms_hits=len(human_tax.match(context)),
         address_terms_hits=len(addr_tax.match(context)),
-        tfidf_triple=(triple[0], triple[1], triple[2]),
+        tfidf_triple=triple,
     )
 
 
@@ -422,8 +431,19 @@ def classify_impact(
     cat_tfidf: CategoryTfidf | None = None,
 ) -> str:
     """Argmax class for one phrase; ties break by the fixed class order."""
-    row = impact_features(p, text or p.raw, human_tax, addr_tax, cat_tfidf)
-    return model.predict(dict(row.as_features()))
+    return impact_labels(TextAnalysis(text or p.raw), [p], model, human_tax, addr_tax, cat_tfidf)[0]
+
+
+def impact_labels(
+    a: TextAnalysis, phrases: Sequence[NumericPhrase], model: LinearModel,
+    human_tax: Taxonomy | None, addr_tax: Taxonomy | None, cat_tfidf: CategoryTfidf | None,
+) -> list[str]:
+    """classify_impact of each phrase of one text, tf.idf triple computed once."""
+    triple = _tfidf_triple(a.tokens, cat_tfidf) if phrases else None
+    return [
+        model.predict(dict(_phrase_row(p, a.text, triple, human_tax, addr_tax).as_features()))
+        for p in phrases
+    ]
 
 
 def classification_report(

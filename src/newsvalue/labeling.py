@@ -16,19 +16,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateLabels
 from .impact import default_address_terms, default_human_impact_terms, default_site_terms
 from .records import Headline, LabeledExample, Post
-from .scope import (
-    Taxonomy,
-    default_fire_causes,
-    default_scale_lexicon,
-    scope_pattern_spans,
-    taxonomy_spans,
-)
-from .spans import select_spans
+from .scope import TextAnalysis, Taxonomy, default_fire_causes, default_scale_lexicon
+from .spans import PhraseTable, select_spans
 from .textvec import SparseVector, TfidfModel, cosine, fit_tfidf, tokenize, vectorize
 
 MATCH_WINDOW_SECONDS = 86400
@@ -38,48 +32,45 @@ UNMATCHED = "unmatched"
 TARDY = "tardy"
 
 
-# A mask rule maps a text to the (start, end, feature_name) spans it claims.
-MaskRule = Callable[[str], list[tuple[int, int, str]]]
-
-
-def _taxonomy_rule(name: str, tax: Taxonomy) -> MaskRule:
-    return lambda text: [(s, e, name) for s, e, _ in taxonomy_spans(text, tax)]
-
-
 def default_mask_rules(
     scale_lexicon: Taxonomy | None = None,
     fire_causes: Taxonomy | None = None,
     human_tax: Taxonomy | None = None,
     addr_tax: Taxonomy | None = None,
     site_tax: Taxonomy | None = None,
-) -> tuple[MaskRule, ...]:
-    """Scope patterns plus every shipped taxonomy, each under its feature name.
-
-    The scope patterns are one rule: their spans never overlap each other
-    and come before every taxonomy span, so span selection ties resolve
-    as if each pattern were its own rule.
-    """
-    return (
-        scope_pattern_spans,
-        _taxonomy_rule("scope_scale_adj", scale_lexicon or default_scale_lexicon()),
-        _taxonomy_rule("scope_fire_cause", fire_causes or default_fire_causes()),
-        _taxonomy_rule("impact_human_term", human_tax or default_human_impact_terms()),
-        _taxonomy_rule("impact_address_term", addr_tax or default_address_terms()),
-        _taxonomy_rule("impact_site_term", site_tax or default_site_terms()),
+) -> PhraseTable:
+    """One phrase table over every shipped taxonomy, each phrase set
+    under its feature name; masking adds the scope-pattern spans."""
+    named = (
+        ("scope_scale_adj", scale_lexicon or default_scale_lexicon()),
+        ("scope_fire_cause", fire_causes or default_fire_causes()),
+        ("impact_human_term", human_tax or default_human_impact_terms()),
+        ("impact_address_term", addr_tax or default_address_terms()),
+        ("impact_site_term", site_tax or default_site_terms()),
     )
+    return PhraseTable([dict.fromkeys(tax.token_phrases, name) for name, tax in named])
 
 
-def mask_spans(text: str, rules: Sequence[MaskRule]) -> list[tuple[int, int, str]]:
-    """Spans each rule claims, resolved longest-match then leftmost."""
-    return select_spans([span for rule in rules for span in rule(text)])
+def _claimed_spans(a: TextAnalysis, rules: PhraseTable) -> list[tuple[int, int, str]]:
+    """Spans the scope patterns and each taxonomy claim, longest then leftmost;
+    ties go to the pattern spans, then to the taxonomies in rule order."""
+    return select_spans(a.pattern_spans + rules.spans(a.spans))
 
 
-def mask_taxonomy_tokens(text: str, rules: Sequence[MaskRule]) -> str:
+def masked_text(a: TextAnalysis, rules: PhraseTable) -> str:
     """Replace every claimed span with its feature-name token."""
-    out = text
-    for start, end, name in reversed(mask_spans(text, rules)):
+    out = a.text
+    for start, end, name in reversed(_claimed_spans(a, rules)):
         out = out[:start] + name + out[end:]
     return out
+
+
+def mask_spans(text: str, rules: PhraseTable) -> list[tuple[int, int, str]]:
+    return _claimed_spans(TextAnalysis(text), rules)
+
+
+def mask_taxonomy_tokens(text: str, rules: PhraseTable) -> str:
+    return masked_text(TextAnalysis(text), rules)
 
 
 @dataclass(frozen=True)
@@ -175,6 +166,8 @@ def match_to_headlines(
 
     Matched: a headline published in (t, t+86400] clears the threshold.
     Tardy: only headlines at or before t clear it. Otherwise unmatched.
+    Only a scored headline (score > 0) can clear it, so a matched or
+    tardy post always has a best_headline, whatever the threshold.
     best_score is the best in-window score (the best earlier score for
     tardy posts).
 
@@ -188,11 +181,11 @@ def match_to_headlines(
     v = vectorize(tokenize(post.text), tfidf)
     t = post.created_at
     after = _best_headline(v, index, index.candidates(v.entries, t, t + MATCH_WINDOW_SECONDS))
-    if after[0] >= threshold:
+    if after[1] is not None and after[0] >= threshold:
         return MatchResult(post.post_id, MATCHED, after[1], after[0])
     earlier = index.candidates(_probe_terms(v, threshold), -math.inf, t)
     before = _best_headline(v, index, earlier)
-    if before[0] >= threshold:
+    if before[1] is not None and before[0] >= threshold:
         return MatchResult(post.post_id, TARDY, before[1], before[0])
     return MatchResult(post.post_id, UNMATCHED, after[1], after[0])
 
@@ -292,7 +285,7 @@ class LabelingRun:
 def label_corpus(
     posts: Sequence[Post],
     headlines: Sequence[Headline],
-    rules: Sequence[MaskRule] | None = None,
+    rules: PhraseTable | None = None,
     threshold: float = 0.5,
     link_threshold: float = 0.5,
     same_user_threshold: float = 0.3,

@@ -16,30 +16,30 @@ from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DegenerateLabels, InsufficientData, NoFeatures, SchemaMismatch
-from .geo import Gazetteer, location_features
+from .geo import Gazetteer, location_of, tagged_locations
 from .impact import (
     CategoryTfidf,
     bootstrap_impact_model,
-    classify_impact,
     default_address_terms,
     default_category_tfidf,
     default_human_impact_terms,
     default_site_terms,
-    extract_numeric_phrases,
     extract_site_terms,
+    impact_labels,
+    numeric_phrases,
 )
-from .labeling import MaskRule, default_mask_rules, mask_taxonomy_tokens
+from .labeling import default_mask_rules, masked_text
 from .linear import LinearModel, SGDConfig, train_binary_hinge
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
 from .scope import (
     ScopeFeatures,
     Taxonomy,
+    TextAnalysis,
     default_fire_causes,
     default_scale_lexicon,
-    extract_scope,
-    scope_pattern_spans,
 )
+from .spans import PhraseTable
 from .textvec import CentroidSet, TfidfModel, nearest_centroid, tokenize, vectorize
 
 POSITIVE_CLASS = "matched"
@@ -63,7 +63,7 @@ class FeatureContext:
     gazetteer: Gazetteer
     tfidf: TfidfModel
     centroids: CentroidSet
-    mask_rules: tuple[MaskRule, ...]
+    mask_rules: PhraseTable
     impact_model: LinearModel
     cat_tfidf: CategoryTfidf
     scale_lexicon: Taxonomy
@@ -141,10 +141,12 @@ def assemble_features(
     features, rarity appears only when both a location and a topic
     resolved. Text features come from the masked text so taxonomy tokens
     never enter the vocabulary raw; scope and impact parse the raw text.
+    Every family reads one TextAnalysis of the text.
     """
     features: dict[str, float] = {}
 
-    masked = mask_taxonomy_tokens(post.text, ctx.mask_rules)
+    a = TextAnalysis(post.text)
+    masked = masked_text(a, ctx.mask_rules)
     mtokens = tokenize(masked)
     tvec = vectorize(mtokens, ctx.tfidf)
     for term, weight in sorted(tvec.entries.items()):
@@ -157,20 +159,15 @@ def assemble_features(
             topic = label
             features[f"topic_{label}"] = 1.0
 
-    features.update(
-        _scope_features(extract_scope(post.text, ctx.scale_lexicon, ctx.fire_causes))
-    )
+    features.update(_scope_features(a.scope(ctx.scale_lexicon, ctx.fire_causes)))
 
-    claimed = [(s, e) for s, e, _ in scope_pattern_spans(post.text)]
+    claimed = [(s, e) for s, e, _ in a.pattern_spans]
+    phrases = [p for p in numeric_phrases(a) if not _overlaps(p.span, claimed)]
+    labels = impact_labels(a, phrases, ctx.impact_model, ctx.human_tax, ctx.addr_tax, ctx.cat_tfidf)
     human_count = 0
     financial_count = 0
     human_max = 0.0
-    for phrase in extract_numeric_phrases(post.text):
-        if _overlaps(phrase.span, claimed):
-            continue
-        label = classify_impact(
-            phrase, ctx.impact_model, post.text, ctx.human_tax, ctx.addr_tax, ctx.cat_tfidf
-        )
+    for phrase, label in zip(phrases, labels):
         if label == "human_impact":
             human_count += 1
             if phrase.value is not None:
@@ -183,11 +180,11 @@ def assemble_features(
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = extract_site_terms(tokenize(post.text), ctx.site_tax)
+    site_hits = extract_site_terms(a.tokens, ctx.site_tax)
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
-    loc = location_features(post, source, ctx.gazetteer)
+    loc = location_of(tagged_locations(a, ctx.gazetteer), source)
     if not loc.is_nil:
         features["loc_present"] = 1.0
         if loc.lat is not None:

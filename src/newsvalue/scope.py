@@ -4,7 +4,8 @@ quake magnitudes, wildfire sizes, vehicle counts, weather scales, hail).
 
 All extractors are pure functions of the raw text. When a text carries
 several candidates for the same indicator, the largest value wins: these
-features measure severity ceilings.
+features measure severity ceilings. TextAnalysis holds the scans of one
+text that masking, scope, impact and geo share.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .spans import phrase_matches, phrase_spans, select_spans
-from .textvec import tokenize
+from .spans import PhraseTable, select_spans
+from .textvec import token_spans, tokenize
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -50,11 +51,12 @@ class Taxonomy:
         self.name = name
         self.terms = frozenset(phrases.values())
         self.token_phrases: dict[tuple[str, ...], str] = phrases
-        self.max_len = max(len(p) for p in phrases)
+        self._table = PhraseTable([phrases])
 
     def match(self, tokens: Sequence[str]) -> list[str]:
-        """Phrases found in tokens, in order, duplicates kept (phrase_matches)."""
-        return [hit for _, _, hit in phrase_matches(tokens, self.token_phrases, self.max_len)]
+        """Phrases found in tokens by greedy longest match, in order,
+        duplicates kept."""
+        return [hit for _, _, hit in self._table.matches(tokens)[0]]
 
     def __len__(self) -> int:
         return len(self.token_phrases)
@@ -150,8 +152,7 @@ def find_alarm_levels(text: str) -> list[tuple[int, int, int]]:
 
 
 def extract_alarm_level(text: str) -> int | None:
-    levels = [v for _, _, v in find_alarm_levels(text)]
-    return max(levels) if levels else None
+    return extract_scope(text).alarm_level
 
 
 # ---------------------------------------------------------------------------
@@ -206,15 +207,7 @@ def find_quake_magnitudes(text: str) -> list[tuple[int, int, tuple[str, float]]]
 
 
 def extract_quake_magnitude(text: str) -> tuple[str, float] | None:
-    """Largest reported magnitude. A proper magnitude reading (Richter)
-    outranks observational intensity readings when both are present;
-    within a family the largest value wins."""
-    cands = find_quake_magnitudes(text)
-    if not cands:
-        return None
-    richter = [c for c in cands if c[2][0] == "richter"]
-    pool = richter or cands
-    return max(pool, key=lambda c: (c[2][1], -c[0]))[2]
+    return extract_scope(text).quake_magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +250,7 @@ def find_wildfire_sizes(text: str) -> list[tuple[int, int, float]]:
 
 
 def extract_wildfire_size(text: str) -> float | None:
-    cands = find_wildfire_sizes(text)
-    return max(v for _, _, v in cands) if cands else None
+    return extract_scope(text).wildfire_size_acres
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +304,7 @@ def find_vehicle_counts(text: str) -> list[tuple[int, int, int]]:
 
 
 def extract_vehicle_count(text: str) -> int | None:
-    cands = find_vehicle_counts(text)
-    return max(v for _, _, v in cands) if cands else None
+    return extract_scope(text).vehicle_count
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +378,79 @@ def extract_weather_scale(
 ) -> tuple[tuple[str, int] | None, float | None]:
     """(scale, level) for tornado/storm scales plus hail size in inches;
     either half may be absent."""
-    scales = find_weather_scales(text)
-    scale = max(scales, key=lambda c: (c[2][1], -c[0]))[2] if scales else None
-    hails = find_hail_sizes(text, hail_table)
-    hail = max(v for _, _, v in hails) if hails else None
-    return scale, hail
+    scope = extract_scope(text, hail_table=hail_table)
+    return scope.weather_scale, scope.hail_size_inches
 
 
 # ---------------------------------------------------------------------------
-# composite
+# composite: one analysis per text
 # ---------------------------------------------------------------------------
+
+def _largest(cands: list) -> float | None:
+    return max(v for _, _, v in cands) if cands else None
+
+
+@dataclass(frozen=True)
+class TextAnalysis:
+    """The scans of one text that masking, scope, impact and geo share,
+    each run on first use and kept, so none runs twice per text. Two token
+    streams stay apart: spans (token_spans, offsets into the raw text) feed
+    masking, numeric-phrase context and the gazetteer; tokens (tokenize,
+    URLs and mentions rewritten) feed taxonomy features and impact tf.idf.
+    """
+
+    text: str
+
+    @cached_property
+    def spans(self) -> list[tuple[str, int, int]]:
+        return token_spans(self.text)
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        return tokenize(self.text)
+
+    @cached_property
+    def finds(self) -> dict[str, list]:
+        """Each numeric scope pattern's candidates (default hail table)."""
+        t = self.text
+        return {
+            "scope_alarm_level": find_alarm_levels(t),
+            "scope_quake_magnitude": find_quake_magnitudes(t),
+            "scope_wildfire_size": find_wildfire_sizes(t),
+            "scope_vehicle_count": find_vehicle_counts(t),
+            "scope_weather_scale": find_weather_scales(t),
+            "scope_hail_size": find_hail_sizes(t),
+        }
+
+    @cached_property
+    def pattern_spans(self) -> list[tuple[int, int, str]]:
+        """Their spans, tagged by feature name: masked, and discarded as
+        numeric phrases."""
+        return select_spans([(s, e, n) for n, cands in self.finds.items() for s, e, _ in cands])
+
+    def scope(
+        self,
+        scale_lexicon: Taxonomy | None = None,
+        fire_causes: Taxonomy | None = None,
+        hail_table: dict[str, float] | None = None,
+    ) -> ScopeFeatures:
+        """All seven indicators: Richter magnitudes outrank intensities, the
+        highest weather level wins (then the leftmost), else the largest value."""
+        alarms, quakes, sizes, vehicles, scales, hails = self.finds.values()
+        if hail_table is not None:
+            hails = find_hail_sizes(self.text, hail_table)
+        richter = [c for c in quakes if c[2][0] == "richter"] or quakes
+        return ScopeFeatures(
+            scale_adjectives=tuple(extract_scale_adjectives(self.tokens, scale_lexicon)),
+            alarm_level=_largest(alarms),
+            fire_cause=extract_fire_cause(self.tokens, fire_causes),
+            quake_magnitude=max(richter, key=lambda c: (c[2][1], -c[0]))[2] if quakes else None,
+            wildfire_size_acres=_largest(sizes),
+            vehicle_count=_largest(vehicles),
+            weather_scale=max(scales, key=lambda c: (c[2][1], -c[0]))[2] if scales else None,
+            hail_size_inches=_largest(hails),
+        )
+
 
 def extract_scope(
     text: str,
@@ -405,36 +459,8 @@ def extract_scope(
     hail_table: dict[str, float] | None = None,
 ) -> ScopeFeatures:
     """Run all seven indicators over one text."""
-    tokens = tokenize(text)
-    weather, hail = extract_weather_scale(text, hail_table)
-    return ScopeFeatures(
-        scale_adjectives=tuple(extract_scale_adjectives(tokens, scale_lexicon)),
-        alarm_level=extract_alarm_level(text),
-        fire_cause=extract_fire_cause(tokens, fire_causes),
-        quake_magnitude=extract_quake_magnitude(text),
-        wildfire_size_acres=extract_wildfire_size(text),
-        vehicle_count=extract_vehicle_count(text),
-        weather_scale=weather,
-        hail_size_inches=hail,
-    )
+    return TextAnalysis(text).scope(scale_lexicon, fire_causes, hail_table)
 
 
 def scope_pattern_spans(text: str) -> list[tuple[int, int, str]]:
-    """Spans claimed by the numeric scope patterns, tagged by feature name.
-
-    Used to discard numeric phrases already explained by a scope indicator
-    and to drive masking.
-    """
-    cands: list[tuple[int, int, str]] = []
-    cands.extend((s, e, "scope_alarm_level") for s, e, _ in find_alarm_levels(text))
-    cands.extend((s, e, "scope_quake_magnitude") for s, e, _ in find_quake_magnitudes(text))
-    cands.extend((s, e, "scope_wildfire_size") for s, e, _ in find_wildfire_sizes(text))
-    cands.extend((s, e, "scope_vehicle_count") for s, e, _ in find_vehicle_counts(text))
-    cands.extend((s, e, "scope_weather_scale") for s, e, _ in find_weather_scales(text))
-    cands.extend((s, e, "scope_hail_size") for s, e, _ in find_hail_sizes(text))
-    return select_spans(cands)
-
-
-def taxonomy_spans(text: str, taxonomy: Taxonomy) -> list[tuple[int, int, str]]:
-    """Character spans of taxonomy phrase hits in the raw text."""
-    return phrase_spans(text, taxonomy.token_phrases, taxonomy.max_len)
+    return TextAnalysis(text).pattern_spans

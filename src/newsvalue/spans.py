@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
-
-from .textvec import token_spans
+from typing import Any, Mapping, Sequence
 
 
 def select_spans(candidates: Sequence[tuple[int, int, Any]]) -> list[tuple[int, int, Any]]:
@@ -29,36 +27,46 @@ def select_spans(candidates: Sequence[tuple[int, int, Any]]) -> list[tuple[int, 
     return kept
 
 
-def phrase_matches(
-    tokens: Sequence[str], phrases: dict[tuple[str, ...], Any], max_len: int
-) -> list[tuple[int, int, Any]]:
-    """Greedy longest-match scan of a token sequence against token-tuple
-    phrases: (first token, end token, payload) per hit, in token order.
-
-    A hit consumes its tokens, so hits never overlap.
+class PhraseTable:
+    """Phrase sets (token tuple -> payload) in one token trie, the keyword
+    trie of Aho & Corasick (1975) walked from every token. Each set keeps
+    its own greedy longest match: a hit consumes tokens only within its set.
     """
-    out: list[tuple[int, int, Any]] = []
-    i, n = 0, len(tokens)
-    while i < n:
-        for length in range(min(max_len, n - i), 0, -1):
-            cand = tuple(tokens[i : i + length])
-            if cand in phrases:
-                out.append((i, i + length, phrases[cand]))
-                i += length
-                break
-        else:
-            i += 1
-    return out
 
+    def __init__(self, sets: Sequence[Mapping[tuple[str, ...], Any]]):
+        self._root: dict = {}
+        for slot, phrases in enumerate(sets):
+            for toks, payload in phrases.items():
+                node = self._root
+                for tok in toks:
+                    node = node.setdefault(tok, {})
+                node.setdefault(None, []).append((slot, payload))  # tokens are never None
+        self._sets = len(sets)
 
-def phrase_spans(
-    text: str, phrases: dict[tuple[str, ...], Any], max_len: int
-) -> list[tuple[int, int, Any]]:
-    """phrase_matches over the tokenized text, as character spans.
+    def matches(self, tokens: Sequence[str]) -> list[list[tuple[int, int, Any]]]:
+        """Per set, its (first token, end token, payload) hits in token order."""
+        out: list[list[tuple[int, int, Any]]] = [[] for _ in range(self._sets)]
+        free = [0] * self._sets  # per set, the first token its hits left unconsumed
+        n = len(tokens)
+        for i, tok in enumerate(tokens):
+            node = self._root.get(tok)
+            if node is None:
+                continue
+            ends = []
+            j = i + 1
+            while node is not None:
+                if None in node:
+                    ends.append((j, node[None]))
+                node = node.get(tokens[j]) if j < n else None
+                j += 1
+            for j, entries in reversed(ends):
+                for slot, payload in entries:
+                    if free[slot] <= i:
+                        out[slot].append((i, j, payload))
+                        free[slot] = j
+        return out
 
-    Matches may cross punctuation (tokens need only be consecutive). Spans
-    index into the original text and never overlap.
-    """
-    toks = token_spans(text)
-    hits = phrase_matches([tok for tok, _, _ in toks], phrases, max_len)
-    return [(toks[i][1], toks[j - 1][2], payload) for i, j, payload in hits]
+    def spans(self, toks: Sequence[tuple[str, int, int]]) -> list[tuple[int, int, Any]]:
+        """matches() over token_spans() output as character spans, set by set."""
+        hits = self.matches([tok for tok, _, _ in toks])
+        return [(toks[i][1], toks[j - 1][2], p) for per_set in hits for i, j, p in per_set]

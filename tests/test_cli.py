@@ -327,6 +327,16 @@ class TestErrorExitCodes:
         assert main(["extract", "--config", str(config)]) == EXIT_DEGENERATE_LABELS
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("verb", ["curate", "extract"])
+    def test_tokenless_topic_headline_exit_3(self, tmp_path, capsys, verb):
+        # The only topic-coded headline has no word token, so its code gets
+        # a document but no centroid can be built (NoCentroids).
+        posts, _ = make_event_posts()
+        wire = [Headline("!!! ???", "ap", BASE_TS, frozenset({"floods"}))]
+        config = write_pipeline_inputs(tmp_path, posts=posts, headlines=wire)
+        assert main([verb, "--config", str(config)]) == EXIT_DEGENERATE_LABELS
+        self._assert_one_line_error(capsys)
+
     @pytest.mark.parametrize(
         "content",
         [

@@ -131,23 +131,33 @@ class TestMatchToHeadlines:
         assert res.status == MATCHED
         assert res.best_headline == 1
 
-    def test_threshold_zero_matches_with_no_headline_in_window(self):
-        # Pins today's threshold-0 behaviour: 0.0 >= 0 makes every post
-        # matched, with no best headline when none is in its window,
-        # whether the only headline is earlier, later or absent.
+    # Threshold 0: only a scored headline (score > 0) can match a post
+    # or make it tardy, so either status always names its headline.
+    def test_threshold_zero_earlier_headline_is_tardy(self):
         post = Post("p", "u", 1000, "one two three")
         tfidf = _tfidf_for(["one two three"])
-        for heads in (
-            [],
-            [Headline("one two three", "ap", 900)],
-            [Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS + 1)],
-        ):
-            res = match_to_headlines(post, heads, tfidf, threshold=0.0)
-            assert (res.status, res.best_headline, res.best_score) == (MATCHED, None, 0.0)
+        res = match_to_headlines(post, [Headline("one two three", "ap", 900)], tfidf, 0.0)
+        assert (res.status, res.best_headline) == (TARDY, 0)
+        assert res.best_score == pytest.approx(1.0)
         run = label_corpus([post], [Headline("one two three", "ap", 900)], threshold=0.0)
-        assert run.results[0].status == MATCHED
-        assert run.results[0].best_headline is None
-        assert run.stats["matched_direct"] == 1
+        assert (run.results[0].status, run.results[0].best_headline) == (TARDY, 0)
+        assert run.stats["matched_direct"] == 0
+
+    def test_threshold_zero_later_headline_is_unmatched(self):
+        post = Post("p", "u", 1000, "one two three")
+        tfidf = _tfidf_for(["one two three"])
+        late = Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS + 1)
+        res = match_to_headlines(post, [late], tfidf, threshold=0.0)
+        assert (res.status, res.best_headline, res.best_score) == (UNMATCHED, None, 0.0)
+
+    def test_threshold_zero_no_headline_is_unmatched(self):
+        post = Post("p", "u", 1000, "one two three")
+        tfidf = _tfidf_for(["one two three"])
+        res = match_to_headlines(post, [], tfidf, threshold=0.0)
+        assert (res.status, res.best_headline, res.best_score) == (UNMATCHED, None, 0.0)
+        run = label_corpus([post], [], threshold=0.0)
+        assert run.results[0].status == UNMATCHED
+        assert run.stats["matched"] == 0
 
 
 DAY = 86400

@@ -51,7 +51,8 @@ SETTINGS = settings(max_examples=150, deadline=None)
 # ---------------------------------------------------------------------------
 
 def brute_match(post, headlines, tfidf, threshold):
-    """Score every headline; same window, tie and tardy rules."""
+    """Score every headline; same window, tie and tardy rules (only a
+    headline with a positive score can match or make a post tardy)."""
     v = vectorize(tokenize(post.text), tfidf)
     best_after = (0.0, None)
     best_before = (0.0, None)
@@ -64,9 +65,9 @@ def brute_match(post, headlines, tfidf, threshold):
         elif h.published_at <= post.created_at:
             if score > best_before[0]:
                 best_before = (score, idx)
-    if best_after[0] >= threshold:
+    if best_after[1] is not None and best_after[0] >= threshold:
         return MatchResult(post.post_id, MATCHED, best_after[1], best_after[0])
-    if best_before[0] >= threshold:
+    if best_before[1] is not None and best_before[0] >= threshold:
         return MatchResult(post.post_id, TARDY, best_before[1], best_before[0])
     return MatchResult(post.post_id, UNMATCHED, best_after[1], best_after[0])
 
