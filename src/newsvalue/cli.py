@@ -89,7 +89,10 @@ class PipelineConfig:
 
     def out_path(self, name: str) -> Path:
         out_dir = Path(self.paths.get("out_dir", "."))
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise SchemaMismatch(f"out_dir {str(out_dir)!r} is not a directory") from None
         return out_dir / name
 
 

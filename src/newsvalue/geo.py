@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Optional
 
 from .errors import BadGazetteer
-from .records import Post, SourceProfile
+from .records import Post, SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
 from .textvec import tokenize
@@ -65,10 +65,18 @@ def _normalize(name: str) -> str:
 
 
 class Gazetteer:
-    """Entries indexed by normalized name and alias; immutable after load."""
+    """Entries indexed by normalized name and alias; the entries are
+    immutable after load.
+
+    `geocode` stores each resolution it computes in `_resolved`, keyed by
+    (query, anchor). A resolution depends only on that key and the entries,
+    so the dict is exact. It lives as long as this instance: one verb for
+    the CLI, the whole process for `default_gazetteer()`.
+    """
 
     def __init__(self, entries: list[GazetteerEntry]):
         self.entries = tuple(entries)
+        self._resolved: dict[tuple[str, Optional[str]], GeoResolution] = {}
         self._by_name: dict[str, list[GazetteerEntry]] = {}
         phrases: dict[tuple[str, ...], list[GazetteerEntry]] = {}
         for entry in entries:
@@ -104,9 +112,11 @@ def load_gazetteer(path) -> Gazetteer:
     Raises BadGazetteer with the offending line number on any parse failure.
     """
     entries = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
+            if not _is_utf8(line):
+                raise BadGazetteer(f"line {lineno}: invalid UTF-8")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("|")
@@ -187,6 +197,10 @@ def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> GeoResolution:
     first (unanchored); candidates outside it are discarded. A miss is a
     value, never an error.
     """
+    key = (query, anchor)
+    res = g._resolved.get(key)
+    if res is not None:
+        return res
     cands = g.lookup(query) if query else []
     if anchor is not None and cands:
         anchor_res = geocode(anchor, None, g)
@@ -196,7 +210,10 @@ def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> GeoResolution:
             assert anchor_res.entry is not None
             cands = [e for e in cands if _within(e, anchor_res.entry, g)]
     entry = _best_entry(cands)
-    return GeoResolution(query=query, anchor=anchor, hit=entry is not None, entry=entry)
+    res = g._resolved[key] = GeoResolution(
+        query=query, anchor=anchor, hit=entry is not None, entry=entry
+    )
+    return res
 
 
 def tag_locations(text: str, g: Gazetteer) -> list[GeoResolution]:

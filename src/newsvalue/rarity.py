@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .records import _timestamp
+
 GRID_DEGREES = 0.1
 
 
@@ -39,7 +41,7 @@ class TaggedPost:
     @classmethod
     def from_record(cls, rec: dict) -> "TaggedPost":
         return cls(
-            created_at=int(rec["created_at"]),
+            created_at=_timestamp(rec["created_at"]),
             lat=float(rec["lat"]),
             lon=float(rec["lon"]),
             country=str(rec["country"]),

@@ -52,6 +52,29 @@ TRBC_DESCENDANTS = {
 }
 
 
+# Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z: the
+# whole seconds a UTC datetime can represent.
+_TIMESTAMP_MIN, _TIMESTAMP_MAX = -62_135_596_800, 253_402_300_799
+
+
+def _timestamp(value) -> int:
+    """Epoch seconds as an int; ValueError unless a UTC datetime can hold it."""
+    ts = int(value)
+    if not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
+        raise ValueError(f"timestamp {ts} out of range")
+    return ts
+
+
+def _coordinate(rec: dict, key: str, limit: float) -> Optional[float]:
+    """Optional lat/lon field; ValueError outside [-limit, limit] or NaN."""
+    if rec.get(key) is None:
+        return None
+    value = float(rec[key])
+    if not -limit <= value <= limit:
+        raise ValueError(f"{key} {value} outside [-{limit:g}, {limit:g}]")
+    return value
+
+
 @dataclass(frozen=True)
 class Post:
     """One short report (tweet-like)."""
@@ -81,10 +104,10 @@ class Post:
         return cls(
             post_id=str(rec["post_id"]),
             user_id=str(rec["user_id"]),
-            created_at=int(rec["created_at"]),
+            created_at=_timestamp(rec["created_at"]),
             text=str(rec["text"]),
-            lat=float(rec["lat"]) if rec.get("lat") is not None else None,
-            lon=float(rec["lon"]) if rec.get("lon") is not None else None,
+            lat=_coordinate(rec, "lat", 90.0),
+            lon=_coordinate(rec, "lon", 180.0),
         )
 
 
@@ -179,7 +202,7 @@ class Headline:
         return cls(
             text=str(rec["text"]),
             outlet=str(rec["outlet"]),
-            published_at=int(rec["published_at"]),
+            published_at=_timestamp(rec["published_at"]),
             topic_codes=frozenset(rec.get("topic_codes", ())),
         )
 
@@ -214,20 +237,39 @@ class LabeledExample:
     label_provenance: str = "direct"  # "direct" | "via_link"
 
 
+def _is_utf8(line: str) -> bool:
+    """False when a line read with errors="surrogateescape" held bytes that
+    are not UTF-8 (each such byte decodes to a lone surrogate)."""
+    if line.isascii():
+        return True
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def read_ndjson(
     path, parse: Callable[[dict], T]
 ) -> tuple[list[T], list[tuple[int, str]]]:
-    """Parse one JSON object per line; returns (records, [(lineno, error)])."""
+    """Parse one JSON object per line; returns (records, [(lineno, error)]).
+
+    A line that is not UTF-8, not JSON, or that `parse` rejects (missing
+    key, wrong type, a number out of range) is an error, not a record.
+    """
     out: list[T] = []
     errors: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if not _is_utf8(line):
+                errors.append((lineno, "invalid UTF-8"))
+                continue
             try:
                 out.append(parse(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 errors.append((lineno, str(exc) or exc.__class__.__name__))
     return out, errors
 

@@ -412,6 +412,143 @@ class TestErrorExitCodes:
         assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
 
+class TestInputRecordChecks:
+    """Input the readers cannot represent is skipped with a warning, or, for
+    the gazetteer and out_dir, ends in exit 4; never a traceback."""
+
+    def _append(self, path, line: bytes) -> int:
+        n = len(path.read_bytes().splitlines())
+        with open(path, "ab") as fh:
+            fh.write(line + b"\n")
+        return n + 1
+
+    def _assert_skipped(self, capsys, name, lineno, reason=""):
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert f"warning: {name} line {lineno}: {reason}" in captured.err
+        assert "(record skipped)" in captured.err
+        return captured
+
+    def test_infinite_assignment_count_skipped(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        lineno = self._append(
+            tmp_path / "assignments.ndjson",
+            b'{"user_id": "foodie_fan", "topic": "Law/Crime", "count": 1e400}',
+        )
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        captured = self._assert_skipped(capsys, "assignments", lineno)
+        assert "curated: 7" in captured.out
+
+    @pytest.mark.parametrize(
+        "ts", ["1e300", "-1e300", "1" + "0" * 30, "253402300800", "-62135596801"]
+    )
+    @pytest.mark.parametrize(
+        "name, row",
+        [
+            ("posts.ndjson", '{"post_id": "far", "user_id": "u", "created_at": %s, "text": "x"}'),
+            ("headlines.ndjson", '{"text": "x", "outlet": "ap", "published_at": %s}'),
+        ],
+        ids=["post", "headline"],
+    )
+    def test_unrepresentable_timestamp_skipped(self, pipeline, capsys, name, row, ts):
+        tmp_path, config = pipeline
+        for edge in ("253402300799", "-62135596800"):  # 9999-12-31T23:59:59Z, 0001-01-01Z
+            self._append(tmp_path / name, (row % edge).replace('"far"', f'"e{edge}"').encode())
+        lineno = self._append(tmp_path / name, (row % ts).encode())
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        captured = self._assert_skipped(capsys, name, lineno, "timestamp ")
+        assert captured.err.count("warning:") == 1
+        labeled = (tmp_path / "out" / "labeled.ndjson").read_text()
+        assert '"far"' not in labeled
+
+    def test_unrepresentable_background_timestamp_skipped(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        background = tmp_path / "background.ndjson"
+        write_ndjson_file(background, [
+            {"created_at": BASE_TS, "lat": 48.9, "lon": 2.3, "country": "FR",
+             "topic": "floods"},
+            {"created_at": 1e300, "lat": 48.9, "lon": 2.3, "country": "FR",
+             "topic": "floods"},
+        ])
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["background"] = str(background)
+        config.write_text(json.dumps(cfg))
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        self._assert_skipped(capsys, "background", 2, "timestamp ")
+
+    def test_invalid_utf8_line_skipped(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        posts = tmp_path / "posts.ndjson"
+        with open(posts, "ab") as fh:
+            fh.write('{"post_id": "caf\u00e9", "user_id": "u", "created_at": 1, '
+                     '"text": "caf\u00e9 \u26a1"}\r\n'.encode("utf-8"))
+        lineno = self._append(
+            posts, b'{"post_id": "bad", "user_id": "u", "created_at": 1, "text": "\xff"}'
+        )
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        self._assert_skipped(capsys, "posts.ndjson", lineno, "invalid UTF-8")
+        rows = [
+            json.loads(line)
+            for line in (tmp_path / "out" / "labeled.ndjson").read_text("utf-8").splitlines()
+        ]
+        by_id = {r["post_id"]: r for r in rows}
+        assert "bad" not in by_id
+        assert by_id["caf\u00e9"]["text"] == "caf\u00e9 \u26a1"
+        assert len(rows) == lineno - 1
+
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [(91, 0), (-90.5, 0), (0, 500), (0, -180.001), ("NaN", 0), (0, "-Infinity")],
+    )
+    def test_post_coordinates_out_of_range_skipped(self, pipeline, capsys, lat, lon):
+        tmp_path, config = pipeline
+        posts = tmp_path / "posts.ndjson"
+        self._append(
+            posts, b'{"post_id": "edge", "user_id": "u", "created_at": 1, "text": "x", '
+            b'"lat": 90, "lon": -180}'
+        )
+        lineno = self._append(
+            posts, b'{"post_id": "far", "user_id": "u", "created_at": 1, "text": "x", '
+            b'"lat": %s, "lon": %s}' % (str(lat).encode(), str(lon).encode())
+        )
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        self._assert_skipped(capsys, "posts.ndjson", lineno)
+        ids = {line.split("\t")[0] for line in (tmp_path / "out" / "features.tsv").open()}
+        assert "edge" in ids
+        assert "far" not in ids
+
+    def test_invalid_utf8_gazetteer_exit_4(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        gazetteer = tmp_path / "gazetteer.txt"
+        gazetteer.write_bytes(
+            "France||46.2|2.2|FR||1\nZ\u00fcrich||47.4|8.5|CH||1\n".encode("utf-8")
+            + b"Par\xffis||48.86|2.35|FR|France|1\n"
+        )
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["gazetteer"] = str(gazetteer)
+        config.write_text(json.dumps(cfg))
+        assert main(["curate", "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err == "error: line 3: invalid UTF-8\n"
+
+    @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize(
+        "verb", ["curate", "label", "extract", "train", "predict", "evaluate"]
+    )
+    def test_out_dir_names_a_file_exit_4(self, pipeline, capsys, verb, nested):
+        tmp_path, config = pipeline
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["out_dir"] = str(blocker / "out" if nested else blocker)
+        config.write_text(json.dumps(cfg))
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir ")
+        assert err.count("\n") == 1
+        assert blocker.read_text() == "not a directory\n"
+
+
 class TestTimelinessCommand:
     def test_mean_and_beat_fraction(self, tmp_path, capsys):
         feed = tmp_path / "feed.ndjson"

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsvalue.errors import BadGazetteer
 from newsvalue.geo import (
+    Gazetteer,
+    GazetteerEntry,
+    GeoResolution,
     LocationFeatures,
+    _best_entry,
+    _matches_anchor,
     geocode,
     load_gazetteer,
     location_features,
@@ -117,6 +126,116 @@ class TestGeocode:
             res = geocode(q, "United States", gaz)
             if res.hit:
                 assert res.entry.country_code == "US"
+
+
+def _reference_within(entry, anchor, g) -> bool:
+    """Uncached copy of geo._within as it stood before geocode was memoized."""
+    if entry == anchor:
+        return True
+    if anchor.admin_parent is None and entry.country_code == anchor.country_code:
+        return True
+    seen = set()
+    cur = entry
+    for _ in range(16):
+        parent = cur.admin_parent
+        if not parent or parent.lower() in seen:
+            break
+        if _matches_anchor(parent, anchor):
+            return True
+        seen.add(parent.lower())
+        nxt = g.best(parent)
+        if nxt is None:
+            break
+        cur = nxt
+    return False
+
+
+def _reference_geocode(query: str, anchor: Optional[str], g) -> GeoResolution:
+    """Uncached copy of geo.geocode as it stood before it was memoized."""
+    cands = g.lookup(query) if query else []
+    if anchor is not None and cands:
+        anchor_res = _reference_geocode(anchor, None, g)
+        if not anchor_res.hit:
+            cands = []
+        else:
+            cands = [e for e in cands if _reference_within(e, anchor_res.entry, g)]
+    entry = _best_entry(cands)
+    return GeoResolution(query=query, anchor=anchor, hit=entry is not None, entry=entry)
+
+
+def _entry(name, country, parent=None, population=1, aliases=()):
+    return GazetteerEntry(name, tuple(aliases), 0.0, 0.0, country, parent, population)
+
+
+# Shared names and aliases across countries, a two-place admin cycle, a
+# self-parented place, and a 21-rung chain longer than _within's 16 steps.
+_PROPERTY_ENTRIES = [
+    _entry("United States", "US", aliases=["usa"], population=331),
+    _entry("Georgia", "US", "United States", 10),
+    _entry("Georgia", "GE", aliases=["sakartvelo"], population=4),
+    _entry("Athens", "US", "Georgia", 1),
+    _entry("Athens", "GR", "Greece", 3),
+    _entry("Greece", "GR", population=10),
+    _entry("Tbilisi", "GE", "Georgia", 2),
+    _entry("Saint Petersburg", "RU", "Russia", 5, ["st petersburg", "spb"]),
+    _entry("Saint Petersburg", "US", "Florida", 1, ["st petersburg"]),
+    _entry("Florida", "US", "United States", 21),
+    _entry("Russia", "RU", population=144),
+    _entry("Loopville", "ZZ", "Circleton", 7),
+    _entry("Circleton", "ZZ", "Loopville", 6),
+    _entry("Elsewhere", "ZZ", "Nowhere Land", 1),
+    _entry("Ouroboros", "ZZ", "ouroboros", 1),
+    *(_entry(f"Rung {i:02d}", "QQ", f"Rung {i + 1:02d}" if i < 20 else None, 1)
+      for i in range(21)),
+]
+_QUERIES = [
+    "Georgia", "georgia", "Athens", "ATHENS", "Tbilisi", "St Petersburg", "spb",
+    "Saint Petersburg", "Loopville", "Circleton", "Ouroboros", "Rung 00", "Rung 03",
+    "usa", "Atlantis", "", "  ",
+]
+_ANCHORS = [
+    None, "United States", "USA", "Georgia", "sakartvelo", "Greece", "Russia",
+    "Florida", "Elsewhere", "Circleton", "Loopville", "Ouroboros", "Rung 16",
+    "Rung 17", "Rung 18", "Rung 20", "Atlantis", "",
+]
+
+
+class TestGeocodeMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_QUERIES), st.sampled_from(_ANCHORS)),
+                    max_size=30))
+    def test_memo_equals_uncached_reference(self, calls):
+        g = Gazetteer(_PROPERTY_ENTRIES)
+        reference = Gazetteer(_PROPERTY_ENTRIES)
+        for query, anchor in calls + calls:
+            assert geocode(query, anchor, g) == _reference_geocode(query, anchor, reference)
+        for query, anchor in calls:
+            assert geocode(query, anchor, g) is geocode(query, anchor, g)
+
+    def test_guards_are_exercised(self):
+        g = Gazetteer(_PROPERTY_ENTRIES)
+        assert not geocode("Loopville", "Elsewhere", g).hit  # cycle: `seen` guard
+        assert not geocode("Ouroboros", "Elsewhere", g).hit
+        assert geocode("Rung 00", "Rung 16", g).hit  # 16th step reaches it
+        assert not geocode("Rung 00", "Rung 17", g).hit  # past the 16-step guard
+        assert geocode("Rung 00", "Rung 20", g).hit  # country-level anchor
+        assert geocode("spb", "Russia", g).entry.country_code == "RU"
+        assert geocode("st petersburg", "Florida", g).entry.country_code == "US"
+        assert geocode("Athens", "Georgia", g).entry.country_code == "US"
+
+    def test_instances_do_not_share_resolutions(self, tmp_path):
+        first = tmp_path / "first.txt"
+        second = tmp_path / "second.txt"
+        first.write_text("France||46.2|2.2|FR||68000000\nParis||48.86|2.35|FR|France|2148000\n")
+        second.write_text("Texas||31.0|-100.0|US||29000000\nParis||33.66|-95.56|US|Texas|24839\n")
+        g1, g2 = load_gazetteer(first), load_gazetteer(second)
+        assert geocode("Paris", None, g1).entry.country_code == "FR"
+        assert geocode("Paris", "France", g1).hit
+        assert not geocode("Paris", "Texas", g1).hit
+        assert geocode("Paris", None, g2).entry.country_code == "US"
+        assert not geocode("Paris", "France", g2).hit
+        assert geocode("Paris", "Texas", g2).hit
+        assert geocode("Paris", None, g1).entry.country_code == "FR"
 
 
 class TestTagLocations:
