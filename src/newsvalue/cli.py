@@ -48,6 +48,7 @@ from .records import (
     Post,
     SourceProfile,
     TopicAssignment,
+    _is_utf8,
     read_ndjson,
     write_ndjson,
 )
@@ -302,11 +303,13 @@ def cmd_label(cfg: PipelineConfig) -> int:
 
 def _read_features(path: Path) -> dict[str, dict[str, float]]:
     features: dict[str, dict[str, float]] = {}
-    with open(_require(path), encoding="utf-8") as fh:
+    with open(_require(path), encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            if not _is_utf8(line):
+                raise SchemaMismatch(f"features line {lineno}: invalid UTF-8")
             parts = line.split("\t")
             if len(parts) != 3:
                 raise SchemaMismatch(f"features line {lineno}: expected 3 columns")

@@ -44,7 +44,9 @@ _DATA_DIR = Path(__file__).resolve().parent / "data"
 
 DEFAULT_FOLLOWER_CAP = 1_000_000
 DEFAULT_LOCAL_FOCUS_THRESHOLD = 0.5
-DEFAULT_SAMPLE_SIZE = 50
+SAMPLE_SIZE = 50  # tweets per account for the local-focus ratio
+MAX_ACCOUNT_TWEETS = 1000  # tweets per account for its topic centroid
+PER_CODE_CAP = 1000  # headlines per topic code for its centroid
 TARGET_TOPICS = frozenset({"Law/Crime", "Crisis/War/Disaster"})
 TOPICAL_PERCENTILE = 0.80
 
@@ -78,7 +80,6 @@ def local_focus_ratio(
     profile: SourceProfile,
     sample: Sequence[Post],
     g: Gazetteer,
-    sample_size: int = DEFAULT_SAMPLE_SIZE,
     seed: int = 0,
 ) -> float:
     """Share of located sample tweets that geocode inside the profile region.
@@ -92,9 +93,9 @@ def local_focus_ratio(
             f"profile location {profile.profile_location!r} does not resolve"
         )
     posts = list(sample)
-    if len(posts) > sample_size:
+    if len(posts) > SAMPLE_SIZE:
         rng = random.Random(_stable_seed(seed, profile.user_id))
-        posts = rng.sample(posts, sample_size)
+        posts = rng.sample(posts, SAMPLE_SIZE)
     hits = misses = 0
     for post in posts:
         tagged = tag_locations(post.text, g)
@@ -109,10 +110,7 @@ def local_focus_ratio(
     return hits / total if total else 0.0
 
 
-def topical_focus(
-    assignments: Sequence[TopicAssignment],
-    target_topics: frozenset[str] = TARGET_TOPICS,
-) -> set[str]:
+def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
     """Accounts whose tf.idf association with the target topics sits in the
     top 20 percentile.
 
@@ -136,7 +134,7 @@ def topical_focus(
     for user, user_df in df.items():
         idf = log((1 + n_topics) / (1 + user_df)) + 1.0
         best = 0.0
-        for topic in target_topics:
+        for topic in TARGET_TOPICS:
             tf = per_topic.get(topic, {}).get(user, 0)
             best = max(best, tf * idf)
         scores[user] = best
@@ -147,13 +145,11 @@ def topical_focus(
 
 
 def build_trbc_centroids(
-    headlines: Sequence[Headline],
-    seed: int = 0,
-    per_code_cap: int = 1000,
+    headlines: Sequence[Headline], seed: int = 0
 ) -> tuple[TfidfModel, CentroidSet]:
     """Per-topic-code centroids over wire headlines.
 
-    Each code is one tf.idf document built from up to per_code_cap sampled
+    Each code is one tf.idf document built from up to PER_CODE_CAP sampled
     headlines; a code with listed descendants only samples headlines not
     also tagged by a descendant, so the parent code's sample stays disjoint.
     """
@@ -168,9 +164,9 @@ def build_trbc_centroids(
             by_code[code].append(h)
     sampled: dict[str, list[Headline]] = {}
     for code, items in by_code.items():
-        if len(items) > per_code_cap:
+        if len(items) > PER_CODE_CAP:
             rng = random.Random(_stable_seed(seed, code))
-            items = rng.sample(items, per_code_cap)
+            items = rng.sample(items, PER_CODE_CAP)
         if items:
             sampled[code] = items
     if not sampled:
@@ -195,8 +191,6 @@ def classify_account(
     trbc_centroids: CentroidSet,
     tfidf: TfidfModel,
     seed: int = 0,
-    max_tweets: int = 1000,
-    occupations: Taxonomy | None = None,
 ) -> str:
     """Type an account by its nearest topic-code centroid.
 
@@ -208,9 +202,9 @@ def classify_account(
     if not sample_tweets:
         raise EmptyAccount(f"account {profile.user_id!r} has no tweets to sample")
     tweets = list(sample_tweets)
-    if len(tweets) > max_tweets:
+    if len(tweets) > MAX_ACCOUNT_TWEETS:
         rng = random.Random(_stable_seed(seed, profile.user_id))
-        tweets = rng.sample(tweets, max_tweets)
+        tweets = rng.sample(tweets, MAX_ACCOUNT_TWEETS)
     vectors = [vectorize(tokenize(t.text), tfidf) for t in tweets]
     acct = centroid(vectors)
     code, _sim = nearest_centroid(acct, trbc_centroids)
@@ -218,8 +212,7 @@ def classify_account(
     if direct is not None:
         return direct
     description_tokens = set(tokenize(profile.description))
-    occupations = occupations or default_occupations()
-    occupation_words = {t for phrase in occupations.terms for t in phrase.split()}
+    occupation_words = {t for phrase in default_occupations().terms for t in phrase.split()}
     if description_tokens & (PERSONAL_PRONOUNS | occupation_words):
         return "local_journalist"
     if not profile.locally_focused:
@@ -242,8 +235,6 @@ class CurationConfig:
     seed: int = 0
     follower_cap: int = DEFAULT_FOLLOWER_CAP
     local_focus_threshold: float = DEFAULT_LOCAL_FOCUS_THRESHOLD
-    sample_size: int = DEFAULT_SAMPLE_SIZE
-    target_topics: frozenset[str] = TARGET_TOPICS
 
 
 def curate(
@@ -293,9 +284,7 @@ def curate(
 
     for p in step2:
         try:
-            ratio = local_focus_ratio(
-                p, tweets_by_user.get(p.user_id, ()), g, cfg.sample_size, cfg.seed
-            )
+            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, cfg.seed)
         except NoProfileLocation:
             stages["removed_no_location"] += 1
             removed.append(p)
@@ -307,7 +296,7 @@ def curate(
             removed.append(p)
 
     if assignments:
-        qualified = topical_focus(assignments, cfg.target_topics)
+        qualified = topical_focus(assignments)
         for p in removed:
             if p.user_id in qualified:
                 stages["readmitted_topical"] += 1

@@ -10,17 +10,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from pathlib import Path
 from typing import Optional
 
 from .errors import BadGazetteer
-from .records import Post, SourceProfile, _is_utf8
+from .records import SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
 from .textvec import tokenize
 
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
 
@@ -70,8 +67,8 @@ class Gazetteer:
 
     `geocode` stores each resolution it computes in `_resolved`, keyed by
     (query, anchor). A resolution depends only on that key and the entries,
-    so the dict is exact. It lives as long as this instance: one verb for
-    the CLI, the whole process for `default_gazetteer()`.
+    so the dict is exact. It lives as long as this instance, which the CLI
+    loads once per verb.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
@@ -153,11 +150,6 @@ def load_gazetteer(path) -> Gazetteer:
     return Gazetteer(entries)
 
 
-@lru_cache(maxsize=None)
-def default_gazetteer() -> Gazetteer:
-    return load_gazetteer(_DATA_DIR / "world_cities.txt")
-
-
 def _matches_anchor(name: Optional[str], anchor: GazetteerEntry) -> bool:
     if not name:
         return False
@@ -229,12 +221,6 @@ def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[GeoResolution]:
         GeoResolution(query=a.text[s:e], anchor=None, hit=True, entry=_best_entry(cands), span=(s, e))
         for s, e, cands in g._table.spans(a.spans)
     ]
-
-
-def location_features(
-    post: Post, source: Optional[SourceProfile], g: Gazetteer
-) -> LocationFeatures:
-    return location_of(tag_locations(post.text, g), source)
 
 
 def location_of(tagged: list[GeoResolution], source: Optional[SourceProfile]) -> LocationFeatures:

@@ -24,7 +24,7 @@ from .linear import LinearModel, SGDConfig, train_one_vs_rest
 from .records import Post
 from .scope import TextAnalysis, Taxonomy, load_taxonomy
 from .spans import select_spans
-from .textvec import SparseVector, TfidfModel, fit_tfidf, tokenize, vectorize
+from .textvec import fit_tfidf, tokenize, vectorize
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -318,67 +318,36 @@ _TS_RE = re.compile(r"\d[:\-/]\d")
 _ATTACHED_SUFFIX_RE = re.compile(r"\d\s?(k|mm?|bn?)\b", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class CategoryTfidf:
-    """Per-category tf.idf vectors; one document per non-date category."""
-
-    model: TfidfModel
-    vectors: dict[str, SparseVector]
-
-
-def fit_category_tfidf(docs: dict[str, Sequence[str]]) -> CategoryTfidf:
-    """Each category's token list is one document."""
-    if not docs:
-        raise NoDocuments("no category documents")
-    model = fit_tfidf(sorted(docs.items()))
-    vectors = {label: vectorize(tokens, model) for label, tokens in docs.items()}
-    return CategoryTfidf(model=model, vectors=vectors)
-
-
 @lru_cache(maxsize=None)
-def default_category_tfidf() -> CategoryTfidf:
-    """Category documents seeded from the shipped taxonomies plus common
-    co-occurring vocabulary for each category."""
+def default_category_tfidf() -> tuple[dict[str, float], ...]:
+    """tf.idf weights of the address, human-impact and financial categories,
+    in that order. Each category is one document: the words of its shipped
+    taxonomy (none for financial) plus common co-occurring vocabulary."""
     address = sorted(t for p in default_address_terms().terms for t in p.split())
     human = sorted(t for p in default_human_impact_terms().terms for t in p.split())
     financial = (
         "damages losses loss cost costs worth estimated million billion dollars "
         "euros insurance economic business property damage payout fund funds"
     ).split()
-    return fit_category_tfidf(
-        {
-            "address": address + "street address corner near downtown".split(),
-            "human_impact": human + "people persons residents children toll".split(),
-            "financial_impact": financial,
-        }
+    docs = {
+        "address": address + "street address corner near downtown".split(),
+        "human_impact": human + "people persons residents children toll".split(),
+        "financial_impact": financial,
+    }
+    model = fit_tfidf(sorted(docs.items()))
+    return tuple(vectorize(tokens, model).entries for tokens in docs.values())
+
+
+def _tfidf_triple(tokens: Sequence[str]) -> tuple[float, ...]:
+    """Per category, the largest weight a tweet token has in its vector."""
+    return tuple(
+        max([0.0] + [w.get(tok, 0.0) for tok in tokens]) for w in default_category_tfidf()
     )
 
 
-def impact_features(
-    p: NumericPhrase,
-    text: str,
-    human_tax: Taxonomy | None = None,
-    addr_tax: Taxonomy | None = None,
-    cat_tfidf: CategoryTfidf | None = None,
-) -> ImpactFeatureRow:
-    """Compute the eight classifier features for one phrase in its tweet."""
-    return _phrase_row(p, text, _tfidf_triple(tokenize(text), cat_tfidf), human_tax, addr_tax)
-
-
-def _tfidf_triple(tokens: Sequence[str], cat_tfidf: CategoryTfidf | None) -> tuple[float, ...]:
-    """Per category, the largest weight a tweet token has in its vector."""
-    vectors = (cat_tfidf or default_category_tfidf()).vectors
-    labels = ("address", "human_impact", "financial_impact")
-    weights = [vectors[label].entries if label in vectors else {} for label in labels]
-    return tuple(max([0.0] + [w.get(tok, 0.0) for tok in tokens]) for w in weights)
-
-
-def _phrase_row(
-    p: NumericPhrase, text: str, triple: tuple[float, ...],
-    human_tax: Taxonomy | None, addr_tax: Taxonomy | None,
-) -> ImpactFeatureRow:
-    human_tax = human_tax or default_human_impact_terms()
-    addr_tax = addr_tax or default_address_terms()
+def _phrase_row(p: NumericPhrase, text: str, triple: tuple[float, ...]) -> ImpactFeatureRow:
+    """The eight classifier features for one phrase in its tweet, given the
+    tweet's tf.idf triple."""
     start, end = p.span
     raw = p.raw
     before = text[max(0, start - 2) : start]
@@ -392,8 +361,8 @@ def _phrase_row(
         monetary_suffix=bool(_ATTACHED_SUFFIX_RE.search(raw)),
         timestamp_symbol=bool(_TS_RE.search(raw)),
         timezone_or_period=bool(near & _TZ_PERIOD),
-        human_terms_hits=len(human_tax.match(context)),
-        address_terms_hits=len(addr_tax.match(context)),
+        human_terms_hits=len(default_human_impact_terms().match(context)),
+        address_terms_hits=len(default_address_terms().match(context)),
         tfidf_triple=triple,
     )
 
@@ -422,28 +391,13 @@ def train_impact_classifier(
     return model
 
 
-def classify_impact(
-    p: NumericPhrase,
-    model: LinearModel,
-    text: str = "",
-    human_tax: Taxonomy | None = None,
-    addr_tax: Taxonomy | None = None,
-    cat_tfidf: CategoryTfidf | None = None,
-) -> str:
-    """Argmax class for one phrase; ties break by the fixed class order."""
-    return impact_labels(TextAnalysis(text or p.raw), [p], model, human_tax, addr_tax, cat_tfidf)[0]
-
-
 def impact_labels(
-    a: TextAnalysis, phrases: Sequence[NumericPhrase], model: LinearModel,
-    human_tax: Taxonomy | None, addr_tax: Taxonomy | None, cat_tfidf: CategoryTfidf | None,
+    a: TextAnalysis, phrases: Sequence[NumericPhrase], model: LinearModel
 ) -> list[str]:
-    """classify_impact of each phrase of one text, tf.idf triple computed once."""
-    triple = _tfidf_triple(a.tokens, cat_tfidf) if phrases else None
-    return [
-        model.predict(dict(_phrase_row(p, a.text, triple, human_tax, addr_tax).as_features()))
-        for p in phrases
-    ]
+    """Argmax class of each phrase of one text, ties broken by the fixed
+    class order; the tf.idf triple is computed once per text."""
+    triple = _tfidf_triple(a.tokens) if phrases else None
+    return [model.predict(dict(_phrase_row(p, a.text, triple).as_features())) for p in phrases]
 
 
 def classification_report(
@@ -479,11 +433,9 @@ def classification_report(
 # site terms and taxonomy bootstrapping
 # ---------------------------------------------------------------------------
 
-def extract_site_terms(
-    tokens: Sequence[str], site_tax: Taxonomy | None = None
-) -> list[str]:
+def extract_site_terms(tokens: Sequence[str]) -> list[str]:
     """Physical-site nouns in token order."""
-    return (site_tax or default_site_terms()).match(tokens)
+    return default_site_terms().match(tokens)
 
 
 def build_human_impact_taxonomy(corpus: Sequence[Post]) -> list[tuple[str, int]]:

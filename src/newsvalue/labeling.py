@@ -16,12 +16,13 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateLabels
 from .impact import default_address_terms, default_human_impact_terms, default_site_terms
 from .records import Headline, LabeledExample, Post
-from .scope import TextAnalysis, Taxonomy, default_fire_causes, default_scale_lexicon
+from .scope import TextAnalysis, default_fire_causes, default_scale_lexicon
 from .spans import PhraseTable, select_spans
 from .textvec import SparseVector, TfidfModel, cosine, fit_tfidf, tokenize, vectorize
 
@@ -32,21 +33,16 @@ UNMATCHED = "unmatched"
 TARDY = "tardy"
 
 
-def default_mask_rules(
-    scale_lexicon: Taxonomy | None = None,
-    fire_causes: Taxonomy | None = None,
-    human_tax: Taxonomy | None = None,
-    addr_tax: Taxonomy | None = None,
-    site_tax: Taxonomy | None = None,
-) -> PhraseTable:
+@lru_cache(maxsize=None)
+def default_mask_rules() -> PhraseTable:
     """One phrase table over every shipped taxonomy, each phrase set
     under its feature name; masking adds the scope-pattern spans."""
     named = (
-        ("scope_scale_adj", scale_lexicon or default_scale_lexicon()),
-        ("scope_fire_cause", fire_causes or default_fire_causes()),
-        ("impact_human_term", human_tax or default_human_impact_terms()),
-        ("impact_address_term", addr_tax or default_address_terms()),
-        ("impact_site_term", site_tax or default_site_terms()),
+        ("scope_scale_adj", default_scale_lexicon()),
+        ("scope_fire_cause", default_fire_causes()),
+        ("impact_human_term", default_human_impact_terms()),
+        ("impact_address_term", default_address_terms()),
+        ("impact_site_term", default_site_terms()),
     )
     return PhraseTable([dict.fromkeys(tax.token_phrases, name) for name, tax in named])
 
@@ -57,20 +53,16 @@ def _claimed_spans(a: TextAnalysis, rules: PhraseTable) -> list[tuple[int, int, 
     return select_spans(a.pattern_spans + rules.spans(a.spans))
 
 
-def masked_text(a: TextAnalysis, rules: PhraseTable) -> str:
+def masked_text(a: TextAnalysis) -> str:
     """Replace every claimed span with its feature-name token."""
     out = a.text
-    for start, end, name in reversed(_claimed_spans(a, rules)):
+    for start, end, name in reversed(_claimed_spans(a, default_mask_rules())):
         out = out[:start] + name + out[end:]
     return out
 
 
-def mask_spans(text: str, rules: PhraseTable) -> list[tuple[int, int, str]]:
-    return _claimed_spans(TextAnalysis(text), rules)
-
-
-def mask_taxonomy_tokens(text: str, rules: PhraseTable) -> str:
-    return masked_text(TextAnalysis(text), rules)
+def mask_taxonomy_tokens(text: str) -> str:
+    return masked_text(TextAnalysis(text))
 
 
 @dataclass(frozen=True)
@@ -276,27 +268,19 @@ class LabelingRun:
     """Everything one labeling pass produced, plus its counters."""
 
     results: list[MatchResult]
-    masked_posts: list[Post]
-    masked_headlines: list[Headline]
-    tfidf: TfidfModel
     stats: dict[str, int]
 
 
 def label_corpus(
     posts: Sequence[Post],
     headlines: Sequence[Headline],
-    rules: PhraseTable | None = None,
     threshold: float = 0.5,
     link_threshold: float = 0.5,
     same_user_threshold: float = 0.3,
 ) -> LabelingRun:
     """Mask both sides, fit one shared tf.idf vocabulary, match, propagate."""
-    if rules is None:
-        rules = default_mask_rules()
-    masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text, rules)) for p in posts]
-    masked_headlines = [
-        replace(h, text=mask_taxonomy_tokens(h.text, rules)) for h in headlines
-    ]
+    masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
+    masked_headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
     documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
     documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
     tfidf = fit_tfidf(documents)
@@ -316,10 +300,4 @@ def label_corpus(
         "unmatched": sum(1 for r in final if r.status == UNMATCHED),
     }
     stats["via_link"] = stats["matched"] - stats["matched_direct"]
-    return LabelingRun(
-        results=final,
-        masked_posts=masked_posts,
-        masked_headlines=masked_headlines,
-        tfidf=tfidf,
-        stats=stats,
-    )
+    return LabelingRun(results=final, stats=stats)

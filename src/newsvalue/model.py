@@ -17,29 +17,12 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DegenerateLabels, InsufficientData, NoFeatures, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
-from .impact import (
-    CategoryTfidf,
-    bootstrap_impact_model,
-    default_address_terms,
-    default_category_tfidf,
-    default_human_impact_terms,
-    default_site_terms,
-    extract_site_terms,
-    impact_labels,
-    numeric_phrases,
-)
-from .labeling import default_mask_rules, masked_text
+from .impact import bootstrap_impact_model, extract_site_terms, impact_labels, numeric_phrases
+from .labeling import masked_text
 from .linear import LinearModel, SGDConfig, train_binary_hinge
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
-from .scope import (
-    ScopeFeatures,
-    Taxonomy,
-    TextAnalysis,
-    default_fire_causes,
-    default_scale_lexicon,
-)
-from .spans import PhraseTable
+from .scope import ScopeFeatures, TextAnalysis
 from .textvec import CentroidSet, TfidfModel, nearest_centroid, tokenize, vectorize
 
 POSITIVE_CLASS = "matched"
@@ -58,19 +41,13 @@ NAME_BUCKETS = 1024
 
 @dataclass
 class FeatureContext:
-    """Everything feature assembly needs, loaded once and shared."""
+    """Everything feature assembly needs beyond the shipped lexicons,
+    built once and shared."""
 
     gazetteer: Gazetteer
     tfidf: TfidfModel
     centroids: CentroidSet
-    mask_rules: PhraseTable
     impact_model: LinearModel
-    cat_tfidf: CategoryTfidf
-    scale_lexicon: Taxonomy
-    fire_causes: Taxonomy
-    human_tax: Taxonomy
-    addr_tax: Taxonomy
-    site_tax: Taxonomy
     background: Optional[BackgroundIndex] = None
 
 
@@ -79,21 +56,13 @@ def build_context(
     tfidf: TfidfModel,
     centroids: CentroidSet,
     background: Optional[BackgroundIndex] = None,
-    impact_model: Optional[LinearModel] = None,
     seed: int = 0,
 ) -> FeatureContext:
     return FeatureContext(
         gazetteer=gazetteer,
         tfidf=tfidf,
         centroids=centroids,
-        mask_rules=default_mask_rules(),
-        impact_model=impact_model or bootstrap_impact_model(seed),
-        cat_tfidf=default_category_tfidf(),
-        scale_lexicon=default_scale_lexicon(),
-        fire_causes=default_fire_causes(),
-        human_tax=default_human_impact_terms(),
-        addr_tax=default_address_terms(),
-        site_tax=default_site_terms(),
+        impact_model=bootstrap_impact_model(seed),
         background=background,
     )
 
@@ -146,7 +115,7 @@ def assemble_features(
     features: dict[str, float] = {}
 
     a = TextAnalysis(post.text)
-    masked = masked_text(a, ctx.mask_rules)
+    masked = masked_text(a)
     mtokens = tokenize(masked)
     tvec = vectorize(mtokens, ctx.tfidf)
     for term, weight in sorted(tvec.entries.items()):
@@ -159,11 +128,11 @@ def assemble_features(
             topic = label
             features[f"topic_{label}"] = 1.0
 
-    features.update(_scope_features(a.scope(ctx.scale_lexicon, ctx.fire_causes)))
+    features.update(_scope_features(a.scope()))
 
     claimed = [(s, e) for s, e, _ in a.pattern_spans]
     phrases = [p for p in numeric_phrases(a) if not _overlaps(p.span, claimed)]
-    labels = impact_labels(a, phrases, ctx.impact_model, ctx.human_tax, ctx.addr_tax, ctx.cat_tfidf)
+    labels = impact_labels(a, phrases, ctx.impact_model)
     human_count = 0
     financial_count = 0
     human_max = 0.0
@@ -180,7 +149,7 @@ def assemble_features(
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = extract_site_terms(a.tokens, ctx.site_tax)
+    site_hits = extract_site_terms(a.tokens)
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
@@ -220,7 +189,6 @@ class SvmConfig:
     epochs: int = 100
     C: float = 1.0
     seed: int = 0
-    class_weight: Optional[str] = "balanced"
 
 
 class _Rows:
@@ -244,7 +212,8 @@ def train_svm(
 ) -> LinearModel:
     """Binary linear SVM via Pegasos-style SGD (hinge + L2, eta = 1/(lambda t)).
 
-    The regularizer is lambda = 1/(C n). Deterministic given the seed; the
+    Class weights are balanced (inverse to class frequency). The
+    regularizer is lambda = 1/(C n). Deterministic given the seed; the
     regularized objective after the first and last epochs lands in
     train_meta for monitoring.
     """
@@ -263,7 +232,7 @@ def train_svm(
         seed=cfg.seed,
         l2=lam,
         learning_rate=None,
-        class_weight=cfg.class_weight,
+        class_weight="balanced",
     )
     weights, bias, obj_first, obj_last = train_binary_hinge(_Rows(examples), sgd)
     if not all(map(math.isfinite, (bias, obj_first, obj_last, *weights.values()))):
@@ -273,7 +242,7 @@ def train_svm(
         "C": cfg.C,
         "l2": lam,
         "seed": cfg.seed,
-        "class_weight": cfg.class_weight,
+        "class_weight": "balanced",
         "objective_first": obj_first,
         "objective_last": obj_last,
         "n_examples": len(examples),
@@ -326,14 +295,15 @@ def _fold_seed(seed: int, fold: int) -> int:
 
 
 def _stratified_split(
-    examples: Sequence[LabeledExample], split: float, rng: random.Random
+    examples: Sequence[LabeledExample], rng: random.Random
 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
+    """80% of each class to train, the rest to test."""
     train: list[LabeledExample] = []
     test: list[LabeledExample] = []
     for cls in (True, False):
         idx = [i for i, e in enumerate(examples) if e.label is cls]
         rng.shuffle(idx)
-        n_train = int(round(split * len(idx)))
+        n_train = int(round(0.8 * len(idx)))
         n_train = max(1, min(len(idx) - 1, n_train)) if len(idx) >= 2 else len(idx)
         train.extend(examples[i] for i in idx[:n_train])
         test.extend(examples[i] for i in idx[n_train:])
@@ -343,7 +313,6 @@ def _stratified_split(
 def cross_validate(
     examples: Sequence[LabeledExample],
     folds: int = 10,
-    split: float = 0.8,
     seed: int = 0,
     config: SvmConfig | None = None,
 ) -> EvalReport:
@@ -362,11 +331,8 @@ def cross_validate(
     for fold in range(folds):
         fseed = _fold_seed(seed, fold)
         rng = random.Random(fseed)
-        train, test = _stratified_split(examples, split, rng)
-        model = train_svm(
-            train,
-            SvmConfig(epochs=base.epochs, C=base.C, seed=fseed, class_weight=base.class_weight),
-        )
+        train, test = _stratified_split(examples, rng)
+        model = train_svm(train, SvmConfig(epochs=base.epochs, C=base.C, seed=fseed))
         ftp = ffp = ffn = ftn = 0
         for e in test:
             pred = svm_predict(model, e.features)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .records import _timestamp
+from .records import _coordinate, _timestamp
 
 GRID_DEGREES = 0.1
 
@@ -40,10 +40,13 @@ class TaggedPost:
 
     @classmethod
     def from_record(cls, rec: dict) -> "TaggedPost":
+        lat, lon = _coordinate(rec, "lat", 90.0), _coordinate(rec, "lon", 180.0)
+        if lat is None or lon is None:
+            raise ValueError("lat and lon are required")
         return cls(
             created_at=_timestamp(rec["created_at"]),
-            lat=float(rec["lat"]),
-            lon=float(rec["lon"]),
+            lat=lat,
+            lon=lon,
             country=str(rec["country"]),
             topic=str(rec["topic"]),
         )

@@ -155,11 +155,13 @@ class SourceProfile:
         if rec.get("resolved_name") is not None:
             from .geo import GazetteerEntry
 
+            lat = _coordinate(rec, "resolved_lat", 90.0)
+            lon = _coordinate(rec, "resolved_lon", 180.0)
             resolved = GazetteerEntry(
                 name=str(rec["resolved_name"]),
                 aliases=(),
-                lat=float(rec.get("resolved_lat", 0.0)),
-                lon=float(rec.get("resolved_lon", 0.0)),
+                lat=0.0 if lat is None else lat,
+                lon=0.0 if lon is None else lon,
                 country_code=str(rec.get("resolved_country", "")),
             )
         return cls(

@@ -122,16 +122,12 @@ class ScopeFeatures:
 # taxonomy indicators
 # ---------------------------------------------------------------------------
 
-def extract_scale_adjectives(
-    tokens: Sequence[str], lexicon: Taxonomy | None = None
-) -> list[str]:
-    return (lexicon or default_scale_lexicon()).match(tokens)
+def extract_scale_adjectives(tokens: Sequence[str]) -> list[str]:
+    return default_scale_lexicon().match(tokens)
 
 
-def extract_fire_cause(
-    tokens: Sequence[str], causes: Taxonomy | None = None
-) -> str | None:
-    hits = (causes or default_fire_causes()).match(tokens)
+def extract_fire_cause(tokens: Sequence[str]) -> str | None:
+    hits = default_fire_causes().match(tokens)
     return hits[0] if hits else None
 
 
@@ -149,10 +145,6 @@ def find_alarm_levels(text: str) -> list[tuple[int, int, int]]:
         if 1 <= level <= MAX_ALARM_LEVEL:
             out.append((m.start(), m.end(), level))
     return out
-
-
-def extract_alarm_level(text: str) -> int | None:
-    return extract_scope(text).alarm_level
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +198,6 @@ def find_quake_magnitudes(text: str) -> list[tuple[int, int, tuple[str, float]]]
     return select_spans(cands)
 
 
-def extract_quake_magnitude(text: str) -> tuple[str, float] | None:
-    return extract_scope(text).quake_magnitude
-
-
 # ---------------------------------------------------------------------------
 # wildfire sizes (normalized to acres)
 # ---------------------------------------------------------------------------
@@ -247,10 +235,6 @@ def find_wildfire_sizes(text: str) -> list[tuple[int, int, float]]:
         if acres > 0.0:
             cands.append((m.start(), m.end(), acres))
     return select_spans(cands)
-
-
-def extract_wildfire_size(text: str) -> float | None:
-    return extract_scope(text).wildfire_size_acres
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +287,6 @@ def find_vehicle_counts(text: str) -> list[tuple[int, int, int]]:
     return select_spans(cands)
 
 
-def extract_vehicle_count(text: str) -> int | None:
-    return extract_scope(text).vehicle_count
-
-
 # ---------------------------------------------------------------------------
 # severe weather scales and hail sizes
 # ---------------------------------------------------------------------------
@@ -342,44 +322,27 @@ def find_weather_scales(text: str) -> list[tuple[int, int, tuple[str, int]]]:
     return select_spans(cands)
 
 
-def _hail_object_res(table: dict[str, float]) -> tuple[re.Pattern, re.Pattern]:
-    names = "|".join(re.escape(n) for n in sorted(table, key=len, reverse=True))
+@lru_cache(maxsize=None)
+def _hail_object_res() -> tuple[re.Pattern, re.Pattern]:
+    names = "|".join(re.escape(n) for n in sorted(default_hail_table(), key=len, reverse=True))
     return (
         re.compile(rf"\b({names})[\s-]*(?:sized?)?[\s-]*hail", re.IGNORECASE),
         re.compile(rf"\bhail\s+(?:the\s+)?size\s+of\s+(?:an?\s+)?({names})\b", re.IGNORECASE),
     )
 
 
-@lru_cache(maxsize=None)
-def _default_hail_res() -> tuple[re.Pattern, re.Pattern]:
-    return _hail_object_res(default_hail_table())
-
-
-def find_hail_sizes(text: str, table: dict[str, float] | None = None) -> list[tuple[int, int, float]]:
-    if table is None:
-        table = default_hail_table()
-        object_res = _default_hail_res()
-    else:
-        object_res = _hail_object_res(table)
+def find_hail_sizes(text: str) -> list[tuple[int, int, float]]:
+    table = default_hail_table()
     cands = []
     for rx in _HAIL_NUM_RES:
         for m in rx.finditer(text):
             value = float(m.group(1))
             if value > 0.0:
                 cands.append((m.start(), m.end(), value))
-    for rx in object_res:
+    for rx in _hail_object_res():
         for m in rx.finditer(text):
             cands.append((m.start(), m.end(), table[m.group(1).lower()]))
     return select_spans(cands)
-
-
-def extract_weather_scale(
-    text: str, hail_table: dict[str, float] | None = None
-) -> tuple[tuple[str, int] | None, float | None]:
-    """(scale, level) for tornado/storm scales plus hail size in inches;
-    either half may be absent."""
-    scope = extract_scope(text, hail_table=hail_table)
-    return scope.weather_scale, scope.hail_size_inches
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +374,7 @@ class TextAnalysis:
 
     @cached_property
     def finds(self) -> dict[str, list]:
-        """Each numeric scope pattern's candidates (default hail table)."""
+        """Each numeric scope pattern's candidates."""
         t = self.text
         return {
             "scope_alarm_level": find_alarm_levels(t),
@@ -428,22 +391,15 @@ class TextAnalysis:
         numeric phrases."""
         return select_spans([(s, e, n) for n, cands in self.finds.items() for s, e, _ in cands])
 
-    def scope(
-        self,
-        scale_lexicon: Taxonomy | None = None,
-        fire_causes: Taxonomy | None = None,
-        hail_table: dict[str, float] | None = None,
-    ) -> ScopeFeatures:
+    def scope(self) -> ScopeFeatures:
         """All seven indicators: Richter magnitudes outrank intensities, the
         highest weather level wins (then the leftmost), else the largest value."""
         alarms, quakes, sizes, vehicles, scales, hails = self.finds.values()
-        if hail_table is not None:
-            hails = find_hail_sizes(self.text, hail_table)
         richter = [c for c in quakes if c[2][0] == "richter"] or quakes
         return ScopeFeatures(
-            scale_adjectives=tuple(extract_scale_adjectives(self.tokens, scale_lexicon)),
+            scale_adjectives=tuple(extract_scale_adjectives(self.tokens)),
             alarm_level=_largest(alarms),
-            fire_cause=extract_fire_cause(self.tokens, fire_causes),
+            fire_cause=extract_fire_cause(self.tokens),
             quake_magnitude=max(richter, key=lambda c: (c[2][1], -c[0]))[2] if quakes else None,
             wildfire_size_acres=_largest(sizes),
             vehicle_count=_largest(vehicles),
@@ -452,15 +408,6 @@ class TextAnalysis:
         )
 
 
-def extract_scope(
-    text: str,
-    scale_lexicon: Taxonomy | None = None,
-    fire_causes: Taxonomy | None = None,
-    hail_table: dict[str, float] | None = None,
-) -> ScopeFeatures:
+def extract_scope(text: str) -> ScopeFeatures:
     """Run all seven indicators over one text."""
-    return TextAnalysis(text).scope(scale_lexicon, fire_causes, hail_table)
-
-
-def scope_pattern_spans(text: str) -> list[tuple[int, int, str]]:
-    return TextAnalysis(text).pattern_spans
+    return TextAnalysis(text).scope()

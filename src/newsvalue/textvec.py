@@ -115,7 +115,6 @@ class TfidfModel:
 
     doc_count: int
     doc_freq: dict[str, int]
-    doc_ids: tuple[str, ...]
 
     def __post_init__(self):
         if self.doc_count < 1:
@@ -134,11 +133,9 @@ def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
     if not documents:
         raise NoDocuments("fit_tfidf needs at least one document")
     df: Counter[str] = Counter()
-    ids = []
-    for label, tokens in documents:
-        ids.append(label)
+    for _, tokens in documents:
         df.update(set(tokens))
-    return TfidfModel(doc_count=len(documents), doc_freq=dict(df), doc_ids=tuple(ids))
+    return TfidfModel(doc_count=len(documents), doc_freq=dict(df))
 
 
 def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:

@@ -5,14 +5,16 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from newsvalue.curation import build_trbc_centroids
-from newsvalue.geo import default_gazetteer
+from newsvalue.geo import load_gazetteer
 from newsvalue.records import Headline, Post, SourceProfile, TopicAssignment
 
 BASE_TS = 1_500_000_000  # 2017-07-14 02:40 UTC
+GAZETTEER_PATH = Path(__file__).resolve().parents[1] / "src/newsvalue/data/world_cities.txt"
 
 TRBC_VOCAB = {
     "earthquakes_seismic": ["earthquake", "quake", "seismic", "tremor", "aftershock", "struck"],
@@ -56,7 +58,7 @@ def trbc_model(wire_headlines):
 
 @pytest.fixture(scope="session")
 def gazetteer():
-    return default_gazetteer()
+    return load_gazetteer(GAZETTEER_PATH)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +177,6 @@ def write_pipeline_inputs(tmp_path, posts=None, headlines=None):
     profiles, tweets, assignments = curation_fixture()
     all_tweets = [t for ts in tweets.values() for t in ts]
     wire = headlines if headlines is not None else make_wire_headlines()
-    gz_src = default_gazetteer()
 
     write_ndjson_file(tmp_path / "profiles.ndjson", (p.to_record() for p in profiles))
     write_ndjson_file(tmp_path / "tweets.ndjson", (t.to_record() for t in all_tweets))
@@ -184,15 +185,12 @@ def write_pipeline_inputs(tmp_path, posts=None, headlines=None):
     if posts is not None:
         write_ndjson_file(tmp_path / "posts.ndjson", (p.to_record() for p in posts))
 
-    from pathlib import Path
-
-    gz_path = Path(__file__).resolve().parents[1] / "src" / "newsvalue" / "data" / "world_cities.txt"
     config = {
         "seed": 7,
         "thresholds": {},
         "svm": {"epochs": 30, "folds": 5},
         "paths": {
-            "gazetteer": str(gz_path),
+            "gazetteer": str(GAZETTEER_PATH),
             "profiles": str(tmp_path / "profiles.ndjson"),
             "tweets": str(tmp_path / "tweets.ndjson"),
             "assignments": str(tmp_path / "assignments.ndjson"),

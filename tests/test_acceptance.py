@@ -69,28 +69,28 @@ def criterion(name: str, budget_seconds: float):
 
 def test_parser_suites():
     with criterion("parser suites (published literals included)", 1.0):
-        assert scope_mod.extract_alarm_level("3-alarm fire reported") == 3
-        assert scope_mod.extract_alarm_level("requesting a 2nd alarm") == 2
-        assert scope_mod.extract_alarm_level("fire alarm went off") is None
+        assert extract_scope("3-alarm fire reported").alarm_level == 3
+        assert extract_scope("requesting a 2nd alarm").alarm_level == 2
+        assert extract_scope("fire alarm went off").alarm_level is None
 
-        assert scope_mod.extract_vehicle_count("2-car crash on I-40") == 2
-        assert scope_mod.extract_vehicle_count("2 commercial trucks & one vehicle") == 3
-        assert scope_mod.extract_vehicle_count("car crash reported") is None
+        assert extract_scope("2-car crash on I-40").vehicle_count == 2
+        assert extract_scope("2 commercial trucks & one vehicle").vehicle_count == 3
+        assert extract_scope("car crash reported").vehicle_count is None
 
-        assert scope_mod.extract_quake_magnitude(
+        assert extract_scope(
             "Prelim M5.8 earthquake off the coast of Jalisco, Mexico May-20 06:02 UTC"
-        ) == ("richter", 5.8)
-        assert scope_mod.extract_quake_magnitude("no quake here") is None
-        assert scope_mod.extract_quake_magnitude(
+        ).quake_magnitude == ("richter", 5.8)
+        assert extract_scope("no quake here").quake_magnitude is None
+        assert extract_scope(
             "intensity VII reported, later M6.1"
-        ) == ("richter", 6.1)
+        ).quake_magnitude == ("richter", 6.1)
 
-        _, hail = scope_mod.extract_weather_scale("quarter sized hail")
-        assert hail == pytest.approx(1.0)
-        assert scope_mod.extract_weather_scale("EF3 tornado confirmed")[0] == (
+        assert extract_scope("quarter sized hail").hail_size_inches == pytest.approx(1.0)
+        assert extract_scope("EF3 tornado confirmed").weather_scale == (
             "enhanced_fujita", 3,
         )
-        assert scope_mod.extract_weather_scale("sunny skies") == (None, None)
+        sunny = extract_scope("sunny skies")
+        assert (sunny.weather_scale, sunny.hail_size_inches) == (None, None)
 
         toks = tokenize("deadly shooting near Alvin")
         assert scope_mod.extract_scale_adjectives(toks) == ["deadly"]
@@ -104,9 +104,9 @@ def test_parser_suites():
         assert scope_mod.extract_fire_cause(tokenize("structure fire downtown")) is None
         assert scope_mod.extract_fire_cause(tokenize("trash fire behind mall")) == "trash fire"
 
-        assert scope_mod.extract_wildfire_size("fire has burned 1,200 acres") == 1200.0
-        assert scope_mod.extract_wildfire_size("2 square miles scorched") == 1280.0
-        assert scope_mod.extract_wildfire_size("windy day") is None
+        assert extract_scope("fire has burned 1,200 acres").wildfire_size_acres == 1200.0
+        assert extract_scope("2 square miles scorched").wildfire_size_acres == 1280.0
+        assert extract_scope("windy day").wildfire_size_acres is None
 
         composite = extract_scope("deadly 3-alarm fire caused by gas leak")
         assert composite.scale_adjectives == ("deadly",)
@@ -136,11 +136,10 @@ def _random_unicode(rng: random.Random) -> str:
 
 
 def test_fuzz_robustness(gazetteer):
-    from newsvalue.labeling import default_mask_rules, mask_taxonomy_tokens
+    from newsvalue.labeling import mask_taxonomy_tokens
     from newsvalue.geo import tag_locations
     from test_scope import assert_scope_within_bounds
 
-    rules = default_mask_rules()
     with criterion("fuzz: 10,000 arbitrary strings, no exceptions, bounded", 30.0):
         rng = random.Random(0xFACE)
         for i in range(10_000):
@@ -155,7 +154,7 @@ def test_fuzz_robustness(gazetteer):
                 assert text[start:end] == phrase.raw
                 assert phrase.value is not None or phrase.soft_quantity is not None
             if i % 5 == 0:
-                mask_taxonomy_tokens(text, rules)
+                mask_taxonomy_tokens(text)
                 for hit in tag_locations(text, gazetteer):
                     s, e = hit.span
                     assert text[s:e] == hit.query

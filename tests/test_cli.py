@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -516,6 +517,45 @@ class TestInputRecordChecks:
         ids = {line.split("\t")[0] for line in (tmp_path / "out" / "features.tsv").open()}
         assert "edge" in ids
         assert "far" not in ids
+
+    @pytest.mark.parametrize(
+        "key, value", [("resolved_lat", math.nan), ("resolved_lon", -math.inf), ("resolved_lat", 90.5)]
+    )
+    def test_bad_resolved_coordinate_skipped(self, pipeline, capsys, key, value):
+        tmp_path, config = pipeline
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        curated = tmp_path / "out" / "curated.ndjson"
+        records = [json.loads(line) for line in curated.read_text().splitlines()]
+        lineno = next(i for i, rec in enumerate(records, 1) if "resolved_lat" in rec)
+        records[lineno - 1][key] = value
+        curated.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        self._assert_skipped(capsys, "curated", lineno, f"{key} ")
+        for line in (tmp_path / "out" / "features.tsv").open():
+            assert math.isfinite(float(line.split("\t")[2]))
+
+    @pytest.mark.parametrize("key, value", [("lat", math.nan), ("lon", math.inf), ("lat", -91.0)])
+    def test_bad_background_coordinate_skipped(self, pipeline, capsys, key, value):
+        tmp_path, config = pipeline
+        background = tmp_path / "background.ndjson"
+        row = {"created_at": BASE_TS, "lat": 48.9, "lon": 2.3, "country": "FR", "topic": "floods"}
+        write_ndjson_file(background, [row, dict(row, **{key: value})])
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["background"] = str(background)
+        config.write_text(json.dumps(cfg))
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        self._assert_skipped(capsys, "background", 2, f"{key} ")
+
+    @pytest.mark.parametrize("verb", ["train", "predict"])
+    def test_invalid_utf8_features_exit_4(self, pipeline, capsys, verb):
+        tmp_path, config = pipeline
+        for step in ("label", "extract", "train"):
+            assert main([step, "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        lineno = self._append(tmp_path / "out" / "features.tsv", b"p\xff\tloc_lat\t1.0")
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        assert capsys.readouterr().err == f"error: features line {lineno}: invalid UTF-8\n"
 
     def test_invalid_utf8_gazetteer_exit_4(self, pipeline, capsys):
         tmp_path, config = pipeline

@@ -79,8 +79,8 @@ class TestLocalFocusRatio:
 
     def test_seed_deterministic_sampling(self, gazetteer):
         posts = self._posts(["Houston", "Tokyo"] * 40)
-        a = local_focus_ratio(_profile(), posts, gazetteer, sample_size=10, seed=3)
-        b = local_focus_ratio(_profile(), posts, gazetteer, sample_size=10, seed=3)
+        a = local_focus_ratio(_profile(), posts, gazetteer, seed=3)
+        b = local_focus_ratio(_profile(), posts, gazetteer, seed=3)
         assert a == b
 
 

@@ -18,7 +18,7 @@ from newsvalue.geo import (
     _matches_anchor,
     geocode,
     load_gazetteer,
-    location_features,
+    location_of,
     tag_locations,
 )
 from newsvalue.records import Post, SourceProfile
@@ -279,28 +279,28 @@ class TestLocationFeatures:
 
     def test_text_location_wins(self, gaz):
         post = Post("p", "u1", 0, "tremor felt in Jalisco this morning")
-        feats = location_features(post, self._profile(True, gaz), gaz)
+        feats = location_of(tag_locations(post.text, gaz), self._profile(True, gaz))
         assert feats.name == "Jalisco"
         assert feats.country_code == "MX"
         assert feats.lat == pytest.approx(20.7)
 
     def test_fallback_to_local_source(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_features(post, self._profile(True, gaz), gaz)
+        feats = location_of(tag_locations(post.text, gaz), self._profile(True, gaz))
         assert feats.name == "Tokyo"
 
     def test_non_local_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_features(post, self._profile(False, gaz), gaz)
+        feats = location_of(tag_locations(post.text, gaz), self._profile(False, gaz))
         assert feats.is_nil
         assert feats == LocationFeatures()
 
     def test_no_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        assert location_features(post, None, gaz).is_nil
+        assert location_of(tag_locations(post.text, gaz), None).is_nil
 
     def test_total_and_deterministic(self, gaz):
         post = Post("p", "u1", 0, "Paris Paris Tokyo " + chr(0) + " weird ⚡ text")
-        a = location_features(post, None, gaz)
-        b = location_features(post, None, gaz)
+        a = location_of(tag_locations(post.text, gaz), None)
+        b = location_of(tag_locations(post.text, gaz), None)
         assert a == b

@@ -10,20 +10,26 @@ from newsvalue.errors import DegenerateLabels, ModelNotFitted, NoDocuments
 from newsvalue.impact import (
     IMPACT_CLASSES,
     ImpactFeatureRow,
+    _phrase_row,
+    _tfidf_triple,
     bootstrap_impact_model,
     build_human_impact_taxonomy,
     classification_report,
-    classify_impact,
-    default_site_terms,
     extract_numeric_phrases,
     extract_site_terms,
-    impact_features,
+    impact_labels,
     parse_word_number,
     train_impact_classifier,
 )
 from newsvalue.linear import LinearModel, SGDConfig
 from newsvalue.records import Post
+from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import tokenize
+
+
+def feature_row(p, text):
+    """The eight classifier features of one phrase in its tweet."""
+    return _phrase_row(p, text, _tfidf_triple(tokenize(text)))
 
 # ---------------------------------------------------------------------------
 # independent oracle: render 0-9999 in canonical English
@@ -126,36 +132,36 @@ class TestImpactFeatures:
     def test_currency_symbol(self):
         text = "losses of $120 reported"
         p = extract_numeric_phrases(text)[0]
-        assert impact_features(p, text).currency_symbol
+        assert feature_row(p, text).currency_symbol
 
     def test_monetary_suffix(self):
         text = "damages at 120MM"
         p = extract_numeric_phrases(text)[0]
-        row = impact_features(p, text)
+        row = feature_row(p, text)
         assert row.monetary_suffix
         assert row.mixed_alnum
 
     def test_timestamp_and_timezone(self):
         text = "May-20 06:02 UTC"
         p = [q for q in extract_numeric_phrases(text) if q.raw == "06:02"][0]
-        row = impact_features(p, text)
+        row = feature_row(p, text)
         assert row.timestamp_symbol
         assert row.timezone_or_period
 
     def test_human_terms(self):
         text = "12 dead and dozens injured"
         p = extract_numeric_phrases(text)[0]
-        assert impact_features(p, text).human_terms_hits >= 1
+        assert feature_row(p, text).human_terms_hits >= 1
 
     def test_address_terms(self):
         text = "house fire at 3910 Tangle Ln tonight"
         p = extract_numeric_phrases(text)[0]
-        assert impact_features(p, text).address_terms_hits >= 1
+        assert feature_row(p, text).address_terms_hits >= 1
 
     def test_tfidf_triple_finite_nonnegative(self):
         text = "about 40 injured on the avenue, damages near $1 million"
         for p in extract_numeric_phrases(text):
-            triple = impact_features(p, text).tfidf_triple
+            triple = feature_row(p, text).tfidf_triple
             assert all(x >= 0.0 for x in triple)
             assert all(x == x for x in triple)
 
@@ -264,7 +270,7 @@ class TestImpactClassifier:
         empty = LinearModel(kind="impact", classes=(), weights={}, bias={})
         p = extract_numeric_phrases("12 hurt")[0]
         with pytest.raises(ModelNotFitted):
-            classify_impact(p, empty, "12 hurt")
+            impact_labels(TextAnalysis("12 hurt"), [p], empty)
 
     def test_bootstrap_classifies_canonical_phrases(self):
         model = bootstrap_impact_model(seed=0)
@@ -276,7 +282,7 @@ class TestImpactClassifier:
         }
         for text, want in cases.items():
             phrases = extract_numeric_phrases(text)
-            got = {classify_impact(p, model, text) for p in phrases}
+            got = set(impact_labels(TextAnalysis(text), phrases, model))
             assert want in got, (text, got)
 
     def test_tie_break_fixed_class_order(self):
@@ -287,7 +293,7 @@ class TestImpactClassifier:
             bias={c: 0.0 for c in IMPACT_CLASSES},
         )
         p = extract_numeric_phrases("12 anything")[0]
-        assert classify_impact(p, model, "12 anything") == "date_time"
+        assert impact_labels(TextAnalysis("12 anything"), [p], model) == ["date_time"]
 
 
 class TestSiteTerms:
@@ -301,7 +307,7 @@ class TestSiteTerms:
         assert extract_site_terms(tokenize("loud noise reported")) == []
 
     def test_text_order(self):
-        got = extract_site_terms(tokenize("school bus hit near the hospital"), default_site_terms())
+        got = extract_site_terms(tokenize("school bus hit near the hospital"))
         assert got == ["school", "hospital"]
 
 

@@ -12,37 +12,36 @@ from newsvalue.labeling import (
     MATCHED,
     TARDY,
     UNMATCHED,
+    _claimed_spans,
     default_mask_rules,
     label_corpus,
-    mask_spans,
     mask_taxonomy_tokens,
     match_to_headlines,
     propagate_links,
     undersample,
 )
 from newsvalue.records import Headline, LabeledExample, Post
+from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
-
-RULES = default_mask_rules()
 
 
 class TestMasking:
     def test_quake_pattern(self):
-        assert mask_taxonomy_tokens("M5.8 earthquake", RULES) == (
+        assert mask_taxonomy_tokens("M5.8 earthquake") == (
             "scope_quake_magnitude earthquake"
         )
 
     def test_scale_adjective(self):
-        assert mask_taxonomy_tokens("deadly crash", RULES) == "scope_scale_adj crash"
+        assert mask_taxonomy_tokens("deadly crash") == "scope_scale_adj crash"
 
     def test_no_spans_unchanged(self):
-        assert mask_taxonomy_tokens("hello world", RULES) == "hello world"
+        assert mask_taxonomy_tokens("hello world") == "hello world"
 
     def test_both_sides_same_rules(self):
         tweet = "deadly 3-alarm fire caused by gas leak"
         headline = "Gas leak sparks deadly 3-alarm fire"
-        masked_tweet = mask_taxonomy_tokens(tweet, RULES)
-        masked_headline = mask_taxonomy_tokens(headline, RULES)
+        masked_tweet = mask_taxonomy_tokens(tweet)
+        masked_headline = mask_taxonomy_tokens(headline)
         assert "scope_fire_cause" in masked_tweet
         assert "scope_fire_cause" in masked_headline
         assert "scope_alarm_level" in masked_tweet
@@ -55,8 +54,8 @@ class TestMasking:
             "hello world",
         ]
         for text in texts:
-            once = mask_taxonomy_tokens(text, RULES)
-            assert mask_taxonomy_tokens(once, RULES) == once
+            once = mask_taxonomy_tokens(text)
+            assert mask_taxonomy_tokens(once) == once
 
     def test_token_accounting(self):
         # Masking replaces each claimed span with one token and leaves every
@@ -69,8 +68,8 @@ class TestMasking:
             "12 dead at the refinery on Main St",
         ]
         for text in texts:
-            spans = mask_spans(text, RULES)
-            masked = mask_taxonomy_tokens(text, RULES)
+            spans = _claimed_spans(TextAnalysis(text), default_mask_rules())
+            masked = mask_taxonomy_tokens(text)
             mask_token_count = sum(
                 1 for t in tokenize(masked)
                 if t.startswith(("scope_", "impact_"))

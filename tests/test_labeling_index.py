@@ -25,7 +25,6 @@ from newsvalue.labeling import (
     TARDY,
     UNMATCHED,
     MatchResult,
-    default_mask_rules,
     index_headlines,
     label_corpus,
     mask_taxonomy_tokens,
@@ -35,7 +34,6 @@ from newsvalue.labeling import (
 from newsvalue.records import Headline, Post
 from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
 
-RULES = default_mask_rules()
 MIDNIGHT = int(datetime(2017, 6, 2, tzinfo=timezone.utc).timestamp())
 POST_WORDS = ["storm", "flood", "river", "fire", "smoke", "crews", "quake", "town", "road", "bridge"]
 OTHER_WORDS = ["market", "shares", "bank", "rates", "garden", "bloom"]
@@ -106,8 +104,8 @@ def brute_propagate(results, posts, tfidf, link_threshold, same_user_threshold):
 
 def brute_label(posts, headlines, threshold, link_threshold, same_user_threshold):
     """label_corpus's masking and vocabulary, all-pairs matching and linking."""
-    posts = [replace(p, text=mask_taxonomy_tokens(p.text, RULES)) for p in posts]
-    headlines = [replace(h, text=mask_taxonomy_tokens(h.text, RULES)) for h in headlines]
+    posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
+    headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
     docs = [(f"post:{p.post_id}", tokenize(p.text)) for p in posts]
     docs += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(headlines)]
     tfidf = fit_tfidf(docs)
@@ -217,19 +215,28 @@ def test_propagation_equals_all_pairs(corpus, data):
 @given(corpora(), thresholds, thresholds, thresholds)
 def test_label_corpus_equals_all_pairs(corpus, threshold, link, same_user):
     posts, headlines = corpus
-    run = label_corpus(posts, headlines, None, threshold, link, same_user)
+    run = label_corpus(posts, headlines, threshold, link, same_user)
     assert run.results == brute_label(posts, headlines, threshold, link, same_user)
 
 
 @SETTINGS
 @given(corpora(), st.randoms(use_true_random=False))
 def test_labels_do_not_depend_on_post_order(corpus, rnd):
+    """Nor on headline order, which moves only the best_headline index."""
     posts, headlines = corpus
-    shuffled = list(posts)
-    rnd.shuffle(shuffled)
-    base = {r.post_id: (r.status, r.best_score) for r in label_corpus(posts, headlines).results}
-    again = {r.post_id: (r.status, r.best_score) for r in label_corpus(shuffled, headlines).results}
-    assert again == base
+    shuffled_posts, shuffled_headlines = list(posts), list(headlines)
+    rnd.shuffle(shuffled_posts)
+    rnd.shuffle(shuffled_headlines)
+
+    def outcome(ps, hs):
+        return {
+            r.post_id: (r.status, r.best_score, r.via_link, r.best_headline is None)
+            for r in label_corpus(ps, hs).results
+        }
+
+    base = outcome(posts, headlines)
+    assert outcome(shuffled_posts, headlines) == base
+    assert outcome(shuffled_posts, shuffled_headlines) == base
 
 
 def test_scores_only_window_candidates_sharing_a_term(monkeypatch):

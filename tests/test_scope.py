@@ -13,16 +13,18 @@ from newsvalue.scope import (
     MAX_EF_LEVEL,
     MAX_QUAKE_MAGNITUDE,
     MAX_TORRO_LEVEL,
+    TextAnalysis,
     default_fire_causes,
     default_scale_lexicon,
-    extract_alarm_level,
     extract_fire_cause,
-    extract_quake_magnitude,
     extract_scale_adjectives,
     extract_scope,
-    extract_vehicle_count,
-    extract_weather_scale,
-    extract_wildfire_size,
+    find_alarm_levels,
+    find_hail_sizes,
+    find_quake_magnitudes,
+    find_vehicle_counts,
+    find_weather_scales,
+    find_wildfire_sizes,
     load_scale_table,
     load_taxonomy,
 )
@@ -68,19 +70,19 @@ class TestScaleAdjectives:
 
 class TestAlarmLevel:
     def test_hyphen_form(self):
-        assert extract_alarm_level("3-alarm fire reported") == 3
+        assert extract_scope("3-alarm fire reported").alarm_level == 3
 
     def test_ordinal_form(self):
-        assert extract_alarm_level("requesting a 2nd alarm") == 2
+        assert extract_scope("requesting a 2nd alarm").alarm_level == 2
 
     def test_bare_alarm_absent(self):
-        assert extract_alarm_level("fire alarm went off") is None
+        assert extract_scope("fire alarm went off").alarm_level is None
 
     def test_largest_wins(self):
-        assert extract_alarm_level("2nd alarm upgraded to 4-alarm") == 4
+        assert extract_scope("2nd alarm upgraded to 4-alarm").alarm_level == 4
 
     def test_out_of_range_ignored(self):
-        assert extract_alarm_level("99-alarm nonsense") is None
+        assert extract_scope("99-alarm nonsense").alarm_level is None
 
 
 class TestFireCause:
@@ -100,57 +102,57 @@ class TestFireCause:
 
 class TestQuakeMagnitude:
     def test_prefixed(self):
-        assert extract_quake_magnitude(
+        assert extract_scope(
             "Prelim M5.8 earthquake off the coast of Jalisco"
-        ) == ("richter", 5.8)
+        ).quake_magnitude == ("richter", 5.8)
 
     def test_absent(self):
-        assert extract_quake_magnitude("no quake here") is None
+        assert extract_scope("no quake here").quake_magnitude is None
 
     def test_magnitude_word(self):
-        assert extract_quake_magnitude("magnitude 6.3 quake") == ("richter", 6.3)
+        assert extract_scope("magnitude 6.3 quake").quake_magnitude == ("richter", 6.3)
 
     def test_suffix_form(self):
-        assert extract_quake_magnitude("a 4.5-magnitude tremor") == ("richter", 4.5)
+        assert extract_scope("a 4.5-magnitude tremor").quake_magnitude == ("richter", 4.5)
 
     def test_richter_preferred_over_intensity(self):
-        assert extract_quake_magnitude("intensity VII reported, later M6.1") == ("richter", 6.1)
+        assert extract_scope("intensity VII reported, later M6.1").quake_magnitude == ("richter", 6.1)
 
     def test_intensity_roman(self):
-        assert extract_quake_magnitude("intensity VII reported") == ("mercalli", 7.0)
+        assert extract_scope("intensity VII reported").quake_magnitude == ("mercalli", 7.0)
 
     def test_ems_tag(self):
-        assert extract_quake_magnitude("EMS intensity VIII observed") == ("ems", 8.0)
+        assert extract_scope("EMS intensity VIII observed").quake_magnitude == ("ems", 8.0)
 
     def test_shindo_plus(self):
-        assert extract_quake_magnitude("JMA 6+ recorded") == ("shindo", 6.5)
-        assert extract_quake_magnitude("shindo 5 in Tokyo") == ("shindo", 5.0)
+        assert extract_scope("JMA 6+ recorded").quake_magnitude == ("shindo", 6.5)
+        assert extract_scope("shindo 5 in Tokyo").quake_magnitude == ("shindo", 5.0)
 
     def test_malformed_ignored(self):
-        assert extract_quake_magnitude("M5.8.3 glitch") is None
+        assert extract_scope("M5.8.3 glitch").quake_magnitude is None
 
     def test_out_of_range_ignored(self):
-        assert extract_quake_magnitude("M55 impossible") is None
+        assert extract_scope("M55 impossible").quake_magnitude is None
 
 
 class TestWildfireSize:
     def test_acres_with_comma(self):
-        assert extract_wildfire_size("fire has burned 1,200 acres") == pytest.approx(1200.0)
+        assert extract_scope("fire has burned 1,200 acres").wildfire_size_acres == pytest.approx(1200.0)
 
     def test_square_miles(self):
-        assert extract_wildfire_size("2 square miles scorched") == pytest.approx(1280.0)
+        assert extract_scope("2 square miles scorched").wildfire_size_acres == pytest.approx(1280.0)
 
     def test_sq_km(self):
-        assert extract_wildfire_size("10 sq km burned") == pytest.approx(2471.05)
+        assert extract_scope("10 sq km burned").wildfire_size_acres == pytest.approx(2471.05)
 
     def test_radius(self):
         import math
 
-        got = extract_wildfire_size("flames within a 2 mile radius")
+        got = extract_scope("flames within a 2 mile radius").wildfire_size_acres
         assert got == pytest.approx(math.pi * 4 * 640)
 
     def test_absent(self):
-        assert extract_wildfire_size("windy day") is None
+        assert extract_scope("windy day").wildfire_size_acres is None
 
     def test_unit_round_trip(self):
         rng = random.Random(5)
@@ -162,53 +164,54 @@ class TestWildfireSize:
 
 class TestVehicleCount:
     def test_hyphen_crash(self):
-        assert extract_vehicle_count("2-car crash on I-40") == 2
+        assert extract_scope("2-car crash on I-40").vehicle_count == 2
 
     def test_additive(self):
-        assert extract_vehicle_count("2 commercial trucks & one vehicle") == 3
+        assert extract_scope("2 commercial trucks & one vehicle").vehicle_count == 3
 
     def test_no_count(self):
-        assert extract_vehicle_count("car crash reported") is None
+        assert extract_scope("car crash reported").vehicle_count is None
 
     def test_word_number(self):
-        assert extract_vehicle_count("three-vehicle pileup") == 3
+        assert extract_scope("three-vehicle pileup").vehicle_count == 3
 
     def test_additive_with_and(self):
-        assert extract_vehicle_count("4 cars and 2 trucks collided") == 6
+        assert extract_scope("4 cars and 2 trucks collided").vehicle_count == 6
 
 
 class TestWeatherScale:
     def test_quarter_sized_hail(self):
-        scale, hail = extract_weather_scale("quarter sized hail")
-        assert scale is None
-        assert hail == pytest.approx(1.0)
+        scope = extract_scope("quarter sized hail")
+        assert scope.weather_scale is None
+        assert scope.hail_size_inches == pytest.approx(1.0)
 
     def test_ef3(self):
-        scale, hail = extract_weather_scale("EF3 tornado confirmed")
-        assert scale == ("enhanced_fujita", 3)
-        assert hail is None
+        scope = extract_scope("EF3 tornado confirmed")
+        assert scope.weather_scale == ("enhanced_fujita", 3)
+        assert scope.hail_size_inches is None
 
     def test_absent(self):
-        assert extract_weather_scale("sunny skies") == (None, None)
+        scope = extract_scope("sunny skies")
+        assert (scope.weather_scale, scope.hail_size_inches) == (None, None)
 
     def test_ef_hyphen(self):
-        assert extract_weather_scale("EF-4 damage")[0] == ("enhanced_fujita", 4)
+        assert extract_scope("EF-4 damage").weather_scale == ("enhanced_fujita", 4)
 
     def test_torro_requires_context(self):
-        assert extract_weather_scale("route T8 closed")[0] is None
-        assert extract_weather_scale("T8 tornado on the TORRO scale")[0] == ("torro", 8)
+        assert extract_scope("route T8 closed").weather_scale is None
+        assert extract_scope("T8 tornado on the TORRO scale").weather_scale == ("torro", 8)
 
     def test_beaufort(self):
-        assert extract_weather_scale("winds reached force 10")[0] == ("beaufort", 10)
+        assert extract_scope("winds reached force 10").weather_scale == ("beaufort", 10)
 
     def test_numeric_hail(self):
-        assert extract_weather_scale("2 inch hail smashed windows")[1] == pytest.approx(2.0)
+        assert extract_scope("2 inch hail smashed windows").hail_size_inches == pytest.approx(2.0)
 
     def test_golf_ball(self):
-        assert extract_weather_scale("hail the size of a golf ball")[1] == pytest.approx(1.75)
+        assert extract_scope("hail the size of a golf ball").hail_size_inches == pytest.approx(1.75)
 
     def test_ef_out_of_range(self):
-        assert extract_weather_scale("EF9 claim")[0] is None
+        assert extract_scope("EF9 claim").weather_scale is None
 
 
 class TestComposite:
@@ -247,18 +250,27 @@ class TestComposite:
             "",
             "nothing numeric at all",
         ]
+        def largest(cands):
+            return max((v for _, _, v in cands), default=None)
+
+        def highest_leftmost(cands):
+            return max(cands, key=lambda c: (c[2][1], -c[0]))[2] if cands else None
+
         for text in texts:
             scope = extract_scope(text)
             toks = tokenize(text)
-            weather, hail = extract_weather_scale(text)
+            quakes = find_quake_magnitudes(text)
+            assert scope == TextAnalysis(text).scope()
             assert scope.scale_adjectives == tuple(extract_scale_adjectives(toks))
-            assert scope.alarm_level == extract_alarm_level(text)
+            assert scope.alarm_level == largest(find_alarm_levels(text))
             assert scope.fire_cause == extract_fire_cause(toks)
-            assert scope.quake_magnitude == extract_quake_magnitude(text)
-            assert scope.wildfire_size_acres == extract_wildfire_size(text)
-            assert scope.vehicle_count == extract_vehicle_count(text)
-            assert scope.weather_scale == weather
-            assert scope.hail_size_inches == hail
+            assert scope.quake_magnitude == highest_leftmost(
+                [c for c in quakes if c[2][0] == "richter"] or quakes
+            )
+            assert scope.wildfire_size_acres == largest(find_wildfire_sizes(text))
+            assert scope.vehicle_count == largest(find_vehicle_counts(text))
+            assert scope.weather_scale == highest_leftmost(find_weather_scales(text))
+            assert scope.hail_size_inches == largest(find_hail_sizes(text))
 
 
 def assert_scope_within_bounds(scope):

@@ -34,7 +34,7 @@ from newsvalue.impact import (
     default_site_terms,
     extract_numeric_phrases,
 )
-from newsvalue.labeling import default_mask_rules, mask_spans, mask_taxonomy_tokens
+from newsvalue.labeling import _claimed_spans, default_mask_rules, mask_taxonomy_tokens
 from newsvalue.model import NAME_BUCKETS, _scope_features, assemble_features, build_context
 from newsvalue.rarity import grid_cell, rarity
 from newsvalue.records import Post, SourceProfile
@@ -51,9 +51,8 @@ from newsvalue.scope import (
     find_vehicle_counts,
     find_weather_scales,
     find_wildfire_sizes,
-    scope_pattern_spans,
 )
-from newsvalue.spans import select_spans
+from newsvalue.spans import PhraseTable, select_spans
 from newsvalue.textvec import nearest_centroid, token_spans, tokenize, vectorize
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -105,15 +104,18 @@ def _ref_taxonomy_rule(name, tax):
     return lambda text: [(s, e, name) for s, e, _ in ref_phrase_spans(text, tax.token_phrases)]
 
 
-def ref_mask_rules(scale=None, fire=None, human=None, addr=None, site=None):
-    """The six mask callables: scope patterns, then one per taxonomy."""
-    return (
-        ref_scope_pattern_spans,
-        _ref_taxonomy_rule("scope_scale_adj", scale or default_scale_lexicon()),
-        _ref_taxonomy_rule("scope_fire_cause", fire or default_fire_causes()),
-        _ref_taxonomy_rule("impact_human_term", human or default_human_impact_terms()),
-        _ref_taxonomy_rule("impact_address_term", addr or default_address_terms()),
-        _ref_taxonomy_rule("impact_site_term", site or default_site_terms()),
+MASK_NAMES = (
+    "scope_scale_adj", "scope_fire_cause", "impact_human_term",
+    "impact_address_term", "impact_site_term",
+)
+
+
+def ref_mask_rules(*taxonomies):
+    """The six mask callables: scope patterns, then one per taxonomy (by
+    default the shipped ones, in mask order)."""
+    return (ref_scope_pattern_spans,) + tuple(
+        _ref_taxonomy_rule(name, tax)
+        for name, tax in zip(MASK_NAMES, taxonomies or ALL_TAXONOMIES)
     )
 
 
@@ -128,10 +130,10 @@ def ref_mask(text, rules):
     return out
 
 
-def ref_extract_scope(text, scale=None, fire=None, hail_table=None):
+def ref_extract_scope(text):
     tokens = tokenize(text)
     scales = find_weather_scales(text)
-    hails = find_hail_sizes(text, hail_table)
+    hails = find_hail_sizes(text)
     quakes = find_quake_magnitudes(text)
     quake = None
     if quakes:
@@ -140,9 +142,9 @@ def ref_extract_scope(text, scale=None, fire=None, hail_table=None):
     alarms = [v for _, _, v in find_alarm_levels(text)]
     sizes = [v for _, _, v in find_wildfire_sizes(text)]
     vehicles = [v for _, _, v in find_vehicle_counts(text)]
-    fires = ref_match(fire or default_fire_causes(), tokens)
+    fires = ref_match(default_fire_causes(), tokens)
     return ScopeFeatures(
-        scale_adjectives=tuple(ref_match(scale or default_scale_lexicon(), tokens)),
+        scale_adjectives=tuple(ref_match(default_scale_lexicon(), tokens)),
         alarm_level=max(alarms) if alarms else None,
         fire_cause=fires[0] if fires else None,
         quake_magnitude=quake,
@@ -183,7 +185,7 @@ def ref_numeric_phrases(text):
     ]
 
 
-def ref_impact_features(p, text, human, addr, cat_tfidf):
+def ref_impact_features(p, text):
     start, end = p.span
     raw = p.raw
     before = text[max(0, start - 2) : start]
@@ -191,14 +193,12 @@ def ref_impact_features(p, text, human, addr, cat_tfidf):
     near = set(tokenize(text[max(0, start - 12) : min(len(text), end + 12)]))
     tweet_tokens = tokenize(text)
     triple = []
-    for label in ("address", "human_impact", "financial_impact"):
-        vec = cat_tfidf.vectors.get(label)
+    for weights in impact.default_category_tfidf():  # address, human, financial
         best = 0.0
-        if vec is not None:
-            for tok in tweet_tokens:
-                w = vec.entries.get(tok, 0.0)
-                if w > best:
-                    best = w
+        for tok in tweet_tokens:
+            w = weights.get(tok, 0.0)
+            if w > best:
+                best = w
         triple.append(best)
     context = list(p.context_tokens)
     return ImpactFeatureRow(
@@ -207,8 +207,8 @@ def ref_impact_features(p, text, human, addr, cat_tfidf):
         monetary_suffix=bool(_ATTACHED_SUFFIX_RE.search(raw)),
         timestamp_symbol=bool(_TS_RE.search(raw)),
         timezone_or_period=bool(near & _TZ_PERIOD),
-        human_terms_hits=len(ref_match(human, context)),
-        address_terms_hits=len(ref_match(addr, context)),
+        human_terms_hits=len(ref_match(default_human_impact_terms(), context)),
+        address_terms_hits=len(ref_match(default_address_terms(), context)),
         tfidf_triple=(triple[0], triple[1], triple[2]),
     )
 
@@ -240,16 +240,14 @@ def ref_assemble_features(post, source, ctx, rules):
         if sim > 0.0:
             topic = label
             features[f"topic_{label}"] = 1.0
-    features.update(
-        _scope_features(ref_extract_scope(post.text, ctx.scale_lexicon, ctx.fire_causes))
-    )
+    features.update(_scope_features(ref_extract_scope(post.text)))
     claimed = [(s, e) for s, e, _ in ref_scope_pattern_spans(post.text)]
     human_count = financial_count = 0
     human_max = 0.0
     for phrase in ref_numeric_phrases(post.text):
         if any(phrase.span[0] < e and s < phrase.span[1] for s, e in claimed):
             continue
-        row = ref_impact_features(phrase, post.text, ctx.human_tax, ctx.addr_tax, ctx.cat_tfidf)
+        row = ref_impact_features(phrase, post.text)
         label = ctx.impact_model.predict(dict(row.as_features()))
         if label == "human_impact":
             human_count += 1
@@ -263,7 +261,7 @@ def ref_assemble_features(post, source, ctx, rules):
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = ref_match(ctx.site_tax, tokenize(post.text))
+    site_hits = ref_match(default_site_terms(), tokenize(post.text))
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
     tagged = ref_tag_locations(post.text, ctx.gazetteer)
@@ -397,15 +395,18 @@ REF_RULES = ref_mask_rules()
 @example("3-alarm fire at highway bridge, 12 dead, 5,000 acres")
 @example("death toll 21 people missing @firedept https://t.co/Ab12 #wildfire")
 def test_masking_equals_reference(text):
-    assert mask_spans(text, RULES) == ref_mask_spans(text, REF_RULES)
-    assert mask_taxonomy_tokens(text, RULES) == ref_mask(text, REF_RULES)
+    assert _claimed_spans(TextAnalysis(text), RULES) == ref_mask_spans(text, REF_RULES)
+    assert mask_taxonomy_tokens(text) == ref_mask(text, REF_RULES)
 
 
 @SETTINGS
 @given(overlapping_taxonomies())
 def test_masking_with_overlapping_taxonomies_equals_reference(case):
     taxonomies, text = case
-    got = mask_spans(text, default_mask_rules(*taxonomies))
+    table = PhraseTable(
+        [dict.fromkeys(tax.token_phrases, name) for name, tax in zip(MASK_NAMES, taxonomies)]
+    )
+    got = _claimed_spans(TextAnalysis(text), table)
     assert got == ref_mask_spans(text, ref_mask_rules(*taxonomies))
 
 
@@ -430,21 +431,11 @@ def test_assemble_features_equals_reference(ctx, text, local):
 def test_thin_entry_points_equal_reference(gazetteer, text):
     assert tag_locations(text, gazetteer) == ref_tag_locations(text, gazetteer)
     assert extract_scope(text) == ref_extract_scope(text)
-    assert scope_pattern_spans(text) == ref_scope_pattern_spans(text)
+    assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
     assert extract_numeric_phrases(text) == ref_numeric_phrases(text)
+    triple = impact._tfidf_triple(tokenize(text))
     for p in extract_numeric_phrases(text):
-        assert impact.impact_features(p, text) == ref_impact_features(
-            p, text, default_human_impact_terms(), default_address_terms(),
-            impact.default_category_tfidf(),
-        )
-
-
-def test_custom_hail_table_still_applies():
-    text = "hail the size of a golf ball and 3-alarm fire"
-    table = {"golf ball": 9.0}
-    assert extract_scope(text, hail_table=table).hail_size_inches == 9.0
-    assert extract_scope(text).hail_size_inches == 1.75
-    assert extract_scope(text, hail_table=table) == ref_extract_scope(text, hail_table=table)
+        assert impact._phrase_row(p, text, triple) == ref_impact_features(p, text)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +465,7 @@ def test_extractors_total_over_unicode(ctx, text):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
     for hit in tag_locations(text, ctx.gazetteer):
         assert text[hit.span[0] : hit.span[1]] == hit.query
-    assert isinstance(mask_taxonomy_tokens(text, RULES), str)
+    assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert all(math.isfinite(v) for v in feats.values())
 
