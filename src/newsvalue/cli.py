@@ -2,9 +2,10 @@
 
 Verbs: curate, extract, label, train, predict, evaluate, timeliness.
 Every command is deterministic given the config seed and input files.
-Exit codes: 0 ok, 2 missing input file, 3 degenerate labels or too few
-examples, 4 model/file schema mismatch (including a bad gazetteer or a
-model without weights).
+Exit codes: 0 ok, 2 missing input file (or one that is not a regular
+file), 3 degenerate labels or too few examples, 4 model/file schema
+mismatch (including a bad gazetteer, a model without weights or an output
+name that is a directory).
 """
 
 from __future__ import annotations
@@ -149,8 +150,8 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
 
 
 def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(str(path))
+    if not path.is_file():
+        raise FileNotFoundError(f"{path} (not a regular file)" if path.exists() else str(path))
     return path
 
 
@@ -226,7 +227,7 @@ def _load_context(cfg: PipelineConfig):
     tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
     background = None
     if "background" in cfg.paths and Path(cfg.paths["background"]).exists():
-        tagged, errors = read_ndjson(cfg.path("background"), TaggedPost.from_record)
+        tagged, errors = read_ndjson(_require(cfg.path("background")), TaggedPost.from_record)
         _warn_errors("background", errors)
         if tagged:
             start = min(p.created_at for p in tagged)
@@ -241,7 +242,7 @@ def _load_sources(cfg: PipelineConfig) -> dict[str, SourceProfile]:
         path = cfg.path("curated")
     if not path.exists():
         return {}
-    profiles, errors = read_ndjson(path, SourceProfile.from_record)
+    profiles, errors = read_ndjson(_require(path), SourceProfile.from_record)
     _warn_errors("curated", errors)
     return {p.user_id: p for p in profiles}
 
@@ -525,6 +526,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_DEGENERATE_LABELS
     except (SchemaMismatch, BadGazetteer, ModelNotFitted) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA_MISMATCH
+    except IsADirectoryError as exc:  # inputs are regular files: this is an output
+        print(f"error: output {exc.filename} is a directory", file=sys.stderr)
         return EXIT_SCHEMA_MISMATCH
 
 

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 from .errors import NoDocuments
 from .linear import LinearModel, SGDConfig, train_one_vs_rest
 from .records import Post
-from .scope import TextAnalysis, Taxonomy, load_taxonomy
+from .scope import TextAnalysis, Taxonomy, fold_key, load_taxonomy
 from .spans import select_spans
 from .textvec import fit_tfidf, tokenize, vectorize
 
@@ -75,6 +75,12 @@ _WORD_RUN_RE = re.compile(
 )
 
 _SUFFIX_SCALE = {"k": 1e3, "m": 1e6, "mm": 1e6, "b": 1e9, "bn": 1e9}
+# _SOFT_RE phrases, spaces collapsed, to their SOFT_QUANTITIES key.
+_SOFT_KEYS = {
+    "several": "several", "scores of": "scores", "dozens of": "dozens",
+    "hundreds": "hundreds", "thousands": "thousands", "hundreds of thousands": "thousands",
+    "lakh": "lakh", "lakhs": "lakh", "crore": "crore", "crores": "crore",
+}
 
 # Tokens that terminate the noun-phrase chunk around a numeral.
 _FUNCTION_WORDS = frozenset(
@@ -272,21 +278,14 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
     for m in _DIGIT_RE.finditer(text):
         value = float(m.group(1).replace(",", ""))
         if m.group(2):
-            value *= _SCALES[m.group(2).lower()]
+            value *= _SCALES[fold_key(m.group(2), _SCALES)]
         elif m.group(3):
-            value *= _SUFFIX_SCALE[m.group(3).lower()]
+            value *= _SUFFIX_SCALE[fold_key(m.group(3), _SUFFIX_SCALE)]
         cands.append((m.start(), m.end(), (value, None)))
     for m in _SOFT_RE.finditer(text):
-        phrase = " ".join(m.group(1).lower().split())
-        if phrase == "hundreds of thousands":
-            key, floor = "thousands", 100000.0
-        else:
-            key = {
-                "several": "several", "scores of": "scores", "dozens of": "dozens",
-                "hundreds": "hundreds", "thousands": "thousands",
-                "lakh": "lakh", "lakhs": "lakh", "crore": "crore", "crores": "crore",
-            }[phrase]
-            floor = SOFT_QUANTITIES[key]
+        phrase = fold_key(" ".join(m.group(1).split()), _SOFT_KEYS)
+        key = _SOFT_KEYS[phrase]
+        floor = 100000.0 if phrase == "hundreds of thousands" else SOFT_QUANTITIES[key]
         cands.append((m.start(), m.end(), (floor, key)))
     for start, end, value in _word_number_runs(text):
         cands.append((start, end, (value, None)))

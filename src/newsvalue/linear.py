@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ModelNotFitted, SchemaMismatch
 
@@ -146,6 +146,23 @@ def _objective(
     return 0.5 * l2 * sq_norm + hinge / len(rows)
 
 
+def _shuffler(rng: random.Random, n: int) -> Callable[[list], None]:
+    """`rng.shuffle` for lists of n items, written out: the same Fisher-Yates
+    swaps and `getrandbits` draws, so the same permutations and generator
+    state, without two method calls per swap."""
+    getrandbits = rng.getrandbits
+    swaps = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+
+    def shuffle(order: list) -> None:
+        for i, k in swaps:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            order[i], order[j] = order[j], order[i]
+
+    return shuffle
+
+
 def train_binary_hinge(
     rows: Iterable[tuple[FeatureRow, int]], cfg: SGDConfig
 ) -> tuple[dict[str, float], float, float, float]:
@@ -194,13 +211,13 @@ def train_binary_hinge(
     stamp = 0
     row_stamp = [-1] * n
     scale = 1.0
-    rng = random.Random(cfg.seed)
+    shuffle = _shuffler(random.Random(cfg.seed), n)
     order = list(range(n))
     l2 = cfg.l2
     t = 0
     obj_first = obj_last = 0.0
     for epoch in range(cfg.epochs):
-        rng.shuffle(order)
+        shuffle(order)
         for i in order:
             t += 1
             if cfg.learning_rate is None:

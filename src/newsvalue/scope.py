@@ -5,7 +5,8 @@ quake magnitudes, wildfire sizes, vehicle counts, weather scales, hail).
 All extractors are pure functions of the raw text. When a text carries
 several candidates for the same indicator, the largest value wins: these
 features measure severity ceilings. TextAnalysis holds the scans of one
-text that masking, scope, impact and geo share.
+text that masking, scope, impact and geo share, and runs each pattern
+finder only when the text passes that finder's gate (see _FINDERS).
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ def load_scale_table(path) -> dict[str, float]:
             name, value = line.rsplit(",", 1)
             table[name.strip().lower()] = float(value)
     return table
+
+
+def fold_key(raw: str, table) -> str:
+    """The key of `table` that `raw`, a case-insensitive regex match of one
+    of its keys, spells. `re.IGNORECASE` matches ſ, K (Kelvin sign) and İ
+    to s, k and i; `str.lower()` keeps the first and doubles the last."""
+    key = raw.lower()
+    if key in table:
+        return key
+    return next(k for k in table if re.fullmatch(re.escape(k), raw, re.IGNORECASE))
 
 
 @lru_cache(maxsize=None)
@@ -261,8 +272,7 @@ _CONNECTOR_RE = re.compile(r"^[\s,]*(?:&|and|plus|\+)?[\s,]*$", re.IGNORECASE)
 
 
 def _count_value(raw: str) -> int:
-    raw = raw.lower()
-    return WORD_NUMBERS[raw] if raw in WORD_NUMBERS else int(raw)
+    return int(raw) if raw.isdecimal() else WORD_NUMBERS[fold_key(raw, WORD_NUMBERS)]
 
 
 def find_vehicle_counts(text: str) -> list[tuple[int, int, int]]:
@@ -341,13 +351,40 @@ def find_hail_sizes(text: str) -> list[tuple[int, int, float]]:
                 cands.append((m.start(), m.end(), value))
     for rx in _hail_object_res():
         for m in rx.finditer(text):
-            cands.append((m.start(), m.end(), table[m.group(1).lower()]))
+            cands.append((m.start(), m.end(), table[fold_key(m.group(1), table)]))
     return select_spans(cands)
 
 
 # ---------------------------------------------------------------------------
 # composite: one analysis per text
 # ---------------------------------------------------------------------------
+
+_DIGIT_RE = re.compile(r"\d")
+
+
+def _word_gate(words: Iterable[str]) -> re.Pattern:
+    """`\\b` and then one of `words`, case-insensitively as in the finders.
+    The lookahead on their first letters rejects most positions with one
+    class test instead of one test per word."""
+    words = list(words)
+    first = "".join(sorted({w[0] for w in words}))
+    return re.compile(rf"\b(?=[{first}])(?:{'|'.join(words)})", re.IGNORECASE)
+
+
+# (feature name, word gate, finder). Every text a finder can match holds a
+# decimal digit or, if the finder has a word gate, hits it; a text with
+# neither skips the finder. A word gate is a regex with the finder's flags:
+# a lowered substring test would miss the ſ, K and İ that re.IGNORECASE folds.
+_FINDERS = (
+    ("scope_alarm_level", None, find_alarm_levels),
+    ("scope_quake_magnitude", _word_gate(("intensity", "mercalli", "mmi", "ems", "csis")),
+     find_quake_magnitudes),
+    ("scope_wildfire_size", None, find_wildfire_sizes),
+    ("scope_vehicle_count", _word_gate(WORD_NUMBERS), find_vehicle_counts),
+    ("scope_weather_scale", None, find_weather_scales),
+    ("scope_hail_size", re.compile("hail", re.IGNORECASE), find_hail_sizes),
+)
+
 
 def _largest(cands: list) -> float | None:
     return max(v for _, _, v in cands) if cands else None
@@ -374,15 +411,12 @@ class TextAnalysis:
 
     @cached_property
     def finds(self) -> dict[str, list]:
-        """Each numeric scope pattern's candidates."""
+        """Each numeric scope pattern's candidates; [] where the gate misses."""
         t = self.text
+        digit = _DIGIT_RE.search(t) is not None
         return {
-            "scope_alarm_level": find_alarm_levels(t),
-            "scope_quake_magnitude": find_quake_magnitudes(t),
-            "scope_wildfire_size": find_wildfire_sizes(t),
-            "scope_vehicle_count": find_vehicle_counts(t),
-            "scope_weather_scale": find_weather_scales(t),
-            "scope_hail_size": find_hail_sizes(t),
+            name: finder(t) if digit or (gate is not None and gate.search(t)) else []
+            for name, gate, finder in _FINDERS
         }
 
     @cached_property

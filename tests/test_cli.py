@@ -589,6 +589,74 @@ class TestInputRecordChecks:
         assert blocker.read_text() == "not a directory\n"
 
 
+class TestDirectoryPaths:
+    """A path that names a directory is a missing input or, for an output
+    name, exit 4: one error line, never a traceback."""
+
+    def _set_path(self, config, key, value):
+        cfg = json.loads(config.read_text())
+        cfg["paths"][key] = str(value)
+        config.write_text(json.dumps(cfg))
+
+    @pytest.mark.parametrize(
+        "verb, key",
+        [
+            ("label", "posts"), ("label", "headlines"), ("curate", "gazetteer"),
+            ("extract", "background"), ("curate", "profiles"), ("curate", "tweets"),
+            ("curate", "assignments"), ("train", "labeled"), ("train", "features"),
+            ("extract", "curated"),
+        ],
+    )
+    def test_input_key_names_a_directory_exit_2(self, pipeline, capsys, verb, key):
+        tmp_path, config = pipeline
+        if key == "features":
+            assert main(["label", "--config", str(config)]) == EXIT_OK
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        self._set_path(config, key, folder)
+        assert main([verb, "--config", str(config)]) == EXIT_MISSING_INPUT
+        err = capsys.readouterr().err
+        assert err == f"error: missing input file: {folder} (not a regular file)\n"
+
+    def test_config_names_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["label", "--config", str(tmp_path)]) == EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == (
+            f"error: missing input file: {tmp_path} (not a regular file)\n"
+        )
+
+    def test_model_names_a_directory_exit_2(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        (tmp_path / "out" / "model.json").mkdir()
+        assert main(["predict", "--config", str(config)]) == EXIT_MISSING_INPUT
+        assert "(not a regular file)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "verb, name",
+        [("curate", "curated.ndjson"), ("train", "model.json"), ("evaluate", "ablation.json")],
+    )
+    def test_output_name_is_a_directory_exit_4(self, pipeline, capsys, verb, name):
+        tmp_path, config = pipeline
+        if verb != "curate":
+            for prior in ("label", "extract"):
+                assert main([prior, "--config", str(config)]) == EXIT_OK
+        target = tmp_path / "out" / name
+        target.mkdir(parents=True)
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        assert capsys.readouterr().err == f"error: output {target} is a directory\n"
+        assert target.is_dir() and not any(target.iterdir())
+
+    def test_timeliness_out_is_a_directory_exit_4(self, tmp_path, capsys):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0}])
+        write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": 1800}])
+        argv = ["timeliness", "--feed", str(feed), "--wire", str(wire), "--out", str(tmp_path)]
+        assert main(argv) == EXIT_SCHEMA_MISMATCH
+        assert capsys.readouterr().err == f"error: output {tmp_path} is a directory\n"
+
+
 class TestTimelinessCommand:
     def test_mean_and_beat_fraction(self, tmp_path, capsys):
         feed = tmp_path / "feed.ndjson"

@@ -127,6 +127,19 @@ class TestExtractNumericPhrases:
     def test_comma_grouping(self):
         assert extract_numeric_phrases("1,200 homes")[0].value == 1200
 
+    @pytest.mark.parametrize(
+        "text, value, soft",
+        [
+            ("5 thouſand dead", 5000, None), ("2 MİLLİON lost", 2e6, None),
+            ("ſeveral hurt", 3, "several"), ("ſcores of people", 20, "scores"),
+            ("hundreds of thouſands fled", 100000, "thousands"), ("dozenſ of cattle", 24, "dozens"),
+        ],
+    )
+    def test_scale_words_folded_like_the_regex(self, text, value, soft):
+        # re.IGNORECASE matches ſ to s and İ to i; str.lower() does not
+        p = extract_numeric_phrases(text)[0]
+        assert (p.value, p.soft_quantity) == (value, soft)
+
 
 class TestImpactFeatures:
     def test_currency_symbol(self):

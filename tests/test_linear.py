@@ -18,6 +18,7 @@ from newsvalue.errors import ModelNotFitted, SchemaMismatch
 from newsvalue.linear import (
     BIAS_KEY,
     SGDConfig,
+    _shuffler,
     train_binary_hinge,
     train_one_vs_rest,
 )
@@ -127,6 +128,19 @@ def assert_same_fit(rows, cfg):
 )
 def test_interned_kernel_matches_dict_kernel(rows, cfg):
     assert_same_fit(rows, cfg)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 160, 257])
+def test_shuffler_equals_random_shuffle(n):
+    for seed in range(50):
+        rng, ref = random.Random(seed), random.Random(seed)
+        shuffle = _shuffler(rng, n)
+        order, expected = list(range(n)), list(range(n))
+        for _ in range(3):
+            shuffle(order)
+            ref.shuffle(expected)
+            assert order == expected
+            assert rng.getstate() == ref.getstate()
 
 
 def test_clear_every_step_resets_weights_and_order():

@@ -178,6 +178,14 @@ class TestVehicleCount:
     def test_additive_with_and(self):
         assert extract_scope("4 cars and 2 trucks collided").vehicle_count == 6
 
+    @pytest.mark.parametrize(
+        "text, count",
+        [("ſix cars and two trucks", 8), ("FİVE cars and two trucks", 7), ("ſeven-car crash", 7)],
+    )
+    def test_word_number_folded_like_the_regex(self, text, count):
+        # re.IGNORECASE matches ſ to s and İ to i; str.lower() does not
+        assert extract_scope(text).vehicle_count == count
+
 
 class TestWeatherScale:
     def test_quarter_sized_hail(self):
@@ -209,6 +217,12 @@ class TestWeatherScale:
 
     def test_golf_ball(self):
         assert extract_scope("hail the size of a golf ball").hail_size_inches == pytest.approx(1.75)
+
+    @pytest.mark.parametrize(
+        "text, inches", [("baſeball hail", 2.75), ("hail the size of a PİNG PONG BALL", 1.5)]
+    )
+    def test_hail_object_folded_like_the_regex(self, text, inches):
+        assert extract_scope(text).hail_size_inches == inches
 
     def test_ef_out_of_range(self):
         assert extract_scope("EF9 claim").weather_scale is None

@@ -12,6 +12,7 @@ give exactly its masked text and feature vectors, float for float.
 from __future__ import annotations
 
 import math
+import re
 import zlib
 from dataclasses import replace
 
@@ -293,6 +294,9 @@ SCOPE_FRAGMENTS = [
     "3-car crash", "2 trucks & one car", "four vehicle pile-up", "EF3 tornado",
     "tornado T4", "force 9", "beaufort 11", "golf ball hail", "hail the size of a baseball",
     "1.75 inch hail", "hail up to 2 inches",
+    # digit-free, so only a finder's word gate lets it run
+    "Mercalli VII", "MMI vi", "İNTENSITY 7", "ſix cars and two trucks",
+    "hail the size of a golf ball", "pea-sized HAIL",
 ]
 NUMERIC_FRAGMENTS = [
     "12 dead", "$2 million in damages", "a dozen homes", "hundreds of thousands",
@@ -322,7 +326,7 @@ OVERLAPPING = sorted(
 PLACES = ["Jalisco", "Mexico", "New York City", "new york", "Paris", "Tokyo", "london"]
 WORDS = ["fire", "crews", "the", "near", "in", "and", "people", "trapped", "of", "on", "-", "a"]
 SEPARATORS = [" ", " ", ", ", ". ", "-", " - ", ": ", "\n", "  "]
-EDGE_CHARS = ["٣", "²", "İ", "ﬁ", "Ⅻ", "́", "​", "𝟓", "Ⅸ", "ß", "ǅ", "\x00"]
+EDGE_CHARS = ["٣", "²", "İ", "ﬁ", "Ⅻ", "́", "​", "𝟓", "Ⅸ", "ß", "ǅ", "\x00", "ſ", "\u212a"]
 
 fragment = st.one_of(
     st.sampled_from(SCOPE_FRAGMENTS),
@@ -474,6 +478,22 @@ def test_extractors_total_over_unicode(ctx, text):
 # each post is analysed once
 # ---------------------------------------------------------------------------
 
+def count_finder_runs(monkeypatch, text):
+    """Per feature name, how often its gated finder runs on `text`."""
+    found = {name: 0 for name, _, _ in scope._FINDERS}
+
+    def counted(name, fn):
+        def finder(t):
+            found[name] += t == text
+            return fn(t)
+        return finder
+
+    monkeypatch.setattr(
+        scope, "_FINDERS", tuple((n, gate, counted(n, fn)) for n, gate, fn in scope._FINDERS)
+    )
+    return found
+
+
 def test_assemble_features_scans_each_post_once(ctx, monkeypatch):
     text = (
         "Deadly 3-alarm fire at the highway bridge near Paris: 12 dead, 21 people "
@@ -493,18 +513,68 @@ def test_assemble_features_scans_each_post_once(ctx, monkeypatch):
         for name, fn in (("token_spans", textvec.token_spans), ("tokenize", textvec.tokenize)):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, fn))
-    finders = ("find_alarm_levels", "find_quake_magnitudes", "find_wildfire_sizes",
-               "find_vehicle_counts", "find_weather_scales", "find_hail_sizes")
-    found = {name: 0 for name in finders}
-    for name in finders:
-        fn = getattr(scope, name)
-
-        def finder(t, *rest, _name=name, _fn=fn):
-            found[_name] += t == text
-            return _fn(t, *rest)
-        monkeypatch.setattr(scope, name, finder)
-
+    found = count_finder_runs(monkeypatch, text)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert feats["impact_human_count"] >= 1 and feats["scope_alarm_level"] == 3.0
-    assert found == {name: 1 for name in finders}
+    assert found == {name: 1 for name in found}
     assert counts == {"token_spans": 1, "tokenize": 1}
+
+
+# ---------------------------------------------------------------------------
+# gated finders
+# ---------------------------------------------------------------------------
+
+FINDERS = {
+    "scope_alarm_level": find_alarm_levels,
+    "scope_quake_magnitude": find_quake_magnitudes,
+    "scope_wildfire_size": find_wildfire_sizes,
+    "scope_vehicle_count": find_vehicle_counts,
+    "scope_weather_scale": find_weather_scales,
+    "scope_hail_size": find_hail_sizes,
+}
+
+# Without a digit elsewhere in the text, these reach a finder only through
+# its word gate.
+DIGIT_FREE_FRAGMENTS = [f for f in SCOPE_FRAGMENTS if not re.search(r"\d", f)]
+gate_text = st.one_of(
+    st.text(),
+    texts(),
+    st.lists(st.one_of(st.text(max_size=4), st.sampled_from(SCOPE_FRAGMENTS),
+                       st.sampled_from(EDGE_CHARS), st.sampled_from(SEPARATORS)),
+             max_size=8).map("".join),
+    st.lists(st.one_of(st.sampled_from(DIGIT_FREE_FRAGMENTS), st.sampled_from(EDGE_CHARS),
+                       st.sampled_from(SEPARATORS)),
+             max_size=6).map("".join),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gate_text)
+def test_gated_finds_equal_ungated_finders(text):
+    """A finder that finds something implies its gate hits (a digit, or its
+    word gate), and the gated finds are the six finders run on every text."""
+    gates = {name: gate for name, gate, _ in scope._FINDERS}
+    ungated = {name: find(text) for name, find in FINDERS.items()}
+    digit = re.search(r"\d", text) is not None
+    for name, cands in ungated.items():
+        if cands:
+            assert digit or (gates[name] is not None and gates[name].search(text)), name
+    assert TextAnalysis(text).finds == ungated
+
+
+@pytest.mark.parametrize(
+    "text, runs",
+    [
+        ("Crews battle a blaze near Paris", set()),
+        ("Mercalli VII shaking near Paris", {"scope_quake_magnitude"}),
+        ("ſix cars and two trucks near Paris", {"scope_vehicle_count"}),
+        ("golf ball HAIL near Paris", {"scope_hail_size"}),
+        ("3-alarm fire near Paris", set(FINDERS)),
+        ("٣-alarm fire near Paris", set(FINDERS)),
+    ],
+)
+def test_finders_run_only_where_their_gate_hits(monkeypatch, text, runs):
+    found = count_finder_runs(monkeypatch, text)
+    finds = TextAnalysis(text).finds
+    assert found == {name: int(name in runs) for name in FINDERS}
+    assert finds == {name: find(text) for name, find in FINDERS.items()}
