@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -95,6 +96,8 @@ class PipelineConfig:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise SchemaMismatch(f"out_dir {str(out_dir)!r} is not a directory") from None
+        except (OSError, ValueError) as exc:  # a NUL byte, a lone surrogate, too long a name
+            raise SchemaMismatch(f"out_dir {str(out_dir)!r} cannot be created: {exc}") from None
         return out_dir / name
 
 
@@ -150,14 +153,24 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
 
 
 def _require(path: Path) -> Path:
-    if not path.is_file():
-        raise FileNotFoundError(f"{path} (not a regular file)" if path.exists() else str(path))
+    # os.path, unlike Path, says False for a name too long to look up.
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"{path} (not a regular file)" if os.path.exists(path) else str(path))
     return path
+
+
+# The characters str.splitlines() ends a line at, escaped as repr() does.
+_LINE_BREAKS = {ord(c): repr(c)[1:-1] for c in "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def _report(kind: str, message: object) -> None:
+    """One stderr line: a line break in a path or value cannot start another."""
+    print(f"{kind}: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
 def _warn_errors(name: str, errors: list[tuple[int, str]]) -> None:
     for lineno, message in errors:
-        print(f"warning: {name} line {lineno}: {message} (record skipped)", file=sys.stderr)
+        _report("warning", f"{name} line {lineno}: {message} (record skipped)")
 
 
 def _read_posts(path: Path) -> list[Post]:
@@ -226,7 +239,7 @@ def _load_context(cfg: PipelineConfig):
     headlines = _read_headlines(cfg.path("headlines"))
     tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
     background = None
-    if "background" in cfg.paths and Path(cfg.paths["background"]).exists():
+    if "background" in cfg.paths and os.path.exists(cfg.paths["background"]):
         tagged, errors = read_ndjson(_require(cfg.path("background")), TaggedPost.from_record)
         _warn_errors("background", errors)
         if tagged:
@@ -240,7 +253,7 @@ def _load_sources(cfg: PipelineConfig) -> dict[str, SourceProfile]:
     path = cfg.out_path("curated.ndjson")
     if "curated" in cfg.paths:
         path = cfg.path("curated")
-    if not path.exists():
+    if not os.path.exists(path):
         return {}
     profiles, errors = read_ndjson(_require(path), SourceProfile.from_record)
     _warn_errors("curated", errors)
@@ -456,7 +469,12 @@ def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) 
     if skipped:
         print("skipped (present on one side only): " + ", ".join(skipped))
     if out_path:
-        write_ndjson(out_path, rows)
+        try:
+            write_ndjson(out_path, rows)
+        except IsADirectoryError:
+            raise  # reported by main, as for every verb
+        except (OSError, ValueError) as exc:  # a NUL byte, too long a name
+            raise SchemaMismatch(f"output {out_path!r} cannot be written: {exc}") from None
         print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -519,16 +537,16 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_evaluate(cfg)
         raise AssertionError(f"unhandled command {args.command}")
     except FileNotFoundError as exc:
-        print(f"error: missing input file: {exc}", file=sys.stderr)
+        _report("error", f"missing input file: {exc}")
         return EXIT_MISSING_INPUT
     except (DegenerateLabels, InsufficientData, NoCentroids, NoDocuments, NoFeatures, NoVectors) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return EXIT_DEGENERATE_LABELS
     except (SchemaMismatch, BadGazetteer, ModelNotFitted) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report("error", exc)
         return EXIT_SCHEMA_MISMATCH
     except IsADirectoryError as exc:  # inputs are regular files: this is an output
-        print(f"error: output {exc.filename} is a directory", file=sys.stderr)
+        _report("error", f"output {exc.filename} is a directory")
         return EXIT_SCHEMA_MISMATCH
 
 

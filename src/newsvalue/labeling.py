@@ -153,6 +153,7 @@ def match_to_headlines(
     tfidf: TfidfModel,
     threshold: float = 0.5,
     index: TermTimeIndex | None = None,
+    vector: SparseVector | None = None,
 ) -> MatchResult:
     """Match one (already masked) post against (already masked) headlines.
 
@@ -166,11 +167,12 @@ def match_to_headlines(
     Scored are the in-window headlines sharing a term with the post and,
     only when none of them clears the threshold, the earlier headlines
     that could: those holding one of the post's probe terms. index is
-    index_headlines(headlines, tfidf), built here when not given.
+    index_headlines(headlines, tfidf) and vector the post's tf.idf vector,
+    each built here when not given.
     """
     if index is None:
         index = index_headlines(headlines, tfidf)
-    v = vectorize(tokenize(post.text), tfidf)
+    v = vectorize(tokenize(post.text), tfidf) if vector is None else vector
     t = post.created_at
     after = _best_headline(v, index, index.candidates(v.entries, t, t + MATCH_WINDOW_SECONDS))
     if after[1] is not None and after[0] >= threshold:
@@ -192,6 +194,7 @@ def propagate_links(
     tfidf: TfidfModel,
     link_threshold: float = 0.5,
     same_user_threshold: float = 0.3,
+    vectors: dict[str, SparseVector] | None = None,
 ) -> list[MatchResult]:
     """One linking pass from the frozen first-pass matched set.
 
@@ -200,10 +203,12 @@ def propagate_links(
     day; the threshold drops for matched posts by the same author. Never
     unmatches anything; runs exactly once to avoid long-tail error chains.
     Matched posts are indexed per UTC day, and only those holding one of
-    the post's probe terms for the lower threshold are scored.
+    the post's probe terms for the lower threshold are scored. vectors
+    maps each post id to its tf.idf vector, built here when not given.
     """
     by_id = {p.post_id: p for p in posts}
-    vectors = {pid: vectorize(tokenize(p.text), tfidf) for pid, p in by_id.items()}
+    if vectors is None:
+        vectors = {pid: vectorize(tokenize(p.text), tfidf) for pid, p in by_id.items()}
     days = {pid: _utc_date(p.created_at) for pid, p in by_id.items()}
     matched_by_day: dict[date, list[Post]] = {}
     for r in results:
@@ -278,19 +283,22 @@ def label_corpus(
     link_threshold: float = 0.5,
     same_user_threshold: float = 0.3,
 ) -> LabelingRun:
-    """Mask both sides, fit one shared tf.idf vocabulary, match, propagate."""
+    """Mask both sides, fit one shared tf.idf vocabulary, match, propagate.
+    Each masked text is tokenized once and vectorized once."""
     masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
     masked_headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
     documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
     documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
     tfidf = fit_tfidf(documents)
-    index = index_headlines(masked_headlines, tfidf)
+    vectors = [vectorize(tokens, tfidf) for _, tokens in documents]  # posts, then headlines
+    index = TermTimeIndex([h.published_at for h in masked_headlines], vectors[len(posts) :])
     first_pass = [
-        match_to_headlines(p, masked_headlines, tfidf, threshold, index)
-        for p in masked_posts
+        match_to_headlines(p, masked_headlines, tfidf, threshold, index, v)
+        for p, v in zip(masked_posts, vectors)
     ]
     final = propagate_links(
-        first_pass, masked_posts, tfidf, link_threshold, same_user_threshold
+        first_pass, masked_posts, tfidf, link_threshold, same_user_threshold,
+        {p.post_id: v for p, v in zip(masked_posts, vectors)},
     )
     stats = {
         "posts": len(posts),

@@ -259,7 +259,9 @@ WORD_NUMBERS = {
     "seventeen": 17, "eighteen": 18, "nineteen": 19, "twenty": 20,
 }
 _COUNT = r"\d{1,2}|" + "|".join(WORD_NUMBERS)
-_VEH_NOUN = r"(?:car|truck|vehicle|van|bus|suv|semi|motorcycle|lorry|trailer)s?"
+_VEH_NOUNS = ("car", "truck", "vehicle", "van", "bus", "suv", "semi", "motorcycle", "lorry",
+              "trailer")
+_VEH_NOUN = rf"(?:{'|'.join(_VEH_NOUNS)})s?"
 _CRASH = r"(?:crash(?:e[sd])?|collisions?|pile[\s-]?ups?|wrecks?)"
 _HYPHEN_FORM_RE = re.compile(
     rf"\b({_COUNT})[\s-]+{_VEH_NOUN}\s+{_CRASH}\b", re.IGNORECASE
@@ -360,29 +362,48 @@ def find_hail_sizes(text: str) -> list[tuple[int, int, float]]:
 # ---------------------------------------------------------------------------
 
 _DIGIT_RE = re.compile(r"\d")
+_RICHTER_GATE_RE = re.compile(r"[Mm]\s?\d")  # case-sensitive, like the M/m patterns
+# The non-ASCII characters re.IGNORECASE matches to an ASCII letter (İ,
+# dotless ı, long ſ, Kelvin K), each mapped to it: str.lower() keeps ı and ſ
+# and makes İ two characters. So every keyword a finder matches
+# case-insensitively is a substring of text.translate(_FOLD).lower().
+_FOLD = {0x130: "i", 0x131: "i", 0x17F: "s", 0x212A: "k"}
+# English number words none of which holds another as a substring
+# ("seventeen" holds "seven"), so any number word hits one of them.
+_NUMBER_WORDS = tuple(w for w in WORD_NUMBERS if not any(v != w and v in w for v in WORD_NUMBERS))
 
 
-def _word_gate(words: Iterable[str]) -> re.Pattern:
-    """`\\b` and then one of `words`, case-insensitively as in the finders.
-    The lookahead on their first letters rejects most positions with one
-    class test instead of one test per word."""
-    words = list(words)
-    first = "".join(sorted({w[0] for w in words}))
-    return re.compile(rf"\b(?=[{first}])(?:{'|'.join(words)})", re.IGNORECASE)
+def _any_in(folded: str, words: Iterable[str]) -> bool:
+    for word in words:
+        if word in folded:
+            return True
+    return False
 
 
-# (feature name, word gate, finder). Every text a finder can match holds a
-# decimal digit or, if the finder has a word gate, hits it; a text with
-# neither skips the finder. A word gate is a regex with the finder's flags:
-# a lowered substring test would miss the ſ, K and İ that re.IGNORECASE folds.
+def _quake_gate(text: str, folded: str, digit: bool) -> bool:
+    return _any_in(folded, ("intensity", "mercalli", "mmi", "ems", "csis")) or digit and (
+        _any_in(folded, ("mag", "shindo", "jma")) or _RICHTER_GATE_RE.search(text) is not None
+    )
+
+
+def _vehicle_gate(text: str, folded: str, digit: bool) -> bool:
+    return _any_in(folded, _VEH_NOUNS) and (digit or _any_in(folded, _NUMBER_WORDS))
+
+
+# (feature name, gate, finder). A gate is (text, folded text, has a decimal
+# digit) -> bool, and every text its finder can match passes it: each
+# finder pattern needs its keywords and, except for intensities, hail and
+# vehicle counts written as words, a digit.
 _FINDERS = (
-    ("scope_alarm_level", None, find_alarm_levels),
-    ("scope_quake_magnitude", _word_gate(("intensity", "mercalli", "mmi", "ems", "csis")),
-     find_quake_magnitudes),
-    ("scope_wildfire_size", None, find_wildfire_sizes),
-    ("scope_vehicle_count", _word_gate(WORD_NUMBERS), find_vehicle_counts),
-    ("scope_weather_scale", None, find_weather_scales),
-    ("scope_hail_size", re.compile("hail", re.IGNORECASE), find_hail_sizes),
+    ("scope_alarm_level", lambda t, f, d: d and "alarm" in f, find_alarm_levels),
+    ("scope_quake_magnitude", _quake_gate, find_quake_magnitudes),
+    ("scope_wildfire_size", lambda t, f, d: d and _any_in(f, ("acre", "sq", "mile")),
+     find_wildfire_sizes),
+    ("scope_vehicle_count", _vehicle_gate, find_vehicle_counts),
+    ("scope_weather_scale",
+     lambda t, f, d: d and _any_in(f, ("ef", "force", "beaufort", "torro", "tornado")),
+     find_weather_scales),
+    ("scope_hail_size", lambda t, f, d: "hail" in f, find_hail_sizes),
 )
 
 
@@ -413,10 +434,10 @@ class TextAnalysis:
     def finds(self) -> dict[str, list]:
         """Each numeric scope pattern's candidates; [] where the gate misses."""
         t = self.text
+        folded = (t if t.isascii() else t.translate(_FOLD)).lower()
         digit = _DIGIT_RE.search(t) is not None
         return {
-            name: finder(t) if digit or (gate is not None and gate.search(t)) else []
-            for name, gate, finder in _FINDERS
+            name: finder(t) if gate(t, folded, digit) else [] for name, gate, finder in _FINDERS
         }
 
     @cached_property

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BASE_TS,
@@ -588,6 +594,34 @@ class TestInputRecordChecks:
         assert err.count("\n") == 1
         assert blocker.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize(
+        "verb", ["curate", "label", "extract", "train", "predict", "evaluate"]
+    )
+    def test_out_dir_with_nul_byte_exit_4(self, pipeline, capsys, verb):
+        tmp_path, config = pipeline
+        cfg = json.loads(config.read_text())
+        cfg["paths"]["out_dir"] = str(tmp_path / "o\u0000ut")
+        config.write_text(json.dumps(cfg))
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: out_dir ") and "null byte" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, reason", [("o\x00ut.ndjson", "embedded null byte"), ("x" * 300, "too long")]
+    )
+    def test_timeliness_out_that_cannot_be_written_exit_4(self, tmp_path, capsys, name, reason):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0}])
+        write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": 1800}])
+        out = str(tmp_path / name)
+        argv = ["timeliness", "--feed", str(feed), "--wire", str(wire), "--out", out]
+        assert main(argv) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: output {out!r} cannot be written: ") and reason in err
+        assert err.count("\n") == 1
+
 
 class TestDirectoryPaths:
     """A path that names a directory is a missing input or, for an output
@@ -810,3 +844,76 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: config ")
         assert err.count("\n") == 1
+
+
+# The config keys the property below sets.
+CONFIG_KEYS = ["seed"] + [
+    f"thresholds.{k}" for k in (
+        "match", "link", "same_user_link", "local_focus", "follower_cap", "undersample_ratio",
+    )
+] + [
+    f"paths.{k}" for k in (
+        "gazetteer", "profiles", "tweets", "assignments", "headlines", "posts",
+        "background", "curated", "labeled", "features", "out_dir",
+    )
+]
+json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.text(max_size=8),
+    st.sampled_from(["o\x00ut", "\ud800", "x\udcff", "a\nb", "", ".", "1e400", "nan", "-1"]),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@pytest.fixture(scope="module")
+def fixture_config(tmp_path_factory):
+    """The CLI fixture's inputs, written once, and a directory for the
+    examples' working directories; outputs go to a relative out_dir, so
+    each example writes into its own."""
+    posts, headlines = make_event_posts()
+    config = json.loads(
+        write_pipeline_inputs(tmp_path_factory.mktemp("inputs"), posts, headlines).read_text()
+    )
+    config["paths"]["out_dir"] = "out"
+    return config, tmp_path_factory.mktemp("work")
+
+
+@pytest.mark.parametrize("verb", ["curate", "label", "extract"])
+@settings(max_examples=60, deadline=None)
+@given(overrides=st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, min_size=1, max_size=3))
+@example(overrides={"paths.out_dir": "o\x00ut"})
+@example(overrides={"paths.headlines": "a\nb"})
+@example(overrides={"paths.posts": 10**300})
+def test_any_config_value_keeps_the_exit_code_contract(fixture_config, verb, overrides):
+    """An arbitrary JSON value at any config key exits 0, 2, 3 or 4 with
+    no uncaught exception, and every stderr line is an error or a warning."""
+    base, work_root = fixture_config
+    config = json.loads(json.dumps(base))
+    for key, value in overrides.items():
+        section, _, name = key.rpartition(".")
+        if section == "paths":
+            # Keep every path inside the example's working directory.
+            assume(not str(value).startswith("/") and ".." not in str(value))
+        (config[section] if section else config)[name] = value
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=work_root) as work:
+        os.chdir(work)
+        try:
+            with open("config.json", "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([verb, "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_DEGENERATE_LABELS, EXIT_SCHEMA_MISMATCH)
+    for line in stderr.getvalue().splitlines():
+        assert line.startswith(("error:", "warning:")), line

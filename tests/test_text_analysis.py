@@ -11,8 +11,11 @@ give exactly its masked text and feature vectors, float for float.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
+import string
+import sys
 import zlib
 from dataclasses import replace
 
@@ -38,7 +41,7 @@ from newsvalue.impact import (
 from newsvalue.labeling import _claimed_spans, default_mask_rules, mask_taxonomy_tokens
 from newsvalue.model import NAME_BUCKETS, _scope_features, assemble_features, build_context
 from newsvalue.rarity import grid_cell, rarity
-from newsvalue.records import Post, SourceProfile
+from newsvalue.records import Headline, Post, SourceProfile
 from newsvalue.scope import (
     ScopeFeatures,
     TextAnalysis,
@@ -294,9 +297,15 @@ SCOPE_FRAGMENTS = [
     "3-car crash", "2 trucks & one car", "four vehicle pile-up", "EF3 tornado",
     "tornado T4", "force 9", "beaufort 11", "golf ball hail", "hail the size of a baseball",
     "1.75 inch hail", "hail up to 2 inches",
-    # digit-free, so only a finder's word gate lets it run
+    # digit-free, so only a keyword that needs no digit opens their finder
     "Mercalli VII", "MMI vi", "İNTENSITY 7", "ſix cars and two trucks",
-    "hail the size of a golf ball", "pea-sized HAIL",
+    "hail the size of a golf ball", "pea-sized HAIL", "EMS VIII", "csis ix",
+    # each holding the only keyword its finder's gate sees, some spelled
+    # with a character that re.IGNORECASE matches to an ASCII letter
+    "3-ALARM", "12 ſq mi", "2 mıle radius", "40 square miles", "4 truc\u212as and one van",
+    "ſhindo 5+", "JMA 4", "3-ſemi crash", "2-truck collision", "2-bus crash",
+    "3 SUV pile-up", "5-lorry crash", "2 trailer collision", "two motorcycle wreck",
+    "rated EF2", "TORRO T6", "2 mİle radius", "golf ball haİl",
 ]
 NUMERIC_FRAGMENTS = [
     "12 dead", "$2 million in damages", "a dozen homes", "hundreds of thousands",
@@ -326,7 +335,7 @@ OVERLAPPING = sorted(
 PLACES = ["Jalisco", "Mexico", "New York City", "new york", "Paris", "Tokyo", "london"]
 WORDS = ["fire", "crews", "the", "near", "in", "and", "people", "trapped", "of", "on", "-", "a"]
 SEPARATORS = [" ", " ", ", ", ". ", "-", " - ", ": ", "\n", "  "]
-EDGE_CHARS = ["٣", "²", "İ", "ﬁ", "Ⅻ", "́", "​", "𝟓", "Ⅸ", "ß", "ǅ", "\x00", "ſ", "\u212a"]
+EDGE_CHARS = ["٣", "²", "İ", "ı", "ﬁ", "Ⅻ", "́", "​", "𝟓", "Ⅸ", "ß", "ǅ", "\x00", "ſ", "\u212a"]
 
 fragment = st.one_of(
     st.sampled_from(SCOPE_FRAGMENTS),
@@ -516,7 +525,10 @@ def test_assemble_features_scans_each_post_once(ctx, monkeypatch):
     found = count_finder_runs(monkeypatch, text)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert feats["impact_human_count"] >= 1 and feats["scope_alarm_level"] == 3.0
-    assert found == {name: 1 for name in found}
+    # Each finder runs at most once; the gates open alarm, wildfire and
+    # quake ("damages" holds "mag") here.
+    opened = {"scope_alarm_level", "scope_quake_magnitude", "scope_wildfire_size"}
+    assert found == {name: int(name in opened) for name in found}
     assert counts == {"token_spans": 1, "tokenize": 1}
 
 
@@ -533,33 +545,62 @@ FINDERS = {
     "scope_hail_size": find_hail_sizes,
 }
 
-# Without a digit elsewhere in the text, these reach a finder only through
-# its word gate.
-DIGIT_FREE_FRAGMENTS = [f for f in SCOPE_FRAGMENTS if not re.search(r"\d", f)]
-gate_text = st.one_of(
-    st.text(),
-    texts(),
-    st.lists(st.one_of(st.text(max_size=4), st.sampled_from(SCOPE_FRAGMENTS),
-                       st.sampled_from(EDGE_CHARS), st.sampled_from(SEPARATORS)),
-             max_size=8).map("".join),
-    st.lists(st.one_of(st.sampled_from(DIGIT_FREE_FRAGMENTS), st.sampled_from(EDGE_CHARS),
-                       st.sampled_from(SEPARATORS)),
-             max_size=6).map("".join),
+# The non-ASCII characters re.IGNORECASE matches to i, s and k.
+IGNORECASE_SPELLINGS = {"i": "İı", "s": "ſ", "k": "\u212a"}
+
+
+@st.composite
+def respelled(draw, text):
+    """`text` with some of its i, s and k spelled as re.IGNORECASE still
+    matches them."""
+    return "".join(
+        draw(st.sampled_from(c + IGNORECASE_SPELLINGS[c.lower()]))
+        if c.lower() in IGNORECASE_SPELLINGS else c
+        for c in text
+    )
+
+
+# Every scope fragment, and "<number word> <vehicle noun> crash" for each
+# number word and noun: each holds the only keyword its finder's gate sees.
+WITNESSES = SCOPE_FRAGMENTS + [
+    f"{w} {n} crash" for w, n in zip(scope.WORD_NUMBERS, itertools.cycle(scope._VEH_NOUNS))
+]
+gate_parts = st.lists(
+    st.one_of(
+        st.text(max_size=4), texts(max_parts=4), st.sampled_from(WITNESSES),
+        st.sampled_from(EDGE_CHARS), st.sampled_from(SEPARATORS),
+    ),
+    max_size=8,
 )
 
 
-@settings(max_examples=400, deadline=None)
-@given(gate_text)
-def test_gated_finds_equal_ungated_finders(text):
-    """A finder that finds something implies its gate hits (a digit, or its
-    word gate), and the gated finds are the six finders run on every text."""
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*map(respelled, WITNESSES)), gate_parts)
+def test_gated_finds_equal_ungated_finders(witnesses, parts):
+    """On each witness alone (respelled), on each part alone and on their
+    concatenation: a finder that finds something implies its gate hits,
+    and the gated finds are the six finders run on every text."""
     gates = {name: gate for name, gate, _ in scope._FINDERS}
-    ungated = {name: find(text) for name, find in FINDERS.items()}
-    digit = re.search(r"\d", text) is not None
-    for name, cands in ungated.items():
-        if cands:
-            assert digit or (gates[name] is not None and gates[name].search(text)), name
-    assert TextAnalysis(text).finds == ungated
+    for text in (*witnesses, "".join(parts), *parts):
+        folded = text.translate(scope._FOLD).lower()
+        digit = re.search(r"\d", text) is not None
+        ungated = {name: find(text) for name, find in FINDERS.items()}
+        for name, cands in ungated.items():
+            if cands:
+                assert gates[name](text, folded, digit), (name, text)
+        assert TextAnalysis(text).finds == ungated
+
+
+def test_fold_table_is_every_ignorecase_match_of_an_ascii_letter():
+    """The non-ASCII characters re.IGNORECASE matches to an ASCII letter,
+    enumerated over every code point, are the fold table's keys, each
+    mapped to that letter."""
+    others = "".join(map(chr, range(0x80, sys.maxunicode + 1)))
+    folds = {}
+    for letter in string.ascii_lowercase:
+        for m in re.finditer(letter, others, re.IGNORECASE):
+            folds[ord(m.group())] = letter
+    assert folds == scope._FOLD
 
 
 @pytest.mark.parametrize(
@@ -569,8 +610,10 @@ def test_gated_finds_equal_ungated_finders(text):
         ("Mercalli VII shaking near Paris", {"scope_quake_magnitude"}),
         ("ſix cars and two trucks near Paris", {"scope_vehicle_count"}),
         ("golf ball HAIL near Paris", {"scope_hail_size"}),
-        ("3-alarm fire near Paris", set(FINDERS)),
-        ("٣-alarm fire near Paris", set(FINDERS)),
+        ("3-alarm fire near Paris", {"scope_alarm_level"}),
+        ("٣-alarm fire near Paris", {"scope_alarm_level"}),
+        ("M5.8 quake near Paris, 2-bus crash", {"scope_quake_magnitude", "scope_vehicle_count"}),
+        ("12 dead near Paris", set()),
     ],
 )
 def test_finders_run_only_where_their_gate_hits(monkeypatch, text, runs):
@@ -578,3 +621,52 @@ def test_finders_run_only_where_their_gate_hits(monkeypatch, text, runs):
     finds = TextAnalysis(text).finds
     assert found == {name: int(name in runs) for name in FINDERS}
     assert finds == {name: find(text) for name, find in FINDERS.items()}
+
+
+# ---------------------------------------------------------------------------
+# labeling tokenizes and vectorizes each masked text once
+# ---------------------------------------------------------------------------
+
+def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch):
+    day = 86400
+    headlines = [
+        Headline("3-alarm fire destroys warehouse near Paris", "ap", 10 * day + 3600),
+        Headline("Magnitude 6.1 quake shakes Tokyo, 12 dead", "reuters", 10 * day + 7200),
+        Headline("Old story about a flood in London", "bbc", 9 * day),
+    ]
+    posts = [
+        Post("a", "u1", 10 * day + 1200, "3-alarm fire destroys warehouse near Paris"),
+        Post("b", "u2", 10 * day + 600, "magnitude 6.1 quake shakes Tokyo, 12 dead!"),
+        Post("c", "u1", 10 * day + 60, "warehouse fire near Paris, crews say, more soon"),
+        Post("d", "u3", 10 * day, "story about a flood in London"),
+        Post("e", "u4", 10 * day, "bake sale at the community hall"),
+    ]
+    masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
+    masked_headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
+    masked = [p.text for p in masked_posts] + [h.text for h in masked_headlines]
+    tokenized, vectorized = [], []
+
+    def counted_tokenize(text):
+        tokenized.append(text)
+        return tokenize(text)
+
+    def counted_vectorize(tokens, model):
+        vectorized.append(tuple(tokens))
+        return vectorize(tokens, model)
+
+    monkeypatch.setattr(labeling, "tokenize", counted_tokenize)
+    monkeypatch.setattr(labeling, "vectorize", counted_vectorize)
+    run = labeling.label_corpus(posts, headlines)
+    assert sorted(tokenized) == sorted(masked)
+    assert sorted(vectorized) == sorted(tuple(tokenize(t)) for t in masked)
+    assert {r.status for r in run.results} == {"matched", "tardy", "unmatched"}
+    assert run.stats["via_link"] == 1
+
+    # The vectors label_corpus passes down are the ones each function
+    # builds for itself.
+    monkeypatch.undo()
+    documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
+    documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
+    tfidf = textvec.fit_tfidf(documents)
+    first = [labeling.match_to_headlines(p, masked_headlines, tfidf) for p in masked_posts]
+    assert run.results == labeling.propagate_links(first, masked_posts, tfidf)
