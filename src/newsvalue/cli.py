@@ -17,8 +17,9 @@ import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, TypeVar
 
-from .curation import CurationConfig, build_trbc_centroids, curate
+from .curation import build_trbc_centroids, curate
 from .errors import (
     BadGazetteer,
     DegenerateLabels,
@@ -35,7 +36,6 @@ from .labeling import label_corpus, undersample
 from .linear import LinearModel
 from .model import (
     POSITIVE_CLASS,
-    SvmConfig,
     ablate,
     assemble_features,
     build_context,
@@ -55,6 +55,8 @@ from .records import (
     write_ndjson,
 )
 
+T = TypeVar("T")
+
 EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_DEGENERATE_LABELS = 3
@@ -70,8 +72,9 @@ ABLATION_SETS = (
 
 @dataclass
 class PipelineConfig:
-    """Seed, thresholds (all defaulting to the published operating points),
-    and file paths."""
+    """Seed, thresholds and SVM settings, and file paths. The field defaults
+    are the published operating points and the only default values of the
+    pipeline: no library function has one of its own."""
 
     seed: int = 0
     match_threshold: float = 0.5
@@ -89,6 +92,10 @@ class PipelineConfig:
         if key not in self.paths:
             raise FileNotFoundError(f"config has no path for {key!r}")
         return Path(self.paths[key])
+
+    def input_path(self, key: str, name: str) -> Path:
+        """paths.<key> if the config names it, else out_dir/<name>."""
+        return self.path(key) if key in self.paths else self.out_path(name)
 
     def out_path(self, name: str) -> Path:
         out_dir = Path(self.paths.get("out_dir", "."))
@@ -109,6 +116,21 @@ def _finite_number(text: str) -> float:
     return value
 
 
+# (PipelineConfig field, config section or None for the top level, key)
+CONFIG_KEYS = (
+    ("seed", None, "seed"),
+    ("match_threshold", "thresholds", "match"),
+    ("link_threshold", "thresholds", "link"),
+    ("same_user_link_threshold", "thresholds", "same_user_link"),
+    ("local_focus_threshold", "thresholds", "local_focus"),
+    ("follower_cap", "thresholds", "follower_cap"),
+    ("undersample_ratio", "thresholds", "undersample_ratio"),
+    ("svm_epochs", "svm", "epochs"),
+    ("svm_c", "svm", "C"),
+    ("folds", "svm", "folds"),
+)
+
+
 def load_config(path: str | Path, seed_override: int | None = None) -> PipelineConfig:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -120,22 +142,13 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
     for key in ("thresholds", "svm", "paths"):
         if not isinstance(raw.get(key, {}), dict):
             raise SchemaMismatch(f"config {key!r} must be a JSON object")
-    thresholds = raw.get("thresholds", {})
-    svm = raw.get("svm", {})
+    cfg = PipelineConfig()
     try:
-        cfg = PipelineConfig(
-            seed=int(raw.get("seed", 0)),
-            match_threshold=float(thresholds.get("match", 0.5)),
-            link_threshold=float(thresholds.get("link", 0.5)),
-            same_user_link_threshold=float(thresholds.get("same_user_link", 0.3)),
-            local_focus_threshold=float(thresholds.get("local_focus", 0.5)),
-            follower_cap=int(thresholds.get("follower_cap", 1_000_000)),
-            undersample_ratio=int(thresholds.get("undersample_ratio", 10)),
-            svm_epochs=int(svm.get("epochs", 100)),
-            svm_c=float(svm.get("C", 1.0)),
-            folds=int(svm.get("folds", 10)),
-            paths={k: str(v) for k, v in raw.get("paths", {}).items()},
-        )
+        for name, section, key in CONFIG_KEYS:
+            values = raw.get(section, {}) if section else raw
+            if key in values:  # converted to the type of the field's default
+                setattr(cfg, name, type(getattr(cfg, name))(values[key]))
+        cfg.paths = {k: str(v) for k, v in raw.get("paths", {}).items()}
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaMismatch(f"bad config value: {exc}") from None
     for name in ("match_threshold", "link_threshold", "same_user_link_threshold",
@@ -168,37 +181,25 @@ def _report(kind: str, message: object) -> None:
     print(f"{kind}: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
-def _warn_errors(name: str, errors: list[tuple[int, str]]) -> None:
+def _read(path: Path, parse: Callable[[dict], T], name: str | None = None) -> list[T]:
+    """The records of one required input; each record parse rejects is
+    skipped with a warning under name (default: the file name)."""
+    records, errors = read_ndjson(_require(path), parse)
     for lineno, message in errors:
-        _report("warning", f"{name} line {lineno}: {message} (record skipped)")
-
-
-def _read_posts(path: Path) -> list[Post]:
-    posts, errors = read_ndjson(_require(path), Post.from_record)
-    _warn_errors(path.name, errors)
-    return posts
-
-
-def _read_headlines(path: Path) -> list[Headline]:
-    headlines, errors = read_ndjson(_require(path), Headline.from_record)
-    _warn_errors(path.name, errors)
-    return headlines
+        _report("warning", f"{name or path.name} line {lineno}: {message} (record skipped)")
+    return records
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_curate(cfg: PipelineConfig) -> int:
+def cmd_curate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     gaz = load_gazetteer(_require(cfg.path("gazetteer")))
-    profiles, errors = read_ndjson(_require(cfg.path("profiles")), SourceProfile.from_record)
-    _warn_errors("profiles", errors)
-    tweets = _read_posts(cfg.path("tweets"))
-    assignments, errors = read_ndjson(
-        _require(cfg.path("assignments")), TopicAssignment.from_record
-    )
-    _warn_errors("assignments", errors)
-    headlines = _read_headlines(cfg.path("headlines"))
+    profiles = _read(cfg.path("profiles"), SourceProfile.from_record, "profiles")
+    tweets = _read(cfg.path("tweets"), Post.from_record)
+    assignments = _read(cfg.path("assignments"), TopicAssignment.from_record, "assignments")
+    headlines = _read(cfg.path("headlines"), Headline.from_record)
 
     tweets_by_user: dict[str, list[Post]] = {}
     for post in tweets:
@@ -212,11 +213,9 @@ def cmd_curate(cfg: PipelineConfig) -> int:
         gaz,
         centroids,
         tfidf,
-        CurationConfig(
-            seed=cfg.seed,
-            follower_cap=cfg.follower_cap,
-            local_focus_threshold=cfg.local_focus_threshold,
-        ),
+        seed=cfg.seed,
+        follower_cap=cfg.follower_cap,
+        local_focus_threshold=cfg.local_focus_threshold,
     )
     out = cfg.out_path("curated.ndjson")
     write_ndjson(out, (p.to_record() for p in curated))
@@ -236,12 +235,11 @@ def cmd_curate(cfg: PipelineConfig) -> int:
 
 def _load_context(cfg: PipelineConfig):
     gaz = load_gazetteer(_require(cfg.path("gazetteer")))
-    headlines = _read_headlines(cfg.path("headlines"))
+    headlines = _read(cfg.path("headlines"), Headline.from_record)
     tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
     background = None
-    if "background" in cfg.paths and os.path.exists(cfg.paths["background"]):
-        tagged, errors = read_ndjson(_require(cfg.path("background")), TaggedPost.from_record)
-        _warn_errors("background", errors)
+    if "background" in cfg.paths:  # optional, but a named one must exist
+        tagged = _read(cfg.path("background"), TaggedPost.from_record, "background")
         if tagged:
             start = min(p.created_at for p in tagged)
             end = max(p.created_at for p in tagged) + 1
@@ -250,18 +248,14 @@ def _load_context(cfg: PipelineConfig):
 
 
 def _load_sources(cfg: PipelineConfig) -> dict[str, SourceProfile]:
-    path = cfg.out_path("curated.ndjson")
-    if "curated" in cfg.paths:
-        path = cfg.path("curated")
-    if not os.path.exists(path):
-        return {}
-    profiles, errors = read_ndjson(_require(path), SourceProfile.from_record)
-    _warn_errors("curated", errors)
-    return {p.user_id: p for p in profiles}
+    path = cfg.input_path("curated", "curated.ndjson")
+    if "curated" not in cfg.paths and not os.path.exists(path):
+        return {}  # no curate run: posts carry no source profile
+    return {p.user_id: p for p in _read(path, SourceProfile.from_record, "curated")}
 
 
-def cmd_extract(cfg: PipelineConfig) -> int:
-    posts = _read_posts(cfg.path("posts"))
+def cmd_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    posts = _read(cfg.path("posts"), Post.from_record)
     ctx = _load_context(cfg)
     sources = _load_sources(cfg)
     out = cfg.out_path("features.tsv")
@@ -277,9 +271,9 @@ def cmd_extract(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_label(cfg: PipelineConfig) -> int:
-    posts = _read_posts(cfg.path("posts"))
-    headlines = _read_headlines(cfg.path("headlines"))
+def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    posts = _read(cfg.path("posts"), Post.from_record)
+    headlines = _read(cfg.path("headlines"), Headline.from_record)
     run = label_corpus(
         posts,
         headlines,
@@ -339,14 +333,10 @@ def _read_features(path: Path) -> dict[str, dict[str, float]]:
 
 
 def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
-    labeled_path = cfg.out_path("labeled.ndjson")
-    if "labeled" in cfg.paths:
-        labeled_path = cfg.path("labeled")
-    features_path = cfg.out_path("features.tsv")
-    if "features" in cfg.paths:
-        features_path = cfg.path("features")
-    _require(labeled_path)
-    features = _read_features(features_path)
+    """Labeled posts with their features, by post id, the unmatched ones
+    undersampled to the configured ratio."""
+    labeled_path = _require(cfg.input_path("labeled", "labeled.ndjson"))
+    features = _read_features(cfg.input_path("features", "features.tsv"))
 
     def parse(rec: dict) -> LabeledExample:
         post_id = str(rec["post_id"])
@@ -357,17 +347,16 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
             label_provenance="via_link" if rec.get("via_link") else "direct",
         )
 
-    examples, errors = read_ndjson(labeled_path, parse)
-    _warn_errors("labeled", errors)
-    return sorted(examples, key=lambda e: e.post_id)
+    examples = sorted(_read(labeled_path, parse, "labeled"), key=lambda e: e.post_id)
+    return undersample(examples, ratio=cfg.undersample_ratio, seed=cfg.seed)
 
 
-def cmd_train(cfg: PipelineConfig) -> int:
+def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
-    examples = undersample(examples, ratio=cfg.undersample_ratio, seed=cfg.seed)
-    svm_cfg = SvmConfig(epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
-    report = cross_validate(examples, folds=cfg.folds, seed=cfg.seed, config=svm_cfg)
-    model = train_svm(examples, svm_cfg)
+    report = cross_validate(
+        examples, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c
+    )
+    model = train_svm(examples, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
     report.group_weights = feature_group_weights(model)
     model_path = cfg.out_path("model.json")
     model.save(model_path)
@@ -384,12 +373,10 @@ def cmd_train(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_predict(cfg: PipelineConfig, model_path: str | None = None) -> int:
-    path = Path(model_path) if model_path else cfg.out_path("model.json")
+def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    path = Path(args.model) if args.model else cfg.out_path("model.json")
     model = LinearModel.load(_require(path), expect_kind="svm")
-    features = _read_features(
-        cfg.path("features") if "features" in cfg.paths else cfg.out_path("features.tsv")
-    )
+    features = _read_features(cfg.input_path("features", "features.tsv"))
     records = []
     for post_id in sorted(features):
         score = model.decision(features[post_id])[POSITIVE_CLASS]
@@ -404,12 +391,10 @@ def cmd_predict(cfg: PipelineConfig, model_path: str | None = None) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(cfg: PipelineConfig) -> int:
-    examples = _load_examples(cfg)
-    examples = undersample(examples, ratio=cfg.undersample_ratio, seed=cfg.seed)
-    svm_cfg = SvmConfig(epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
+def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     results = ablate(
-        examples, ABLATION_SETS, folds=cfg.folds, seed=cfg.seed, config=svm_cfg
+        _load_examples(cfg), ABLATION_SETS,
+        folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
     )
     out = cfg.out_path("ablation.json")
     payload = []
@@ -433,16 +418,12 @@ def cmd_evaluate(cfg: PipelineConfig) -> int:
 
 
 def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) -> int:
-    feed_rows, errors = read_ndjson(
-        _require(Path(feed_path)), lambda r: (str(r["event_id"]), int(r["first_tweet_at"]))
-    )
-    _warn_errors("feed", errors)
-    wire_rows, errors = read_ndjson(
-        _require(Path(wire_path)), lambda r: (str(r["event_id"]), int(r["wire_alert_at"]))
-    )
-    _warn_errors("wire", errors)
-    feed = dict(feed_rows)
-    wire = dict(wire_rows)
+    feed = dict(_read(
+        Path(feed_path), lambda r: (str(r["event_id"]), int(r["first_tweet_at"])), "feed"
+    ))
+    wire = dict(_read(
+        Path(wire_path), lambda r: (str(r["event_id"]), int(r["wire_alert_at"])), "wire"
+    ))
     shared = sorted(set(feed) & set(wire))
     skipped = sorted((set(feed) | set(wire)) - set(shared))
     rows = []
@@ -483,30 +464,33 @@ def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) 
 # argument parsing
 # ---------------------------------------------------------------------------
 
+# Each verb that reads --config: its help line and its command.
+VERBS = {
+    "curate": ("build the curated source list", cmd_curate),
+    "extract": ("assemble feature vectors for posts", cmd_extract),
+    "label": ("noisy-label posts against wire headlines", cmd_label),
+    "train": ("cross-validate and train the news-value SVM", cmd_train),
+    "evaluate": ("run feature-group ablations", cmd_evaluate),
+    "predict": ("score posts with a trained model", cmd_predict),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="newsvalue",
         description="Predict which locally reported disasters will reach global news.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="verb", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="pipeline config JSON")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
 
-    for verb, help_text in (
-        ("curate", "build the curated source list"),
-        ("extract", "assemble feature vectors for posts"),
-        ("label", "noisy-label posts against wire headlines"),
-        ("train", "cross-validate and train the news-value SVM"),
-        ("evaluate", "run feature-group ablations"),
-    ):
-        sub.add_parser(verb, parents=[common], help=help_text)
-
-    predict = sub.add_parser(
-        "predict", parents=[common], help="score posts with a trained model"
+    for verb, (help_text, command) in VERBS.items():
+        sub.add_parser(verb, parents=[common], help=help_text).set_defaults(command=command)
+    sub.choices["predict"].add_argument(
+        "--model", default=None, help="model file (default: out_dir/model.json)"
     )
-    predict.add_argument("--model", default=None, help="model file (default: out_dir/model.json)")
 
     timeliness = sub.add_parser(
         "timeliness", help="compare feed lead times against wire alerts"
@@ -520,22 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "timeliness":
+        if args.verb == "timeliness":
             return cmd_timeliness(args.feed, args.wire, args.out)
-        cfg = load_config(_require(Path(args.config)), args.seed)
-        if args.command == "curate":
-            return cmd_curate(cfg)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "label":
-            return cmd_label(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.model)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.command(load_config(_require(Path(args.config)), args.seed), args)
     except FileNotFoundError as exc:
         _report("error", f"missing input file: {exc}")
         return EXIT_MISSING_INPUT

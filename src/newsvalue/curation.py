@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import random
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import lru_cache
 from math import ceil, log
 from pathlib import Path
@@ -42,8 +42,6 @@ log_ = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
-DEFAULT_FOLLOWER_CAP = 1_000_000
-DEFAULT_LOCAL_FOCUS_THRESHOLD = 0.5
 SAMPLE_SIZE = 50  # tweets per account for the local-focus ratio
 MAX_ACCOUNT_TWEETS = 1000  # tweets per account for its topic centroid
 PER_CODE_CAP = 1000  # headlines per topic code for its centroid
@@ -145,7 +143,7 @@ def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
 
 
 def build_trbc_centroids(
-    headlines: Sequence[Headline], seed: int = 0
+    headlines: Sequence[Headline], *, seed: int
 ) -> tuple[TfidfModel, CentroidSet]:
     """Per-topic-code centroids over wire headlines.
 
@@ -230,13 +228,6 @@ def informativeness(history: Sequence[Post], story_memberships: int) -> float:
     return 100.0 * story_memberships / len(history)
 
 
-@dataclass(frozen=True)
-class CurationConfig:
-    seed: int = 0
-    follower_cap: int = DEFAULT_FOLLOWER_CAP
-    local_focus_threshold: float = DEFAULT_LOCAL_FOCUS_THRESHOLD
-
-
 def curate(
     profiles: Sequence[SourceProfile],
     tweets_by_user: Mapping[str, Sequence[Post]],
@@ -244,7 +235,10 @@ def curate(
     g: Gazetteer,
     trbc_centroids: CentroidSet,
     tfidf: TfidfModel,
-    config: CurationConfig | None = None,
+    *,
+    seed: int,
+    follower_cap: int,
+    local_focus_threshold: float,
 ) -> tuple[list[SourceProfile], dict[str, int]]:
     """Run the full curation pipeline; returns (curated, stage counters).
 
@@ -252,7 +246,6 @@ def curate(
     Per-profile failures (no tweets, unresolvable data) skip the profile
     with a log line rather than aborting the run.
     """
-    cfg = config or CurationConfig()
     stages = {
         "input": len(profiles),
         "removed_follower_cap": 0,
@@ -267,7 +260,7 @@ def curate(
 
     step1 = []
     for p in profiles:
-        if p.followers > cfg.follower_cap:
+        if p.followers > follower_cap:
             stages["removed_follower_cap"] += 1
             removed.append(p)
         else:
@@ -284,12 +277,12 @@ def curate(
 
     for p in step2:
         try:
-            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, cfg.seed)
+            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed)
         except NoProfileLocation:
             stages["removed_no_location"] += 1
             removed.append(p)
             continue
-        if ratio >= cfg.local_focus_threshold:
+        if ratio >= local_focus_threshold:
             survivors.append(replace(p, locally_focused=True))
         else:
             stages["removed_not_local"] += 1
@@ -310,9 +303,7 @@ def curate(
     for p in survivors:
         history = tweets_by_user.get(p.user_id, ())
         try:
-            category = classify_account(
-                p, history, trbc_centroids, tfidf, seed=cfg.seed
-            )
+            category = classify_account(p, history, trbc_centroids, tfidf, seed=seed)
             info = informativeness(history, story_counts.get(p.user_id, 0))
         except EmptyAccount as exc:
             stages["skipped_errors"] += 1

@@ -203,7 +203,7 @@ def _word_number_runs(text: str) -> list[tuple[int, int, float]]:
         start, end = matches[i].start(), matches[j].end()
         # Include a leading "a"/"an" for "a dozen" style phrases.
         lead = re.search(r"\b(an?)[\s\-]+$", text[:start], re.IGNORECASE)
-        words = re.findall(r"[^\W\d]+", text[start:end].lower())
+        words = [fold_key(m.group(), _NUMBER_WORDS) for m in matches[i : j + 1]]
         if lead and words and words[0] in _SCALES:
             start = lead.start(1)
             words.insert(0, lead.group(1).lower())
@@ -371,8 +371,7 @@ def _phrase_row(p: NumericPhrase, text: str, triple: tuple[float, ...]) -> Impac
 # ---------------------------------------------------------------------------
 
 def train_impact_classifier(
-    rows: Sequence[tuple[ImpactFeatureRow, str]],
-    config: SGDConfig | None = None,
+    rows: Sequence[tuple[ImpactFeatureRow, str]], config: SGDConfig
 ) -> LinearModel:
     """One-vs-rest hinge SGD over the eight features; deterministic per seed."""
     from .errors import DegenerateLabels
@@ -383,9 +382,8 @@ def train_impact_classifier(
     unknown = labels - set(IMPACT_CLASSES)
     if unknown:
         raise ValueError(f"unknown impact labels: {sorted(unknown)}")
-    cfg = config or SGDConfig(epochs=50, learning_rate=0.01, l2=1e-4, seed=0)
     prepared = [(row.as_features(), label) for row, label in rows]
-    model = train_one_vs_rest(prepared, IMPACT_CLASSES, cfg, kind="impact")
+    model = train_one_vs_rest(prepared, IMPACT_CLASSES, config, kind="impact")
     model.train_meta["train_report"] = classification_report(model, rows)
     return model
 
@@ -506,7 +504,7 @@ def _canonical_rows() -> list[tuple[ImpactFeatureRow, str]]:
     return rows
 
 
-def bootstrap_impact_model(seed: int = 0) -> LinearModel:
+def bootstrap_impact_model(seed: int) -> LinearModel:
     """Train the default impact model from built-in canonical rows."""
     cfg = SGDConfig(epochs=50, learning_rate=0.01, l2=1e-4, seed=seed)
     return train_impact_classifier(_canonical_rows(), cfg)

@@ -24,7 +24,7 @@ from .impact import default_address_terms, default_human_impact_terms, default_s
 from .records import Headline, LabeledExample, Post
 from .scope import TextAnalysis, default_fire_causes, default_scale_lexicon
 from .spans import PhraseTable, select_spans
-from .textvec import SparseVector, TfidfModel, cosine, fit_tfidf, tokenize, vectorize
+from .textvec import SparseVector, cosine, fit_tfidf, tokenize, vectorize
 
 MATCH_WINDOW_SECONDS = 86400
 
@@ -128,14 +128,6 @@ def _probe_terms(v: SparseVector, threshold: float) -> list[str]:
     return []
 
 
-def index_headlines(headlines: Sequence[Headline], tfidf: TfidfModel) -> TermTimeIndex:
-    """Headline vectors indexed by publication time and term."""
-    return TermTimeIndex(
-        [h.published_at for h in headlines],
-        [vectorize(tokenize(h.text), tfidf) for h in headlines],
-    )
-
-
 def _best_headline(
     v: SparseVector, index: TermTimeIndex, candidates: list[int]
 ) -> tuple[float, Optional[int]]:
@@ -148,12 +140,7 @@ def _best_headline(
 
 
 def match_to_headlines(
-    post: Post,
-    headlines: Sequence[Headline],
-    tfidf: TfidfModel,
-    threshold: float = 0.5,
-    index: TermTimeIndex | None = None,
-    vector: SparseVector | None = None,
+    post: Post, vector: SparseVector, index: TermTimeIndex, threshold: float
 ) -> MatchResult:
     """Match one (already masked) post against (already masked) headlines.
 
@@ -166,19 +153,17 @@ def match_to_headlines(
 
     Scored are the in-window headlines sharing a term with the post and,
     only when none of them clears the threshold, the earlier headlines
-    that could: those holding one of the post's probe terms. index is
-    index_headlines(headlines, tfidf) and vector the post's tf.idf vector,
-    each built here when not given.
+    that could: those holding one of the post's probe terms. vector is the
+    post's tf.idf vector and index holds the headline vectors by
+    publication time.
     """
-    if index is None:
-        index = index_headlines(headlines, tfidf)
-    v = vectorize(tokenize(post.text), tfidf) if vector is None else vector
     t = post.created_at
-    after = _best_headline(v, index, index.candidates(v.entries, t, t + MATCH_WINDOW_SECONDS))
+    window = index.candidates(vector.entries, t, t + MATCH_WINDOW_SECONDS)
+    after = _best_headline(vector, index, window)
     if after[1] is not None and after[0] >= threshold:
         return MatchResult(post.post_id, MATCHED, after[1], after[0])
-    earlier = index.candidates(_probe_terms(v, threshold), -math.inf, t)
-    before = _best_headline(v, index, earlier)
+    earlier = index.candidates(_probe_terms(vector, threshold), -math.inf, t)
+    before = _best_headline(vector, index, earlier)
     if before[1] is not None and before[0] >= threshold:
         return MatchResult(post.post_id, TARDY, before[1], before[0])
     return MatchResult(post.post_id, UNMATCHED, after[1], after[0])
@@ -191,10 +176,9 @@ def _utc_date(ts: int) -> date:
 def propagate_links(
     results: Sequence[MatchResult],
     posts: Sequence[Post],
-    tfidf: TfidfModel,
-    link_threshold: float = 0.5,
-    same_user_threshold: float = 0.3,
-    vectors: dict[str, SparseVector] | None = None,
+    vectors: dict[str, SparseVector],
+    link_threshold: float,
+    same_user_threshold: float,
 ) -> list[MatchResult]:
     """One linking pass from the frozen first-pass matched set.
 
@@ -204,11 +188,9 @@ def propagate_links(
     unmatches anything; runs exactly once to avoid long-tail error chains.
     Matched posts are indexed per UTC day, and only those holding one of
     the post's probe terms for the lower threshold are scored. vectors
-    maps each post id to its tf.idf vector, built here when not given.
+    maps each post id to its tf.idf vector.
     """
     by_id = {p.post_id: p for p in posts}
-    if vectors is None:
-        vectors = {pid: vectorize(tokenize(p.text), tfidf) for pid, p in by_id.items()}
     days = {pid: _utc_date(p.created_at) for pid, p in by_id.items()}
     matched_by_day: dict[date, list[Post]] = {}
     for r in results:
@@ -253,7 +235,7 @@ def propagate_links(
 
 
 def undersample(
-    examples: Sequence[LabeledExample], ratio: int = 10, seed: int = 0
+    examples: Sequence[LabeledExample], ratio: int, seed: int
 ) -> list[LabeledExample]:
     """Keep every matched example; sample the unmatched down to ratio x matched."""
     matched_idx = [i for i, e in enumerate(examples) if e.label]
@@ -279,9 +261,9 @@ class LabelingRun:
 def label_corpus(
     posts: Sequence[Post],
     headlines: Sequence[Headline],
-    threshold: float = 0.5,
-    link_threshold: float = 0.5,
-    same_user_threshold: float = 0.3,
+    threshold: float,
+    link_threshold: float,
+    same_user_threshold: float,
 ) -> LabelingRun:
     """Mask both sides, fit one shared tf.idf vocabulary, match, propagate.
     Each masked text is tokenized once and vectorized once."""
@@ -293,12 +275,11 @@ def label_corpus(
     vectors = [vectorize(tokens, tfidf) for _, tokens in documents]  # posts, then headlines
     index = TermTimeIndex([h.published_at for h in masked_headlines], vectors[len(posts) :])
     first_pass = [
-        match_to_headlines(p, masked_headlines, tfidf, threshold, index, v)
-        for p, v in zip(masked_posts, vectors)
+        match_to_headlines(p, v, index, threshold) for p, v in zip(masked_posts, vectors)
     ]
     final = propagate_links(
-        first_pass, masked_posts, tfidf, link_threshold, same_user_threshold,
-        {p.post_id: v for p, v in zip(masked_posts, vectors)},
+        first_pass, masked_posts, {p.post_id: v for p, v in zip(masked_posts, vectors)},
+        link_threshold, same_user_threshold,
     )
     stats = {
         "posts": len(posts),

@@ -28,9 +28,9 @@ FeatureRow = Sequence[tuple[str, float]]
 
 @dataclass(frozen=True)
 class SGDConfig:
-    epochs: int = 100
-    seed: int = 0
-    l2: float = 1e-4
+    epochs: int
+    seed: int
+    l2: float
     learning_rate: float | None = None  # None -> 1/(l2 * t) schedule
     class_weight: str | None = None     # None | "balanced"
 

@@ -56,7 +56,8 @@ def build_context(
     tfidf: TfidfModel,
     centroids: CentroidSet,
     background: Optional[BackgroundIndex] = None,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> FeatureContext:
     return FeatureContext(
         gazetteer=gazetteer,
@@ -184,13 +185,6 @@ def assemble_features(
 # SVM training and evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SvmConfig:
-    epochs: int = 100
-    C: float = 1.0
-    seed: int = 0
-
-
 class _Rows:
     """(sorted features, +1/-1) per example, made as the kernel reads them,
     so no fit holds every row's (name, value) pairs at once. Sized, because
@@ -208,7 +202,7 @@ class _Rows:
 
 
 def train_svm(
-    examples: Sequence[LabeledExample], config: SvmConfig | None = None
+    examples: Sequence[LabeledExample], *, epochs: int, C: float, seed: int
 ) -> LinearModel:
     """Binary linear SVM via Pegasos-style SGD (hinge + L2, eta = 1/(lambda t)).
 
@@ -217,31 +211,24 @@ def train_svm(
     regularized objective after the first and last epochs lands in
     train_meta for monitoring.
     """
-    cfg = config or SvmConfig()
     labels = {e.label for e in examples}
     if len(labels) < 2:
         raise DegenerateLabels("SVM training needs both classes")
-    lam = 1.0 / (cfg.C * len(examples)) if cfg.C > 0 else math.nan
+    lam = 1.0 / (C * len(examples)) if C > 0 else math.nan
     if not (math.isfinite(lam) and lam > 0.0):
         raise SchemaMismatch(
-            f"svm C={cfg.C} over {len(examples)} examples gives l2={lam}; "
+            f"svm C={C} over {len(examples)} examples gives l2={lam}; "
             "it must be a positive finite number"
         )
-    sgd = SGDConfig(
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        l2=lam,
-        learning_rate=None,
-        class_weight="balanced",
-    )
+    sgd = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
     weights, bias, obj_first, obj_last = train_binary_hinge(_Rows(examples), sgd)
     if not all(map(math.isfinite, (bias, obj_first, obj_last, *weights.values()))):
-        raise SchemaMismatch(f"svm C={cfg.C} overflows the SGD weights or objective; lower C")
+        raise SchemaMismatch(f"svm C={C} overflows the SGD weights or objective; lower C")
     meta = {
-        "epochs": cfg.epochs,
-        "C": cfg.C,
+        "epochs": epochs,
+        "C": C,
         "l2": lam,
-        "seed": cfg.seed,
+        "seed": seed,
         "class_weight": "balanced",
         "objective_first": obj_first,
         "objective_last": obj_last,
@@ -311,10 +298,7 @@ def _stratified_split(
 
 
 def cross_validate(
-    examples: Sequence[LabeledExample],
-    folds: int = 10,
-    seed: int = 0,
-    config: SvmConfig | None = None,
+    examples: Sequence[LabeledExample], *, folds: int, seed: int, epochs: int, C: float
 ) -> EvalReport:
     """Repeated seeded 80/20 resampling (stratified), pooled P/R/F.
 
@@ -325,14 +309,13 @@ def cross_validate(
     """
     if len(examples) < folds * 2:
         raise InsufficientData(f"{len(examples)} examples for {folds} folds")
-    base = config or SvmConfig()
     tp = fp = fn = tn = 0
     fold_rows = []
     for fold in range(folds):
         fseed = _fold_seed(seed, fold)
         rng = random.Random(fseed)
         train, test = _stratified_split(examples, rng)
-        model = train_svm(train, SvmConfig(epochs=base.epochs, C=base.C, seed=fseed))
+        model = train_svm(train, epochs=epochs, C=C, seed=fseed)
         ftp = ffp = ffn = ftn = 0
         for e in test:
             pred = svm_predict(model, e.features)
@@ -385,9 +368,11 @@ def restrict_features(
 def ablate(
     examples: Sequence[LabeledExample],
     feature_groups: Sequence[Sequence[str]],
-    folds: int = 10,
-    seed: int = 0,
-    config: SvmConfig | None = None,
+    *,
+    folds: int,
+    seed: int,
+    epochs: int,
+    C: float,
 ) -> list[tuple[tuple[str, ...], EvalReport]]:
     """cross_validate restricted to each requested group union."""
     out = []
@@ -395,7 +380,7 @@ def ablate(
         if not groups:
             raise NoFeatures("empty feature-group set")
         restricted = restrict_features(examples, list(groups))
-        report = cross_validate(restricted, folds=folds, seed=seed, config=config)
+        report = cross_validate(restricted, folds=folds, seed=seed, epochs=epochs, C=C)
         out.append((tuple(groups), report))
     return out
 

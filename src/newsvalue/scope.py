@@ -91,13 +91,14 @@ def load_scale_table(path) -> dict[str, float]:
 
 
 def fold_key(raw: str, table) -> str:
-    """The key of `table` that `raw`, a case-insensitive regex match of one
-    of its keys, spells. `re.IGNORECASE` matches ſ, K (Kelvin sign) and İ
-    to s, k and i; `str.lower()` keeps the first and doubles the last."""
+    """The key of `table` that `raw`, a case-insensitive regex match, spells
+    (`raw.lower()` when it spells none). `re.IGNORECASE` matches ſ, ı, İ
+    and K (Kelvin sign) to s, i, i and k; `str.lower()` keeps the first
+    two and doubles İ."""
     key = raw.lower()
     if key in table:
         return key
-    return next(k for k in table if re.fullmatch(re.escape(k), raw, re.IGNORECASE))
+    return next((k for k in table if re.fullmatch(re.escape(k), raw, re.IGNORECASE)), key)
 
 
 @lru_cache(maxsize=None)
@@ -179,10 +180,13 @@ _INTENSITY_RES = (
 _SHINDO_RE = re.compile(r"\b(?:shindo|jma)\b[\s:]*(\d)\s*([+-])?", re.IGNORECASE)
 
 _ROMAN = {
-    "i": 1, "ii": 2, "iii": 3, "iv": 4, "v": 5, "vi": 6,
-    "vii": 7, "viii": 8, "ix": 9, "x": 10, "xi": 11, "xii": 12,
+    "i": 1.0, "ii": 2.0, "iii": 3.0, "iv": 4.0, "v": 5.0, "vi": 6.0,
+    "vii": 7.0, "viii": 8.0, "ix": 9.0, "x": 10.0, "xi": 11.0, "xii": 12.0,
 }
-_INTENSITY_TAGS = {"mmi": "mercalli", "mercalli": "mercalli", "ems": "ems", "csis": "csis"}
+# "" is an intensity with no scale named: Mercalli.
+_INTENSITY_TAGS = {
+    "": "mercalli", "mmi": "mercalli", "mercalli": "mercalli", "ems": "ems", "csis": "csis",
+}
 
 
 def find_quake_magnitudes(text: str) -> list[tuple[int, int, tuple[str, float]]]:
@@ -195,11 +199,11 @@ def find_quake_magnitudes(text: str) -> list[tuple[int, int, tuple[str, float]]]
                 cands.append((m.start(), m.end(), ("richter", value)))
     for rx in _INTENSITY_RES:
         for m in rx.finditer(text):
-            raw = m.group(2).lower()
-            value = float(_ROMAN[raw]) if raw in _ROMAN else (float(raw) if raw.isdigit() else None)
+            raw = m.group(2)
+            value = float(raw) if raw.isdigit() else _ROMAN.get(fold_key(raw, _ROMAN))
             if value is None or not 1.0 <= value <= 12.0:
                 continue
-            tag = _INTENSITY_TAGS.get((m.group(1) or "").lower(), "mercalli")
+            tag = _INTENSITY_TAGS[fold_key(m.group(1) or "", _INTENSITY_TAGS)]
             cands.append((m.start(), m.end(), (tag, value)))
     for m in _SHINDO_RE.finditer(text):
         base = int(m.group(1))

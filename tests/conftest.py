@@ -1,5 +1,6 @@
 """Shared synthetic fixtures: a topic-coded headline corpus, the 12-profile
-curation fixture, and file writers for CLI runs."""
+curation fixture, per-post labeling under a given vocabulary, and file
+writers for CLI runs."""
 
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import pytest
 
 from newsvalue.curation import build_trbc_centroids
 from newsvalue.geo import load_gazetteer
+from newsvalue.labeling import TermTimeIndex, match_to_headlines, propagate_links
 from newsvalue.records import Headline, Post, SourceProfile, TopicAssignment
+from newsvalue.textvec import tokenize, vectorize
 
 BASE_TS = 1_500_000_000  # 2017-07-14 02:40 UTC
 GAZETTEER_PATH = Path(__file__).resolve().parents[1] / "src/newsvalue/data/world_cities.txt"
@@ -159,6 +162,24 @@ def curation_fixture() -> tuple[list[SourceProfile], dict[str, list[Post]], list
         TopicAssignment("foodie_fan", "Sports", 12),
     ]
     return profiles, tweets, assignments
+
+
+# ---------------------------------------------------------------------------
+# per-post labeling: the vectors and index label_corpus builds, under a
+# vocabulary the test chose
+# ---------------------------------------------------------------------------
+
+def match_one(post, headlines, tfidf, threshold):
+    index = TermTimeIndex(
+        [h.published_at for h in headlines],
+        [vectorize(tokenize(h.text), tfidf) for h in headlines],
+    )
+    return match_to_headlines(post, vectorize(tokenize(post.text), tfidf), index, threshold)
+
+
+def propagate(results, posts, tfidf, link_threshold, same_user_threshold):
+    vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
+    return propagate_links(results, posts, vectors, link_threshold, same_user_threshold)
 
 
 # ---------------------------------------------------------------------------

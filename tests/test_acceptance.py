@@ -15,26 +15,21 @@ from conftest import (
     BASE_TS,
     EXPECTED_SURVIVORS,
     curation_fixture,
+    match_one,
+    propagate,
     write_ndjson_file,
 )
 from newsvalue import scope as scope_mod
 from newsvalue.cli import EXIT_OK, main
-from newsvalue.curation import CurationConfig, curate
+from newsvalue.curation import curate
 from newsvalue.impact import (
     extract_numeric_phrases,
     train_impact_classifier,
     classification_report,
 )
-from newsvalue.labeling import (
-    MATCHED,
-    TARDY,
-    UNMATCHED,
-    match_to_headlines,
-    propagate_links,
-)
+from newsvalue.labeling import MATCHED, TARDY, UNMATCHED
 from newsvalue.linear import SGDConfig
 from newsvalue.model import (
-    SvmConfig,
     ablate,
     assemble_features,
     build_context,
@@ -264,9 +259,9 @@ def test_labeling_semantics():
         inside = Headline("one two three", "ap", 1000 + 86400)
         outside = Headline("one two three", "ap", 1000 + 86401)
         earlier = Headline("one two three", "ap", 1000)
-        assert match_to_headlines(post, [inside], tfidf).status == MATCHED
-        assert match_to_headlines(post, [outside], tfidf).status == UNMATCHED
-        assert match_to_headlines(post, [earlier], tfidf).status == TARDY
+        assert match_one(post, [inside], tfidf, 0.5).status == MATCHED
+        assert match_one(post, [outside], tfidf, 0.5).status == UNMATCHED
+        assert match_one(post, [earlier], tfidf, 0.5).status == TARDY
 
         # 200-post propagation corpus vs pairwise brute force
         rng = random.Random(51)
@@ -294,8 +289,8 @@ def test_labeling_semantics():
         docs = [(p.post_id, tokenize(p.text)) for p in posts]
         docs += [(f"h{i}", tokenize(h.text)) for i, h in enumerate(headlines)]
         shared = fit_tfidf(docs)
-        first_pass = [match_to_headlines(p, headlines, shared) for p in posts]
-        got = propagate_links(first_pass, posts, shared)
+        first_pass = [match_one(p, headlines, shared, 0.5) for p in posts]
+        got = propagate(first_pass, posts, shared, 0.5, 0.3)
 
         # brute force: one pass over every (unmatched, matched) pair
         vec = {p.post_id: vectorize(tokenize(p.text), shared) for p in posts}
@@ -352,11 +347,11 @@ def test_impact_classifier_synthetic():
 def test_svm_acceptance():
     with criterion("SVM: perfect held-out on separable, objective, reproducible", 10.0):
         examples = separable_examples(n=150, seed=71)
-        report = cross_validate(examples, folds=10, seed=72)
+        report = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0)
         assert report.precision == 100.0 and report.recall == 100.0 and report.f1 == 100.0
-        model = train_svm(examples, SvmConfig(seed=73))
+        model = train_svm(examples, epochs=100, C=1.0, seed=73)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
-        again = cross_validate(examples, folds=10, seed=72)
+        again = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0)
         assert report.to_json() == again.to_json()
 
 
@@ -387,7 +382,7 @@ def _ablation_corpus(gazetteer, trbc_model):
         + [TaggedPost(10, 48.86, 2.35, "FR", "war_military_conflict")] * 54,
         (0, 100),
     )
-    ctx = build_context(gazetteer, tfidf, centroids, background=background)
+    ctx = build_context(gazetteer, tfidf, centroids, background=background, seed=0)
     sources = {
         "jalisco_desk": SourceProfile(
             "jalisco_desk", locally_focused=True,
@@ -427,9 +422,7 @@ def test_ablation_ordering(gazetteer, trbc_model):
         ]
         wins = 0
         for seed in range(10):
-            results = ablate(
-                examples, sets, folds=3, seed=seed, config=SvmConfig(epochs=15)
-            )
+            results = ablate(examples, sets, folds=3, seed=seed, epochs=15, C=1.0)
             f_tt = results[0][1].f1
             f_ttsi = results[1][1].f1
             f_all = results[2][1].f1
@@ -448,7 +441,7 @@ def test_curation_fixture_acceptance(gazetteer, trbc_model):
     with criterion("curation: 12-profile fixture -> the 7 traced survivors", 1.0):
         curated, stages = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
-            CurationConfig(seed=7),
+            seed=7, follower_cap=1_000_000, local_focus_threshold=0.5,
         )
         assert {p.user_id: p.category for p in curated} == EXPECTED_SURVIVORS
         assert stages["curated"] == 7

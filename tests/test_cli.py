@@ -652,6 +652,16 @@ class TestDirectoryPaths:
         err = capsys.readouterr().err
         assert err == f"error: missing input file: {folder} (not a regular file)\n"
 
+    @pytest.mark.parametrize("key", ["background", "curated"])
+    def test_named_optional_input_that_does_not_exist_exit_2(self, pipeline, capsys, key):
+        # Both inputs are optional only when the config does not name them.
+        tmp_path, config = pipeline
+        missing = tmp_path / "missing.ndjson"
+        self._set_path(config, key, missing)
+        assert main(["extract", "--config", str(config)]) == EXIT_MISSING_INPUT
+        assert capsys.readouterr().err == f"error: missing input file: {missing}\n"
+        assert not (tmp_path / "out" / "features.tsv").exists()
+
     def test_config_names_a_directory_exit_2(self, tmp_path, capsys):
         assert main(["label", "--config", str(tmp_path)]) == EXIT_MISSING_INPUT
         assert capsys.readouterr().err == (
@@ -851,7 +861,7 @@ CONFIG_KEYS = ["seed"] + [
     f"thresholds.{k}" for k in (
         "match", "link", "same_user_link", "local_focus", "follower_cap", "undersample_ratio",
     )
-] + [
+] + [f"svm.{k}" for k in ("epochs", "C", "folds")] + [
     f"paths.{k}" for k in (
         "gazetteer", "profiles", "tweets", "assignments", "headlines", "posts",
         "background", "curated", "labeled", "features", "out_dir",
@@ -873,25 +883,72 @@ json_values = st.recursive(
 )
 
 
+def _few_epochs(value) -> bool:
+    """False for a value the config reads as more than 5 epochs: a huge
+    epoch count is valid and only slow, so the draw is bounded instead."""
+    try:
+        return int(value) <= 5
+    except (TypeError, ValueError, OverflowError):
+        return True
+
+
+config_entries = st.sampled_from(CONFIG_KEYS).flatmap(
+    lambda key: st.tuples(
+        st.just(key), json_values.filter(_few_epochs) if key == "svm.epochs" else json_values
+    )
+)
+
+
 @pytest.fixture(scope="module")
 def fixture_config(tmp_path_factory):
-    """The CLI fixture's inputs, written once, and a directory for the
-    examples' working directories; outputs go to a relative out_dir, so
-    each example writes into its own."""
+    """The CLI fixture's inputs and its labeled posts and features, written
+    once, and a directory for the examples' working directories; outputs go
+    to a relative out_dir, so each example writes into its own."""
     posts, headlines = make_event_posts()
-    config = json.loads(
-        write_pipeline_inputs(tmp_path_factory.mktemp("inputs"), posts, headlines).read_text()
-    )
+    inputs = tmp_path_factory.mktemp("inputs")
+    config_path = write_pipeline_inputs(inputs, posts, headlines)
+    for verb in ("label", "extract"):
+        assert main([verb, "--config", str(config_path)]) == EXIT_OK
+    config = json.loads(config_path.read_text())
+    config["paths"]["labeled"] = str(inputs / "out" / "labeled.ndjson")
+    config["paths"]["features"] = str(inputs / "out" / "features.tsv")
     config["paths"]["out_dir"] = "out"
     return config, tmp_path_factory.mktemp("work")
 
 
-@pytest.mark.parametrize("verb", ["curate", "label", "extract"])
+def _run_in_work_dir(work_root, config, verb, files=None):
+    """main() for verb on config, in a new directory under work_root that
+    holds files (name -> bytes); returns the exit code and stderr."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory(dir=work_root) as work:
+        os.chdir(work)
+        try:
+            for name, content in (files or {}).items():
+                with open(name, "wb") as fh:
+                    fh.write(content)
+            with open("config.json", "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([verb, "--config", "config.json"])
+        finally:
+            os.chdir(cwd)
+    return code, stderr.getvalue()
+
+
+def _assert_exit_code_contract(code, stderr):
+    assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_DEGENERATE_LABELS, EXIT_SCHEMA_MISMATCH)
+    for line in stderr.splitlines():
+        assert line.startswith(("error:", "warning:")), line
+
+
+@pytest.mark.parametrize("verb", ["curate", "label", "extract", "train", "evaluate"])
 @settings(max_examples=60, deadline=None)
-@given(overrides=st.dictionaries(st.sampled_from(CONFIG_KEYS), json_values, min_size=1, max_size=3))
+@given(overrides=st.lists(config_entries, min_size=1, max_size=3).map(dict))
 @example(overrides={"paths.out_dir": "o\x00ut"})
 @example(overrides={"paths.headlines": "a\nb"})
 @example(overrides={"paths.posts": 10**300})
+@example(overrides={"svm.C": 1e-300, "svm.epochs": 5})
 def test_any_config_value_keeps_the_exit_code_contract(fixture_config, verb, overrides):
     """An arbitrary JSON value at any config key exits 0, 2, 3 or 4 with
     no uncaught exception, and every stderr line is an error or a warning."""
@@ -903,17 +960,59 @@ def test_any_config_value_keeps_the_exit_code_contract(fixture_config, verb, ove
             # Keep every path inside the example's working directory.
             assume(not str(value).startswith("/") and ".." not in str(value))
         (config[section] if section else config)[name] = value
-    stdout, stderr = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
-    with tempfile.TemporaryDirectory(dir=work_root) as work:
-        os.chdir(work)
-        try:
-            with open("config.json", "w", encoding="utf-8") as fh:
-                json.dump(config, fh)
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([verb, "--config", "config.json"])
-        finally:
-            os.chdir(cwd)
-    assert code in (EXIT_OK, EXIT_MISSING_INPUT, EXIT_DEGENERATE_LABELS, EXIT_SCHEMA_MISMATCH)
-    for line in stderr.getvalue().splitlines():
-        assert line.startswith(("error:", "warning:")), line
+    _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb))
+
+
+POSTS, HEADLINES = make_event_posts()
+RECORD_FIELDS = sorted(set(POSTS[0].to_record()) | set(HEADLINES[0].to_record()))
+# Values no well-formed record holds: numbers past every int and float
+# field's range, a 100,000-character string, a long list.
+huge_values = st.sampled_from(
+    [10**400, -(10**400), 2**63, 1e308, -1e308, 5e-324, "x" * 100_000, [0] * 1000]
+)
+record_values = json_values | huge_values
+
+
+@st.composite
+def ndjson_lines(draw, base):
+    """One line: arbitrary bytes (invalid UTF-8 among them), any JSON value,
+    or base with keys dropped and others set to arbitrary values."""
+    kind = draw(st.sampled_from(["bytes", "value", "record"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40)).replace(b"\n", b" ")
+    if kind == "value":
+        value = draw(record_values)
+    else:
+        dropped = draw(st.sets(st.sampled_from(sorted(base)), max_size=2))
+        value = {k: v for k, v in base.items() if k not in dropped}
+        value.update(draw(st.dictionaries(st.sampled_from(RECORD_FIELDS), record_values, max_size=2)))
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _with_lines(path, lines):
+    with open(path, "rb") as fh:
+        return fh.read() + b"".join(line + b"\n" for line in lines)
+
+
+@pytest.mark.parametrize("verb", ["label", "extract"])
+@settings(max_examples=40, deadline=None)
+@given(
+    post_lines=st.lists(ndjson_lines(POSTS[0].to_record()), max_size=3),
+    headline_lines=st.lists(ndjson_lines(HEADLINES[0].to_record()), max_size=3),
+)
+@example(post_lines=[b"\xff\xfe", b'{"post_id": 1e400}'], headline_lines=[b"[]", b"{}"])
+def test_any_ndjson_line_keeps_the_exit_code_contract(
+    fixture_config, verb, post_lines, headline_lines
+):
+    """Arbitrary lines appended to the posts and headlines exit 0, 2, 3 or 4
+    with no uncaught exception, and every stderr line is an error or a
+    warning."""
+    base, work_root = fixture_config
+    config = json.loads(json.dumps(base))
+    files = {
+        "posts.ndjson": _with_lines(base["paths"]["posts"], post_lines),
+        "headlines.ndjson": _with_lines(base["paths"]["headlines"], headline_lines),
+    }
+    config["paths"].update({name.split(".")[0]: name for name in files})
+    _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb, files))

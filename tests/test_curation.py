@@ -6,7 +6,6 @@ import pytest
 
 from conftest import EXPECTED_SURVIVORS, TRBC_VOCAB, curation_fixture
 from newsvalue.curation import (
-    CurationConfig,
     classify_account,
     curate,
     informativeness,
@@ -15,6 +14,10 @@ from newsvalue.curation import (
 )
 from newsvalue.errors import EmptyAccount, NoDocuments, NoProfileLocation
 from newsvalue.records import Post, SourceProfile, TopicAssignment
+
+
+# The published operating point: follower cap and local-focus ratio.
+OPERATING_POINT = {"follower_cap": 1_000_000, "local_focus_threshold": 0.5}
 
 
 def _profile(user_id="u", followers=100, location="Houston", **kwargs):
@@ -27,7 +30,9 @@ class TestFollowerFilter:
     def _removed(self, gazetteer, trbc_model, followers):
         tfidf, centroids = trbc_model
         profiles = [_profile(f"u{i}", followers=n) for i, n in enumerate(followers)]
-        _, stages = curate(profiles, {}, [], gazetteer, centroids, tfidf)
+        _, stages = curate(
+            profiles, {}, [], gazetteer, centroids, tfidf, seed=0, **OPERATING_POINT
+        )
         return stages["removed_follower_cap"]
 
     def test_over_cap_removed(self, gazetteer, trbc_model):
@@ -197,7 +202,7 @@ class TestCuratePipeline:
         profiles, tweets, assignments = curation_fixture()
         curated, stages = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
-            CurationConfig(seed=7),
+            seed=7, **OPERATING_POINT,
         )
         got = {p.user_id: p.category for p in curated}
         assert got == EXPECTED_SURVIVORS
@@ -211,14 +216,16 @@ class TestCuratePipeline:
         profiles, tweets, assignments = curation_fixture()
         curated, _ = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
-            CurationConfig(seed=7),
+            seed=7, **OPERATING_POINT,
         )
         by_id = {p.user_id: p for p in curated}
         assert by_id["quakebot"].informativeness == pytest.approx(2.8)
 
     def test_empty_inputs(self, gazetteer, trbc_model):
         tfidf, centroids = trbc_model
-        curated, stages = curate({}, {}, [], gazetteer, centroids, tfidf)
+        curated, stages = curate(
+            {}, {}, [], gazetteer, centroids, tfidf, seed=0, **OPERATING_POINT
+        )
         assert curated == []
         assert stages["curated"] == 0
 
@@ -226,7 +233,9 @@ class TestCuratePipeline:
         tfidf, centroids = trbc_model
         profiles = [_profile("lost", location="")]
         tweets = {"lost": [Post("p", "lost", 0, "hello world")]}
-        curated, stages = curate(profiles, tweets, [], gazetteer, centroids, tfidf)
+        curated, stages = curate(
+            profiles, tweets, [], gazetteer, centroids, tfidf, seed=0, **OPERATING_POINT
+        )
         assert curated == []
         assert stages["removed_no_location"] == 1
 
@@ -237,7 +246,7 @@ class TestCuratePipeline:
         profiles, tweets, assignments = curation_fixture()
         curated, _ = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
-            CurationConfig(seed=7),
+            seed=7, **OPERATING_POINT,
         )
         ids = [p.user_id for p in curated]
         assert len(ids) == len(set(ids))
@@ -248,7 +257,7 @@ class TestCuratePipeline:
         profiles, tweets, assignments = curation_fixture()
         curated, _ = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
-            CurationConfig(seed=7),
+            seed=7, **OPERATING_POINT,
         )
         from newsvalue.records import SOURCE_CATEGORIES
 
@@ -257,8 +266,8 @@ class TestCuratePipeline:
     def test_idempotent_on_own_output(self, gazetteer, trbc_model):
         tfidf, centroids = trbc_model
         profiles, tweets, assignments = curation_fixture()
-        cfg = CurationConfig(seed=7)
-        first, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, cfg)
+        cfg = dict(OPERATING_POINT, seed=7)
+        first, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, **cfg)
         rewrapped = [
             SourceProfile(
                 user_id=p.user_id,
@@ -270,15 +279,15 @@ class TestCuratePipeline:
             )
             for p in first
         ]
-        second, _ = curate(rewrapped, tweets, assignments, gazetteer, centroids, tfidf, cfg)
+        second, _ = curate(rewrapped, tweets, assignments, gazetteer, centroids, tfidf, **cfg)
         assert {p.user_id for p in second} == {p.user_id for p in first}
 
     def test_seed_deterministic(self, gazetteer, trbc_model):
         tfidf, centroids = trbc_model
         profiles, tweets, assignments = curation_fixture()
-        cfg = CurationConfig(seed=11)
-        a, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, cfg)
-        b, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, cfg)
+        cfg = dict(OPERATING_POINT, seed=11)
+        a, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, **cfg)
+        b, _ = curate(profiles, tweets, assignments, gazetteer, centroids, tfidf, **cfg)
         assert [(p.user_id, p.category, p.informativeness) for p in a] == [
             (p.user_id, p.category, p.informativeness) for p in b
         ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from datetime import datetime, timezone
 
 import pytest
+from conftest import match_one, propagate
 
 from newsvalue.errors import DegenerateLabels
 from newsvalue.labeling import (
@@ -16,8 +17,6 @@ from newsvalue.labeling import (
     default_mask_rules,
     label_corpus,
     mask_taxonomy_tokens,
-    match_to_headlines,
-    propagate_links,
     undersample,
 )
 from newsvalue.records import Headline, LabeledExample, Post
@@ -88,7 +87,7 @@ class TestMatchToHeadlines:
         post = Post("p", "u", 1000, "one two three")
         head = Headline("one two three", "ap", 1000 + 3600)
         tfidf = _tfidf_for(["one two three"])
-        res = match_to_headlines(post, [head], tfidf)
+        res = match_one(post, [head], tfidf, 0.5)
         assert res.status == MATCHED
         assert res.best_score == pytest.approx(1.0, abs=1e-12)
         assert res.best_headline == 0
@@ -96,13 +95,13 @@ class TestMatchToHeadlines:
     def test_identical_only_earlier_is_tardy(self):
         post = Post("p", "u", 1000, "one two three")
         head = Headline("one two three", "ap", 900)
-        res = match_to_headlines(post, [head], _tfidf_for(["one two three"]))
+        res = match_one(post, [head], _tfidf_for(["one two three"]), 0.5)
         assert res.status == TARDY
 
     def test_disjoint_vocabulary_unmatched(self):
         post = Post("p", "u", 1000, "alpha beta")
         head = Headline("gamma delta", "ap", 2000)
-        res = match_to_headlines(post, [head], _tfidf_for(["alpha beta", "gamma delta"]))
+        res = match_one(post, [head], _tfidf_for(["alpha beta", "gamma delta"]), 0.5)
         assert res.status == UNMATCHED
         assert res.best_score == 0.0
 
@@ -111,14 +110,14 @@ class TestMatchToHeadlines:
         tfidf = _tfidf_for(["one two three"])
         inside = Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS)
         outside = Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS + 1)
-        assert match_to_headlines(post, [inside], tfidf).status == MATCHED
-        res = match_to_headlines(post, [outside], tfidf)
+        assert match_one(post, [inside], tfidf, 0.5).status == MATCHED
+        res = match_one(post, [outside], tfidf, 0.5)
         assert res.status == UNMATCHED
 
     def test_headline_at_post_time_counts_as_before(self):
         post = Post("p", "u", 1000, "one two three")
         head = Headline("one two three", "ap", 1000)
-        assert match_to_headlines(post, [head], _tfidf_for(["one two three"])).status == TARDY
+        assert match_one(post, [head], _tfidf_for(["one two three"]), 0.5).status == TARDY
 
     def test_after_window_match_beats_earlier(self):
         post = Post("p", "u", 1000, "one two three")
@@ -126,7 +125,7 @@ class TestMatchToHeadlines:
             Headline("one two three", "ap", 900),
             Headline("one two three", "ap", 2000),
         ]
-        res = match_to_headlines(post, heads, _tfidf_for(["one two three"]))
+        res = match_one(post, heads, _tfidf_for(["one two three"]), 0.5)
         assert res.status == MATCHED
         assert res.best_headline == 1
 
@@ -135,10 +134,10 @@ class TestMatchToHeadlines:
     def test_threshold_zero_earlier_headline_is_tardy(self):
         post = Post("p", "u", 1000, "one two three")
         tfidf = _tfidf_for(["one two three"])
-        res = match_to_headlines(post, [Headline("one two three", "ap", 900)], tfidf, 0.0)
+        res = match_one(post, [Headline("one two three", "ap", 900)], tfidf, 0.0)
         assert (res.status, res.best_headline) == (TARDY, 0)
         assert res.best_score == pytest.approx(1.0)
-        run = label_corpus([post], [Headline("one two three", "ap", 900)], threshold=0.0)
+        run = label_corpus([post], [Headline("one two three", "ap", 900)], 0.0, 0.5, 0.3)
         assert (run.results[0].status, run.results[0].best_headline) == (TARDY, 0)
         assert run.stats["matched_direct"] == 0
 
@@ -146,15 +145,15 @@ class TestMatchToHeadlines:
         post = Post("p", "u", 1000, "one two three")
         tfidf = _tfidf_for(["one two three"])
         late = Headline("one two three", "ap", 1000 + MATCH_WINDOW_SECONDS + 1)
-        res = match_to_headlines(post, [late], tfidf, threshold=0.0)
+        res = match_one(post, [late], tfidf, 0.0)
         assert (res.status, res.best_headline, res.best_score) == (UNMATCHED, None, 0.0)
 
     def test_threshold_zero_no_headline_is_unmatched(self):
         post = Post("p", "u", 1000, "one two three")
         tfidf = _tfidf_for(["one two three"])
-        res = match_to_headlines(post, [], tfidf, threshold=0.0)
+        res = match_one(post, [], tfidf, 0.0)
         assert (res.status, res.best_headline, res.best_score) == (UNMATCHED, None, 0.0)
-        run = label_corpus([post], [], threshold=0.0)
+        run = label_corpus([post], [], 0.0, 0.5, 0.3)
         assert run.results[0].status == UNMATCHED
         assert run.stats["matched"] == 0
 
@@ -185,7 +184,7 @@ class TestPropagateLinks:
 
     def test_high_similarity_promotes(self):
         posts, tfidf, results = self._scenario("storm damage downtown", False)
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         got = {r.post_id: r for r in out}
         assert got["x"].status == MATCHED
         assert got["x"].via_link
@@ -197,7 +196,7 @@ class TestPropagateLinks:
             vectorize(tokenize(posts[1].text), tfidf),
         )
         assert 0.0 < sim < 0.5
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         assert {r.post_id: r.status for r in out}["x"] == UNMATCHED
 
     def test_same_user_lower_threshold(self):
@@ -207,12 +206,12 @@ class TestPropagateLinks:
             vectorize(tokenize(posts[1].text), tfidf),
         )
         assert 0.3 <= sim < 0.5
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         assert {r.post_id: r.status for r in out}["x"] == MATCHED
 
     def test_same_similarity_different_user_stays(self):
         posts, tfidf, results = self._scenario("storm damage report update", False)
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         assert {r.post_id: r.status for r in out}["x"] == UNMATCHED
 
     def test_matched_must_be_strictly_later(self):
@@ -226,7 +225,7 @@ class TestPropagateLinks:
             MatchResult("m", MATCHED, 0, 1.0),
             MatchResult("x", UNMATCHED, None, 0.0),
         ]
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         # the matched tweet is EARLIER than x, so x cannot link to it
         assert {r.post_id: r.status for r in out}["x"] == UNMATCHED
 
@@ -241,12 +240,12 @@ class TestPropagateLinks:
             MatchResult("m", MATCHED, 0, 1.0),
             MatchResult("x", UNMATCHED, None, 0.0),
         ]
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         assert {r.post_id: r.status for r in out}["x"] == UNMATCHED
 
     def test_never_unmatches(self):
         posts, tfidf, results = self._scenario("completely unrelated words", False)
-        out = propagate_links(results, posts, tfidf)
+        out = propagate(results, posts, tfidf, 0.5, 0.3)
         before = {r.post_id for r in results if r.status == MATCHED}
         after = {r.post_id for r in out if r.status == MATCHED}
         assert before <= after
@@ -279,7 +278,7 @@ class TestUndersample:
 
     def test_zero_matched_raises(self):
         with pytest.raises(DegenerateLabels):
-            undersample(self._examples(0, 10))
+            undersample(self._examples(0, 10), ratio=10, seed=0)
 
 
 class TestLabelCorpusPipeline:
@@ -294,7 +293,7 @@ class TestLabelCorpusPipeline:
             Headline("massive quake rocks valley town", "reuters", base + 3600),
             Headline("embassy statement issued fully", "bbc", base + 3600),
         ]
-        run = label_corpus(posts, headlines)
+        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
         by_id = {r.post_id: r for r in run.results}
         assert by_id["hit"].status == MATCHED
         assert by_id["tardy"].status == TARDY
@@ -311,7 +310,7 @@ class TestLabelCorpusPipeline:
             Post("hit", "u1", base + 200, "huge blaze engulfs mill"),
         ]
         headlines = [Headline("huge blaze engulfs mill", "cnn", base + 4000)]
-        run = label_corpus(posts, headlines)
+        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
         by_id = {r.post_id: r for r in run.results}
         assert by_id["hit"].status == MATCHED and not by_id["hit"].via_link
         assert by_id["dup"].status == MATCHED and by_id["dup"].via_link
@@ -324,7 +323,7 @@ class TestLabelCorpusPipeline:
             Post("b", "u2", base, "completely different content here"),
         ]
         headlines = [Headline("storm hits the coast overnight", "afp", base - 100)]
-        run = label_corpus(posts, headlines)
+        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
         statuses = {r.post_id: r.status for r in run.results}
         assert statuses["a"] == TARDY
         assert statuses["b"] == UNMATCHED

@@ -15,6 +15,7 @@ import random
 from dataclasses import replace
 from datetime import datetime, timezone
 
+from conftest import match_one, propagate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,11 +26,8 @@ from newsvalue.labeling import (
     TARDY,
     UNMATCHED,
     MatchResult,
-    index_headlines,
     label_corpus,
     mask_taxonomy_tokens,
-    match_to_headlines,
-    propagate_links,
 )
 from newsvalue.records import Headline, Post
 from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
@@ -182,11 +180,10 @@ def test_match_equals_all_pairs(corpus, data):
     posts, headlines = corpus
     tfidf = _fit(posts, headlines)
     threshold = _threshold(data, posts, headlines or posts, tfidf)
-    index = index_headlines(headlines, tfidf)
     for post in posts:
-        expected = brute_match(post, headlines, tfidf, threshold)
-        assert match_to_headlines(post, headlines, tfidf, threshold) == expected
-        assert match_to_headlines(post, headlines, tfidf, threshold, index) == expected
+        assert match_one(post, headlines, tfidf, threshold) == brute_match(
+            post, headlines, tfidf, threshold
+        )
 
 
 @SETTINGS
@@ -206,7 +203,7 @@ def test_propagation_equals_all_pairs(corpus, data):
         )
         for p in posts
     ]
-    assert propagate_links(first, posts, tfidf, link, same_user) == brute_propagate(
+    assert propagate(first, posts, tfidf, link, same_user) == brute_propagate(
         first, posts, tfidf, link, same_user
     )
 
@@ -231,7 +228,7 @@ def test_labels_do_not_depend_on_post_order(corpus, rnd):
     def outcome(ps, hs):
         return {
             r.post_id: (r.status, r.best_score, r.via_link, r.best_headline is None)
-            for r in label_corpus(ps, hs).results
+            for r in label_corpus(ps, hs, 0.5, 0.5, 0.3).results
         }
 
     base = outcome(posts, headlines)
@@ -258,7 +255,7 @@ def test_scores_only_window_candidates_sharing_a_term(monkeypatch):
         return cosine(a, b)
 
     monkeypatch.setattr(labeling, "cosine", counting_cosine)
-    res = match_to_headlines(post, headlines, tfidf)
+    res = match_one(post, headlines, tfidf, 0.5)
     assert (res.status, res.best_headline) == (MATCHED, 1)
     assert len(calls) == 1
 
@@ -275,7 +272,7 @@ def test_permuted_wire_corpus_keeps_labels():
         for i in range(120)
     ]
     expected = brute_label(posts, headlines, 0.5, 0.5, 0.3)
-    assert label_corpus(posts, headlines).results == expected
+    assert label_corpus(posts, headlines, 0.5, 0.5, 0.3).results == expected
     rng.shuffle(posts)
-    got = {r.post_id: r for r in label_corpus(posts, headlines).results}
+    got = {r.post_id: r for r in label_corpus(posts, headlines, 0.5, 0.5, 0.3).results}
     assert got == {r.post_id: r for r in expected}

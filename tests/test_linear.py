@@ -22,7 +22,7 @@ from newsvalue.linear import (
     train_binary_hinge,
     train_one_vs_rest,
 )
-from newsvalue.model import POSITIVE_CLASS, SvmConfig, train_svm
+from newsvalue.model import POSITIVE_CLASS, train_svm
 from newsvalue.records import LabeledExample
 
 
@@ -158,9 +158,9 @@ def test_balanced_with_one_class_absent():
 
 def test_no_rows_raise_model_not_fitted():
     with pytest.raises(ModelNotFitted):
-        train_binary_hinge([], SGDConfig())
+        train_binary_hinge([], SGDConfig(epochs=100, seed=0, l2=1e-4))
     with pytest.raises(ModelNotFitted):
-        train_binary_hinge(iter(()), SGDConfig())
+        train_binary_hinge(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
 
 
 def test_one_vs_rest_fed_a_generator():
@@ -191,7 +191,7 @@ def test_train_svm_matches_reference_kernel():
         )
         for i in range(40)
     ]
-    model = train_svm(examples, SvmConfig(epochs=7, C=2.0, seed=3))
+    model = train_svm(examples, epochs=7, C=2.0, seed=3)
     rows = [(tuple(sorted(e.features.items())), 1 if e.label else -1) for e in examples]
     cfg = SGDConfig(epochs=7, seed=3, l2=1.0 / (2.0 * 40), class_weight="balanced")
     w, b, first, last = reference_train_binary_hinge(rows, cfg)
@@ -209,4 +209,4 @@ def test_train_svm_rejects_c_without_positive_finite_l2(c):
         LabeledExample(post_id="b", features={"text_y": 1.0}, label=False),
     ]
     with pytest.raises(SchemaMismatch):
-        train_svm(examples, SvmConfig(epochs=2, C=c))
+        train_svm(examples, epochs=2, C=c, seed=0)

@@ -11,7 +11,6 @@ from newsvalue.errors import DegenerateLabels, InsufficientData, NoFeatures
 from newsvalue.linear import LinearModel
 from newsvalue.model import (
     FEATURE_GROUPS,
-    SvmConfig,
     ablate,
     assemble_features,
     build_context,
@@ -23,11 +22,14 @@ from newsvalue.model import (
 )
 from newsvalue.records import LabeledExample, Post, SourceProfile
 
+# The published SVM operating point: epochs and C.
+SVM = {"epochs": 100, "C": 1.0}
+
 
 @pytest.fixture(scope="module")
 def ctx(gazetteer, trbc_model):
     tfidf, centroids = trbc_model
-    return build_context(gazetteer, tfidf, centroids)
+    return build_context(gazetteer, tfidf, centroids, seed=0)
 
 
 class TestAssembleFeatures:
@@ -77,7 +79,7 @@ class TestAssembleFeatures:
             [TaggedPost(10, 20.7, -103.3, "MX", "earthquakes_seismic")] * 5,
             (0, 100),
         )
-        rich_ctx = build_context(gazetteer, tfidf, centroids, background=background)
+        rich_ctx = build_context(gazetteer, tfidf, centroids, background=background, seed=0)
         located = Post("p", "u", 0, "massive earthquake tremor hits Jalisco")
         feats = assemble_features(located, None, rich_ctx)
         assert feats.get("rarity_present") == 1.0
@@ -106,22 +108,22 @@ def separable_examples(n=120, seed=0):
 class TestTrainSvm:
     def test_separable_perfect_training_fit(self):
         examples = separable_examples()
-        model = train_svm(examples, SvmConfig(seed=1))
+        model = train_svm(examples, **SVM, seed=1)
         assert all(svm_predict(model, e.features) == e.label for e in examples)
 
     def test_single_class_raises(self):
         examples = [LabeledExample(f"p{i}", {"a": 1.0}, True) for i in range(10)]
         with pytest.raises(DegenerateLabels):
-            train_svm(examples)
+            train_svm(examples, **SVM, seed=0)
 
     def test_objective_strictly_decreases(self):
-        model = train_svm(separable_examples(), SvmConfig(seed=2))
+        model = train_svm(separable_examples(), **SVM, seed=2)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
 
     def test_identical_features_conflicting_labels(self):
         examples = [LabeledExample(f"m{i}", {"a": 1.0}, True) for i in range(6)]
         examples += [LabeledExample(f"u{i}", {"a": 1.0}, False) for i in range(4)]
-        model = train_svm(examples, SvmConfig(epochs=30, seed=3))
+        model = train_svm(examples, epochs=30, C=1.0, seed=3)
         correct = sum(svm_predict(model, e.features) == e.label for e in examples)
         assert correct <= 6
 
@@ -130,21 +132,20 @@ class TestTrainSvm:
         flipped = [
             LabeledExample(e.post_id, e.features, not e.label) for e in examples
         ]
-        cfg = SvmConfig(seed=5)
-        m = train_svm(examples, cfg)
-        mf = train_svm(flipped, cfg)
+        m = train_svm(examples, **SVM, seed=5)
+        mf = train_svm(flipped, **SVM, seed=5)
         for f, w in m.weights["matched"].items():
             assert mf.weights["matched"][f] == pytest.approx(-w, abs=1e-6)
         assert mf.bias["matched"] == pytest.approx(-m.bias["matched"], abs=1e-6)
 
     def test_seed_reproducible(self):
         examples = separable_examples(seed=6)
-        a = train_svm(examples, SvmConfig(seed=7))
-        b = train_svm(examples, SvmConfig(seed=7))
+        a = train_svm(examples, **SVM, seed=7)
+        b = train_svm(examples, **SVM, seed=7)
         assert a.weights == b.weights and a.bias == b.bias
 
     def test_save_load_round_trip(self, tmp_path):
-        model = train_svm(separable_examples(), SvmConfig(seed=8))
+        model = train_svm(separable_examples(), **SVM, seed=8)
         path = tmp_path / "model.json"
         model.save(path)
         again = LinearModel.load(path, expect_kind="svm")
@@ -154,19 +155,19 @@ class TestTrainSvm:
 
 class TestCrossValidate:
     def test_perfect_on_separable(self):
-        report = cross_validate(separable_examples(), folds=10, seed=1)
+        report = cross_validate(separable_examples(), folds=10, seed=1, **SVM)
         assert report.precision == 100.0
         assert report.recall == 100.0
         assert report.f1 == 100.0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
-            cross_validate(separable_examples(n=10), folds=10)
+            cross_validate(separable_examples(n=10), folds=10, seed=0, **SVM)
 
     def test_bit_reproducible(self):
         examples = separable_examples(seed=9)
-        a = cross_validate(examples, folds=10, seed=4)
-        b = cross_validate(examples, folds=10, seed=4)
+        a = cross_validate(examples, folds=10, seed=4, **SVM)
+        b = cross_validate(examples, folds=10, seed=4, **SVM)
         assert a.to_json() == b.to_json()
 
     def test_f1_consistent_with_pooled_counts(self):
@@ -177,7 +178,7 @@ class TestCrossValidate:
             LabeledExample(e.post_id, {"scope_sig": rng.uniform(-3, 3)}, e.label)
             for e in examples
         ]
-        report = cross_validate(noisy, folds=5, seed=2)
+        report = cross_validate(noisy, folds=5, seed=2, **SVM)
         tp, fp, fn = report.counts["tp"], report.counts["fp"], report.counts["fn"]
         p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
         r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
@@ -193,7 +194,7 @@ class TestCrossValidate:
                 LabeledExample(e.post_id, {f: v * factor for f, v in e.features.items()}, e.label)
                 for e in separable_examples(seed=21)
             ]
-            report = cross_validate(scaled, folds=5, seed=6)
+            report = cross_validate(scaled, folds=5, seed=6, **SVM)
             assert report.f1 == 100.0
 
     def test_random_labels_f_near_base_rate(self):
@@ -210,8 +211,7 @@ class TestCrossValidate:
         ]
         fs = []
         for seed in range(20):
-            report = cross_validate(examples, folds=3, seed=seed,
-                                    config=SvmConfig(epochs=20))
+            report = cross_validate(examples, folds=3, seed=seed, epochs=20, C=1.0)
             fs.append(report.f1)
         mean_f = sum(fs) / len(fs)
         assert 25.0 <= mean_f <= 75.0
@@ -241,7 +241,8 @@ class TestAblate:
             [("text", "topic"), ("text", "topic", "scope", "impact")],
             folds=5,
             seed=3,
-            config=SvmConfig(epochs=30),
+            epochs=30,
+            C=1.0,
         )
         baseline = results[0][1].f1
         enriched = results[1][1].f1
@@ -249,7 +250,7 @@ class TestAblate:
 
     def test_empty_group_set_raises(self):
         with pytest.raises(NoFeatures):
-            ablate(self._ablation_examples(), [()], folds=3)
+            ablate(self._ablation_examples(), [()], folds=3, seed=0, **SVM)
 
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
@@ -265,8 +266,7 @@ class TestAblate:
         from newsvalue.cli import ABLATION_SETS
 
         examples = self._ablation_examples(seed=5)
-        results = ablate(examples, ABLATION_SETS, folds=3, seed=1,
-                         config=SvmConfig(epochs=15))
+        results = ablate(examples, ABLATION_SETS, folds=3, seed=1, epochs=15, C=1.0)
         assert len(results) == 4
         assert results[0][0] == ("text", "topic")
 
@@ -295,6 +295,6 @@ class TestFeatureGroupWeights:
                         "text_w": rng.uniform(0, 1)}
             features = {k: v for k, v in features.items() if v}
             examples.append(LabeledExample(f"p{i}", features, label))
-        model = train_svm(examples, SvmConfig(seed=13))
+        model = train_svm(examples, **SVM, seed=13)
         gw = feature_group_weights(model)
         assert gw["topic"][0] > gw["text"][0]

@@ -131,6 +131,18 @@ class TestQuakeMagnitude:
     def test_malformed_ignored(self):
         assert extract_scope("M5.8.3 glitch").quake_magnitude is None
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("cſiſ intensity VII", ("csis", 7.0)),
+            ("mercalli intensity VİI", ("mercalli", 7.0)),
+            ("EMS intensity ıv", ("ems", 4.0)),
+        ],
+    )
+    def test_intensity_folded_like_the_regex(self, text, expected):
+        # re.IGNORECASE matches ſ to s and İ and ı to i; str.lower() does not
+        assert [c[2] for c in find_quake_magnitudes(text)] == [expected]
+
     def test_out_of_range_ignored(self):
         assert extract_scope("M55 impossible").quake_magnitude is None
 

@@ -20,6 +20,7 @@ import zlib
 from dataclasses import replace
 
 import pytest
+from conftest import match_one, propagate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -392,7 +393,7 @@ def overlapping_taxonomies(draw):
 @pytest.fixture(scope="module")
 def ctx(gazetteer, trbc_model):
     tfidf, centroids = trbc_model
-    return build_context(gazetteer, tfidf, centroids)
+    return build_context(gazetteer, tfidf, centroids, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +657,17 @@ def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch
 
     monkeypatch.setattr(labeling, "tokenize", counted_tokenize)
     monkeypatch.setattr(labeling, "vectorize", counted_vectorize)
-    run = labeling.label_corpus(posts, headlines)
+    run = labeling.label_corpus(posts, headlines, 0.5, 0.5, 0.3)
     assert sorted(tokenized) == sorted(masked)
     assert sorted(vectorized) == sorted(tuple(tokenize(t)) for t in masked)
     assert {r.status for r in run.results} == {"matched", "tardy", "unmatched"}
     assert run.stats["via_link"] == 1
 
-    # The vectors label_corpus passes down are the ones each function
-    # builds for itself.
+    # The vectors label_corpus passes down are those of the masked texts
+    # under the shared vocabulary.
     monkeypatch.undo()
     documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
     documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
     tfidf = textvec.fit_tfidf(documents)
-    first = [labeling.match_to_headlines(p, masked_headlines, tfidf) for p in masked_posts]
-    assert run.results == labeling.propagate_links(first, masked_posts, tfidf)
+    first = [match_one(p, masked_headlines, tfidf, 0.5) for p in masked_posts]
+    assert run.results == propagate(first, masked_posts, tfidf, 0.5, 0.3)
