@@ -51,6 +51,7 @@ from .records import (
     SourceProfile,
     TopicAssignment,
     _is_utf8,
+    _timestamp,
     read_ndjson,
     write_ndjson,
 )
@@ -206,7 +207,7 @@ def cmd_curate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         tweets_by_user.setdefault(post.user_id, []).append(post)
 
     tfidf, centroids = build_trbc_centroids(headlines, seed=cfg.seed)
-    curated, stages = curate(
+    curated, stages, skipped = curate(
         profiles,
         tweets_by_user,
         assignments,
@@ -217,6 +218,8 @@ def cmd_curate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         follower_cap=cfg.follower_cap,
         local_focus_threshold=cfg.local_focus_threshold,
     )
+    for message in skipped:
+        _report("warning", message)
     out = cfg.out_path("curated.ndjson")
     write_ndjson(out, (p.to_record() for p in curated))
     for stage in (
@@ -344,7 +347,6 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
             post_id=post_id,
             features=features.get(post_id, {}),
             label=rec.get("status") == "matched",
-            label_provenance="via_link" if rec.get("via_link") else "direct",
         )
 
     examples = sorted(_read(labeled_path, parse, "labeled"), key=lambda e: e.post_id)
@@ -417,13 +419,21 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _event(time_key: str) -> Callable[[dict], tuple[str, int]]:
+    """Parser of one timeliness row: (event_id, time_key's timestamp)."""
+
+    def parse(rec: dict) -> tuple[str, int]:
+        event_id = rec["event_id"]
+        if type(event_id) not in (str, int):  # a JSON boolean is no event id
+            raise ValueError("event_id is neither a string nor an integer")
+        return str(event_id), _timestamp(rec[time_key])
+
+    return parse
+
+
 def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) -> int:
-    feed = dict(_read(
-        Path(feed_path), lambda r: (str(r["event_id"]), int(r["first_tweet_at"])), "feed"
-    ))
-    wire = dict(_read(
-        Path(wire_path), lambda r: (str(r["event_id"]), int(r["wire_alert_at"])), "wire"
-    ))
+    feed = dict(_read(Path(feed_path), _event("first_tweet_at"), "feed"))
+    wire = dict(_read(Path(wire_path), _event("wire_alert_at"), "wire"))
     shared = sorted(set(feed) & set(wire))
     skipped = sorted((set(feed) | set(wire)) - set(shared))
     rows = []

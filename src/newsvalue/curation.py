@@ -7,7 +7,6 @@ it participates in disaster stories.
 
 from __future__ import annotations
 
-import logging
 import random
 import zlib
 from dataclasses import replace
@@ -37,8 +36,6 @@ from .textvec import (
     tokenize,
     vectorize,
 )
-
-log_ = logging.getLogger(__name__)
 
 _DATA_DIR = Path(__file__).resolve().parent / "data"
 
@@ -78,7 +75,8 @@ def local_focus_ratio(
     profile: SourceProfile,
     sample: Sequence[Post],
     g: Gazetteer,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> float:
     """Share of located sample tweets that geocode inside the profile region.
 
@@ -188,7 +186,8 @@ def classify_account(
     sample_tweets: Sequence[Post],
     trbc_centroids: CentroidSet,
     tfidf: TfidfModel,
-    seed: int = 0,
+    *,
+    seed: int,
 ) -> str:
     """Type an account by its nearest topic-code centroid.
 
@@ -239,12 +238,12 @@ def curate(
     seed: int,
     follower_cap: int,
     local_focus_threshold: float,
-) -> tuple[list[SourceProfile], dict[str, int]]:
-    """Run the full curation pipeline; returns (curated, stage counters).
+) -> tuple[list[SourceProfile], dict[str, int], list[str]]:
+    """Run the full curation pipeline; returns (curated, stage counters,
+    one message per skipped profile).
 
     Profiles removed at any stage remain candidates for topical re-admission.
-    Per-profile failures (no tweets, unresolvable data) skip the profile
-    with a log line rather than aborting the run.
+    A profile that cannot be typed (no tweets) is skipped, not fatal.
     """
     stages = {
         "input": len(profiles),
@@ -257,6 +256,7 @@ def curate(
     }
     removed: list[SourceProfile] = []
     survivors: list[SourceProfile] = []
+    skipped: list[str] = []
 
     step1 = []
     for p in profiles:
@@ -277,7 +277,7 @@ def curate(
 
     for p in step2:
         try:
-            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed)
+            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed=seed)
         except NoProfileLocation:
             stages["removed_no_location"] += 1
             removed.append(p)
@@ -307,10 +307,10 @@ def curate(
             info = informativeness(history, story_counts.get(p.user_id, 0))
         except EmptyAccount as exc:
             stages["skipped_errors"] += 1
-            log_.warning("skipping %s: %s", p.user_id, exc)
+            skipped.append(f"skipping {p.user_id}: {exc}")
             continue
         curated.append(replace(p, category=category, informativeness=info))
 
     curated.sort(key=lambda p: p.user_id)
     stages["curated"] = len(curated)
-    return curated, stages
+    return curated, stages, skipped

@@ -11,17 +11,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
 from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import NoDocuments
 from .linear import LinearModel, SGDConfig, train_one_vs_rest
-from .records import Post
 from .scope import TextAnalysis, Taxonomy, fold_key, load_taxonomy
 from .spans import select_spans
 from .textvec import fit_tfidf, tokenize, vectorize
@@ -259,10 +255,6 @@ def _context_tokens(a: TextAnalysis, span: tuple[int, int]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def extract_numeric_phrases(text: str) -> list[NumericPhrase]:
-    return numeric_phrases(TextAnalysis(text))
-
-
 def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
     """All numeric expressions in the text, spans non-overlapping.
 
@@ -383,9 +375,7 @@ def train_impact_classifier(
     if unknown:
         raise ValueError(f"unknown impact labels: {sorted(unknown)}")
     prepared = [(row.as_features(), label) for row, label in rows]
-    model = train_one_vs_rest(prepared, IMPACT_CLASSES, config, kind="impact")
-    model.train_meta["train_report"] = classification_report(model, rows)
-    return model
+    return train_one_vs_rest(prepared, IMPACT_CLASSES, config, kind="impact")
 
 
 def impact_labels(
@@ -395,67 +385,6 @@ def impact_labels(
     class order; the tf.idf triple is computed once per text."""
     triple = _tfidf_triple(a.tokens) if phrases else None
     return [model.predict(dict(_phrase_row(p, a.text, triple).as_features())) for p in phrases]
-
-
-def classification_report(
-    model: LinearModel, rows: Sequence[tuple[ImpactFeatureRow, str]]
-) -> dict[str, dict[str, float]]:
-    """Per-class precision/recall/F1 plus macro and micro averages."""
-    tp: Counter[str] = Counter()
-    fp: Counter[str] = Counter()
-    fn: Counter[str] = Counter()
-    for row, label in rows:
-        pred = model.predict(dict(row.as_features()))
-        if pred == label:
-            tp[label] += 1
-        else:
-            fp[pred] += 1
-            fn[label] += 1
-    report: dict[str, dict[str, float]] = {}
-    f1s = []
-    for cls in IMPACT_CLASSES:
-        p = tp[cls] / (tp[cls] + fp[cls]) if tp[cls] + fp[cls] else 0.0
-        r = tp[cls] / (tp[cls] + fn[cls]) if tp[cls] + fn[cls] else 0.0
-        f = 2 * p * r / (p + r) if p + r else 0.0
-        report[cls] = {"precision": p, "recall": r, "f1": f}
-        f1s.append(f)
-    total = sum(tp.values()) + sum(fn.values())
-    micro = sum(tp.values()) / total if total else 0.0
-    report["macro"] = {"f1": sum(f1s) / len(f1s)}
-    report["micro"] = {"f1": micro}
-    return report
-
-
-# ---------------------------------------------------------------------------
-# site terms and taxonomy bootstrapping
-# ---------------------------------------------------------------------------
-
-def extract_site_terms(tokens: Sequence[str]) -> list[str]:
-    """Physical-site nouns in token order."""
-    return default_site_terms().match(tokens)
-
-
-def build_human_impact_taxonomy(corpus: Sequence[Post]) -> list[tuple[str, int]]:
-    """Frequency-ranked candidate tokens for the human-impact taxonomy.
-
-    Runs the numeric-phrase extractor over the corpus, strips numerals from
-    the contexts, and keeps the top five percentiles of distinct tokens by
-    frequency. The returned ranking is reviewed by hand and then shipped as
-    a taxonomy file; this function only proposes candidates.
-    """
-    if not corpus:
-        raise NoDocuments("empty corpus")
-    counts: Counter[str] = Counter()
-    for post in corpus:
-        for phrase in extract_numeric_phrases(post.text):
-            for tok in phrase.context_tokens:
-                if not tok[0].isdigit():
-                    counts[tok] += 1
-    if not counts:
-        return []
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    keep = max(1, ceil(len(ranked) * 0.05))
-    return ranked[:keep]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DegenerateLabels, InsufficientData, NoFeatures, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
-from .impact import bootstrap_impact_model, extract_site_terms, impact_labels, numeric_phrases
+from .impact import bootstrap_impact_model, default_site_terms, impact_labels, numeric_phrases
 from .labeling import masked_text
 from .linear import LinearModel, SGDConfig, train_binary_hinge
 from .rarity import BackgroundIndex, grid_cell, rarity
@@ -150,7 +150,7 @@ def assemble_features(
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = extract_site_terms(a.tokens)
+    site_hits = default_site_terms().match(a.tokens)
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
@@ -359,7 +359,6 @@ def restrict_features(
                 post_id=e.post_id,
                 features=kept,
                 label=e.label,
-                label_provenance=e.label_provenance,
             )
         )
     return out

@@ -58,7 +58,10 @@ _TIMESTAMP_MIN, _TIMESTAMP_MAX = -62_135_596_800, 253_402_300_799
 
 
 def _timestamp(value) -> int:
-    """Epoch seconds as an int; ValueError unless a UTC datetime can hold it."""
+    """Epoch seconds as an int; ValueError for a boolean or unless a UTC
+    datetime can hold it."""
+    if isinstance(value, bool):
+        raise ValueError("timestamp is a boolean")
     ts = int(value)
     if not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
         raise ValueError(f"timestamp {ts} out of range")
@@ -236,7 +239,6 @@ class LabeledExample:
     post_id: str
     features: dict[str, float]
     label: bool
-    label_provenance: str = "direct"  # "direct" | "via_link"
 
 
 def _is_utf8(line: str) -> bool:
@@ -256,8 +258,9 @@ def read_ndjson(
 ) -> tuple[list[T], list[tuple[int, str]]]:
     """Parse one JSON object per line; returns (records, [(lineno, error)]).
 
-    A line that is not UTF-8, not JSON, or that `parse` rejects (missing
-    key, wrong type, a number out of range) is an error, not a record.
+    A line that is not UTF-8, not a JSON object, or that `parse` rejects
+    (missing key, wrong type, a number out of range) is an error, not a
+    record.
     """
     out: list[T] = []
     errors: list[tuple[int, str]] = []
@@ -270,7 +273,10 @@ def read_ndjson(
                 errors.append((lineno, "invalid UTF-8"))
                 continue
             try:
-                out.append(parse(json.loads(line)))
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError("not a JSON object")
+                out.append(parse(rec))
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 errors.append((lineno, str(exc) or exc.__class__.__name__))
     return out, errors

@@ -131,19 +131,6 @@ class ScopeFeatures:
 
 
 # ---------------------------------------------------------------------------
-# taxonomy indicators
-# ---------------------------------------------------------------------------
-
-def extract_scale_adjectives(tokens: Sequence[str]) -> list[str]:
-    return default_scale_lexicon().match(tokens)
-
-
-def extract_fire_cause(tokens: Sequence[str]) -> str | None:
-    hits = default_fire_causes().match(tokens)
-    return hits[0] if hits else None
-
-
-# ---------------------------------------------------------------------------
 # multiple-alarm fires
 # ---------------------------------------------------------------------------
 
@@ -455,18 +442,14 @@ class TextAnalysis:
         highest weather level wins (then the leftmost), else the largest value."""
         alarms, quakes, sizes, vehicles, scales, hails = self.finds.values()
         richter = [c for c in quakes if c[2][0] == "richter"] or quakes
+        causes = default_fire_causes().match(self.tokens)
         return ScopeFeatures(
-            scale_adjectives=tuple(extract_scale_adjectives(self.tokens)),
+            scale_adjectives=tuple(default_scale_lexicon().match(self.tokens)),
             alarm_level=_largest(alarms),
-            fire_cause=extract_fire_cause(self.tokens),
+            fire_cause=causes[0] if causes else None,
             quake_magnitude=max(richter, key=lambda c: (c[2][1], -c[0]))[2] if quakes else None,
             wildfire_size_acres=_largest(sizes),
             vehicle_count=_largest(vehicles),
             weather_scale=max(scales, key=lambda c: (c[2][1], -c[0]))[2] if scales else None,
             hail_size_inches=_largest(hails),
         )
-
-
-def extract_scope(text: str) -> ScopeFeatures:
-    """Run all seven indicators over one text."""
-    return TextAnalysis(text).scope()

@@ -6,7 +6,6 @@ function over immutable inputs; fitted models are read-only.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -51,8 +50,7 @@ def token_spans(text: str) -> list[tuple[str, int, int]]:
 class SparseVector:
     """Immutable term→weight map with a cached Euclidean norm.
 
-    Zero weights are dropped at construction so support checks stay cheap
-    and serialized forms are canonical.
+    Zero weights are dropped at construction so support checks stay cheap.
     """
 
     __slots__ = ("entries", "norm")
@@ -68,13 +66,6 @@ class SparseVector:
         if len(a) > len(b):
             a, b = b, a
         return sum(w * b[t] for t, w in a.items() if t in b)
-
-    def scaled(self, factor: float) -> "SparseVector":
-        return SparseVector({t: w * factor for t, w in self.entries.items()})
-
-    def canonical(self) -> str:
-        """Deterministic JSON form (sorted keys, repr floats)."""
-        return json.dumps(self.entries, sort_keys=True)
 
     def __len__(self) -> int:
         return len(self.entries)

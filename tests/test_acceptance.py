@@ -19,14 +19,9 @@ from conftest import (
     propagate,
     write_ndjson_file,
 )
-from newsvalue import scope as scope_mod
 from newsvalue.cli import EXIT_OK, main
 from newsvalue.curation import curate
-from newsvalue.impact import (
-    extract_numeric_phrases,
-    train_impact_classifier,
-    classification_report,
-)
+from newsvalue.impact import numeric_phrases, train_impact_classifier
 from newsvalue.labeling import MATCHED, TARDY, UNMATCHED
 from newsvalue.linear import SGDConfig
 from newsvalue.model import (
@@ -38,9 +33,9 @@ from newsvalue.model import (
 )
 from newsvalue.rarity import TaggedPost, build_background, grid_cell, rarity
 from newsvalue.records import Headline, LabeledExample, Post
-from newsvalue.scope import extract_scope
+from newsvalue.scope import TextAnalysis, default_scale_lexicon
 from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
-from test_impact import synthetic_impact_rows
+from test_impact import impact_f1, synthetic_impact_rows
 from test_model import separable_examples
 
 
@@ -64,46 +59,45 @@ def criterion(name: str, budget_seconds: float):
 
 def test_parser_suites():
     with criterion("parser suites (published literals included)", 1.0):
-        assert extract_scope("3-alarm fire reported").alarm_level == 3
-        assert extract_scope("requesting a 2nd alarm").alarm_level == 2
-        assert extract_scope("fire alarm went off").alarm_level is None
+        assert TextAnalysis("3-alarm fire reported").scope().alarm_level == 3
+        assert TextAnalysis("requesting a 2nd alarm").scope().alarm_level == 2
+        assert TextAnalysis("fire alarm went off").scope().alarm_level is None
 
-        assert extract_scope("2-car crash on I-40").vehicle_count == 2
-        assert extract_scope("2 commercial trucks & one vehicle").vehicle_count == 3
-        assert extract_scope("car crash reported").vehicle_count is None
+        assert TextAnalysis("2-car crash on I-40").scope().vehicle_count == 2
+        assert TextAnalysis("2 commercial trucks & one vehicle").scope().vehicle_count == 3
+        assert TextAnalysis("car crash reported").scope().vehicle_count is None
 
-        assert extract_scope(
+        assert TextAnalysis(
             "Prelim M5.8 earthquake off the coast of Jalisco, Mexico May-20 06:02 UTC"
-        ).quake_magnitude == ("richter", 5.8)
-        assert extract_scope("no quake here").quake_magnitude is None
-        assert extract_scope(
+        ).scope().quake_magnitude == ("richter", 5.8)
+        assert TextAnalysis("no quake here").scope().quake_magnitude is None
+        assert TextAnalysis(
             "intensity VII reported, later M6.1"
-        ).quake_magnitude == ("richter", 6.1)
+        ).scope().quake_magnitude == ("richter", 6.1)
 
-        assert extract_scope("quarter sized hail").hail_size_inches == pytest.approx(1.0)
-        assert extract_scope("EF3 tornado confirmed").weather_scale == (
+        assert TextAnalysis("quarter sized hail").scope().hail_size_inches == pytest.approx(1.0)
+        assert TextAnalysis("EF3 tornado confirmed").scope().weather_scale == (
             "enhanced_fujita", 3,
         )
-        sunny = extract_scope("sunny skies")
+        sunny = TextAnalysis("sunny skies").scope()
         assert (sunny.weather_scale, sunny.hail_size_inches) == (None, None)
 
         toks = tokenize("deadly shooting near Alvin")
-        assert scope_mod.extract_scale_adjectives(toks) == ["deadly"]
-        assert scope_mod.extract_scale_adjectives(tokenize("small kitchen issue")) == []
-        assert scope_mod.extract_scale_adjectives(
+        assert default_scale_lexicon().match(toks) == ["deadly"]
+        assert default_scale_lexicon().match(tokenize("small kitchen issue")) == []
+        assert default_scale_lexicon().match(
             tokenize("massive deadly blaze")
         ) == ["massive", "deadly"]
 
-        toks = tokenize("explosion caused by gas leak")
-        assert scope_mod.extract_fire_cause(toks) == "gas leak"
-        assert scope_mod.extract_fire_cause(tokenize("structure fire downtown")) is None
-        assert scope_mod.extract_fire_cause(tokenize("trash fire behind mall")) == "trash fire"
+        assert TextAnalysis("explosion caused by gas leak").scope().fire_cause == "gas leak"
+        assert TextAnalysis("structure fire downtown").scope().fire_cause is None
+        assert TextAnalysis("trash fire behind mall").scope().fire_cause == "trash fire"
 
-        assert extract_scope("fire has burned 1,200 acres").wildfire_size_acres == 1200.0
-        assert extract_scope("2 square miles scorched").wildfire_size_acres == 1280.0
-        assert extract_scope("windy day").wildfire_size_acres is None
+        assert TextAnalysis("fire has burned 1,200 acres").scope().wildfire_size_acres == 1200.0
+        assert TextAnalysis("2 square miles scorched").scope().wildfire_size_acres == 1280.0
+        assert TextAnalysis("windy day").scope().wildfire_size_acres is None
 
-        composite = extract_scope("deadly 3-alarm fire caused by gas leak")
+        composite = TextAnalysis("deadly 3-alarm fire caused by gas leak").scope()
         assert composite.scale_adjectives == ("deadly",)
         assert composite.alarm_level == 3
         assert composite.fire_cause == "gas leak"
@@ -141,9 +135,9 @@ def test_fuzz_robustness(gazetteer):
             text = _random_unicode(rng)
             toks = tokenize(text)
             assert all(t for t in toks)
-            scope = extract_scope(text)
+            scope = TextAnalysis(text).scope()
             assert_scope_within_bounds(scope)
-            for phrase in extract_numeric_phrases(text):
+            for phrase in numeric_phrases(TextAnalysis(text)):
                 start, end = phrase.span
                 assert 0 <= start < end <= len(text)
                 assert text[start:end] == phrase.raw
@@ -332,9 +326,9 @@ def test_impact_classifier_synthetic():
         model = train_impact_classifier(rows, cfg)
         train_elapsed = time.monotonic() - started
         assert train_elapsed < 10.0
-        report = classification_report(model, rows)
-        assert report["macro"]["f1"] >= 0.95, report
-        assert report["micro"]["f1"] >= 0.95, report
+        macro, micro = impact_f1(model, rows)
+        assert macro >= 0.95, (macro, micro)
+        assert micro >= 0.95, (macro, micro)
         again = train_impact_classifier(rows, cfg)
         assert again.weights == model.weights
         assert again.bias == model.bias
@@ -439,7 +433,7 @@ def test_curation_fixture_acceptance(gazetteer, trbc_model):
     tfidf, centroids = trbc_model
     profiles, tweets, assignments = curation_fixture()
     with criterion("curation: 12-profile fixture -> the 7 traced survivors", 1.0):
-        curated, stages = curate(
+        curated, stages, _ = curate(
             profiles, tweets, assignments, gazetteer, centroids, tfidf,
             seed=7, follower_cap=1_000_000, local_focus_threshold=0.5,
         )

@@ -9,6 +9,7 @@ import math
 import os
 import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     BASE_TS,
     EXPECTED_SURVIVORS,
+    curation_fixture,
     make_wire_headlines,
     write_ndjson_file,
     write_pipeline_inputs,
@@ -106,6 +108,23 @@ class TestCurateCommand:
         assert "line 13" in captured.err
         assert "skipped" in captured.err
         assert "curated: 7" in captured.out
+
+    def test_skipped_account_is_one_warning_line(self, pipeline, capsys):
+        """A profile whose location does not resolve, readmitted as topical,
+        with no tweets to type it by, is skipped with one warning line."""
+        tmp_path, config = pipeline
+        ghost = {"user_id": "ghost\nfeed", "profile_location": "Atlantis"}
+        with open(tmp_path / "profiles.ndjson", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(ghost) + "\n")
+        with open(tmp_path / "assignments.ndjson", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"user_id": ghost["user_id"], "topic": "Crisis/War/Disaster",
+                                 "count": 500}) + "\n")
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "warning: skipping ghost\\nfeed: account 'ghost\\nfeed' has no tweets to sample\n"
+        )
+        assert "skipped_errors: 1" in captured.out
 
     def test_empty_inputs_exit_0(self, pipeline, capsys):
         tmp_path, config = pipeline
@@ -447,7 +466,7 @@ class TestInputRecordChecks:
         assert "curated: 7" in captured.out
 
     @pytest.mark.parametrize(
-        "ts", ["1e300", "-1e300", "1" + "0" * 30, "253402300800", "-62135596801"]
+        "ts", ["1e300", "-1e300", "1" + "0" * 30, "253402300800", "-62135596801", "true"]
     )
     @pytest.mark.parametrize(
         "name, row",
@@ -752,6 +771,10 @@ class TestTimelinessCommand:
             {"event_id": "e2", "first_tweet_at": "soon"},
             {"event_id": "e2", "first_tweet_at": None},
             {"first_tweet_at": 0},
+            {"event_id": "e2", "first_tweet_at": 1e308},
+            {"event_id": "e2", "first_tweet_at": True},
+            {"event_id": [1], "first_tweet_at": True},
+            {"event_id": True, "first_tweet_at": 0},
         ],
     )
     def test_bad_feed_row_skipped(self, tmp_path, capsys, bad_row):
@@ -917,8 +940,12 @@ def fixture_config(tmp_path_factory):
 
 
 def _run_in_work_dir(work_root, config, verb, files=None):
-    """main() for verb on config, in a new directory under work_root that
-    holds files (name -> bytes); returns the exit code and stderr."""
+    """main() for verb on config (timeliness: on feed.ndjson and
+    wire.ndjson), in a new directory under work_root that holds files
+    (name -> bytes); returns the exit code and stderr."""
+    argv = [verb, "--config", "config.json"]
+    if verb == "timeliness":
+        argv = [verb, "--feed", "feed.ndjson", "--wire", "wire.ndjson"]
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(dir=work_root) as work:
@@ -930,7 +957,7 @@ def _run_in_work_dir(work_root, config, verb, files=None):
             with open("config.json", "w", encoding="utf-8") as fh:
                 json.dump(config, fh)
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = main([verb, "--config", "config.json"])
+                code = main(argv)
         finally:
             os.chdir(cwd)
     return code, stderr.getvalue()
@@ -964,7 +991,35 @@ def test_any_config_value_keeps_the_exit_code_contract(fixture_config, verb, ove
 
 
 POSTS, HEADLINES = make_event_posts()
-RECORD_FIELDS = sorted(set(POSTS[0].to_record()) | set(HEADLINES[0].to_record()))
+PROFILE = curation_fixture()[0][3].to_record()  # houston_fire
+# A well-formed record of each NDJSON input; an input the CLI fixture does
+# not hold is this one record.
+GOOD_RECORDS = {
+    "posts": POSTS[0].to_record(),
+    "headlines": HEADLINES[0].to_record(),
+    "profiles": PROFILE,
+    "tweets": POSTS[1].to_record(),
+    "assignments": {"user_id": PROFILE["user_id"], "topic": "Crisis/War/Disaster", "count": 2},
+    "background": {"created_at": BASE_TS, "lat": 29.76, "lon": -95.37, "country": "US",
+                   "topic": "fires_explosions"},
+    "curated": dict(PROFILE, category="fire_emergency", locally_focused=True, informativeness=2.5,
+                    resolved_name="Houston", resolved_country="US", resolved_lat=29.76,
+                    resolved_lon=-95.37),
+    "labeled": dict(POSTS[0].to_record(), status="matched", best_score=1.0, best_headline=0,
+                    via_link=False),
+    "feed": {"event_id": "e1", "first_tweet_at": BASE_TS},
+    "wire": {"event_id": "e1", "wire_alert_at": BASE_TS + 600},
+}
+# The NDJSON inputs of each verb.
+VERB_INPUTS = {
+    "curate": ("profiles", "tweets", "assignments", "headlines"),
+    "label": ("posts", "headlines"),
+    "extract": ("posts", "headlines", "background", "curated"),
+    "train": ("labeled",),
+    "evaluate": ("labeled",),
+    "timeliness": ("feed", "wire"),
+}
+RECORD_FIELDS = sorted(set().union(*GOOD_RECORDS.values()))
 # Values no well-formed record holds: numbers past every int and float
 # field's range, a 100,000-character string, a long list.
 huge_values = st.sampled_from(
@@ -990,29 +1045,23 @@ def ndjson_lines(draw, base):
     return text.encode("utf-8", "surrogatepass")
 
 
-def _with_lines(path, lines):
-    with open(path, "rb") as fh:
-        return fh.read() + b"".join(line + b"\n" for line in lines)
-
-
-@pytest.mark.parametrize("verb", ["label", "extract"])
+@pytest.mark.parametrize("verb", sorted(VERB_INPUTS))
 @settings(max_examples=40, deadline=None)
-@given(
-    post_lines=st.lists(ndjson_lines(POSTS[0].to_record()), max_size=3),
-    headline_lines=st.lists(ndjson_lines(HEADLINES[0].to_record()), max_size=3),
-)
-@example(post_lines=[b"\xff\xfe", b'{"post_id": 1e400}'], headline_lines=[b"[]", b"{}"])
-def test_any_ndjson_line_keeps_the_exit_code_contract(
-    fixture_config, verb, post_lines, headline_lines
-):
-    """Arbitrary lines appended to the posts and headlines exit 0, 2, 3 or 4
-    with no uncaught exception, and every stderr line is an error or a
+@given(lines=st.fixed_dictionaries(
+    {name: st.lists(ndjson_lines(record), max_size=3) for name, record in GOOD_RECORDS.items()}
+))
+@example(lines=dict.fromkeys(GOOD_RECORDS, [b"[]", b"null"]))
+@example(lines=dict.fromkeys(GOOD_RECORDS, [b"\xff\xfe", b'{"post_id": 1e400}', b"{}"]))
+def test_any_ndjson_line_keeps_the_exit_code_contract(fixture_config, verb, lines):
+    """Arbitrary lines appended to any NDJSON input of any verb exit 0, 2, 3
+    or 4 with no uncaught exception, and every stderr line is an error or a
     warning."""
     base, work_root = fixture_config
     config = json.loads(json.dumps(base))
-    files = {
-        "posts.ndjson": _with_lines(base["paths"]["posts"], post_lines),
-        "headlines.ndjson": _with_lines(base["paths"]["headlines"], headline_lines),
-    }
-    config["paths"].update({name.split(".")[0]: name for name in files})
+    files = {}
+    for name in VERB_INPUTS[verb]:
+        path = base["paths"].get(name)
+        good = Path(path).read_bytes() if path else json.dumps(GOOD_RECORDS[name]).encode() + b"\n"
+        files[f"{name}.ndjson"] = good + b"".join(line + b"\n" for line in lines[name])
+        config["paths"][name] = f"{name}.ndjson"
     _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb, files))

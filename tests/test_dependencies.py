@@ -31,3 +31,25 @@ def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert "dependencies = []" in project.splitlines()
+
+
+def test_every_defined_name_is_read_in_the_package():
+    """No function, class or method lives only for its tests: each name the
+    package defines, dunders aside, is read as a name or an attribute
+    somewhere in the package."""
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "newsvalue").glob("*.py"))
+    ]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    defined = {
+        node.name
+        for node in nodes
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    unread = sorted(
+        name for name in defined - read if not (name.startswith("__") and name.endswith("__"))
+    )
+    assert unread == []

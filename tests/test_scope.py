@@ -16,9 +16,6 @@ from newsvalue.scope import (
     TextAnalysis,
     default_fire_causes,
     default_scale_lexicon,
-    extract_fire_cause,
-    extract_scale_adjectives,
-    extract_scope,
     find_alarm_levels,
     find_hail_sizes,
     find_quake_magnitudes,
@@ -58,78 +55,78 @@ class TestTaxonomyLoading:
 
 class TestScaleAdjectives:
     def test_deadly(self):
-        assert extract_scale_adjectives(tokenize("deadly shooting near Alvin")) == ["deadly"]
+        assert default_scale_lexicon().match(tokenize("deadly shooting near Alvin")) == ["deadly"]
 
     def test_no_match(self):
-        assert extract_scale_adjectives(tokenize("small kitchen issue")) == []
+        assert default_scale_lexicon().match(tokenize("small kitchen issue")) == []
 
     def test_order_and_duplicates(self):
         toks = tokenize("massive deadly blaze, massive crowds")
-        assert extract_scale_adjectives(toks) == ["massive", "deadly", "massive"]
+        assert default_scale_lexicon().match(toks) == ["massive", "deadly", "massive"]
 
 
 class TestAlarmLevel:
     def test_hyphen_form(self):
-        assert extract_scope("3-alarm fire reported").alarm_level == 3
+        assert TextAnalysis("3-alarm fire reported").scope().alarm_level == 3
 
     def test_ordinal_form(self):
-        assert extract_scope("requesting a 2nd alarm").alarm_level == 2
+        assert TextAnalysis("requesting a 2nd alarm").scope().alarm_level == 2
 
     def test_bare_alarm_absent(self):
-        assert extract_scope("fire alarm went off").alarm_level is None
+        assert TextAnalysis("fire alarm went off").scope().alarm_level is None
 
     def test_largest_wins(self):
-        assert extract_scope("2nd alarm upgraded to 4-alarm").alarm_level == 4
+        assert TextAnalysis("2nd alarm upgraded to 4-alarm").scope().alarm_level == 4
 
     def test_out_of_range_ignored(self):
-        assert extract_scope("99-alarm nonsense").alarm_level is None
+        assert TextAnalysis("99-alarm nonsense").scope().alarm_level is None
 
 
 class TestFireCause:
     def test_gas_leak(self):
-        assert extract_fire_cause(tokenize("explosion caused by gas leak")) == "gas leak"
+        assert TextAnalysis("explosion caused by gas leak").scope().fire_cause == "gas leak"
 
     def test_absent(self):
-        assert extract_fire_cause(tokenize("structure fire downtown")) is None
+        assert TextAnalysis("structure fire downtown").scope().fire_cause is None
 
     def test_trash_fire(self):
-        assert extract_fire_cause(tokenize("trash fire behind mall")) == "trash fire"
+        assert TextAnalysis("trash fire behind mall").scope().fire_cause == "trash fire"
 
     def test_first_in_text_order(self):
-        got = extract_fire_cause(tokenize("lightning then a gas leak"))
+        got = TextAnalysis("lightning then a gas leak").scope().fire_cause
         assert got == "lightning"
 
 
 class TestQuakeMagnitude:
     def test_prefixed(self):
-        assert extract_scope(
+        assert TextAnalysis(
             "Prelim M5.8 earthquake off the coast of Jalisco"
-        ).quake_magnitude == ("richter", 5.8)
+        ).scope().quake_magnitude == ("richter", 5.8)
 
     def test_absent(self):
-        assert extract_scope("no quake here").quake_magnitude is None
+        assert TextAnalysis("no quake here").scope().quake_magnitude is None
 
     def test_magnitude_word(self):
-        assert extract_scope("magnitude 6.3 quake").quake_magnitude == ("richter", 6.3)
+        assert TextAnalysis("magnitude 6.3 quake").scope().quake_magnitude == ("richter", 6.3)
 
     def test_suffix_form(self):
-        assert extract_scope("a 4.5-magnitude tremor").quake_magnitude == ("richter", 4.5)
+        assert TextAnalysis("a 4.5-magnitude tremor").scope().quake_magnitude == ("richter", 4.5)
 
     def test_richter_preferred_over_intensity(self):
-        assert extract_scope("intensity VII reported, later M6.1").quake_magnitude == ("richter", 6.1)
+        assert TextAnalysis("intensity VII reported, later M6.1").scope().quake_magnitude == ("richter", 6.1)
 
     def test_intensity_roman(self):
-        assert extract_scope("intensity VII reported").quake_magnitude == ("mercalli", 7.0)
+        assert TextAnalysis("intensity VII reported").scope().quake_magnitude == ("mercalli", 7.0)
 
     def test_ems_tag(self):
-        assert extract_scope("EMS intensity VIII observed").quake_magnitude == ("ems", 8.0)
+        assert TextAnalysis("EMS intensity VIII observed").scope().quake_magnitude == ("ems", 8.0)
 
     def test_shindo_plus(self):
-        assert extract_scope("JMA 6+ recorded").quake_magnitude == ("shindo", 6.5)
-        assert extract_scope("shindo 5 in Tokyo").quake_magnitude == ("shindo", 5.0)
+        assert TextAnalysis("JMA 6+ recorded").scope().quake_magnitude == ("shindo", 6.5)
+        assert TextAnalysis("shindo 5 in Tokyo").scope().quake_magnitude == ("shindo", 5.0)
 
     def test_malformed_ignored(self):
-        assert extract_scope("M5.8.3 glitch").quake_magnitude is None
+        assert TextAnalysis("M5.8.3 glitch").scope().quake_magnitude is None
 
     @pytest.mark.parametrize(
         "text, expected",
@@ -144,27 +141,27 @@ class TestQuakeMagnitude:
         assert [c[2] for c in find_quake_magnitudes(text)] == [expected]
 
     def test_out_of_range_ignored(self):
-        assert extract_scope("M55 impossible").quake_magnitude is None
+        assert TextAnalysis("M55 impossible").scope().quake_magnitude is None
 
 
 class TestWildfireSize:
     def test_acres_with_comma(self):
-        assert extract_scope("fire has burned 1,200 acres").wildfire_size_acres == pytest.approx(1200.0)
+        assert TextAnalysis("fire has burned 1,200 acres").scope().wildfire_size_acres == pytest.approx(1200.0)
 
     def test_square_miles(self):
-        assert extract_scope("2 square miles scorched").wildfire_size_acres == pytest.approx(1280.0)
+        assert TextAnalysis("2 square miles scorched").scope().wildfire_size_acres == pytest.approx(1280.0)
 
     def test_sq_km(self):
-        assert extract_scope("10 sq km burned").wildfire_size_acres == pytest.approx(2471.05)
+        assert TextAnalysis("10 sq km burned").scope().wildfire_size_acres == pytest.approx(2471.05)
 
     def test_radius(self):
         import math
 
-        got = extract_scope("flames within a 2 mile radius").wildfire_size_acres
+        got = TextAnalysis("flames within a 2 mile radius").scope().wildfire_size_acres
         assert got == pytest.approx(math.pi * 4 * 640)
 
     def test_absent(self):
-        assert extract_scope("windy day").wildfire_size_acres is None
+        assert TextAnalysis("windy day").scope().wildfire_size_acres is None
 
     def test_unit_round_trip(self):
         rng = random.Random(5)
@@ -176,19 +173,19 @@ class TestWildfireSize:
 
 class TestVehicleCount:
     def test_hyphen_crash(self):
-        assert extract_scope("2-car crash on I-40").vehicle_count == 2
+        assert TextAnalysis("2-car crash on I-40").scope().vehicle_count == 2
 
     def test_additive(self):
-        assert extract_scope("2 commercial trucks & one vehicle").vehicle_count == 3
+        assert TextAnalysis("2 commercial trucks & one vehicle").scope().vehicle_count == 3
 
     def test_no_count(self):
-        assert extract_scope("car crash reported").vehicle_count is None
+        assert TextAnalysis("car crash reported").scope().vehicle_count is None
 
     def test_word_number(self):
-        assert extract_scope("three-vehicle pileup").vehicle_count == 3
+        assert TextAnalysis("three-vehicle pileup").scope().vehicle_count == 3
 
     def test_additive_with_and(self):
-        assert extract_scope("4 cars and 2 trucks collided").vehicle_count == 6
+        assert TextAnalysis("4 cars and 2 trucks collided").scope().vehicle_count == 6
 
     @pytest.mark.parametrize(
         "text, count",
@@ -196,53 +193,53 @@ class TestVehicleCount:
     )
     def test_word_number_folded_like_the_regex(self, text, count):
         # re.IGNORECASE matches ſ to s and İ to i; str.lower() does not
-        assert extract_scope(text).vehicle_count == count
+        assert TextAnalysis(text).scope().vehicle_count == count
 
 
 class TestWeatherScale:
     def test_quarter_sized_hail(self):
-        scope = extract_scope("quarter sized hail")
+        scope = TextAnalysis("quarter sized hail").scope()
         assert scope.weather_scale is None
         assert scope.hail_size_inches == pytest.approx(1.0)
 
     def test_ef3(self):
-        scope = extract_scope("EF3 tornado confirmed")
+        scope = TextAnalysis("EF3 tornado confirmed").scope()
         assert scope.weather_scale == ("enhanced_fujita", 3)
         assert scope.hail_size_inches is None
 
     def test_absent(self):
-        scope = extract_scope("sunny skies")
+        scope = TextAnalysis("sunny skies").scope()
         assert (scope.weather_scale, scope.hail_size_inches) == (None, None)
 
     def test_ef_hyphen(self):
-        assert extract_scope("EF-4 damage").weather_scale == ("enhanced_fujita", 4)
+        assert TextAnalysis("EF-4 damage").scope().weather_scale == ("enhanced_fujita", 4)
 
     def test_torro_requires_context(self):
-        assert extract_scope("route T8 closed").weather_scale is None
-        assert extract_scope("T8 tornado on the TORRO scale").weather_scale == ("torro", 8)
+        assert TextAnalysis("route T8 closed").scope().weather_scale is None
+        assert TextAnalysis("T8 tornado on the TORRO scale").scope().weather_scale == ("torro", 8)
 
     def test_beaufort(self):
-        assert extract_scope("winds reached force 10").weather_scale == ("beaufort", 10)
+        assert TextAnalysis("winds reached force 10").scope().weather_scale == ("beaufort", 10)
 
     def test_numeric_hail(self):
-        assert extract_scope("2 inch hail smashed windows").hail_size_inches == pytest.approx(2.0)
+        assert TextAnalysis("2 inch hail smashed windows").scope().hail_size_inches == pytest.approx(2.0)
 
     def test_golf_ball(self):
-        assert extract_scope("hail the size of a golf ball").hail_size_inches == pytest.approx(1.75)
+        assert TextAnalysis("hail the size of a golf ball").scope().hail_size_inches == pytest.approx(1.75)
 
     @pytest.mark.parametrize(
         "text, inches", [("baſeball hail", 2.75), ("hail the size of a PİNG PONG BALL", 1.5)]
     )
     def test_hail_object_folded_like_the_regex(self, text, inches):
-        assert extract_scope(text).hail_size_inches == inches
+        assert TextAnalysis(text).scope().hail_size_inches == inches
 
     def test_ef_out_of_range(self):
-        assert extract_scope("EF9 claim").weather_scale is None
+        assert TextAnalysis("EF9 claim").scope().weather_scale is None
 
 
 class TestComposite:
     def test_empty_text(self):
-        scope = extract_scope("")
+        scope = TextAnalysis("").scope()
         assert scope.scale_adjectives == ()
         assert scope.alarm_level is None
         assert scope.fire_cause is None
@@ -253,9 +250,9 @@ class TestComposite:
         assert scope.hail_size_inches is None
 
     def test_usgs_style_tweet(self):
-        scope = extract_scope(
+        scope = TextAnalysis(
             "Prelim M5.8 earthquake off the coast of Jalisco, Mexico May-20 06:02 UTC"
-        )
+        ).scope()
         assert scope.quake_magnitude == ("richter", 5.8)
         assert scope.scale_adjectives == ()
         assert scope.alarm_level is None
@@ -263,7 +260,7 @@ class TestComposite:
         assert scope.wildfire_size_acres is None
 
     def test_combined(self):
-        scope = extract_scope("deadly 3-alarm fire caused by gas leak")
+        scope = TextAnalysis("deadly 3-alarm fire caused by gas leak").scope()
         assert scope.scale_adjectives == ("deadly",)
         assert scope.alarm_level == 3
         assert scope.fire_cause == "gas leak"
@@ -283,13 +280,13 @@ class TestComposite:
             return max(cands, key=lambda c: (c[2][1], -c[0]))[2] if cands else None
 
         for text in texts:
-            scope = extract_scope(text)
+            scope = TextAnalysis(text).scope()
             toks = tokenize(text)
             quakes = find_quake_magnitudes(text)
             assert scope == TextAnalysis(text).scope()
-            assert scope.scale_adjectives == tuple(extract_scale_adjectives(toks))
+            assert scope.scale_adjectives == tuple(default_scale_lexicon().match(toks))
             assert scope.alarm_level == largest(find_alarm_levels(text))
-            assert scope.fire_cause == extract_fire_cause(toks)
+            assert scope.fire_cause == (default_fire_causes().match(toks) or [None])[0]
             assert scope.quake_magnitude == highest_leftmost(
                 [c for c in quakes if c[2][0] == "richter"] or quakes
             )
@@ -331,8 +328,8 @@ class TestFuzz:
                 [rng.randint(0, 9), rng.randint(0, 99), rng.randint(0, 10**6),
                  round(rng.uniform(0, 99), rng.randint(0, 3))]
             )
-            assert_scope_within_bounds(extract_scope(t.format(n=n)))
+            assert_scope_within_bounds(TextAnalysis(t.format(n=n)).scope())
 
     def test_determinism(self):
         text = "deadly EF3 tornado, 2 inch hail, 3-alarm fire, M5.8"
-        assert extract_scope(text) == extract_scope(text)
+        assert TextAnalysis(text).scope() == TextAnalysis(text).scope()

@@ -37,7 +37,7 @@ from newsvalue.impact import (
     default_address_terms,
     default_human_impact_terms,
     default_site_terms,
-    extract_numeric_phrases,
+    numeric_phrases,
 )
 from newsvalue.labeling import _claimed_spans, default_mask_rules, mask_taxonomy_tokens
 from newsvalue.model import NAME_BUCKETS, _scope_features, assemble_features, build_context
@@ -49,7 +49,6 @@ from newsvalue.scope import (
     Taxonomy,
     default_fire_causes,
     default_scale_lexicon,
-    extract_scope,
     find_alarm_levels,
     find_hail_sizes,
     find_quake_magnitudes,
@@ -186,7 +185,7 @@ def ref_context_tokens(text, span):
 def ref_numeric_phrases(text):
     return [
         replace(p, context_tokens=ref_context_tokens(text, p.span))
-        for p in extract_numeric_phrases(text)
+        for p in numeric_phrases(TextAnalysis(text))
     ]
 
 
@@ -444,11 +443,11 @@ def test_assemble_features_equals_reference(ctx, text, local):
 @example("RT @news: https://t.co/Ab12 quake near Jalisco, Mexico")
 def test_thin_entry_points_equal_reference(gazetteer, text):
     assert tag_locations(text, gazetteer) == ref_tag_locations(text, gazetteer)
-    assert extract_scope(text) == ref_extract_scope(text)
+    assert TextAnalysis(text).scope() == ref_extract_scope(text)
     assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
-    assert extract_numeric_phrases(text) == ref_numeric_phrases(text)
+    assert numeric_phrases(TextAnalysis(text)) == ref_numeric_phrases(text)
     triple = impact._tfidf_triple(tokenize(text))
-    for p in extract_numeric_phrases(text):
+    for p in numeric_phrases(TextAnalysis(text)):
         assert impact._phrase_row(p, text, triple) == ref_impact_features(p, text)
 
 
@@ -474,8 +473,7 @@ def test_extractors_total_over_unicode(ctx, text):
     assert all(isinstance(tok, str) for tok in a.tokens) and len(a.finds) == 6
     assert all(0 <= s < e <= len(text) for s, e, _ in a.pattern_spans)
     assert isinstance(a.scope(), ScopeFeatures)
-    assert isinstance(extract_scope(text), ScopeFeatures)
-    for p in extract_numeric_phrases(text):
+    for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
     for hit in tag_locations(text, ctx.gazetteer):
         assert text[hit.span[0] : hit.span[1]] == hit.query

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -19,6 +20,10 @@ from newsvalue.textvec import (
     token_spans,
     vectorize,
 )
+
+
+def scaled(v, factor):
+    return SparseVector({t: w * factor for t, w in v.entries.items()})
 
 
 class TestTokenize:
@@ -105,7 +110,7 @@ class TestVectorize:
         docs = [("d1", ["a", "b", "c"]), ("d2", ["b", "c", "d"])]
         v1 = vectorize(["a", "b", "d", "d"], fit_tfidf(docs))
         v2 = vectorize(["a", "b", "d", "d"], fit_tfidf(docs))
-        assert v1.canonical() == v2.canonical()
+        assert json.dumps(v1.entries, sort_keys=True) == json.dumps(v2.entries, sort_keys=True)
 
 
 class TestCosine:
@@ -136,7 +141,7 @@ class TestCosine:
         for _ in range(50):
             a = SparseVector({f"t{i}": rng.uniform(0.1, 2) for i in range(rng.randint(1, 8))})
             s = rng.uniform(0.01, 100)
-            assert cosine(a, a.scaled(s)) == pytest.approx(1.0, abs=1e-9)
+            assert cosine(a, scaled(a, s)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestCentroid:
@@ -192,8 +197,8 @@ class TestNearestCentroid:
         for _ in range(50):
             v = SparseVector({t: rng.uniform(0.1, 1) for t in ("a", "b", "c")})
             base, _ = nearest_centroid(v, cs)
-            scaled, _ = nearest_centroid(v.scaled(rng.uniform(0.01, 50)), cs)
-            assert base == scaled
+            label, _ = nearest_centroid(scaled(v, rng.uniform(0.01, 50)), cs)
+            assert base == label
 
     def test_empty_raises(self):
         with pytest.raises(NoCentroids):
