@@ -20,17 +20,7 @@ from pathlib import Path
 from typing import Callable, TypeVar
 
 from .curation import build_trbc_centroids, curate
-from .errors import (
-    BadGazetteer,
-    DegenerateLabels,
-    InsufficientData,
-    ModelNotFitted,
-    NoCentroids,
-    NoDocuments,
-    NoFeatures,
-    NoVectors,
-    SchemaMismatch,
-)
+from .errors import DegenerateLabels, SchemaMismatch
 from .geo import load_gazetteer
 from .labeling import label_corpus, undersample
 from .linear import LinearModel
@@ -50,6 +40,8 @@ from .records import (
     Post,
     SourceProfile,
     TopicAssignment,
+    _field,
+    _id,
     _is_utf8,
     _timestamp,
     read_ndjson,
@@ -144,13 +136,16 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
         if not isinstance(raw.get(key, {}), dict):
             raise SchemaMismatch(f"config {key!r} must be a JSON object")
     cfg = PipelineConfig()
-    try:
+    try:  # checked as record fields are, then given the type of the field's default
         for name, section, key in CONFIG_KEYS:
             values = raw.get(section, {}) if section else raw
-            if key in values:  # converted to the type of the field's default
-                setattr(cfg, name, type(getattr(cfg, name))(values[key]))
-        cfg.paths = {k: str(v) for k, v in raw.get("paths", {}).items()}
-    except (TypeError, ValueError, OverflowError) as exc:
+            if key in values:
+                kind = type(getattr(cfg, name))
+                value = _field(values, key, "an integer" if kind is int else "a number")
+                setattr(cfg, name, kind(value))
+        paths = raw.get("paths", {})
+        cfg.paths = {key: _field(paths, key, "a string") for key in paths}
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise SchemaMismatch(f"bad config value: {exc}") from None
     for name in ("match_threshold", "link_threshold", "same_user_link_threshold",
                  "local_focus_threshold"):
@@ -342,11 +337,11 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
     features = _read_features(cfg.input_path("features", "features.tsv"))
 
     def parse(rec: dict) -> LabeledExample:
-        post_id = str(rec["post_id"])
+        post_id = _id(rec, "post_id")
         return LabeledExample(
             post_id=post_id,
             features=features.get(post_id, {}),
-            label=rec.get("status") == "matched",
+            label=_field(rec, "status", "a string") == "matched",
         )
 
     examples = sorted(_read(labeled_path, parse, "labeled"), key=lambda e: e.post_id)
@@ -423,10 +418,7 @@ def _event(time_key: str) -> Callable[[dict], tuple[str, int]]:
     """Parser of one timeliness row: (event_id, time_key's timestamp)."""
 
     def parse(rec: dict) -> tuple[str, int]:
-        event_id = rec["event_id"]
-        if type(event_id) not in (str, int):  # a JSON boolean is no event id
-            raise ValueError("event_id is neither a string nor an integer")
-        return str(event_id), _timestamp(rec[time_key])
+        return _id(rec, "event_id"), _timestamp(rec[time_key])
 
     return parse
 
@@ -520,14 +512,13 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         _report("error", f"missing input file: {exc}")
         return EXIT_MISSING_INPUT
-    except (DegenerateLabels, InsufficientData, NoCentroids, NoDocuments, NoFeatures, NoVectors) as exc:
+    except DegenerateLabels as exc:
         _report("error", exc)
         return EXIT_DEGENERATE_LABELS
-    except (SchemaMismatch, BadGazetteer, ModelNotFitted) as exc:
-        _report("error", exc)
-        return EXIT_SCHEMA_MISMATCH
-    except IsADirectoryError as exc:  # inputs are regular files: this is an output
-        _report("error", f"output {exc.filename} is a directory")
+    except (SchemaMismatch, IsADirectoryError) as exc:
+        # inputs are regular files, so a directory stands where an output goes
+        directory = isinstance(exc, IsADirectoryError)
+        _report("error", f"output {exc.filename} is a directory" if directory else exc)
         return EXIT_SCHEMA_MISMATCH
 
 

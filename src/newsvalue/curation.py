@@ -15,7 +15,7 @@ from math import ceil, log
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import EmptyAccount, NoDocuments, NoProfileLocation
+from .errors import DegenerateLabels
 from .geo import Gazetteer, geocode, tag_locations
 from .records import (
     Headline,
@@ -85,9 +85,7 @@ def local_focus_ratio(
     """
     anchor_res = geocode(profile.profile_location, None, g)
     if not anchor_res.hit:
-        raise NoProfileLocation(
-            f"profile location {profile.profile_location!r} does not resolve"
-        )
+        raise ValueError(f"profile location {profile.profile_location!r} does not resolve")
     posts = list(sample)
     if len(posts) > SAMPLE_SIZE:
         rng = random.Random(_stable_seed(seed, profile.user_id))
@@ -116,7 +114,7 @@ def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
     percentile (nearest rank) of all accounts' best scores.
     """
     if not assignments:
-        raise NoDocuments("no topic assignments")
+        raise DegenerateLabels("no topic assignments")
     topics = sorted({a.topic for a in assignments})
     n_topics = len(topics)
     df: dict[str, int] = {}
@@ -166,7 +164,7 @@ def build_trbc_centroids(
         if items:
             sampled[code] = items
     if not sampled:
-        raise NoDocuments("no headlines carry known topic codes")
+        raise DegenerateLabels("no headlines carry known topic codes")
     documents = []
     for code in sorted(sampled):
         doc_tokens: list[str] = []
@@ -196,8 +194,6 @@ def classify_account(
     description, then local focus (non-local means a global monitor), then
     media keywords (news outlet), else local authority.
     """
-    if not sample_tweets:
-        raise EmptyAccount(f"account {profile.user_id!r} has no tweets to sample")
     tweets = list(sample_tweets)
     if len(tweets) > MAX_ACCOUNT_TWEETS:
         rng = random.Random(_stable_seed(seed, profile.user_id))
@@ -223,7 +219,7 @@ def classify_account(
 def informativeness(history: Sequence[Post], story_memberships: int) -> float:
     """Disaster/accident stories per 100 tweets."""
     if not history:
-        raise EmptyAccount("informativeness over an empty history")
+        raise ValueError("informativeness over an empty history")
     return 100.0 * story_memberships / len(history)
 
 
@@ -276,12 +272,7 @@ def curate(
             step2.append(replace(p, resolved_location=res.entry))
 
     for p in step2:
-        try:
-            ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed=seed)
-        except NoProfileLocation:
-            stages["removed_no_location"] += 1
-            removed.append(p)
-            continue
+        ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed=seed)
         if ratio >= local_focus_threshold:
             survivors.append(replace(p, locally_focused=True))
         else:
@@ -302,13 +293,12 @@ def curate(
     curated = []
     for p in survivors:
         history = tweets_by_user.get(p.user_id, ())
-        try:
-            category = classify_account(p, history, trbc_centroids, tfidf, seed=seed)
-            info = informativeness(history, story_counts.get(p.user_id, 0))
-        except EmptyAccount as exc:
+        if not history:
             stages["skipped_errors"] += 1
-            skipped.append(f"skipping {p.user_id}: {exc}")
+            skipped.append(f"skipping {p.user_id}: account {p.user_id!r} has no tweets to sample")
             continue
+        category = classify_account(p, history, trbc_centroids, tfidf, seed=seed)
+        info = informativeness(history, story_counts.get(p.user_id, 0))
         curated.append(replace(p, category=category, informativeness=info))
 
     curated.sort(key=lambda p: p.user_id)

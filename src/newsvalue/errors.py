@@ -1,51 +1,15 @@
-"""Exception types shared across the toolkit."""
+"""The toolkit's errors: one class per non-zero exit code the CLI maps
+them to (a missing input, exit 2, is a FileNotFoundError)."""
 
 from __future__ import annotations
 
 
-class NewsvalueError(Exception):
-    """Base class for all toolkit errors."""
+class DegenerateLabels(Exception):
+    """Exit 3: too little to fit or evaluate on: a single class, fewer
+    examples than the folds need, or no document, vector, centroid or
+    feature group to build from."""
 
 
-class NoDocuments(NewsvalueError):
-    """A fit/build step received an empty document collection."""
-
-
-class NoVectors(NewsvalueError):
-    """A centroid was requested over an empty vector list."""
-
-
-class NoCentroids(NewsvalueError):
-    """Nearest-centroid lookup against an empty centroid set."""
-
-
-class DegenerateLabels(NewsvalueError):
-    """Training or sampling requires both classes to be present."""
-
-
-class ModelNotFitted(NewsvalueError):
-    """Prediction was attempted with an untrained or empty model."""
-
-
-class NoProfileLocation(NewsvalueError):
-    """A profile's declared location could not be resolved."""
-
-
-class EmptyAccount(NewsvalueError):
-    """An account-level statistic needs at least one tweet."""
-
-
-class BadGazetteer(NewsvalueError):
-    """Gazetteer file failed to parse; message carries the line number."""
-
-
-class InsufficientData(NewsvalueError):
-    """Too few examples for the requested evaluation protocol."""
-
-
-class NoFeatures(NewsvalueError):
-    """An ablation was requested over an empty feature-group set."""
-
-
-class SchemaMismatch(NewsvalueError):
-    """A model file does not match the format the command expects."""
+class SchemaMismatch(Exception):
+    """Exit 4: a config, gazetteer, feature or model file, or an output
+    path, does not match what the command expects."""

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BadGazetteer
+from .errors import SchemaMismatch
 from .records import SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
@@ -106,36 +106,36 @@ def load_gazetteer(path) -> Gazetteer:
     """Parse the pipe-delimited gazetteer file.
 
     Columns: name|aliases(;-separated)|lat|lon|country|admin_parent|population.
-    Raises BadGazetteer with the offending line number on any parse failure.
+    Raises SchemaMismatch with the offending line number on any parse failure.
     """
     entries = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not _is_utf8(line):
-                raise BadGazetteer(f"line {lineno}: invalid UTF-8")
+                raise SchemaMismatch(f"line {lineno}: invalid UTF-8")
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split("|")
             if len(parts) != 7:
-                raise BadGazetteer(f"line {lineno}: expected 7 columns, got {len(parts)}")
+                raise SchemaMismatch(f"line {lineno}: expected 7 columns, got {len(parts)}")
             name, aliases_raw, lat_raw, lon_raw, country, parent, pop_raw = parts
             if not name.strip():
-                raise BadGazetteer(f"line {lineno}: empty name")
+                raise SchemaMismatch(f"line {lineno}: empty name")
             try:
                 lat = float(lat_raw)
                 lon = float(lon_raw)
             except ValueError:
-                raise BadGazetteer(f"line {lineno}: bad coordinates") from None
+                raise SchemaMismatch(f"line {lineno}: bad coordinates") from None
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
-                raise BadGazetteer(f"line {lineno}: coordinates out of range")
+                raise SchemaMismatch(f"line {lineno}: coordinates out of range")
             country = country.strip()
             if not _COUNTRY_RE.match(country):
-                raise BadGazetteer(f"line {lineno}: bad country code {country!r}")
+                raise SchemaMismatch(f"line {lineno}: bad country code {country!r}")
             try:
                 population = int(pop_raw) if pop_raw.strip() else None
             except ValueError:
-                raise BadGazetteer(f"line {lineno}: bad population") from None
+                raise SchemaMismatch(f"line {lineno}: bad population") from None
             entries.append(
                 GazetteerEntry(
                     name=name.strip(),

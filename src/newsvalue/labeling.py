@@ -142,7 +142,7 @@ def _best_headline(
 def match_to_headlines(
     post: Post, vector: SparseVector, index: TermTimeIndex, threshold: float
 ) -> MatchResult:
-    """Match one (already masked) post against (already masked) headlines.
+    """Match one post against the headlines by their masked texts' vectors.
 
     Matched: a headline published in (t, t+86400] clears the threshold.
     Tardy: only headlines at or before t clear it. Otherwise unmatched.
@@ -154,8 +154,8 @@ def match_to_headlines(
     Scored are the in-window headlines sharing a term with the post and,
     only when none of them clears the threshold, the earlier headlines
     that could: those holding one of the post's probe terms. vector is the
-    post's tf.idf vector and index holds the headline vectors by
-    publication time.
+    tf.idf vector of the post's masked text and index holds the headline
+    vectors by publication time.
     """
     t = post.created_at
     window = index.candidates(vector.entries, t, t + MATCH_WINDOW_SECONDS)
@@ -267,18 +267,16 @@ def label_corpus(
 ) -> LabelingRun:
     """Mask both sides, fit one shared tf.idf vocabulary, match, propagate.
     Each masked text is tokenized once and vectorized once."""
-    masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
-    masked_headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
-    documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
-    documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
+    documents = [(f"post:{p.post_id}", tokenize(mask_taxonomy_tokens(p.text))) for p in posts]
+    documents += [
+        (f"headline:{i}", tokenize(mask_taxonomy_tokens(h.text))) for i, h in enumerate(headlines)
+    ]
     tfidf = fit_tfidf(documents)
     vectors = [vectorize(tokens, tfidf) for _, tokens in documents]  # posts, then headlines
-    index = TermTimeIndex([h.published_at for h in masked_headlines], vectors[len(posts) :])
-    first_pass = [
-        match_to_headlines(p, v, index, threshold) for p, v in zip(masked_posts, vectors)
-    ]
+    index = TermTimeIndex([h.published_at for h in headlines], vectors[len(posts) :])
+    first_pass = [match_to_headlines(p, v, index, threshold) for p, v in zip(posts, vectors)]
     final = propagate_links(
-        first_pass, masked_posts, {p.post_id: v for p, v in zip(masked_posts, vectors)},
+        first_pass, posts, {p.post_id: v for p, v in zip(posts, vectors)},
         link_threshold, same_user_threshold,
     )
     stats = {

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .errors import ModelNotFitted, SchemaMismatch
+from .errors import DegenerateLabels, SchemaMismatch
 
 BIAS_KEY = "__bias__"
 
@@ -47,12 +47,12 @@ class LinearModel:
 
     def decision(self, features: dict[str, float]) -> dict[str, float]:
         if not self.classes:
-            raise ModelNotFitted("model has no classes")
+            raise SchemaMismatch("model has no classes")
         scores = {}
         for cls in self.classes:
             w = self.weights.get(cls)
             if w is None:
-                raise ModelNotFitted(f"no weights for class {cls!r}")
+                raise SchemaMismatch(f"no weights for class {cls!r}")
             scores[cls] = sum(
                 w[f] * v for f, v in features.items() if f in w
             ) + self.bias.get(cls, 0.0)
@@ -195,7 +195,7 @@ def train_binary_hinge(
         prepared.append((ids, tuple([val for _, val in x]), y))
     n = len(prepared)
     if n == 0:
-        raise ModelNotFitted("no training rows")
+        raise DegenerateLabels("no training rows")
     if cfg.class_weight == "balanced":
         n_pos = sum(1 for *_, y in prepared if y > 0)
         n_neg = n - n_pos

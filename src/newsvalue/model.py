@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .errors import DegenerateLabels, InsufficientData, NoFeatures, SchemaMismatch
+from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
 from .impact import bootstrap_impact_model, default_site_terms, impact_labels, numeric_phrases
 from .labeling import masked_text
@@ -308,7 +308,7 @@ def cross_validate(
     them with feature_group_weights.
     """
     if len(examples) < folds * 2:
-        raise InsufficientData(f"{len(examples)} examples for {folds} folds")
+        raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
     tp = fp = fn = tn = 0
     fold_rows = []
     for fold in range(folds):
@@ -377,7 +377,7 @@ def ablate(
     out = []
     for groups in feature_groups:
         if not groups:
-            raise NoFeatures("empty feature-group set")
+            raise DegenerateLabels("empty feature-group set")
         restricted = restrict_features(examples, list(groups))
         report = cross_validate(restricted, folds=folds, seed=seed, epochs=epochs, C=C)
         out.append((tuple(groups), report))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .records import _coordinate, _timestamp
+from .records import _coordinate, _field, _timestamp
 
 GRID_DEGREES = 0.1
 
@@ -47,8 +47,8 @@ class TaggedPost:
             created_at=_timestamp(rec["created_at"]),
             lat=lat,
             lon=lon,
-            country=str(rec["country"]),
-            topic=str(rec["topic"]),
+            country=_field(rec, "country", "a string"),
+            topic=_field(rec, "topic", "a string"),
         )
 
 

@@ -57,22 +57,47 @@ TRBC_DESCENDANTS = {
 _TIMESTAMP_MIN, _TIMESTAMP_MAX = -62_135_596_800, 253_402_300_799
 
 
+# The Python types json.loads gives each JSON kind a field may hold. A JSON
+# boolean loads as a bool, so it is never an integer or a number here.
+_KINDS = {
+    "a string": (str,),
+    "an integer": (int,),
+    "a number": (int, float),
+    "a boolean": (bool,),
+}
+
+
+def _field(rec: dict, key: str, kind: str, default=None):
+    """rec[key], or rec.get(key, default) when a default is given;
+    ValueError unless it is of kind (a key of _KINDS)."""
+    value = rec[key] if default is None else rec.get(key, default)
+    if type(value) not in _KINDS[kind]:
+        raise ValueError(f"{key} is not {kind}")
+    return value
+
+
+def _id(rec: dict, key: str) -> str:
+    """An id field: a string, or an integer read as its digits."""
+    value = rec[key]
+    if type(value) not in (str, int):
+        raise ValueError(f"{key} is neither a string nor an integer")
+    return str(value)
+
+
 def _timestamp(value) -> int:
-    """Epoch seconds as an int; ValueError for a boolean or unless a UTC
-    datetime can hold it."""
-    if isinstance(value, bool):
-        raise ValueError("timestamp is a boolean")
-    ts = int(value)
-    if not _TIMESTAMP_MIN <= ts <= _TIMESTAMP_MAX:
-        raise ValueError(f"timestamp {ts} out of range")
-    return ts
+    """Epoch seconds; ValueError unless an integer a UTC datetime can hold."""
+    if type(value) is not int:
+        raise ValueError("timestamp is not an integer")
+    if not _TIMESTAMP_MIN <= value <= _TIMESTAMP_MAX:
+        raise ValueError(f"timestamp {value} out of range")
+    return value
 
 
 def _coordinate(rec: dict, key: str, limit: float) -> Optional[float]:
-    """Optional lat/lon field; ValueError outside [-limit, limit] or NaN."""
+    """Optional lat/lon number; ValueError outside [-limit, limit] or NaN."""
     if rec.get(key) is None:
         return None
-    value = float(rec[key])
+    value = float(_field(rec, key, "a number"))
     if not -limit <= value <= limit:
         raise ValueError(f"{key} {value} outside [-{limit:g}, {limit:g}]")
     return value
@@ -105,10 +130,10 @@ class Post:
     @classmethod
     def from_record(cls, rec: dict) -> "Post":
         return cls(
-            post_id=str(rec["post_id"]),
-            user_id=str(rec["user_id"]),
+            post_id=_id(rec, "post_id"),
+            user_id=_id(rec, "user_id"),
             created_at=_timestamp(rec["created_at"]),
-            text=str(rec["text"]),
+            text=_field(rec, "text", "a string"),
             lat=_coordinate(rec, "lat", 90.0),
             lon=_coordinate(rec, "lon", 180.0),
         )
@@ -161,23 +186,23 @@ class SourceProfile:
             lat = _coordinate(rec, "resolved_lat", 90.0)
             lon = _coordinate(rec, "resolved_lon", 180.0)
             resolved = GazetteerEntry(
-                name=str(rec["resolved_name"]),
+                name=_field(rec, "resolved_name", "a string"),
                 aliases=(),
                 lat=0.0 if lat is None else lat,
                 lon=0.0 if lon is None else lon,
-                country_code=str(rec.get("resolved_country", "")),
+                country_code=_field(rec, "resolved_country", "a string", ""),
             )
         return cls(
-            user_id=str(rec["user_id"]),
-            display_name=str(rec.get("display_name", "")),
-            description=str(rec.get("description", "")),
-            followers=int(rec.get("followers", 0)),
-            friends=int(rec.get("friends", 0)),
-            profile_location=str(rec.get("profile_location", "")),
+            user_id=_id(rec, "user_id"),
+            display_name=_field(rec, "display_name", "a string", ""),
+            description=_field(rec, "description", "a string", ""),
+            followers=int(_field(rec, "followers", "a number", 0)),
+            friends=int(_field(rec, "friends", "a number", 0)),
+            profile_location=_field(rec, "profile_location", "a string", ""),
             resolved_location=resolved,
             category=category,
-            locally_focused=bool(rec.get("locally_focused", False)),
-            informativeness=float(rec.get("informativeness", 0.0)),
+            locally_focused=_field(rec, "locally_focused", "a boolean", False),
+            informativeness=float(_field(rec, "informativeness", "a number", 0.0)),
         )
 
 
@@ -204,11 +229,14 @@ class Headline:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Headline":
+        codes = rec.get("topic_codes", [])
+        if type(codes) is not list or not all(type(code) is str for code in codes):
+            raise ValueError("topic_codes is not a list of strings")
         return cls(
-            text=str(rec["text"]),
-            outlet=str(rec["outlet"]),
+            text=_field(rec, "text", "a string"),
+            outlet=_field(rec, "outlet", "a string"),
             published_at=_timestamp(rec["published_at"]),
-            topic_codes=frozenset(rec.get("topic_codes", ())),
+            topic_codes=frozenset(codes),
         )
 
 
@@ -226,7 +254,8 @@ class TopicAssignment:
 
     @classmethod
     def from_record(cls, rec: dict) -> "TopicAssignment":
-        return cls(str(rec["user_id"]), str(rec["topic"]), int(rec["count"]))
+        return cls(_id(rec, "user_id"), _field(rec, "topic", "a string"),
+                   _field(rec, "count", "an integer"))
 
     def to_record(self) -> dict:
         return {"user_id": self.user_id, "topic": self.topic, "count": self.count}

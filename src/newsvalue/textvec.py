@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import NoCentroids, NoDocuments, NoVectors
+from .errors import DegenerateLabels
 
 URL_TOKEN = "__url__"
 USER_TOKEN = "__user__"
@@ -91,7 +91,7 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
 def centroid(vectors: Sequence[SparseVector]) -> SparseVector:
     """Per-term arithmetic mean over the input count."""
     if not vectors:
-        raise NoVectors("centroid over an empty vector list")
+        raise DegenerateLabels("centroid over an empty vector list")
     sums: dict[str, float] = {}
     for v in vectors:
         for t, w in v.entries.items():
@@ -122,7 +122,7 @@ class TfidfModel:
 def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
     """Fit document frequencies from (label, tokens) pairs."""
     if not documents:
-        raise NoDocuments("fit_tfidf needs at least one document")
+        raise DegenerateLabels("fit_tfidf needs at least one document")
     df: Counter[str] = Counter()
     for _, tokens in documents:
         df.update(set(tokens))
@@ -155,7 +155,7 @@ def nearest_centroid(v: SparseVector, cs: CentroidSet) -> tuple[str, float]:
     """Label of the most similar centroid; ties go to the first label in
     lexicographic order so results are deterministic."""
     if not cs.centroids:
-        raise NoCentroids("nearest_centroid against an empty centroid set")
+        raise DegenerateLabels("nearest_centroid against an empty centroid set")
     best_label = None
     best_sim = -1.0
     for label in cs.labels():

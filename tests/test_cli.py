@@ -24,11 +24,14 @@ from conftest import (
     write_pipeline_inputs,
 )
 import newsvalue.model
+from newsvalue import errors
 from newsvalue.cli import (
     EXIT_DEGENERATE_LABELS,
     EXIT_MISSING_INPUT,
     EXIT_OK,
     EXIT_SCHEMA_MISMATCH,
+    VERBS,
+    load_config,
     main,
 )
 from newsvalue.linear import LinearModel
@@ -299,6 +302,21 @@ class TestFullPipeline:
         assert "(record skipped)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("status", ["null", '["matched"]', "1"])
+    def test_labeled_row_with_wrong_typed_status_skipped(self, pipeline, capsys, status):
+        # A status that is not a string is not read as unmatched.
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        labeled = tmp_path / "out" / "labeled.ndjson"
+        n = len(labeled.read_text().splitlines())
+        with open(labeled, "a", encoding="utf-8") as fh:
+            fh.write(f'{{"post_id": "echo00", "status": {status}}}\n')
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert err == f"warning: labeled line {n + 1}: status is not a string (record skipped)\n"
+
 
 class TestErrorExitCodes:
     """Toolkit errors end in a documented exit code and one error line."""
@@ -356,7 +374,7 @@ class TestErrorExitCodes:
     @pytest.mark.parametrize("verb", ["curate", "extract"])
     def test_tokenless_topic_headline_exit_3(self, tmp_path, capsys, verb):
         # The only topic-coded headline has no word token, so its code gets
-        # a document but no centroid can be built (NoCentroids).
+        # a document but no centroid can be built (DegenerateLabels).
         posts, _ = make_event_posts()
         wire = [Headline("!!! ???", "ap", BASE_TS, frozenset({"floods"}))]
         config = write_pipeline_inputs(tmp_path, posts=posts, headlines=wire)
@@ -877,6 +895,72 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: config ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": 7.0},
+            {"svm": {"epochs": 1.9}},
+            {"svm": {"C": True}},
+            {"thresholds": {"match": "0.7"}},
+            {"thresholds": {"follower_cap": 1e6}},
+            {"paths": {"posts": 5}},
+            {"paths": {"out_dir": None}},
+        ],
+        ids=json.dumps,
+    )
+    def test_wrong_typed_config_value_exit_4(self, tmp_path, capsys, overrides):
+        # Each value has another JSON type than its field: none is converted.
+        path = self._write(tmp_path, overrides)
+        assert main(["label", "--config", str(path)]) == EXIT_SCHEMA_MISMATCH
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config value: ")
+        assert err.count("\n") == 1
+
+    def test_integer_for_float_field_reads_as_float(self, tmp_path):
+        cfg = load_config(self._write(tmp_path, {"thresholds": {"match": 1}, "svm": {"C": 2}}))
+        assert (cfg.match_threshold, cfg.svm_c) == (1.0, 2.0)
+        assert type(cfg.svm_c) is float  # model.json writes C as 2.0, as before
+
+
+# The documented exit code of each exception a command may raise: every
+# class in newsvalue.errors, and the built-in errors main maps.
+EXCEPTION_EXITS = [
+    (errors.DegenerateLabels("too few\nexamples"), EXIT_DEGENERATE_LABELS,
+     "error: too few\\nexamples\n"),
+    (errors.SchemaMismatch("bad model"), EXIT_SCHEMA_MISMATCH, "error: bad model\n"),
+    (FileNotFoundError("posts.ndjson"), EXIT_MISSING_INPUT,
+     "error: missing input file: posts.ndjson\n"),
+    (IsADirectoryError(21, "Is a directory", "out/model.json"), EXIT_SCHEMA_MISMATCH,
+     "error: output out/model.json is a directory\n"),
+]
+
+
+def test_errors_module_holds_one_class_per_exit_code():
+    classes = {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert classes == {type(exc).__name__ for exc, *_ in EXCEPTION_EXITS[:2]}
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+@pytest.mark.parametrize(
+    "exc, code, err", EXCEPTION_EXITS, ids=[type(exc).__name__ for exc, *_ in EXCEPTION_EXITS]
+)
+def test_each_exception_exits_with_its_code(tmp_path, capsys, monkeypatch, verb, exc, code, err):
+    def command(cfg, args):
+        raise exc
+
+    monkeypatch.setitem(VERBS, verb, ("", command))
+    config = tmp_path / "cfg.json"
+    config.write_text("{}")
+    assert main([verb, "--config", str(config)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    assert captured.out == ""
 
 
 # The config keys the property below sets.

@@ -12,7 +12,7 @@ from newsvalue.curation import (
     local_focus_ratio,
     topical_focus,
 )
-from newsvalue.errors import EmptyAccount, NoDocuments, NoProfileLocation
+from newsvalue.errors import DegenerateLabels
 from newsvalue.records import Post, SourceProfile, TopicAssignment
 
 
@@ -72,7 +72,7 @@ class TestLocalFocusRatio:
         assert local_focus_ratio(_profile(), posts, gazetteer, seed=0) == 1.0
 
     def test_unresolvable_profile_location(self, gazetteer):
-        with pytest.raises(NoProfileLocation):
+        with pytest.raises(ValueError, match="profile location 'Atlantis' does not resolve"):
             local_focus_ratio(
                 _profile(location="Atlantis"), self._posts(["Houston"]), gazetteer, seed=0
             )
@@ -125,7 +125,7 @@ class TestTopicalFocus:
         assert qualified == {"only"}
 
     def test_empty_raises(self):
-        with pytest.raises(NoDocuments):
+        with pytest.raises(DegenerateLabels, match="no topic assignments"):
             topical_focus([])
 
 
@@ -176,7 +176,7 @@ class TestClassifyAccount:
 
     def test_empty_account_raises(self, trbc_model):
         tfidf, centroids = trbc_model
-        with pytest.raises(EmptyAccount):
+        with pytest.raises(DegenerateLabels, match="centroid over an empty vector list"):
             classify_account(_profile("e"), [], centroids, tfidf, seed=0)
 
 
@@ -194,7 +194,7 @@ class TestInformativeness:
         assert informativeness(history, 28) == pytest.approx(2.8)
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyAccount):
+        with pytest.raises(ValueError, match="informativeness over an empty history"):
             informativeness([], 3)
 
 

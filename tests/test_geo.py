@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newsvalue.errors import BadGazetteer
+from newsvalue.errors import SchemaMismatch
 from newsvalue.geo import (
     Gazetteer,
     GazetteerEntry,
@@ -64,25 +64,25 @@ class TestLoadGazetteer:
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("Paris|48.86|2.35\n")
-        with pytest.raises(BadGazetteer, match="line 1"):
+        with pytest.raises(SchemaMismatch, match="line 1: expected 7 columns, got 3"):
             load_gazetteer(path)
 
     def test_bad_coordinates(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("Paris||999|2.35|FR||1\n")
-        with pytest.raises(BadGazetteer, match="line 1"):
+        with pytest.raises(SchemaMismatch, match="line 1: coordinates out of range"):
             load_gazetteer(path)
 
     def test_bad_country(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("nowhere||0|0|FRA||\n")
-        with pytest.raises(BadGazetteer):
+        with pytest.raises(SchemaMismatch, match="line 1: bad country code 'FRA'"):
             load_gazetteer(path)
 
     def test_line_number_in_error(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("France||46.2|2.2|FR||1\nbroken line\n")
-        with pytest.raises(BadGazetteer, match="line 2"):
+        with pytest.raises(SchemaMismatch, match="line 2: expected 7 columns, got 1"):
             load_gazetteer(path)
 
 

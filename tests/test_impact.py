@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from newsvalue.errors import DegenerateLabels, ModelNotFitted
+from newsvalue.errors import DegenerateLabels, SchemaMismatch
 from newsvalue.impact import (
     IMPACT_CLASSES,
     ImpactFeatureRow,
@@ -297,7 +297,7 @@ class TestImpactClassifier:
     def test_untrained_model_raises(self):
         empty = LinearModel(kind="impact", classes=(), weights={}, bias={})
         p = numeric_phrases(TextAnalysis("12 hurt"))[0]
-        with pytest.raises(ModelNotFitted):
+        with pytest.raises(SchemaMismatch, match="model has no classes"):
             impact_labels(TextAnalysis("12 hurt"), [p], empty)
 
     def test_bootstrap_classifies_canonical_phrases(self):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newsvalue.errors import ModelNotFitted, SchemaMismatch
+from newsvalue.errors import DegenerateLabels, SchemaMismatch
 from newsvalue.linear import (
     BIAS_KEY,
     SGDConfig,
@@ -38,7 +38,7 @@ def reference_objective(rows, v, scale, l2):
 def reference_train_binary_hinge(rows, cfg):
     n = len(rows)
     if n == 0:
-        raise ModelNotFitted("no training rows")
+        raise DegenerateLabels("no training rows")
     if cfg.class_weight == "balanced":
         n_pos = sum(1 for _, y in rows if y > 0)
         n_neg = n - n_pos
@@ -156,10 +156,10 @@ def test_balanced_with_one_class_absent():
     assert_same_fit(rows, cfg)
 
 
-def test_no_rows_raise_model_not_fitted():
-    with pytest.raises(ModelNotFitted):
+def test_no_rows_raise_degenerate_labels():
+    with pytest.raises(DegenerateLabels, match="no training rows"):
         train_binary_hinge([], SGDConfig(epochs=100, seed=0, l2=1e-4))
-    with pytest.raises(ModelNotFitted):
+    with pytest.raises(DegenerateLabels, match="no training rows"):
         train_binary_hinge(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
 
 

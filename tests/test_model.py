@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import BASE_TS
-from newsvalue.errors import DegenerateLabels, InsufficientData, NoFeatures
+from newsvalue.errors import DegenerateLabels
 from newsvalue.linear import LinearModel
 from newsvalue.model import (
     FEATURE_GROUPS,
@@ -161,7 +161,7 @@ class TestCrossValidate:
         assert report.f1 == 100.0
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
+        with pytest.raises(DegenerateLabels, match="10 examples for 10 folds"):
             cross_validate(separable_examples(n=10), folds=10, seed=0, **SVM)
 
     def test_bit_reproducible(self):
@@ -249,7 +249,7 @@ class TestAblate:
         assert enriched > baseline
 
     def test_empty_group_set_raises(self):
-        with pytest.raises(NoFeatures):
+        with pytest.raises(DegenerateLabels, match="empty feature-group set"):
             ablate(self._ablation_examples(), [()], folds=3, seed=0, **SVM)
 
     def test_unknown_group_rejected(self):

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from newsvalue.errors import NoCentroids, NoDocuments, NoVectors
+from newsvalue.errors import DegenerateLabels
 from newsvalue.textvec import (
     CentroidSet,
     SparseVector,
@@ -84,7 +84,7 @@ class TestFitTfidf:
         assert m.doc_freq["a"] == 3
 
     def test_empty_raises(self):
-        with pytest.raises(NoDocuments):
+        with pytest.raises(DegenerateLabels, match="fit_tfidf needs at least one document"):
             fit_tfidf([])
 
 
@@ -157,7 +157,7 @@ class TestCentroid:
         assert c.entries == {"x": 0.5, "y": 0.5}
 
     def test_empty_raises(self):
-        with pytest.raises(NoVectors):
+        with pytest.raises(DegenerateLabels, match="centroid over an empty vector list"):
             centroid([])
 
 
@@ -201,7 +201,9 @@ class TestNearestCentroid:
             assert base == label
 
     def test_empty_raises(self):
-        with pytest.raises(NoCentroids):
+        with pytest.raises(
+            DegenerateLabels, match="nearest_centroid against an empty centroid set"
+        ):
             nearest_centroid(SparseVector({"a": 1.0}), CentroidSet({}))
 
     def test_zero_norm_centroid_rejected(self):
