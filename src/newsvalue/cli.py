@@ -128,7 +128,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> PipelineC
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise SchemaMismatch(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SchemaMismatch("config must be a JSON object")
@@ -217,16 +217,8 @@ def cmd_curate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         _report("warning", message)
     out = cfg.out_path("curated.ndjson")
     write_ndjson(out, (p.to_record() for p in curated))
-    for stage in (
-        "input",
-        "removed_follower_cap",
-        "removed_no_location",
-        "removed_not_local",
-        "readmitted_topical",
-        "skipped_errors",
-        "curated",
-    ):
-        print(f"{stage}: {stages[stage]}")
+    for stage, count in stages.items():
+        print(f"{stage}: {count}")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -373,6 +365,8 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     path = Path(args.model) if args.model else cfg.out_path("model.json")
     model = LinearModel.load(_require(path), expect_kind="svm")
+    if POSITIVE_CLASS not in model.classes:
+        raise SchemaMismatch(f"model has no {POSITIVE_CLASS!r} class")
     features = _read_features(cfg.input_path("features", "features.tsv"))
     records = []
     for post_id in sorted(features):

@@ -83,25 +83,20 @@ def local_focus_ratio(
     Tweets with no tagged location stay out of the denominator; an account
     with zero locatable tweets scores 0 (treated as not locally focused).
     """
-    anchor_res = geocode(profile.profile_location, None, g)
-    if not anchor_res.hit:
+    if geocode(profile.profile_location, None, g) is None:
         raise ValueError(f"profile location {profile.profile_location!r} does not resolve")
     posts = list(sample)
     if len(posts) > SAMPLE_SIZE:
         rng = random.Random(_stable_seed(seed, profile.user_id))
         posts = rng.sample(posts, SAMPLE_SIZE)
-    hits = misses = 0
+    hits = located = 0
     for post in posts:
         tagged = tag_locations(post.text, g)
-        if not tagged:
-            continue
-        res = geocode(tagged[0].query, profile.profile_location, g)
-        if res.hit:
-            hits += 1
-        else:
-            misses += 1
-    total = hits + misses
-    return hits / total if total else 0.0
+        if tagged:
+            start, end, _ = tagged[0]
+            located += 1
+            hits += geocode(post.text[start:end], profile.profile_location, g) is not None
+    return hits / located if located else 0.0
 
 
 def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
@@ -165,17 +160,11 @@ def build_trbc_centroids(
             sampled[code] = items
     if not sampled:
         raise DegenerateLabels("no headlines carry known topic codes")
-    documents = []
-    for code in sorted(sampled):
-        doc_tokens: list[str] = []
-        for h in sampled[code]:
-            doc_tokens.extend(tokenize(h.text))
-        documents.append((code, doc_tokens))
-    tfidf = fit_tfidf(documents)
-    groups = []
-    for code in sorted(sampled):
-        vectors = [vectorize(tokenize(h.text), tfidf) for h in sampled[code]]
-        groups.append((code, vectors))
+    tokens = {code: [tokenize(h.text) for h in sampled[code]] for code in sorted(sampled)}
+    tfidf = fit_tfidf(
+        [(code, [t for toks in docs for t in toks]) for code, docs in tokens.items()]
+    )
+    groups = [(code, [vectorize(toks, tfidf) for toks in docs]) for code, docs in tokens.items()]
     return tfidf, build_centroids(groups)
 
 
@@ -264,12 +253,12 @@ def curate(
 
     step2 = []
     for p in step1:
-        res = geocode(p.profile_location, None, g) if p.profile_location else None
-        if res is None or not res.hit:
+        entry = geocode(p.profile_location, None, g) if p.profile_location else None
+        if entry is None:
             stages["removed_no_location"] += 1
             removed.append(p)
         else:
-            step2.append(replace(p, resolved_location=res.entry))
+            step2.append(replace(p, resolved_location=entry))
 
     for p in step2:
         ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed=seed)

@@ -9,11 +9,10 @@ what the local-focus hit/miss ratio is built on.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .errors import SchemaMismatch
-from .records import SourceProfile, _is_utf8
+from .records import GazetteerEntry, SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
 from .textvec import tokenize
@@ -21,82 +20,37 @@ from .textvec import tokenize
 _COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
-    name: str
-    aliases: tuple[str, ...]
-    lat: float
-    lon: float
-    country_code: str
-    admin_parent: Optional[str] = None
-    population: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class GeoResolution:
-    """Outcome of one lookup; hit is True exactly when entry is present."""
-
-    query: str
-    anchor: Optional[str]
-    hit: bool
-    entry: Optional[GazetteerEntry]
-    span: Optional[tuple[int, int]] = None
-
-
-@dataclass(frozen=True)
-class LocationFeatures:
-    """The four location slots; all absent in the nil case."""
-
-    lat: Optional[float] = None
-    lon: Optional[float] = None
-    name: Optional[str] = None
-    country_code: Optional[str] = None
-
-    @property
-    def is_nil(self) -> bool:
-        return self.name is None
-
-
 def _normalize(name: str) -> str:
     return " ".join(tokenize(name))
 
 
 class Gazetteer:
-    """Entries indexed by normalized name and alias; the entries are
-    immutable after load.
+    """Entries indexed by the tokens of each name and alias; the entries
+    are immutable after load.
 
-    `geocode` stores each resolution it computes in `_resolved`, keyed by
-    (query, anchor). A resolution depends only on that key and the entries,
-    so the dict is exact. It lives as long as this instance, which the CLI
-    loads once per verb.
+    `geocode` stores each place it resolves, or None for a miss, in
+    `_resolved`, keyed by (query, anchor). A resolution depends only on
+    that key and the entries, so the dict is exact. It lives as long as
+    this instance, which the CLI loads once per verb.
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
         self.entries = tuple(entries)
-        self._resolved: dict[tuple[str, Optional[str]], GeoResolution] = {}
-        self._by_name: dict[str, list[GazetteerEntry]] = {}
-        phrases: dict[tuple[str, ...], list[GazetteerEntry]] = {}
+        self._resolved: dict[tuple[str, Optional[str]], Optional[GazetteerEntry]] = {}
+        self._names: dict[tuple[str, ...], list[GazetteerEntry]] = {}
         for entry in entries:
             for surface in (entry.name, *entry.aliases):
-                key = _normalize(surface)
-                if not key:
-                    continue
-                self._by_name.setdefault(key, []).append(entry)
-                phrases.setdefault(tuple(key.split()), []).append(entry)
-        self._table = PhraseTable([phrases])
+                key = tuple(tokenize(surface))
+                if key:
+                    self._names.setdefault(key, []).append(entry)
+        self._table = PhraseTable([self._names])
 
     def lookup(self, query: str) -> list[GazetteerEntry]:
-        return list(self._by_name.get(_normalize(query), ()))
-
-    def best(self, query: str) -> Optional[GazetteerEntry]:
-        """Highest-population entry for a name, deterministic tiebreak."""
-        return _best_entry(self.lookup(query))
-
-    def __len__(self) -> int:
-        return len(self.entries)
+        return list(self._names.get(tuple(tokenize(query)), ()))
 
 
 def _best_entry(cands: list[GazetteerEntry]) -> Optional[GazetteerEntry]:
+    """Highest-population entry, deterministic tiebreak."""
     if not cands:
         return None
     return min(cands, key=lambda e: (-(e.population or 0), e.name, e.country_code))
@@ -175,62 +129,51 @@ def _within(entry: GazetteerEntry, anchor: GazetteerEntry, g: Gazetteer) -> bool
         if _matches_anchor(parent, anchor):
             return True
         seen.add(parent.lower())
-        nxt = g.best(parent)
+        nxt = _best_entry(g.lookup(parent))
         if nxt is None:
             break
         cur = nxt
     return False
 
 
-def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> GeoResolution:
+def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> Optional[GazetteerEntry]:
     """Resolve a toponym, optionally only within an anchor region.
 
     Unanchored: highest-population match. Anchored: the anchor resolves
-    first (unanchored); candidates outside it are discarded. A miss is a
-    value, never an error.
+    first (unanchored); candidates outside it are discarded. A miss is
+    None, never an error.
     """
     key = (query, anchor)
-    res = g._resolved.get(key)
-    if res is not None:
-        return res
+    if key in g._resolved:
+        return g._resolved[key]
     cands = g.lookup(query) if query else []
     if anchor is not None and cands:
-        anchor_res = geocode(anchor, None, g)
-        if not anchor_res.hit:
-            cands = []
-        else:
-            assert anchor_res.entry is not None
-            cands = [e for e in cands if _within(e, anchor_res.entry, g)]
-    entry = _best_entry(cands)
-    res = g._resolved[key] = GeoResolution(
-        query=query, anchor=anchor, hit=entry is not None, entry=entry
-    )
-    return res
+        region = geocode(anchor, None, g)
+        cands = [] if region is None else [e for e in cands if _within(e, region, g)]
+    entry = g._resolved[key] = _best_entry(cands)
+    return entry
 
 
-def tag_locations(text: str, g: Gazetteer) -> list[GeoResolution]:
+def tag_locations(text: str, g: Gazetteer) -> list[tuple[int, int, GazetteerEntry]]:
     return tagged_locations(TextAnalysis(text), g)
 
 
-def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[GeoResolution]:
+def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[tuple[int, int, GazetteerEntry]]:
     """Greedy longest-match scan of the text's raw tokens against gazetteer
-    names and aliases. Each hit carries the span of the matched surface
-    text (every name has at least one entry, so every hit resolves).
+    names and aliases: (start, end, place) per hit, the span indexing the
+    matched surface text (every name has at least one entry, so every hit
+    resolves).
     """
-    return [
-        GeoResolution(query=a.text[s:e], anchor=None, hit=True, entry=_best_entry(cands), span=(s, e))
-        for s, e, cands in g._table.spans(a.spans)
-    ]
+    return [(s, e, _best_entry(cands)) for s, e, cands in g._table.spans(a.spans)]
 
 
-def location_of(tagged: list[GeoResolution], source: Optional[SourceProfile]) -> LocationFeatures:
+def location_of(
+    tagged: list[tuple[int, int, GazetteerEntry]], source: Optional[SourceProfile]
+) -> Optional[GazetteerEntry]:
     """First tagged location of the text; else the profile location of a
-    locally-focused source; else nil."""
-    entry = tagged[0].entry if tagged else None
-    if entry is None and source is not None and source.locally_focused:
-        entry = source.resolved_location
-    if entry is None:
-        return LocationFeatures()
-    return LocationFeatures(
-        lat=entry.lat, lon=entry.lon, name=entry.name, country_code=entry.country_code
-    )
+    locally-focused source; else None."""
+    if tagged:
+        return tagged[0][2]
+    if source is not None and source.locally_focused:
+        return source.resolved_location
+    return None

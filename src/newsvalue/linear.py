@@ -86,7 +86,7 @@ class LinearModel:
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
                 raise SchemaMismatch(f"unreadable model file: {exc}") from None
         if not isinstance(payload, dict) or payload.get("format") != FORMAT:
             raise SchemaMismatch(

@@ -155,22 +155,16 @@ def assemble_features(
         features["impact_site_count"] = float(len(site_hits))
 
     loc = location_of(tagged_locations(a, ctx.gazetteer), source)
-    if not loc.is_nil:
+    if loc is not None:
         features["loc_present"] = 1.0
-        if loc.lat is not None:
-            # unit-scaled so coordinates are commensurate with other features
-            features["loc_lat"] = loc.lat / 90.0
-            features["loc_lon"] = loc.lon / 180.0
+        # unit-scaled so coordinates are commensurate with other features
+        features["loc_lat"] = loc.lat / 90.0
+        features["loc_lon"] = loc.lon / 180.0
         bucket = zlib.crc32(loc.name.lower().encode("utf-8")) % NAME_BUCKETS
         features[f"loc_name_b{bucket}"] = 1.0
         features[f"loc_country_{loc.country_code}"] = 1.0
 
-    if (
-        ctx.background is not None
-        and topic is not None
-        and not loc.is_nil
-        and loc.lat is not None
-    ):
+    if ctx.background is not None and topic is not None and loc is not None:
         score = rarity(
             (grid_cell(loc.lat, loc.lon), loc.country_code, topic), ctx.background
         )

@@ -10,10 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, TypeVar
-
-if TYPE_CHECKING:
-    from .geo import GazetteerEntry
+from typing import Callable, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -139,6 +136,19 @@ class Post:
         )
 
 
+@dataclass(frozen=True)
+class GazetteerEntry:
+    """One place: a gazetteer line, or a curated profile's resolved location."""
+
+    name: str
+    aliases: tuple[str, ...]
+    lat: float
+    lon: float
+    country_code: str
+    admin_parent: Optional[str] = None
+    population: Optional[int] = None
+
+
 @dataclass
 class SourceProfile:
     """A candidate or curated reporting account."""
@@ -149,7 +159,7 @@ class SourceProfile:
     followers: int = 0
     friends: int = 0
     profile_location: str = ""
-    resolved_location: Optional["GazetteerEntry"] = None
+    resolved_location: Optional[GazetteerEntry] = None
     category: Optional[str] = None
     locally_focused: bool = False
     informativeness: float = 0.0
@@ -181,8 +191,6 @@ class SourceProfile:
             raise ValueError(f"unknown source category {category!r}")
         resolved = None
         if rec.get("resolved_name") is not None:
-            from .geo import GazetteerEntry
-
             lat = _coordinate(rec, "resolved_lat", 90.0)
             lon = _coordinate(rec, "resolved_lon", 180.0)
             resolved = GazetteerEntry(
@@ -287,9 +295,9 @@ def read_ndjson(
 ) -> tuple[list[T], list[tuple[int, str]]]:
     """Parse one JSON object per line; returns (records, [(lineno, error)]).
 
-    A line that is not UTF-8, not a JSON object, or that `parse` rejects
-    (missing key, wrong type, a number out of range) is an error, not a
-    record.
+    A line that is not UTF-8, not a JSON object (or nested too deep to
+    parse), or that `parse` rejects (missing key, wrong type, a number out
+    of range) is an error, not a record.
     """
     out: list[T] = []
     errors: list[tuple[int, str]] = []
@@ -306,7 +314,7 @@ def read_ndjson(
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 out.append(parse(rec))
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 errors.append((lineno, str(exc) or exc.__class__.__name__))
     return out, errors
 

@@ -59,11 +59,8 @@ class Taxonomy:
         duplicates kept."""
         return [hit for _, _, hit in self._table.matches(tokens)[0]]
 
-    def __len__(self) -> int:
-        return len(self.token_phrases)
-
     def __repr__(self) -> str:
-        return f"Taxonomy({self.name!r}, {len(self)} phrases)"
+        return f"Taxonomy({self.name!r}, {len(self.token_phrases)} phrases)"
 
 
 def load_taxonomy(path, name: str | None = None) -> Taxonomy:

@@ -67,15 +67,6 @@ class SparseVector:
             a, b = b, a
         return sum(w * b[t] for t, w in a.items() if t in b)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SparseVector) and self.entries == other.entries
-
     def __repr__(self) -> str:
         return f"SparseVector({len(self.entries)} terms, norm={self.norm:.4f})"
 
@@ -146,9 +137,6 @@ class CentroidSet:
 
     def labels(self) -> list[str]:
         return sorted(self.centroids)
-
-    def __len__(self) -> int:
-        return len(self.centroids)
 
 
 def nearest_centroid(v: SparseVector, cs: CentroidSet) -> tuple[str, float]:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import (
     BASE_TS,
     EXPECTED_SURVIVORS,
+    GAZETTEER_PATH,
     curation_fixture,
     make_wire_headlines,
     write_ndjson_file,
@@ -364,6 +365,23 @@ class TestErrorExitCodes:
             == EXIT_SCHEMA_MISMATCH
         )
         self._assert_one_line_error(capsys)
+
+    def test_model_without_positive_class_exit_4(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": "linear-model/1", "kind": "svm", "classes": ["other"],
+            "weights": {"other": {}}, "bias": {},
+        }))
+        capsys.readouterr()
+        assert (
+            main(["predict", "--config", str(config), "--model", str(model)])
+            == EXIT_SCHEMA_MISMATCH
+        )
+        assert capsys.readouterr().err == "error: model has no 'matched' class\n"
+        assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
     def test_extract_without_topic_headlines_exit_3(self, tmp_path, capsys):
         posts, _ = make_event_posts()
@@ -1149,3 +1167,134 @@ def test_any_ndjson_line_keeps_the_exit_code_contract(fixture_config, verb, line
         files[f"{name}.ndjson"] = good + b"".join(line + b"\n" for line in lines[name])
         config["paths"][name] = f"{name}.ndjson"
     _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb, files))
+
+
+def _assert_ok_or_schema_mismatch(code, stderr):
+    """Exit 0 with no error line, or exit 4 with exactly one; every other
+    stderr line is a warning."""
+    _assert_exit_code_contract(code, stderr)
+    assert code in (EXIT_OK, EXIT_SCHEMA_MISMATCH)
+    errors = [line for line in stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == (code == EXIT_SCHEMA_MISMATCH), stderr
+
+
+GAZETTEER_LINES = [
+    line for line in GAZETTEER_PATH.read_text(encoding="utf-8").splitlines()
+    if not line.startswith("#")
+]
+# Field values a gazetteer line may hold: names the fixture geocodes, and
+# numbers float() and int() read or refuse (non-finite, out of range,
+# non-ASCII digits, past int()'s digit limit).
+gazetteer_fields = st.text(max_size=8) | st.sampled_from([
+    "", " ", "Houston", "Texas", "London", "Atlantis", "US", "us", "nan", "inf", "-1e400",
+    "90.0000001", "-180", "1_0", "\uff11\uff12", "\u0663", "9" * 5000, "-5",
+])
+
+
+@st.composite
+def gazetteer_lines(draw):
+    """One line: arbitrary bytes (invalid UTF-8 among them), arbitrary
+    pipe-separated fields, or, as often as both, a shipped line with one
+    field replaced."""
+    kind = draw(st.sampled_from(["bytes", "fields", "edited", "edited"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40)).replace(b"\n", b" ")
+    if kind == "fields":
+        fields = draw(st.lists(gazetteer_fields, max_size=9))
+    else:
+        fields = draw(st.sampled_from(GAZETTEER_LINES)).split("|")
+        fields[draw(st.integers(0, 6))] = draw(gazetteer_fields)
+    return "|".join(fields).replace("\n", " ").encode("utf-8", "surrogatepass")
+
+
+@pytest.mark.parametrize("verb", ["curate", "extract"])
+@settings(max_examples=25, deadline=None)
+@given(lines=st.lists(gazetteer_lines(), max_size=4))
+@example(lines=[b"Houston|texas|0|0|US|Texas|9", b"Texas|houston|0|0|US|Houston|"])
+@example(lines=[b"!!!||1|1|US|Houston|1", b"Mars|houston|91|0|US||1"])
+def test_any_gazetteer_line_keeps_the_exit_code_contract(fixture_config, verb, lines):
+    """Arbitrary lines appended to the gazetteer exit 0, or 4 with one error
+    line, and never raise."""
+    base, work_root = fixture_config
+    config = json.loads(json.dumps(base))
+    config["paths"]["gazetteer"] = "gazetteer.txt"
+    content = GAZETTEER_PATH.read_bytes() + b"".join(line + b"\n" for line in lines)
+    _assert_ok_or_schema_mismatch(
+        *_run_in_work_dir(work_root, config, verb, {"gazetteer.txt": content})
+    )
+
+
+MODEL_CLASSES = ["matched", "other", ""]
+model_weights = st.dictionaries(
+    st.sampled_from(["text_fire", "text_accident", "loc_present", ""]),
+    st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**300), 10**300),
+    max_size=2,
+)
+
+
+@st.composite
+def model_files(draw):
+    """A model file: arbitrary bytes, any JSON value, or, as often as both,
+    a linear-model/1 object whose classes, weights and bias are drawn
+    together, with a key dropped or set to an arbitrary value."""
+    kind = draw(st.sampled_from(["bytes", "value", "model", "model"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "value":
+        value = draw(record_values)
+    else:
+        classes = draw(st.lists(st.sampled_from(MODEL_CLASSES), max_size=3))
+        value = {
+            "format": "linear-model/1", "kind": "svm", "classes": classes,
+            "weights": {c: draw(model_weights) for c in classes},
+            "bias": {c: draw(st.floats(-1.0, 1.0)) for c in classes},
+        }
+        for key in draw(st.sets(st.sampled_from(sorted(value)), max_size=1)):
+            del value[key]
+        value.update(draw(st.dictionaries(
+            st.sampled_from(["format", "kind", "classes", "weights", "bias", "train_meta"]),
+            record_values, max_size=1,
+        )))
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    return text.encode("utf-8", "surrogatepass")
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=model_files())
+@example(model=json.dumps({"format": "linear-model/1", "kind": "svm", "classes": ["other"],
+                           "weights": {"other": {}}, "bias": {}}).encode())
+@example(model=b"[" * 100_000)
+def test_any_model_file_keeps_the_exit_code_contract(fixture_config, model):
+    """An arbitrary model.json exits predict with 0, or 4 with one error
+    line, and never raises."""
+    base, work_root = fixture_config
+    config = json.loads(json.dumps(base))
+    config["paths"]["out_dir"] = "."
+    _assert_ok_or_schema_mismatch(
+        *_run_in_work_dir(work_root, config, "predict", {"model.json": model})
+    )
+
+
+def test_json_nested_too_deep_is_bad_input_not_a_crash(fixture_config, tmp_path, capsys):
+    """JSON nested past the recursion limit of the JSON parser is a bad
+    config or model file (exit 4) or a skipped record line, never a raise."""
+    base, work_root = fixture_config
+    deep = b"[" * 100_000
+    path = tmp_path / "config.json"
+    path.write_bytes(deep)
+    assert main(["label", "--config", str(path)]) == EXIT_SCHEMA_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("error: config is not valid JSON: ") and err.count("\n") == 1
+
+    config = json.loads(json.dumps(base))
+    config["paths"]["out_dir"] = "."
+    code, err = _run_in_work_dir(work_root, config, "predict", {"model.json": deep})
+    assert code == EXIT_SCHEMA_MISMATCH
+    assert err.startswith("error: unreadable model file: ") and err.count("\n") == 1
+
+    posts = Path(base["paths"]["posts"]).read_bytes()
+    config["paths"]["posts"] = "posts.ndjson"
+    code, err = _run_in_work_dir(work_root, config, "label", {"posts.ndjson": deep + b"\n" + posts})
+    assert code == EXIT_OK
+    assert err.startswith("warning: posts.ndjson line 1: ") and err.count("\n") == 1
+    assert err.endswith(" (record skipped)\n")

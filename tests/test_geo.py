@@ -12,8 +12,6 @@ from newsvalue.errors import SchemaMismatch
 from newsvalue.geo import (
     Gazetteer,
     GazetteerEntry,
-    GeoResolution,
-    LocationFeatures,
     _best_entry,
     _matches_anchor,
     geocode,
@@ -51,15 +49,15 @@ class TestLoadGazetteer:
         path = tmp_path / "empty.txt"
         path.write_text("")
         g = load_gazetteer(path)
-        assert len(g) == 0
-        assert not geocode("Paris", None, g).hit
+        assert g.entries == ()
+        assert geocode("Paris", None, g) is None
 
     def test_duplicate_names_indexed(self, gaz):
         assert len(gaz.lookup("paris")) == 2
 
     def test_alias_resolves(self, gaz):
         res = geocode("NYC", None, gaz)
-        assert res.hit and res.entry.name == "New York"
+        assert res is not None and res.name == "New York"
 
     def test_bad_column_count(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -89,26 +87,26 @@ class TestLoadGazetteer:
 class TestGeocode:
     def test_anchored_hit(self, gaz):
         res = geocode("Paris", "France", gaz)
-        assert res.hit and res.entry.country_code == "FR"
+        assert res is not None and res.country_code == "FR"
 
     def test_anchored_miss(self, gaz):
-        assert not geocode("Paris", "Japan", gaz).hit
+        assert geocode("Paris", "Japan", gaz) is None
 
     def test_empty_query(self, gaz):
-        assert not geocode("", None, gaz).hit
+        assert geocode("", None, gaz) is None
 
     def test_unanchored_population_disambiguation(self, gaz):
         res = geocode("Paris", None, gaz)
-        assert res.entry.country_code == "FR"
+        assert res.country_code == "FR"
 
     def test_anchor_admin_chain(self, gaz):
         res = geocode("Paris", "Texas", gaz)
-        assert res.hit and res.entry.country_code == "US"
+        assert res is not None and res.country_code == "US"
         res = geocode("Paris", "United States", gaz)
-        assert res.hit and res.entry.country_code == "US"
+        assert res is not None and res.country_code == "US"
 
     def test_unresolvable_anchor_misses(self, gaz):
-        assert not geocode("Paris", "Atlantis", gaz).hit
+        assert geocode("Paris", "Atlantis", gaz) is None
 
     def test_anchoring_only_restricts(self, gaz):
         queries = ["Paris", "Tokyo", "Jalisco", "New York", "nothing"]
@@ -118,14 +116,14 @@ class TestGeocode:
                 if a is None:
                     continue
                 anchored = geocode(q, a, gaz)
-                if anchored.hit:
-                    assert geocode(q, None, gaz).hit
+                if anchored is not None:
+                    assert geocode(q, None, gaz) is not None
 
     def test_anchored_results_within_anchor(self, gaz):
         for q in ("Paris", "Tokyo", "New York"):
             res = geocode(q, "United States", gaz)
-            if res.hit:
-                assert res.entry.country_code == "US"
+            if res is not None:
+                assert res.country_code == "US"
 
 
 def _reference_within(entry, anchor, g) -> bool:
@@ -143,24 +141,23 @@ def _reference_within(entry, anchor, g) -> bool:
         if _matches_anchor(parent, anchor):
             return True
         seen.add(parent.lower())
-        nxt = g.best(parent)
+        nxt = _best_entry(g.lookup(parent))
         if nxt is None:
             break
         cur = nxt
     return False
 
 
-def _reference_geocode(query: str, anchor: Optional[str], g) -> GeoResolution:
+def _reference_geocode(query: str, anchor: Optional[str], g) -> Optional[GazetteerEntry]:
     """Uncached copy of geo.geocode as it stood before it was memoized."""
     cands = g.lookup(query) if query else []
     if anchor is not None and cands:
-        anchor_res = _reference_geocode(anchor, None, g)
-        if not anchor_res.hit:
+        region = _reference_geocode(anchor, None, g)
+        if region is None:
             cands = []
         else:
-            cands = [e for e in cands if _reference_within(e, anchor_res.entry, g)]
-    entry = _best_entry(cands)
-    return GeoResolution(query=query, anchor=anchor, hit=entry is not None, entry=entry)
+            cands = [e for e in cands if _reference_within(e, region, g)]
+    return _best_entry(cands)
 
 
 def _entry(name, country, parent=None, population=1, aliases=()):
@@ -214,14 +211,14 @@ class TestGeocodeMemo:
 
     def test_guards_are_exercised(self):
         g = Gazetteer(_PROPERTY_ENTRIES)
-        assert not geocode("Loopville", "Elsewhere", g).hit  # cycle: `seen` guard
-        assert not geocode("Ouroboros", "Elsewhere", g).hit
-        assert geocode("Rung 00", "Rung 16", g).hit  # 16th step reaches it
-        assert not geocode("Rung 00", "Rung 17", g).hit  # past the 16-step guard
-        assert geocode("Rung 00", "Rung 20", g).hit  # country-level anchor
-        assert geocode("spb", "Russia", g).entry.country_code == "RU"
-        assert geocode("st petersburg", "Florida", g).entry.country_code == "US"
-        assert geocode("Athens", "Georgia", g).entry.country_code == "US"
+        assert geocode("Loopville", "Elsewhere", g) is None  # cycle: `seen` guard
+        assert geocode("Ouroboros", "Elsewhere", g) is None
+        assert geocode("Rung 00", "Rung 16", g) is not None  # 16th step reaches it
+        assert geocode("Rung 00", "Rung 17", g) is None  # past the 16-step guard
+        assert geocode("Rung 00", "Rung 20", g) is not None  # country-level anchor
+        assert geocode("spb", "Russia", g).country_code == "RU"
+        assert geocode("st petersburg", "Florida", g).country_code == "US"
+        assert geocode("Athens", "Georgia", g).country_code == "US"
 
     def test_instances_do_not_share_resolutions(self, tmp_path):
         first = tmp_path / "first.txt"
@@ -229,27 +226,29 @@ class TestGeocodeMemo:
         first.write_text("France||46.2|2.2|FR||68000000\nParis||48.86|2.35|FR|France|2148000\n")
         second.write_text("Texas||31.0|-100.0|US||29000000\nParis||33.66|-95.56|US|Texas|24839\n")
         g1, g2 = load_gazetteer(first), load_gazetteer(second)
-        assert geocode("Paris", None, g1).entry.country_code == "FR"
-        assert geocode("Paris", "France", g1).hit
-        assert not geocode("Paris", "Texas", g1).hit
-        assert geocode("Paris", None, g2).entry.country_code == "US"
-        assert not geocode("Paris", "France", g2).hit
-        assert geocode("Paris", "Texas", g2).hit
-        assert geocode("Paris", None, g1).entry.country_code == "FR"
+        assert geocode("Paris", None, g1).country_code == "FR"
+        assert geocode("Paris", "France", g1) is not None
+        assert geocode("Paris", "Texas", g1) is None
+        assert geocode("Paris", None, g2).country_code == "US"
+        assert geocode("Paris", "France", g2) is None
+        assert geocode("Paris", "Texas", g2) is not None
+        assert geocode("Paris", None, g1).country_code == "FR"
 
 
 class TestTagLocations:
     def test_jalisco_mexico(self, gaz):
         hits = tag_locations("earthquake off the coast of Jalisco, Mexico", gaz)
-        assert [r.entry.name for r in hits] == ["Jalisco", "Mexico"]
+        assert [entry.name for _, _, entry in hits] == ["Jalisco", "Mexico"]
 
     def test_no_locations(self, gaz):
         assert tag_locations("all quiet", gaz) == []
 
     def test_longest_match_wins(self, gaz):
-        hits = tag_locations("New York City on alert", gaz)
+        text = "New York City on alert"
+        hits = tag_locations(text, gaz)
         assert len(hits) == 1
-        assert hits[0].query == "New York City"
+        start, end, _ = hits[0]
+        assert text[start:end] == "New York City"
 
     def test_spans_exact_and_disjoint(self, gaz):
         from newsvalue.geo import _normalize
@@ -257,11 +256,9 @@ class TestTagLocations:
         text = "From Paris to Tokyo and New York City, then Jalisco"
         hits = tag_locations(text, gaz)
         last = -1
-        for r in hits:
-            start, end = r.span
+        for start, end, entry in hits:
             assert start >= last
-            assert text[start:end] == r.query
-            assert gaz.lookup(_normalize(r.query)), r.query
+            assert entry in gaz.lookup(_normalize(text[start:end])), text[start:end]
             last = end
 
     def test_total_on_arbitrary_text(self, gaz):
@@ -271,7 +268,7 @@ class TestTagLocations:
 
 class TestLocationFeatures:
     def _profile(self, locally_focused, gaz):
-        entry = geocode("Tokyo", None, gaz).entry
+        entry = geocode("Tokyo", None, gaz)
         return SourceProfile(
             "u1", profile_location="Tokyo",
             resolved_location=entry, locally_focused=locally_focused,
@@ -292,12 +289,11 @@ class TestLocationFeatures:
     def test_non_local_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
         feats = location_of(tag_locations(post.text, gaz), self._profile(False, gaz))
-        assert feats.is_nil
-        assert feats == LocationFeatures()
+        assert feats is None
 
     def test_no_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        assert location_of(tag_locations(post.text, gaz), None).is_nil
+        assert location_of(tag_locations(post.text, gaz), None) is None
 
     def test_total_and_deterministic(self, gaz):
         post = Post("p", "u1", 0, "Paris Paris Tokyo " + chr(0) + " weird ⚡ text")

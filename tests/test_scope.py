@@ -30,10 +30,10 @@ from newsvalue.textvec import tokenize
 
 class TestTaxonomyLoading:
     def test_shipped_lexicon_has_21_adjectives(self):
-        assert len(default_scale_lexicon()) == 21
+        assert len(default_scale_lexicon().token_phrases) == 21
 
     def test_shipped_causes_have_15_terms(self):
-        assert len(default_fire_causes()) == 15
+        assert len(default_fire_causes().token_phrases) == 15
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "tax.txt"

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue import geo, impact, labeling, model, scope, spans, textvec
-from newsvalue.geo import GeoResolution, tag_locations
+from newsvalue.geo import geocode, tag_locations
 from newsvalue.impact import (
     _CURRENCY_CHARS,
     _MIXED_RE,
@@ -228,7 +228,7 @@ def ref_tag_locations(text, g):
     for start, end, cands in ref_phrase_spans(text, phrases):
         entry = geo._best_entry(cands)
         if entry is not None:
-            out.append(GeoResolution(text[start:end], None, True, entry, (start, end)))
+            out.append((start, end, entry))
     return out
 
 
@@ -269,7 +269,7 @@ def ref_assemble_features(post, source, ctx, rules):
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
     tagged = ref_tag_locations(post.text, ctx.gazetteer)
-    entry = tagged[0].entry if tagged else None
+    entry = tagged[0][2] if tagged else None
     if entry is None and source is not None and source.locally_focused:
         entry = source.resolved_location
     if entry is not None:
@@ -430,7 +430,7 @@ def test_masking_with_overlapping_taxonomies_equals_reference(case):
 def test_assemble_features_equals_reference(ctx, text, local):
     source = SourceProfile("u", locally_focused=local)
     if local:
-        source = replace(source, resolved_location=ctx.gazetteer.best("Paris"))
+        source = replace(source, resolved_location=geocode("Paris", None, ctx.gazetteer))
     post = Post("p", "u", 0, text)
     expected = ref_assemble_features(post, source, ctx, REF_RULES)
     got = assemble_features(post, source, ctx)
@@ -475,8 +475,8 @@ def test_extractors_total_over_unicode(ctx, text):
     assert isinstance(a.scope(), ScopeFeatures)
     for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
-    for hit in tag_locations(text, ctx.gazetteer):
-        assert text[hit.span[0] : hit.span[1]] == hit.query
+    for s, e, _ in tag_locations(text, ctx.gazetteer):
+        assert 0 <= s < e <= len(text)
     assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert all(math.isfinite(v) for v in feats.values())
