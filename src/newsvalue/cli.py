@@ -23,7 +23,7 @@ from .curation import build_trbc_centroids, curate
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import load_gazetteer
 from .labeling import label_corpus, undersample
-from .linear import LinearModel
+from .linear import BIAS_KEY, LinearModel
 from .model import (
     POSITIVE_CLASS,
     ablate,
@@ -312,6 +312,8 @@ def _read_features(path: Path) -> dict[str, dict[str, float]]:
             if len(parts) != 3:
                 raise SchemaMismatch(f"features line {lineno}: expected 3 columns")
             post_id, name, value = parts
+            if name == BIAS_KEY:
+                raise SchemaMismatch(f"features line {lineno}: reserved feature name {name!r}")
             try:
                 number = float(value)
             except ValueError:

@@ -76,8 +76,15 @@ class MatchResult:
     via_link: bool = False
 
 
+# A sum accumulated term by term differs from cosine() of the same pair
+# only by float rounding, a few ulps per shared term, far below this margin.
+RECHECK_MARGIN = 1e-9
+
+
 class TermTimeIndex:
-    """Timestamped vectors sorted by time, with term -> rank postings.
+    """Timestamped vectors sorted by time, with term -> rank postings, the
+    term's weight in each of those vectors next to them, and the inverse
+    norm of each vector by rank.
 
     A vector sharing no term with a query scores exactly 0.0 under
     cosine(), and a 0.0 never replaces an initial best of 0.0 under a
@@ -90,10 +97,15 @@ class TermTimeIndex:
         self.vectors = list(vectors)
         self._order = sorted(range(len(self.vectors)), key=times.__getitem__)
         self._times = [times[i] for i in self._order]
+        self._inverse_norms = [
+            1.0 / self.vectors[i].norm if self.vectors[i].norm else 0.0 for i in self._order
+        ]
         self._postings: dict[str, list[int]] = {}
+        self._weights: dict[str, list[float]] = {}
         for rank, i in enumerate(self._order):
-            for term in self.vectors[i].entries:
+            for term, weight in self.vectors[i].entries.items():
                 self._postings.setdefault(term, []).append(rank)
+                self._weights.setdefault(term, []).append(weight)
 
     def candidates(self, terms: Iterable[str], after: float, until: float) -> list[int]:
         """Ascending indices of the items with after < time <= until that
@@ -107,6 +119,29 @@ class TermTimeIndex:
                 if posting:
                     ranks.update(posting[bisect_left(posting, lo) : bisect_left(posting, hi)])
         return sorted(self._order[r] for r in ranks)
+
+    def _sums(self, v: SparseVector, after: float, until: float) -> dict[int, float]:
+        """Index -> cosine with v, summed term at a time over the postings
+        (Turtle & Flood, 1995), of each item with after < time <= until
+        that shares a term with v. Each sum is within RECHECK_MARGIN of
+        cosine(), which rechecks the items near a deciding value."""
+        lo = bisect_right(self._times, after)
+        hi = bisect_right(self._times, until)
+        sums: dict[int, float] = {}
+        norm = v.norm
+        if lo < hi and norm:
+            postings, weights = self._postings, self._weights
+            for term, weight in v.entries.items():
+                ranks = postings.get(term)
+                if ranks:
+                    start = bisect_left(ranks, lo)
+                    stop = bisect_left(ranks, hi, start)
+                    if start < stop:
+                        share = weight / norm
+                        for rank, w in zip(ranks[start:stop], weights[term][start:stop]):
+                            sums[rank] = sums.get(rank, 0.0) + share * w
+        order, inverse_norms = self._order, self._inverse_norms
+        return {order[rank]: s * inverse_norms[rank] for rank, s in sums.items()}
 
 
 def _probe_terms(v: SparseVector, threshold: float) -> list[str]:
@@ -139,6 +174,19 @@ def _best_headline(
     return best
 
 
+def _best_in_window(
+    v: SparseVector, index: TermTimeIndex, after: float, until: float
+) -> tuple[float, Optional[int]]:
+    """_best_headline over the items of the window sharing a term with v,
+    scoring with cosine() only those whose sum is within RECHECK_MARGIN of
+    the top sum: every exact maximum is among them."""
+    sums = index._sums(v, after, until)
+    if not sums:
+        return (0.0, None)
+    cut = max(sums.values()) - RECHECK_MARGIN
+    return _best_headline(v, index, sorted(i for i, s in sums.items() if s >= cut))
+
+
 def match_to_headlines(
     post: Post, vector: SparseVector, index: TermTimeIndex, threshold: float
 ) -> MatchResult:
@@ -151,15 +199,15 @@ def match_to_headlines(
     best_score is the best in-window score (the best earlier score for
     tardy posts).
 
-    Scored are the in-window headlines sharing a term with the post and,
-    only when none of them clears the threshold, the earlier headlines
-    that could: those holding one of the post's probe terms. vector is the
-    tf.idf vector of the post's masked text and index holds the headline
-    vectors by publication time.
+    In the window, the headlines sharing a term with the post are summed
+    term at a time and the few near the top sum are scored. Only when the
+    best of them does not clear the threshold are the earlier headlines
+    scored that could: those holding one of the post's probe terms.
+    vector is the tf.idf vector of the post's masked text and index holds
+    the headline vectors by publication time.
     """
     t = post.created_at
-    window = index.candidates(vector.entries, t, t + MATCH_WINDOW_SECONDS)
-    after = _best_headline(vector, index, window)
+    after = _best_in_window(vector, index, t, t + MATCH_WINDOW_SECONDS)
     if after[1] is not None and after[0] >= threshold:
         return MatchResult(post.post_id, MATCHED, after[1], after[0])
     earlier = index.candidates(_probe_terms(vector, threshold), -math.inf, t)
@@ -186,9 +234,11 @@ def propagate_links(
     enough to a first-pass matched post from strictly later the same UTC
     day; the threshold drops for matched posts by the same author. Never
     unmatches anything; runs exactly once to avoid long-tail error chains.
-    Matched posts are indexed per UTC day, and only those holding one of
-    the post's probe terms for the lower threshold are scored. vectors
-    maps each post id to its tf.idf vector.
+    Matched posts are indexed per UTC day; the later ones sharing a term
+    with the post are summed term at a time, and only those whose sum is
+    within RECHECK_MARGIN of their own threshold are scored, so every
+    pair that clears it is. vectors maps each post id to its tf.idf
+    vector.
     """
     by_id = {p.post_id: p for p in posts}
     days = {pid: _utc_date(p.created_at) for pid, p in by_id.items()}
@@ -202,7 +252,6 @@ def propagate_links(
         ))
         for day, matched in matched_by_day.items()
     }
-    min_threshold = min(link_threshold, same_user_threshold)
     out = []
     for r in results:
         post = by_id.get(r.post_id)
@@ -212,14 +261,14 @@ def propagate_links(
         matched, index = day_index[days[post.post_id]]
         v = vectors[post.post_id]
         best_link = 0.0
-        for i in index.candidates(_probe_terms(v, min_threshold), post.created_at, math.inf):
-            other = matched[i]
+        for i, approx in index._sums(v, post.created_at, math.inf).items():
             threshold = (
-                same_user_threshold if other.user_id == post.user_id else link_threshold
+                same_user_threshold if matched[i].user_id == post.user_id else link_threshold
             )
-            score = cosine(v, index.vectors[i])
-            if score >= threshold and score > best_link:
-                best_link = score
+            if approx >= threshold - RECHECK_MARGIN:
+                score = cosine(v, index.vectors[i])
+                if score >= threshold and score > best_link:
+                    best_link = score
         if best_link > 0.0:
             out.append(
                 replace(

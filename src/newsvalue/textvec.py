@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DegenerateLabels
@@ -97,6 +97,10 @@ class TfidfModel:
 
     doc_count: int
     doc_freq: dict[str, int]
+    # idf per fitted term and for unseen terms, computed once per model
+    # rather than once per term of every text vectorized with it.
+    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
+    _unseen_idf: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.doc_count < 1:
@@ -105,10 +109,16 @@ class TfidfModel:
             if not 1 <= df <= self.doc_count:
                 raise ValueError(f"doc_freq[{term!r}]={df} outside [1, {self.doc_count}]")
 
+        def smoothed(df: int) -> float:
+            # Smoothed: never negative, defined for unseen terms (df = 0).
+            return math.log((1 + self.doc_count) / (1 + df)) + 1.0
+
+        object.__setattr__(self, "_idf", {t: smoothed(df) for t, df in self.doc_freq.items()})
+        object.__setattr__(self, "_unseen_idf", smoothed(0))
+
     def idf(self, term: str) -> float:
-        # Smoothed: never negative, defined for unseen terms (df = 0).
-        df = self.doc_freq.get(term, 0)
-        return math.log((1 + self.doc_count) / (1 + df)) + 1.0
+        return self._idf.get(term, self._unseen_idf)
+
 
 def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
     """Fit document frequencies from (label, tokens) pairs."""
@@ -123,7 +133,8 @@ def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
 def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
     """tf × smoothed-idf weights; unseen terms get the df=0 idf."""
     tf = Counter(tokens)
-    return SparseVector({t: count * model.idf(t) for t, count in tf.items()})
+    idf = model.idf
+    return SparseVector({t: count * idf(t) for t, count in tf.items()})
 
 
 class CentroidSet:

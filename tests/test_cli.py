@@ -383,6 +383,24 @@ class TestErrorExitCodes:
         assert capsys.readouterr().err == "error: model has no 'matched' class\n"
         assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "predict"])
+    def test_reserved_bias_feature_name_exit_4(self, pipeline, capsys, verb):
+        # Training appends its own __bias__ entry to every row, so a feature of
+        # that name would train the intercept, and predict would drop it.
+        tmp_path, config = pipeline
+        for step in ("label", "extract", "train"):
+            assert main([step, "--config", str(config)]) == EXIT_OK
+        features = tmp_path / "out" / "features.tsv"
+        lines = features.read_text(encoding="utf-8").splitlines()
+        post_id = lines[0].split("\t")[0]
+        lines.append(f"{post_id}\t__bias__\t1.0")
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        assert capsys.readouterr().err == (
+            f"error: features line {len(lines)}: reserved feature name '__bias__'\n"
+        )
+
     def test_extract_without_topic_headlines_exit_3(self, tmp_path, capsys):
         posts, _ = make_event_posts()
         config = write_pipeline_inputs(tmp_path, posts=posts, headlines=[])
@@ -1273,6 +1291,66 @@ def test_any_model_file_keeps_the_exit_code_contract(fixture_config, model):
     _assert_ok_or_schema_mismatch(
         *_run_in_work_dir(work_root, config, "predict", {"model.json": model})
     )
+
+
+@pytest.fixture(scope="module")
+def fixture_model(fixture_config, tmp_path_factory):
+    """The model.json that train writes for the CLI fixture."""
+    base, _ = fixture_config
+    out = tmp_path_factory.mktemp("model")
+    config = json.loads(json.dumps(base))
+    config["paths"]["out_dir"] = str(out)
+    path = out / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(path)]) == EXIT_OK
+    return (out / "model.json").read_bytes()
+
+
+# Field values a features.tsv line may hold: the fixture's post ids and
+# feature names, the reserved bias name, empty fields, and numbers float()
+# reads or refuses (underscores, overflow, non-finite, non-ASCII digits).
+features_fields = st.text(max_size=8) | st.sampled_from(
+    [p.post_id for p in POSTS[:3]]
+    + ["", " ", "__bias__", "loc_lat", "text_fire", "1.5", "-2", "1_000", "1e400", "-1e400",
+       "nan", "inf", "0x10", "\u0663", "\r", "1\r"]
+)
+
+
+@st.composite
+def features_lines(draw):
+    """One line: arbitrary bytes (invalid UTF-8 among them), or arbitrary
+    tab-separated fields, most often three."""
+    kind = draw(st.sampled_from(["bytes", "fields", "three", "three"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40)).replace(b"\n", b" ")
+    size = st.just(3) if kind == "three" else st.integers(0, 5)
+    fields = draw(size.flatmap(lambda n: st.lists(features_fields, min_size=n, max_size=n)))
+    return "\t".join(fields).replace("\n", " ").encode("utf-8", "surrogatepass")
+
+
+@pytest.mark.parametrize("verb", ["train", "evaluate", "predict"])
+@settings(max_examples=30, deadline=None)
+@given(lines=st.lists(features_lines(), max_size=4))
+@example(lines=[POSTS[0].post_id.encode() + b"\t__bias__\t1.0"])
+@example(lines=[POSTS[0].post_id.encode() + b"\tloc_lat\t1_000", b"\t\t1.0", b"a\rb\t\t"])
+@example(lines=[POSTS[0].post_id.encode() + b"\tloc_lat\t1e400"])
+def test_any_features_line_keeps_the_exit_code_contract(fixture_config, fixture_model, verb, lines):
+    """Arbitrary lines appended to features.tsv exit train, evaluate and
+    predict with 0, 2, 3 or 4, with no uncaught exception, and every stderr
+    line is an error or a warning."""
+    base, work_root = fixture_config
+    config = json.loads(json.dumps(base))
+    config["paths"]["features"] = "features.tsv"
+    config["paths"]["out_dir"] = "."
+    features = Path(base["paths"]["features"]).read_bytes()
+    files = {
+        "features.tsv": features + b"".join(line + b"\n" for line in lines),
+        "model.json": fixture_model,
+    }
+    code, stderr = _run_in_work_dir(work_root, config, verb, files)
+    _assert_exit_code_contract(code, stderr)
+    assert "Traceback" not in stderr
 
 
 def test_json_nested_too_deep_is_bad_input_not_a_crash(fixture_config, tmp_path, capsys):

@@ -1,12 +1,15 @@
 """The time-windowed, term-indexed labeling against an all-pairs reference.
 
-match_to_headlines and propagate_links score only candidates that share a
-term with the post inside the relevant time range. These properties check
-that their results equal a brute-force scan of every pair, float for
-float, on corpora built to hit the edges: score ties between duplicate
-headlines, timestamps on the window boundaries, same-author links, posts
-on both sides of a UTC midnight, and texts that are empty or mask away
-entirely.
+match_to_headlines and propagate_links sum each candidate's cosine term at
+a time over the postings of the relevant time range, and score with
+cosine() only the candidates whose sum comes within a rounding margin of
+the top sum or of their threshold; the tardy range scores the headlines
+holding a probe term. These properties check that their results equal a
+brute-force scan of every pair, float for float, on corpora built to hit
+the edges: score ties between duplicate headlines and between the same
+terms in another order, weights over many orders of magnitude, timestamps
+on the window boundaries, same-author links, posts on both sides of a UTC
+midnight, and texts that are empty or mask away entirely.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import random
 from dataclasses import replace
 from datetime import datetime, timezone
 
+import pytest
 from conftest import match_one, propagate
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,11 +30,14 @@ from newsvalue.labeling import (
     TARDY,
     UNMATCHED,
     MatchResult,
+    TermTimeIndex,
     label_corpus,
     mask_taxonomy_tokens,
+    match_to_headlines,
+    propagate_links,
 )
 from newsvalue.records import Headline, Post
-from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
+from newsvalue.textvec import SparseVector, cosine, fit_tfidf, tokenize, vectorize
 
 MIDNIGHT = int(datetime(2017, 6, 2, tzinfo=timezone.utc).timestamp())
 POST_WORDS = ["storm", "flood", "river", "fire", "smoke", "crews", "quake", "town", "road", "bridge"]
@@ -47,18 +54,27 @@ SETTINGS = settings(max_examples=150, deadline=None)
 # ---------------------------------------------------------------------------
 
 def brute_match(post, headlines, tfidf, threshold):
+    return brute_match_vectors(
+        post,
+        vectorize(tokenize(post.text), tfidf),
+        [h.published_at for h in headlines],
+        [vectorize(tokenize(h.text), tfidf) for h in headlines],
+        threshold,
+    )
+
+
+def brute_match_vectors(post, v, times, head_vectors, threshold):
     """Score every headline; same window, tie and tardy rules (only a
     headline with a positive score can match or make a post tardy)."""
-    v = vectorize(tokenize(post.text), tfidf)
     best_after = (0.0, None)
     best_before = (0.0, None)
     window_end = post.created_at + MATCH_WINDOW_SECONDS
-    for idx, h in enumerate(headlines):
-        score = cosine(v, vectorize(tokenize(h.text), tfidf))
-        if post.created_at < h.published_at <= window_end:
+    for idx, (published_at, hv) in enumerate(zip(times, head_vectors)):
+        score = cosine(v, hv)
+        if post.created_at < published_at <= window_end:
             if score > best_after[0]:
                 best_after = (score, idx)
-        elif h.published_at <= post.created_at:
+        elif published_at <= post.created_at:
             if score > best_before[0]:
                 best_before = (score, idx)
     if best_after[1] is not None and best_after[0] >= threshold:
@@ -73,9 +89,13 @@ def _utc_date(ts):
 
 
 def brute_propagate(results, posts, tfidf, link_threshold, same_user_threshold):
+    vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
+    return brute_propagate_vectors(results, posts, vectors, link_threshold, same_user_threshold)
+
+
+def brute_propagate_vectors(results, posts, vectors, link_threshold, same_user_threshold):
     """Score every (unmatched, first-pass matched) pair."""
     by_id = {p.post_id: p for p in posts}
-    vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
     matched = [r for r in results if r.status == MATCHED]
     out = []
     for r in results:
@@ -234,6 +254,131 @@ def test_labels_do_not_depend_on_post_order(corpus, rnd):
     base = outcome(posts, headlines)
     assert outcome(shuffled_posts, headlines) == base
     assert outcome(shuffled_posts, shuffled_headlines) == base
+
+
+TERMS = ["storm", "flood", "river", "fire", "smoke"]
+# A few weights, so that sums tie or round apart in the last bit; weights
+# spread over 200 orders of magnitude; and very small ones. Products and
+# squares stay normal floats.
+weights = st.one_of(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 0.1, 0.7, 1 / 3]),
+    st.floats(min_value=1e-100, max_value=1e100),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(-100, -10)),
+)
+vectors = st.dictionaries(st.sampled_from(TERMS), weights, max_size=4).map(SparseVector)
+
+
+def _permuted(v, rnd):
+    """The same weights under the same terms, inserted in another order:
+    the norm and cosine() may differ in the last bit."""
+    items = list(v.entries.items())
+    rnd.shuffle(items)
+    return SparseVector(dict(items))
+
+
+@st.composite
+def weighted_corpora(draw):
+    """Posts and their vectors, and headline times and vectors, drawn
+    directly: headlines on the window edges of a post, exact duplicates and
+    permuted copies of other headlines and of the posts."""
+    rnd = draw(st.randoms(use_true_random=False))
+    posts, post_vectors = [], []
+    for i in range(draw(st.integers(1, 8))):
+        ts = MIDNIGHT + draw(st.sampled_from([-1, 0, 1]) | st.integers(-3 * 3600, 3 * 3600))
+        posts.append(Post(f"p{i}", draw(st.sampled_from(["u0", "u1"])), ts, ""))
+        post_vectors.append(draw(vectors))
+    times, head_vectors = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        anchor = draw(st.sampled_from(posts)).created_at
+        times.append(anchor + draw(st.sampled_from(EDGE_OFFSETS) | st.integers(-86400, 86400)))
+        kind = draw(st.sampled_from(["new", "copy", "permuted", "post"]))
+        if kind == "new" or not head_vectors:
+            head_vectors.append(draw(vectors))
+        elif kind == "post":
+            head_vectors.append(_permuted(draw(st.sampled_from(post_vectors)), rnd))
+        else:
+            v = draw(st.sampled_from(head_vectors))
+            head_vectors.append(v if kind == "copy" else _permuted(v, rnd))
+    return posts, post_vectors, times, head_vectors
+
+
+def _drawn_threshold(data, pairs):
+    """A fixed threshold, or the exact cosine of one of the pairs."""
+    scores = sorted({cosine(a, b) for a, b in pairs})
+    return data.draw(thresholds | st.sampled_from(scores)) if scores else data.draw(thresholds)
+
+
+@SETTINGS
+@given(weighted_corpora(), st.data())
+def test_accumulated_sums_decide_like_all_pairs(corpus, data):
+    """The indexed matching and linking equal the all-pairs cosine() scan,
+    float for float, on vectors built to make the sums and cosine() round
+    differently."""
+    posts, post_vectors, times, head_vectors = corpus
+    index = TermTimeIndex(times, head_vectors)
+    threshold = _drawn_threshold(data, [(v, h) for v in post_vectors for h in head_vectors])
+    for post, v in zip(posts, post_vectors):
+        assert match_to_headlines(post, v, index, threshold) == brute_match_vectors(
+            post, v, times, head_vectors, threshold
+        )
+    pairs = [(a, b) for a in post_vectors for b in post_vectors]
+    link, same_user = _drawn_threshold(data, pairs), _drawn_threshold(data, pairs)
+    first = [
+        MatchResult(p.post_id, data.draw(st.sampled_from([MATCHED, UNMATCHED, TARDY])), None, 0.0)
+        for p in posts
+    ]
+    by_id = {p.post_id: v for p, v in zip(posts, post_vectors)}
+    assert propagate_links(first, posts, by_id, link, same_user) == brute_propagate_vectors(
+        first, posts, by_id, link, same_user
+    )
+
+
+@pytest.mark.parametrize(
+    "post_weights, head_items, permuted",
+    [
+        # The permuted copy sums one ulp higher, but cosine() ties: the
+        # first headline is the best.
+        (
+            {"smoke": 0.7, "storm": 1.5, "flood": 1.0, "river": 0.7, "fire": 0.1},
+            [("flood", 0.7), ("fire", 2.0), ("river", 0.7), ("smoke", 0.7)],
+            [("river", 0.7), ("smoke", 0.7), ("flood", 0.7), ("fire", 2.0)],
+        ),
+        # The permuted copy sums higher, but cosine() scores it lower.
+        (
+            {"flood": 2.0, "river": 3.0, "smoke": 0.7, "fire": 1.5, "storm": 1.0},
+            [("flood", 0.7), ("storm", 1.0), ("river", 0.7), ("smoke", 1 / 3)],
+            [("river", 0.7), ("smoke", 1 / 3), ("storm", 1.0), ("flood", 0.7)],
+        ),
+    ],
+)
+def test_sums_that_round_apart_are_both_rechecked(post_weights, head_items, permuted):
+    post = Post("p", "u", MIDNIGHT, "")
+    v = SparseVector(post_weights)
+    head_vectors = [SparseVector(dict(head_items)), SparseVector(dict(permuted))]
+    times = [MIDNIGHT + 60, MIDNIGHT + 120]
+    res = match_to_headlines(post, v, TermTimeIndex(times, head_vectors), 0.0)
+    assert res == brute_match_vectors(post, v, times, head_vectors, 0.0)
+    assert res.best_headline == 0
+
+
+def test_rechecks_only_the_candidates_near_the_top_sum(monkeypatch):
+    # Twenty in-window headlines share a term with the post and one scores
+    # strictly best: only that one is scored with cosine().
+    post = Post("p", "u", MIDNIGHT, "")
+    v = SparseVector({"storm": 1.0, "river": 1.0})
+    head_vectors = [SparseVector({"storm": 1.0, f"other{i}": 3.0}) for i in range(19)]
+    head_vectors.insert(7, SparseVector({"storm": 1.0, "river": 1.0}))
+    index = TermTimeIndex([MIDNIGHT + 60 * (i + 1) for i in range(20)], head_vectors)
+    calls = []
+
+    def counting_cosine(a, b):
+        calls.append(b)
+        return cosine(a, b)
+
+    monkeypatch.setattr(labeling, "cosine", counting_cosine)
+    res = match_to_headlines(post, v, index, 0.5)
+    assert (res.status, res.best_headline) == (MATCHED, 7)
+    assert calls == [head_vectors[7]]
 
 
 def test_scores_only_window_candidates_sharing_a_term(monkeypatch):
