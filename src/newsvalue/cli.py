@@ -31,6 +31,7 @@ from .model import (
     build_context,
     cross_validate,
     feature_group_weights,
+    svm_design,
     train_svm,
 )
 from .rarity import TaggedPost, build_background
@@ -252,6 +253,9 @@ def cmd_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     rows = 0
     with open(out, "w", encoding="utf-8") as fh:
         for post in sorted(posts, key=lambda p: p.post_id):
+            if any(c in post.post_id for c in "\t\r\n"):  # would split its features.tsv line
+                _report("warning", f"post {post.post_id!r}: tab or line break in its id (skipped)")
+                continue
             features = assemble_features(post, sources.get(post.user_id), ctx)
             for name in sorted(features):
                 fh.write(f"{post.post_id}\t{name}\t{features[name]!r}\n")
@@ -344,10 +348,12 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
 
 def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
+    design = svm_design(examples)
     report = cross_validate(
-        examples, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c
+        examples, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
+        design=design,
     )
-    model = train_svm(examples, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
+    model = train_svm(examples, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed, design=design)
     report.group_weights = feature_group_weights(model)
     model_path = cfg.out_path("model.json")
     model.save(model_path)

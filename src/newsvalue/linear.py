@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
 
@@ -24,6 +24,7 @@ BIAS_KEY = "__bias__"
 FORMAT = "linear-model/1"
 
 FeatureRow = Sequence[tuple[str, float]]
+InternedRow = tuple[tuple[int, ...], tuple[float, ...], Any]  # (ids, values, label)
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ def _finite_numbers(value) -> bool:
 
 
 def _objective(
-    rows: list[tuple[tuple[int, ...], tuple[float, ...], int]],
+    rows: Sequence[InternedRow],
     cs: tuple[float, float],
     v: list[float],
     touched: dict[int, None],
@@ -163,17 +164,42 @@ def _shuffler(rng: random.Random, n: int) -> Callable[[list], None]:
     return shuffle
 
 
-def train_binary_hinge(
-    rows: Iterable[tuple[FeatureRow, int]], cfg: SGDConfig
-) -> tuple[dict[str, float], float, float, float]:
-    """Train one binary hinge classifier over (+1/-1)-labeled sparse rows.
+def intern(rows: Iterable[tuple[FeatureRow, Any]]) -> tuple[list[InternedRow], list[str]]:
+    """Rows of (name, value) pairs as (ids, values, label), BIAS_KEY appended
+    to each, and the names by id, interned in first-seen order."""
+    index: dict[str, int] = {}
+    out = []
+    for x, y in rows:
+        x = tuple(x) + ((BIAS_KEY, 1.0),)
+        # tuple(list), not tuple(genexpr): CPython parks a tuple grown in place
+        # in a free list that later allocations never reuse, raising peak RSS
+        ids = tuple([index.setdefault(f, len(index)) for f, _ in x])
+        out.append((ids, tuple([val for _, val in x]), y))
+    return out, list(index)
 
-    Rows hold features only; BIAS_KEY is appended to each row here, so the
-    bias is a regularized weight like any other. Returns
+
+def epoch_orders(seed: int, n: int, epochs: int) -> Iterator[list[int]]:
+    """The visiting order of n rows in each epoch, drawn from Random(seed):
+    one list shuffled in place per epoch, so copy an order to keep it."""
+    shuffle = _shuffler(random.Random(seed), n)
+    order = list(range(n))
+    for _ in range(epochs):
+        shuffle(order)
+        yield order
+
+
+def train_binary_hinge(
+    rows: Sequence[InternedRow], cfg: SGDConfig, names: Sequence[str], orders: Iterable[Sequence[int]]
+) -> tuple[dict[str, float], float, float, float]:
+    """Train one binary hinge classifier over interned (+1/-1)-labeled rows.
+
+    Rows come from `intern`, so BIAS_KEY ends each and the bias is a
+    regularized weight like any other; `names` maps ids to names and may
+    hold names no row uses. `orders` gives each epoch's visiting order
+    (`epoch_orders`); `cfg.seed` is not read. Returns
     (weights, bias, objective_first_epoch, objective_last_epoch).
 
-    The kernel reads `rows` once and interns feature names to dense ids in
-    first-seen order. It is exact against a dict of weights keyed by name:
+    The kernel is exact against a dict of weights keyed by name:
     - a margin is `sum()` over the row's products in row order, the same
       floats in the same order. Keep it a `sum()`: from Python 3.12 a float
       `sum()` is compensated, and a `+=` loop would round differently;
@@ -185,19 +211,11 @@ def train_binary_hinge(
       a per-row stamp records; a clear (decay <= 0) zeroes the touched
       weights, empties the order and starts a new stamp.
     """
-    index: dict[str, int] = {}
-    prepared = []
-    for x, y in rows:
-        x = tuple(x) + ((BIAS_KEY, 1.0),)
-        # tuple(list), not tuple(genexpr): CPython parks a tuple grown in place
-        # in a free list that later allocations never reuse, raising peak RSS
-        ids = tuple([index.setdefault(f, len(index)) for f, _ in x])
-        prepared.append((ids, tuple([val for _, val in x]), y))
-    n = len(prepared)
+    n = len(rows)
     if n == 0:
         raise DegenerateLabels("no training rows")
     if cfg.class_weight == "balanced":
-        n_pos = sum(1 for *_, y in prepared if y > 0)
+        n_pos = sum(1 for *_, y in rows if y > 0)
         n_neg = n - n_pos
         pos_w = n / (2.0 * n_pos) if n_pos else 0.0
         neg_w = n / (2.0 * n_neg) if n_neg else 0.0
@@ -205,19 +223,16 @@ def train_binary_hinge(
         pos_w = neg_w = 1.0
     cs = (neg_w, pos_w)
 
-    v = [0.0] * len(index)
+    v = [0.0] * len(names)
     weight = v.__getitem__
     touched: dict[int, None] = {}
     stamp = 0
     row_stamp = [-1] * n
     scale = 1.0
-    shuffle = _shuffler(random.Random(cfg.seed), n)
-    order = list(range(n))
     l2 = cfg.l2
     t = 0
     obj_first = obj_last = 0.0
-    for epoch in range(cfg.epochs):
-        shuffle(order)
+    for epoch, order in enumerate(orders):
         for i in order:
             t += 1
             if cfg.learning_rate is None:
@@ -226,7 +241,7 @@ def train_binary_hinge(
             else:
                 eta = cfg.learning_rate
                 decay = 1.0 - eta * l2
-            ids, vals, y = prepared[i]
+            ids, vals, y = rows[i]
             margin = y * scale * sum(map(mul, map(weight, ids), vals))
             if decay <= 0.0:
                 for j in touched:
@@ -244,11 +259,10 @@ def train_binary_hinge(
                     row_stamp[i] = stamp
                     touched.update(zip(ids, repeat(None)))
         if epoch == 0:
-            obj_first = _objective(prepared, cs, v, touched, scale, l2)
+            obj_first = _objective(rows, cs, v, touched, scale, l2)
         if epoch == cfg.epochs - 1:
-            obj_last = _objective(prepared, cs, v, touched, scale, l2)
+            obj_last = _objective(rows, cs, v, touched, scale, l2)
 
-    names = list(index)
     weights = {names[j]: scale * v[j] for j in touched if scale * v[j] != 0.0}
     bias = weights.pop(BIAS_KEY, 0.0)
     return weights, bias, obj_first, obj_last
@@ -261,13 +275,13 @@ def train_one_vs_rest(
     kind: str,
 ) -> LinearModel:
     """One binary hinge classifier per class, deterministic per seed."""
-    rows = list(rows)
+    rows, names = intern(rows)
     weights: dict[str, dict[str, float]] = {}
     bias: dict[str, float] = {}
     obj_first: dict[str, float] = {}
     obj_last: dict[str, float] = {}
     for idx, cls in enumerate(classes):
-        binary = [(x, 1 if label == cls else -1) for x, label in rows]
+        binary = [(ids, vals, 1 if label == cls else -1) for ids, vals, label in rows]
         sub_cfg = SGDConfig(
             epochs=cfg.epochs,
             seed=cfg.seed * 31 + idx,
@@ -275,7 +289,8 @@ def train_one_vs_rest(
             learning_rate=cfg.learning_rate,
             class_weight=cfg.class_weight,
         )
-        w, b, first, last = train_binary_hinge(binary, sub_cfg)
+        orders = epoch_orders(sub_cfg.seed, len(binary), cfg.epochs)
+        w, b, first, last = train_binary_hinge(binary, sub_cfg, names, orders)
         weights[cls] = w
         bias[cls] = b
         obj_first[cls] = first

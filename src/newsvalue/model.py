@@ -13,13 +13,14 @@ import math
 import random
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence
+from itertools import compress
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
 from .impact import bootstrap_impact_model, default_site_terms, impact_labels, numeric_phrases
 from .labeling import masked_text
-from .linear import LinearModel, SGDConfig, train_binary_hinge
+from .linear import InternedRow, LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
 from .scope import ScopeFeatures, TextAnalysis
@@ -179,31 +180,25 @@ def assemble_features(
 # SVM training and evaluation
 # ---------------------------------------------------------------------------
 
-class _Rows:
-    """(sorted features, +1/-1) per example, made as the kernel reads them,
-    so no fit holds every row's (name, value) pairs at once. Sized, because
-    bench/tracer.py counts SGD steps as len(rows) x epochs."""
-
-    def __init__(self, examples: Sequence[LabeledExample]):
-        self._examples = examples
-
-    def __len__(self) -> int:
-        return len(self._examples)
-
-    def __iter__(self) -> Iterator[tuple[tuple, int]]:
-        for e in self._examples:
-            yield tuple(sorted(e.features.items())), 1 if e.label else -1
+def svm_design(examples: Sequence[LabeledExample]) -> tuple[list[InternedRow], list[str]]:
+    """The examples' interned rows (sorted features, label +1/-1) and names,
+    built once per verb and shared by its fits."""
+    return intern((sorted(e.features.items()), 1 if e.label else -1) for e in examples)
 
 
 def train_svm(
-    examples: Sequence[LabeledExample], *, epochs: int, C: float, seed: int
+    examples: Sequence[LabeledExample], *, epochs: int, C: float, seed: int,
+    design: Optional[tuple[Sequence[InternedRow], Sequence[str]]] = None,
+    orders: Optional[Iterable[Sequence[int]]] = None,
 ) -> LinearModel:
     """Binary linear SVM via Pegasos-style SGD (hinge + L2, eta = 1/(lambda t)).
 
     Class weights are balanced (inverse to class frequency). The
-    regularizer is lambda = 1/(C n). Deterministic given the seed; the
-    regularized objective after the first and last epochs lands in
-    train_meta for monitoring.
+    regularizer is lambda = 1/(C n). The fit reads design, the examples'
+    interned rows and names (default svm_design(examples)), in the epoch
+    orders given (default drawn from the seed), so it is deterministic
+    given the seed; the regularized objective after the first and last
+    epochs lands in train_meta for monitoring.
     """
     labels = {e.label for e in examples}
     if len(labels) < 2:
@@ -214,8 +209,10 @@ def train_svm(
             f"svm C={C} over {len(examples)} examples gives l2={lam}; "
             "it must be a positive finite number"
         )
+    rows, names = design or svm_design(examples)
+    orders = epoch_orders(seed, len(rows), epochs) if orders is None else orders
     sgd = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
-    weights, bias, obj_first, obj_last = train_binary_hinge(_Rows(examples), sgd)
+    weights, bias, obj_first, obj_last = train_binary_hinge(rows, sgd, names, orders)
     if not all(map(math.isfinite, (bias, obj_first, obj_last, *weights.values()))):
         raise SchemaMismatch(f"svm C={C} overflows the SGD weights or objective; lower C")
     meta = {
@@ -275,86 +272,85 @@ def _fold_seed(seed: int, fold: int) -> int:
     return seed * 1009 + fold
 
 
-def _stratified_split(
-    examples: Sequence[LabeledExample], rng: random.Random
-) -> tuple[list[LabeledExample], list[LabeledExample]]:
-    """80% of each class to train, the rest to test."""
-    train: list[LabeledExample] = []
-    test: list[LabeledExample] = []
-    for cls in (True, False):
-        idx = [i for i, e in enumerate(examples) if e.label is cls]
-        rng.shuffle(idx)
-        n_train = int(round(0.8 * len(idx)))
-        n_train = max(1, min(len(idx) - 1, n_train)) if len(idx) >= 2 else len(idx)
-        train.extend(examples[i] for i in idx[:n_train])
-        test.extend(examples[i] for i in idx[n_train:])
-    return train, test
+def _resample(
+    examples: Sequence[LabeledExample], set_rows: Sequence[Sequence[InternedRow]],
+    names: Sequence[str], *, folds: int, seed: int, epochs: int, C: float,
+) -> list[EvalReport]:
+    """One report per row set over the same repeated seeded 80/20 resamples
+    (stratified: 80% of each class to train), pooled P/R/F. A fold draws
+    its split and epoch orders once for all sets, and only one fold's
+    orders are alive at a time."""
+    if len(examples) < folds * 2:
+        raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
+    reports = [EvalReport(0.0, 0.0, 0.0) for _ in set_rows]
+    for fold in range(folds):
+        fseed = _fold_seed(seed, fold)
+        rng = random.Random(fseed)
+        train: list[int] = []
+        test: list[int] = []
+        for cls in (True, False):
+            idx = [i for i, e in enumerate(examples) if e.label is cls]
+            rng.shuffle(idx)
+            n_train = int(round(0.8 * len(idx)))
+            n_train = max(1, min(len(idx) - 1, n_train)) if len(idx) >= 2 else len(idx)
+            train += idx[:n_train]
+            test += idx[n_train:]
+        fit_examples = [examples[i] for i in train]
+        # rebinding orders to a generator frees the last fold's copy first
+        orders: Iterable[Sequence[int]] = epoch_orders(fseed, len(train), epochs)
+        if len(set_rows) > 1:  # every set's fit reads the same orders
+            orders = [tuple(order) for order in orders]
+        for rows, report in zip(set_rows, reports):
+            model = train_svm(fit_examples, epochs=epochs, C=C, seed=fseed,
+                              design=([rows[i] for i in train], names), orders=orders)
+            # a model's weights hold only its set's names, so the full
+            # features score as the restricted ones would, term for term
+            c = [0, 0, 0, 0]  # tp, fp, fn, tn: at 2 * (not predicted) + (not label)
+            for i in test:
+                c[2 * (not svm_predict(model, examples[i].features)) + (not examples[i].label)] += 1
+            p, r, f = _prf(*c[:3])
+            report.folds.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
+                                 "f1": f, **dict(zip(("tp", "fp", "fn", "tn"), c))})
+    for report in reports:
+        report.counts = c = {k: sum(r[k] for r in report.folds) for k in ("tp", "fp", "fn", "tn")}
+        report.precision, report.recall, report.f1 = _prf(c["tp"], c["fp"], c["fn"])
+    return reports
 
 
 def cross_validate(
-    examples: Sequence[LabeledExample], *, folds: int, seed: int, epochs: int, C: float
+    examples: Sequence[LabeledExample], *, folds: int, seed: int, epochs: int, C: float,
+    design: Optional[tuple[Sequence[InternedRow], Sequence[str]]] = None,
 ) -> EvalReport:
     """Repeated seeded 80/20 resampling (stratified), pooled P/R/F.
 
     Fold seeds derive from the master seed, so the whole report is
     bit-reproducible. No model is fitted on all examples here, so
     group_weights stay empty; the caller that fits the final model fills
-    them with feature_group_weights.
+    them with feature_group_weights. design: as for train_svm.
     """
-    if len(examples) < folds * 2:
-        raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
-    tp = fp = fn = tn = 0
-    fold_rows = []
-    for fold in range(folds):
-        fseed = _fold_seed(seed, fold)
-        rng = random.Random(fseed)
-        train, test = _stratified_split(examples, rng)
-        model = train_svm(train, epochs=epochs, C=C, seed=fseed)
-        ftp = ffp = ffn = ftn = 0
-        for e in test:
-            pred = svm_predict(model, e.features)
-            if pred and e.label:
-                ftp += 1
-            elif pred and not e.label:
-                ffp += 1
-            elif not pred and e.label:
-                ffn += 1
-            else:
-                ftn += 1
-        tp, fp, fn, tn = tp + ftp, fp + ffp, fn + ffn, tn + ftn
-        p, r, f = _prf(ftp, ffp, ffn)
-        fold_rows.append(
-            {"fold": fold, "seed": fseed, "precision": p, "recall": r, "f1": f,
-             "tp": ftp, "fp": ffp, "fn": ffn, "tn": ftn}
-        )
-    p, r, f = _prf(tp, fp, fn)
-    return EvalReport(
-        precision=p,
-        recall=r,
-        f1=f,
-        folds=fold_rows,
-        counts={"tp": tp, "fp": fp, "fn": fn, "tn": tn},
-    )
+    rows, names = design or svm_design(examples)
+    return _resample(examples, [rows], names, folds=folds, seed=seed, epochs=epochs, C=C)[0]
 
 
-def restrict_features(
-    examples: Sequence[LabeledExample], groups: Sequence[str]
-) -> list[LabeledExample]:
-    """Keep only feature families named in groups."""
+def _restrict(
+    rows: Sequence[InternedRow], names: Sequence[str], groups: Sequence[str]
+) -> list[InternedRow]:
+    """The rows with only the named families' features and the bias (each
+    row's last id): svm_design of the examples so restricted, in the ids
+    of the full design."""
+    if not groups:
+        raise DegenerateLabels("empty feature-group set")
     unknown = set(groups) - set(FEATURE_GROUPS)
     if unknown:
         raise ValueError(f"unknown feature groups: {sorted(unknown)}")
     prefixes = tuple(FEATURE_GROUPS[g] for g in groups)
+    keep = [name.startswith(prefixes) for name in names]
     out = []
-    for e in examples:
-        kept = {f: v for f, v in e.features.items() if f.startswith(prefixes)}
-        out.append(
-            LabeledExample(
-                post_id=e.post_id,
-                features=kept,
-                label=e.label,
-            )
-        )
+    for ids, vals, y in rows:
+        mask = [keep[j] for j in ids[:-1]] + [True]
+        # a row that keeps every feature shares its tuples; tuple(list): see linear.intern
+        out.append((ids, vals, y) if all(mask) else (
+            tuple(list(compress(ids, mask))), tuple(list(compress(vals, mask))), y))
     return out
 
 
@@ -367,15 +363,12 @@ def ablate(
     epochs: int,
     C: float,
 ) -> list[tuple[tuple[str, ...], EvalReport]]:
-    """cross_validate restricted to each requested group union."""
-    out = []
-    for groups in feature_groups:
-        if not groups:
-            raise DegenerateLabels("empty feature-group set")
-        restricted = restrict_features(examples, list(groups))
-        report = cross_validate(restricted, folds=folds, seed=seed, epochs=epochs, C=C)
-        out.append((tuple(groups), report))
-    return out
+    """cross_validate restricted to each requested group union; every union
+    is fitted on a fold's split and epoch orders before the next fold."""
+    rows, names = svm_design(examples)
+    set_rows = [_restrict(rows, names, groups) for groups in feature_groups]
+    reports = _resample(examples, set_rows, names, folds=folds, seed=seed, epochs=epochs, C=C)
+    return [(tuple(groups), report) for groups, report in zip(feature_groups, reports)]
 
 
 def feature_group_weights(model: LinearModel) -> dict[str, tuple[float, float]]:

@@ -258,19 +258,37 @@ class TestFullPipeline:
         assert main(["label", "--config", str(config)]) == EXIT_OK
         assert main(["extract", "--config", str(config)]) == EXIT_OK
         folds = json.loads(config.read_text())["svm"]["folds"]
-        calls = []
-        original = newsvalue.model.train_binary_hinge
+        calls = dict.fromkeys(("train_binary_hinge", "intern", "epoch_orders"), 0)
+        for name in calls:
+            original = getattr(newsvalue.model, name)
 
-        def counted(rows, cfg):
-            calls.append(cfg.seed)
-            return original(rows, cfg)
+            def counted(*args, name=name, original=original):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(newsvalue.model, "train_binary_hinge", counted)
+            monkeypatch.setattr(newsvalue.model, name, counted)
         assert main(["train", "--config", str(config)]) == EXIT_OK
-        assert len(calls) == folds + 1
-        calls.clear()
+        # the folds and the saved model: one design, one schedule per fit
+        assert list(calls.values()) == [folds + 1, 1, folds + 1]
+        calls.update(dict.fromkeys(calls, 0))
         assert main(["evaluate", "--config", str(config)]) == EXIT_OK
-        assert len(calls) == 4 * folds
+        # four feature sets per fold, sharing the fold's schedule
+        assert list(calls.values()) == [4 * folds, 1, folds]
+
+    @pytest.mark.parametrize("post_id", ["a\rb", "a\tb", "a\nb"])
+    def test_id_with_tab_or_line_break_skipped_by_extract(self, tmp_path, capsys, post_id):
+        """features.tsv is tab-separated and read by lines, so extract skips
+        a post whose id holds a tab or line break, and train reads the rest."""
+        posts, headlines = make_event_posts()
+        posts[0] = Post(post_id, posts[0].user_id, posts[0].created_at, posts[0].text)
+        config = write_pipeline_inputs(tmp_path, posts=posts, headlines=headlines)
+        errs = []
+        for verb in ("label", "extract", "train"):
+            assert main([verb, "--config", str(config)]) == EXIT_OK
+            errs += capsys.readouterr().err.splitlines()
+        assert errs == [f"warning: post {post_id!r}: tab or line break in its id (skipped)"]
+        lines = (tmp_path / "out" / "features.tsv").read_text().splitlines()
+        assert {line.split("\t")[0] for line in lines} <= {p.post_id for p in posts[1:]}
 
     def test_report_group_weights_are_the_saved_models(self, pipeline, capsys):
         tmp_path, config = pipeline
@@ -1089,25 +1107,31 @@ def _assert_exit_code_contract(code, stderr):
         assert line.startswith(("error:", "warning:")), line
 
 
-@pytest.mark.parametrize("verb", ["curate", "label", "extract", "train", "evaluate"])
+@pytest.mark.parametrize("verb", ["curate", "label", "extract", "train", "evaluate", "predict"])
 @settings(max_examples=60, deadline=None)
 @given(overrides=st.lists(config_entries, min_size=1, max_size=3).map(dict))
 @example(overrides={"paths.out_dir": "o\x00ut"})
 @example(overrides={"paths.headlines": "a\nb"})
 @example(overrides={"paths.posts": 10**300})
 @example(overrides={"svm.C": 1e-300, "svm.epochs": 5})
-def test_any_config_value_keeps_the_exit_code_contract(fixture_config, verb, overrides):
+def test_any_config_value_keeps_the_exit_code_contract(fixture_config, fixture_model, verb,
+                                                       overrides):
     """An arbitrary JSON value at any config key exits 0, 2, 3 or 4 with
-    no uncaught exception, and every stderr line is an error or a warning."""
+    no uncaught exception, and every stderr line is an error or a warning.
+    predict reads the model train writes for the unchanged config."""
     base, work_root = fixture_config
     config = json.loads(json.dumps(base))
+    files = None
+    if verb == "predict":
+        config["paths"]["out_dir"] = "."
+        files = {"model.json": fixture_model}
     for key, value in overrides.items():
         section, _, name = key.rpartition(".")
         if section == "paths":
             # Keep every path inside the example's working directory.
             assume(not str(value).startswith("/") and ".." not in str(value))
         (config[section] if section else config)[name] = value
-    _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb))
+    _assert_exit_code_contract(*_run_in_work_dir(work_root, config, verb, files))
 
 
 POSTS, HEADLINES = make_event_posts()

@@ -1,8 +1,9 @@
 """The interned-id SGD kernel against the dict-keyed kernel it replaced.
 
 `reference_train_binary_hinge` is that kernel, kept here as the oracle: the
-interned kernel must return repr-identical weights (same key order), bias
-and objectives for every input, because the artifacts hash its floats.
+interned kernel (`intern`, then `train_binary_hinge` over `epoch_orders`)
+must return repr-identical weights (same key order), bias and objectives
+for every input, because the artifacts hash its floats.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from newsvalue.linear import (
     BIAS_KEY,
     SGDConfig,
     _shuffler,
+    epoch_orders,
+    intern,
     train_binary_hinge,
     train_one_vs_rest,
 )
@@ -108,11 +111,22 @@ configs = st.builds(
 CLEAR_EVERY_STEP = SGDConfig(epochs=3, seed=5, l2=1.0, learning_rate=1.5)
 
 
+def interned_fit(rows, cfg, keep_orders=False):
+    """train_binary_hinge over intern(rows), its epoch orders drawn lazily
+    or, with keep_orders, copied up front as a shared schedule is."""
+    rows, names = intern(rows)
+    orders = epoch_orders(cfg.seed, len(rows), cfg.epochs)
+    if keep_orders:
+        orders = [tuple(order) for order in orders]
+    return train_binary_hinge(rows, cfg, names, orders)
+
+
 def assert_same_fit(rows, cfg):
     expected = reference_train_binary_hinge(list(rows), cfg)
-    got = train_binary_hinge(iter(rows), cfg)
-    assert repr(got) == repr(expected)
-    assert list(got[0]) == list(expected[0])
+    for keep_orders in (False, True):
+        got = interned_fit(iter(rows), cfg, keep_orders)
+        assert repr(got) == repr(expected)
+        assert list(got[0]) == list(expected[0])
 
 
 @settings(max_examples=300, deadline=None)
@@ -143,6 +157,17 @@ def test_shuffler_equals_random_shuffle(n):
             assert rng.getstate() == ref.getstate()
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 257])
+def test_epoch_orders_are_one_generators_shuffles(n):
+    ref = random.Random(7)
+    expected = list(range(n))
+    orders = list(map(tuple, epoch_orders(7, n, 4)))
+    assert len(orders) == 4
+    for order in orders:
+        ref.shuffle(expected)
+        assert order == tuple(expected)
+
+
 def test_clear_every_step_resets_weights_and_order():
     cfg = CLEAR_EVERY_STEP
     assert cfg.learning_rate * cfg.l2 >= 1.0
@@ -158,9 +183,9 @@ def test_balanced_with_one_class_absent():
 
 def test_no_rows_raise_degenerate_labels():
     with pytest.raises(DegenerateLabels, match="no training rows"):
-        train_binary_hinge([], SGDConfig(epochs=100, seed=0, l2=1e-4))
+        interned_fit([], SGDConfig(epochs=100, seed=0, l2=1e-4))
     with pytest.raises(DegenerateLabels, match="no training rows"):
-        train_binary_hinge(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
+        interned_fit(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
 
 
 def test_one_vs_rest_fed_a_generator():

@@ -5,18 +5,24 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import BASE_TS
-from newsvalue.errors import DegenerateLabels
-from newsvalue.linear import LinearModel
+from newsvalue.errors import DegenerateLabels, SchemaMismatch
+from newsvalue.linear import BIAS_KEY, LinearModel
 from newsvalue.model import (
     FEATURE_GROUPS,
+    EvalReport,
+    _fold_seed,
+    _prf,
+    _restrict,
     ablate,
     assemble_features,
     build_context,
     cross_validate,
     feature_group_weights,
-    restrict_features,
+    svm_design,
     svm_predict,
     train_svm,
 )
@@ -253,14 +259,21 @@ class TestAblate:
             ablate(self._ablation_examples(), [()], folds=3, seed=0, **SVM)
 
     def test_unknown_group_rejected(self):
-        with pytest.raises(ValueError):
-            restrict_features(self._ablation_examples(), ["texture"])
+        with pytest.raises(ValueError, match="unknown feature groups"):
+            ablate(self._ablation_examples(), [("scope",), ("texture",)], folds=3, seed=0, **SVM)
 
     def test_restriction_drops_other_families(self):
         examples = self._ablation_examples()
-        restricted = restrict_features(examples, ["scope"])
-        for e in restricted:
-            assert all(f.startswith("scope_") for f in e.features)
+        rows, names = svm_design(examples)
+        restricted = _restrict(rows, names, ["scope"])
+        for ids, _, _ in restricted:
+            assert all(names[j].startswith("scope_") for j in ids[:-1])
+            assert names[ids[-1]] == BIAS_KEY
+        # the rows the per-example restriction would have interned
+        ref_rows, ref_names = svm_design(restrict_features(examples, ["scope"]))
+        assert [([names[j] for j in ids], vals, y) for ids, vals, y in restricted] == [
+            ([ref_names[j] for j in ids], vals, y) for ids, vals, y in ref_rows
+        ]
 
     def test_four_row_report(self):
         from newsvalue.cli import ABLATION_SETS
@@ -269,6 +282,138 @@ class TestAblate:
         results = ablate(examples, ABLATION_SETS, folds=3, seed=1, epochs=15, C=1.0)
         assert len(results) == 4
         assert results[0][0] == ("text", "topic")
+
+
+# The per-fit path, kept as the oracle of cross_validate and ablate: each
+# ablation row restricts every example to its families, and each fit
+# draws its own split and epoch orders.
+
+def restrict_features(examples, groups):
+    unknown = set(groups) - set(FEATURE_GROUPS)
+    if unknown:
+        raise ValueError(f"unknown feature groups: {sorted(unknown)}")
+    prefixes = tuple(FEATURE_GROUPS[g] for g in groups)
+    return [
+        LabeledExample(e.post_id, {f: v for f, v in e.features.items() if f.startswith(prefixes)},
+                       e.label)
+        for e in examples
+    ]
+
+
+def _stratified_split(examples, rng):
+    train, test = [], []
+    for cls in (True, False):
+        idx = [i for i, e in enumerate(examples) if e.label is cls]
+        rng.shuffle(idx)
+        n_train = int(round(0.8 * len(idx)))
+        n_train = max(1, min(len(idx) - 1, n_train)) if len(idx) >= 2 else len(idx)
+        train.extend(examples[i] for i in idx[:n_train])
+        test.extend(examples[i] for i in idx[n_train:])
+    return train, test
+
+
+def reference_cross_validate(examples, *, folds, seed, epochs, C):
+    if len(examples) < folds * 2:
+        raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
+    tp = fp = fn = tn = 0
+    fold_rows = []
+    for fold in range(folds):
+        fseed = _fold_seed(seed, fold)
+        train, test = _stratified_split(examples, random.Random(fseed))
+        model = train_svm(train, epochs=epochs, C=C, seed=fseed)
+        ftp = ffp = ffn = ftn = 0
+        for e in test:
+            pred = svm_predict(model, e.features)
+            if pred and e.label:
+                ftp += 1
+            elif pred and not e.label:
+                ffp += 1
+            elif not pred and e.label:
+                ffn += 1
+            else:
+                ftn += 1
+        tp, fp, fn, tn = tp + ftp, fp + ffp, fn + ffn, tn + ftn
+        p, r, f = _prf(ftp, ffp, ffn)
+        fold_rows.append({"fold": fold, "seed": fseed, "precision": p, "recall": r, "f1": f,
+                          "tp": ftp, "fp": ffp, "fn": ffn, "tn": ftn})
+    p, r, f = _prf(tp, fp, fn)
+    return EvalReport(p, r, f, folds=fold_rows, counts={"tp": tp, "fp": fp, "fn": fn, "tn": tn})
+
+
+def reference_ablate(examples, feature_groups, **svm):
+    out = []
+    for groups in feature_groups:
+        if not groups:
+            raise DegenerateLabels("empty feature-group set")
+        restricted = restrict_features(examples, list(groups))
+        out.append((tuple(groups), reference_cross_validate(restricted, **svm)))
+    return out
+
+
+def _outcome(fn, *args, **kwargs):
+    """repr of the result, or the exception's type and message."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except (DegenerateLabels, SchemaMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Names of every family, one outside every prefix and the reserved bias
+# name; values from the subnormal to the overflowing.
+NAMES = ["text_a", "text_b", "topic_x", "scope_s", "impact_i", "loc_lat", "loc_country_US",
+         "rarity", "rarity_present", "other", BIAS_KEY]
+VALUES = st.floats(-8.0, 8.0) | st.sampled_from([5e-324, -1e-300, 1e-12, 1e12, -1e150, 1e300])
+
+
+@st.composite
+def cv_inputs(draw):
+    """Examples (some without features) over the names of a random subset of
+    families, so some sets' rows hold only the bias; sets; SVM settings."""
+    families = draw(st.sets(st.sampled_from(sorted(FEATURE_GROUPS))))
+    pool = [n for n in NAMES if not n.startswith(tuple(FEATURE_GROUPS[g] for g in FEATURE_GROUPS
+                                                        if g not in families))]
+    features = st.dictionaries(st.sampled_from(pool), VALUES, max_size=5)
+    examples = [
+        LabeledExample(f"p{i}", f, label)
+        for i, (f, label) in enumerate(draw(st.lists(st.tuples(features, st.booleans()),
+                                                     min_size=2, max_size=24)))
+    ]
+    sets = draw(st.lists(st.sets(st.sampled_from(sorted(FEATURE_GROUPS)), min_size=1)
+                         .map(sorted).map(tuple), min_size=1, max_size=4))
+    svm = draw(st.fixed_dictionaries({
+        "folds": st.integers(1, 3), "seed": st.integers(0, 2**31),
+        "epochs": st.integers(1, 4), "C": st.sampled_from([0.01, 1.0, 1e4]),
+    }))
+    return examples, sets, svm
+
+
+FAMILY_EXAMPLES = [
+    LabeledExample("e", {}, True),
+    LabeledExample("b", {"other": 1.0, BIAS_KEY: 2.0}, False),
+    LabeledExample("t", {"text_a": 1e-300, "topic_x": 1.0, "other": -0.5}, True),
+    LabeledExample("s", {"scope_s": 5e-324, "impact_i": -2.0, "rarity": 0.25}, False),
+    LabeledExample("l", {"loc_lat": 0.5, "text_b": 1e12, "rarity_present": 1.0}, True),
+    LabeledExample("m", {"text_a": -3.0, "loc_country_US": 1.0}, False),
+] * 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(cv_inputs())
+@example((FAMILY_EXAMPLES, [("location",), ("text", "topic"), tuple(sorted(FEATURE_GROUPS))],
+          {"folds": 3, "seed": 5, "epochs": 3, "C": 1.0}))
+@example((FAMILY_EXAMPLES, [("scope",), ("rarity",)], {"folds": 2, "seed": 1, "epochs": 2,
+                                                     "C": 1e4}))
+def test_fold_by_fold_equals_per_fit_path(inputs):
+    """cross_validate and ablate fit every set of a fold on one interned
+    design, split and epoch schedule; reports are repr-identical to one
+    restriction, split and fit per set and fold, errors included."""
+    examples, sets, svm = inputs
+    assert _outcome(cross_validate, examples, **svm) == _outcome(
+        reference_cross_validate, examples, **svm
+    )
+    assert _outcome(ablate, examples, sets, **svm) == _outcome(
+        reference_ablate, examples, sets, **svm
+    )
 
 
 class TestFeatureGroupWeights:
