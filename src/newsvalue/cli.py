@@ -178,10 +178,23 @@ def _report(kind: str, message: object) -> None:
     print(f"{kind}: {str(message).translate(_LINE_BREAKS)}", file=sys.stderr)
 
 
-def _read(path: Path, parse: Callable[[dict], T], name: str | None = None) -> list[T]:
+def _read(
+    path: Path, parse: Callable[[dict], T], name: str | None = None, key: str | None = None
+) -> list[T]:
     """The records of one required input; each record parse rejects is
-    skipped with a warning under name (default: the file name)."""
-    records, errors = read_ndjson(_require(path), parse)
+    skipped with a warning under name (default: the file name), and so is
+    each record whose id under key an earlier record holds."""
+    ids: set[str] = set()
+
+    def parse_first(rec: dict) -> T:
+        item = parse(rec)
+        ident = _id(rec, key)
+        if ident in ids:
+            raise ValueError(f"duplicate {key} {ident!r}")
+        ids.add(ident)
+        return item
+
+    records, errors = read_ndjson(_require(path), parse if key is None else parse_first)
     for lineno, message in errors:
         _report("warning", f"{name or path.name} line {lineno}: {message} (record skipped)")
     return records
@@ -193,7 +206,7 @@ def _read(path: Path, parse: Callable[[dict], T], name: str | None = None) -> li
 
 def cmd_curate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     gaz = load_gazetteer(_require(cfg.path("gazetteer")))
-    profiles = _read(cfg.path("profiles"), SourceProfile.from_record, "profiles")
+    profiles = _read(cfg.path("profiles"), SourceProfile.from_record, "profiles", "user_id")
     tweets = _read(cfg.path("tweets"), Post.from_record)
     assignments = _read(cfg.path("assignments"), TopicAssignment.from_record, "assignments")
     headlines = _read(cfg.path("headlines"), Headline.from_record)
@@ -242,15 +255,15 @@ def _load_sources(cfg: PipelineConfig) -> dict[str, SourceProfile]:
     path = cfg.input_path("curated", "curated.ndjson")
     if "curated" not in cfg.paths and not os.path.exists(path):
         return {}  # no curate run: posts carry no source profile
-    return {p.user_id: p for p in _read(path, SourceProfile.from_record, "curated")}
+    return {p.user_id: p for p in _read(path, SourceProfile.from_record, "curated", "user_id")}
 
 
 def cmd_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    posts = _read(cfg.path("posts"), Post.from_record)
+    posts = _read(cfg.path("posts"), Post.from_record, key="post_id")
     ctx = _load_context(cfg)
     sources = _load_sources(cfg)
     out = cfg.out_path("features.tsv")
-    rows = 0
+    written = rows = 0
     with open(out, "w", encoding="utf-8") as fh:
         for post in sorted(posts, key=lambda p: p.post_id):
             if any(c in post.post_id for c in "\t\r\n"):  # would split its features.tsv line
@@ -259,16 +272,17 @@ def cmd_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
             features = assemble_features(post, sources.get(post.user_id), ctx)
             for name in sorted(features):
                 fh.write(f"{post.post_id}\t{name}\t{features[name]!r}\n")
-                rows += 1
-    print(f"extracted features for {len(posts)} posts ({rows} rows)")
+            rows += len(features)
+            written += 1
+    print(f"extracted features for {written} posts ({rows} rows)")
     print(f"wrote {out}")
     return EXIT_OK
 
 
 def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
-    posts = _read(cfg.path("posts"), Post.from_record)
+    posts = _read(cfg.path("posts"), Post.from_record, key="post_id")
     headlines = _read(cfg.path("headlines"), Headline.from_record)
-    run = label_corpus(
+    results, stats = label_corpus(
         posts,
         headlines,
         threshold=cfg.match_threshold,
@@ -277,7 +291,7 @@ def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     )
     by_id = {p.post_id: p for p in posts}
     records = []
-    for r in sorted(run.results, key=lambda r: r.post_id):
+    for r in sorted(results, key=lambda r: r.post_id):
         rec = by_id[r.post_id].to_record()
         rec.update(
             {
@@ -290,14 +304,14 @@ def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         records.append(rec)
     out = cfg.out_path("labeled.ndjson")
     write_ndjson(out, records)
-    s = run.stats
     print(
-        f"matched: {s['matched']} (direct {s['matched_direct']}, via link {s['via_link']})"
+        f"matched: {stats['matched']} (direct {stats['matched_direct']}, "
+        f"via link {stats['via_link']})"
     )
-    print(f"tardy: {s['tardy']}")
-    print(f"unmatched: {s['unmatched']}")
+    print(f"tardy: {stats['tardy']}")
+    print(f"unmatched: {stats['unmatched']}")
     print(f"wrote {out}")
-    if s["matched"] == 0:
+    if stats["matched"] == 0:
         print("error: no matched posts after propagation", file=sys.stderr)
         return EXIT_DEGENERATE_LABELS
     return EXIT_OK
@@ -342,7 +356,7 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
             label=_field(rec, "status", "a string") == "matched",
         )
 
-    examples = sorted(_read(labeled_path, parse, "labeled"), key=lambda e: e.post_id)
+    examples = sorted(_read(labeled_path, parse, "labeled", "post_id"), key=lambda e: e.post_id)
     return undersample(examples, ratio=cfg.undersample_ratio, seed=cfg.seed)
 
 
@@ -426,8 +440,8 @@ def _event(time_key: str) -> Callable[[dict], tuple[str, int]]:
 
 
 def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) -> int:
-    feed = dict(_read(Path(feed_path), _event("first_tweet_at"), "feed"))
-    wire = dict(_read(Path(wire_path), _event("wire_alert_at"), "wire"))
+    feed = dict(_read(Path(feed_path), _event("first_tweet_at"), "feed", "event_id"))
+    wire = dict(_read(Path(wire_path), _event("wire_alert_at"), "wire", "event_id"))
     shared = sorted(set(feed) & set(wire))
     skipped = sorted((set(feed) | set(wire)) - set(shared))
     rows = []

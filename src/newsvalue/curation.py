@@ -10,9 +10,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import replace
-from functools import lru_cache
 from math import ceil, log
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import DegenerateLabels
@@ -25,9 +23,9 @@ from .records import (
     TRBC_CODES,
     TRBC_DESCENDANTS,
 )
-from .scope import Taxonomy, load_taxonomy
+from .scope import lexicon
 from .textvec import (
-    CentroidSet,
+    SparseVector,
     TfidfModel,
     build_centroids,
     centroid,
@@ -36,8 +34,6 @@ from .textvec import (
     tokenize,
     vectorize,
 )
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 SAMPLE_SIZE = 50  # tweets per account for the local-focus ratio
 MAX_ACCOUNT_TWEETS = 1000  # tweets per account for its topic centroid
@@ -60,11 +56,6 @@ DIRECT_CATEGORY = {
     "earthquakes_seismic": "quake_monitor",
     "severe_weather": "weather_monitor",
 }
-
-
-@lru_cache(maxsize=None)
-def default_occupations() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "journalist_occupations.txt", "journalist_occupations")
 
 
 def _stable_seed(seed: int, key: str) -> int:
@@ -135,7 +126,7 @@ def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
 
 def build_trbc_centroids(
     headlines: Sequence[Headline], *, seed: int
-) -> tuple[TfidfModel, CentroidSet]:
+) -> tuple[TfidfModel, dict[str, SparseVector]]:
     """Per-topic-code centroids over wire headlines.
 
     Each code is one tf.idf document built from up to PER_CODE_CAP sampled
@@ -161,9 +152,7 @@ def build_trbc_centroids(
     if not sampled:
         raise DegenerateLabels("no headlines carry known topic codes")
     tokens = {code: [tokenize(h.text) for h in sampled[code]] for code in sorted(sampled)}
-    tfidf = fit_tfidf(
-        [(code, [t for toks in docs for t in toks]) for code, docs in tokens.items()]
-    )
+    tfidf = fit_tfidf([[t for toks in docs for t in toks] for docs in tokens.values()])
     groups = [(code, [vectorize(toks, tfidf) for toks in docs]) for code, docs in tokens.items()]
     return tfidf, build_centroids(groups)
 
@@ -171,7 +160,7 @@ def build_trbc_centroids(
 def classify_account(
     profile: SourceProfile,
     sample_tweets: Sequence[Post],
-    trbc_centroids: CentroidSet,
+    trbc_centroids: dict[str, SparseVector],
     tfidf: TfidfModel,
     *,
     seed: int,
@@ -194,7 +183,7 @@ def classify_account(
     if direct is not None:
         return direct
     description_tokens = set(tokenize(profile.description))
-    occupation_words = {t for phrase in default_occupations().terms for t in phrase.split()}
+    occupation_words = {t for p in lexicon("journalist_occupations").terms for t in p.split()}
     if description_tokens & (PERSONAL_PRONOUNS | occupation_words):
         return "local_journalist"
     if not profile.locally_focused:
@@ -217,7 +206,7 @@ def curate(
     tweets_by_user: Mapping[str, Sequence[Post]],
     assignments: Sequence[TopicAssignment],
     g: Gazetteer,
-    trbc_centroids: CentroidSet,
+    trbc_centroids: dict[str, SparseVector],
     tfidf: TfidfModel,
     *,
     seed: int,

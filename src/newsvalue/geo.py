@@ -8,21 +8,13 @@ what the local-focus hit/miss ratio is built on.
 
 from __future__ import annotations
 
-import re
 from typing import Optional
 
 from .errors import SchemaMismatch
-from .records import GazetteerEntry, SourceProfile, _is_utf8
+from .records import _COUNTRY_RE, GazetteerEntry, SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
 from .textvec import tokenize
-
-_COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
-
-
-def _normalize(name: str) -> str:
-    return " ".join(tokenize(name))
-
 
 class Gazetteer:
     """Entries indexed by the tokens of each name and alias; the entries
@@ -84,7 +76,7 @@ def load_gazetteer(path) -> Gazetteer:
             if not -90.0 <= lat <= 90.0 or not -180.0 <= lon <= 180.0:
                 raise SchemaMismatch(f"line {lineno}: coordinates out of range")
             country = country.strip()
-            if not _COUNTRY_RE.match(country):
+            if not _COUNTRY_RE.fullmatch(country):
                 raise SchemaMismatch(f"line {lineno}: bad country code {country!r}")
             try:
                 population = int(pop_raw) if pop_raw.strip() else None
@@ -104,18 +96,11 @@ def load_gazetteer(path) -> Gazetteer:
     return Gazetteer(entries)
 
 
-def _matches_anchor(name: Optional[str], anchor: GazetteerEntry) -> bool:
-    if not name:
-        return False
-    key = _normalize(name)
-    if key == _normalize(anchor.name):
-        return True
-    return any(key == _normalize(a) for a in anchor.aliases)
-
-
 def _within(entry: GazetteerEntry, anchor: GazetteerEntry, g: Gazetteer) -> bool:
     """entry is inside anchor: same place, anchor on its admin chain, or a
-    country-level anchor sharing the entry's country code."""
+    country-level anchor sharing the entry's country code. An admin parent
+    names the entries lookup finds for it, so a parent with no word token
+    names none."""
     if entry == anchor:
         return True
     if anchor.admin_parent is None and entry.country_code == anchor.country_code:
@@ -126,10 +111,11 @@ def _within(entry: GazetteerEntry, anchor: GazetteerEntry, g: Gazetteer) -> bool
         parent = cur.admin_parent
         if not parent or parent.lower() in seen:
             break
-        if _matches_anchor(parent, anchor):
+        named = g.lookup(parent)
+        if anchor in named:
             return True
         seen.add(parent.lower())
-        nxt = _best_entry(g.lookup(parent))
+        nxt = _best_entry(named)
         if nxt is None:
             break
         cur = nxt

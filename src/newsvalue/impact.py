@@ -14,15 +14,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .linear import LinearModel, SGDConfig, train_one_vs_rest
-from .scope import TextAnalysis, Taxonomy, fold_key, load_taxonomy
+from .errors import DegenerateLabels
+from .linear import LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
+from .scope import TextAnalysis, fold_key, lexicon
 from .spans import select_spans
 from .textvec import fit_tfidf, tokenize, vectorize
-
-_DATA_DIR = Path(__file__).resolve().parent / "data"
 
 IMPACT_CLASSES = ("date_time", "address", "human_impact", "financial_impact")
 
@@ -132,21 +130,6 @@ class ImpactFeatureRow:
             ("tfidf_human", self.tfidf_triple[1]),
             ("tfidf_financial", self.tfidf_triple[2]),
         ]
-
-
-@lru_cache(maxsize=None)
-def default_human_impact_terms() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "human_impact_terms.txt", "human_impact_terms")
-
-
-@lru_cache(maxsize=None)
-def default_address_terms() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "address_terms.txt", "address_terms")
-
-
-@lru_cache(maxsize=None)
-def default_site_terms() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "site_terms.txt", "site_terms")
 
 
 def parse_word_number(words: Sequence[str]) -> Optional[float]:
@@ -314,8 +297,8 @@ def default_category_tfidf() -> tuple[dict[str, float], ...]:
     """tf.idf weights of the address, human-impact and financial categories,
     in that order. Each category is one document: the words of its shipped
     taxonomy (none for financial) plus common co-occurring vocabulary."""
-    address = sorted(t for p in default_address_terms().terms for t in p.split())
-    human = sorted(t for p in default_human_impact_terms().terms for t in p.split())
+    address = sorted(t for p in lexicon("address_terms").terms for t in p.split())
+    human = sorted(t for p in lexicon("human_impact_terms").terms for t in p.split())
     financial = (
         "damages losses loss cost costs worth estimated million billion dollars "
         "euros insurance economic business property damage payout fund funds"
@@ -325,7 +308,7 @@ def default_category_tfidf() -> tuple[dict[str, float], ...]:
         "human_impact": human + "people persons residents children toll".split(),
         "financial_impact": financial,
     }
-    model = fit_tfidf(sorted(docs.items()))
+    model = fit_tfidf([docs[name] for name in sorted(docs)])
     return tuple(vectorize(tokens, model).entries for tokens in docs.values())
 
 
@@ -352,8 +335,8 @@ def _phrase_row(p: NumericPhrase, text: str, triple: tuple[float, ...]) -> Impac
         monetary_suffix=bool(_ATTACHED_SUFFIX_RE.search(raw)),
         timestamp_symbol=bool(_TS_RE.search(raw)),
         timezone_or_period=bool(near & _TZ_PERIOD),
-        human_terms_hits=len(default_human_impact_terms().match(context)),
-        address_terms_hits=len(default_address_terms().match(context)),
+        human_terms_hits=len(lexicon("human_impact_terms").match(context)),
+        address_terms_hits=len(lexicon("address_terms").match(context)),
         tfidf_triple=triple,
     )
 
@@ -365,17 +348,34 @@ def _phrase_row(p: NumericPhrase, text: str, triple: tuple[float, ...]) -> Impac
 def train_impact_classifier(
     rows: Sequence[tuple[ImpactFeatureRow, str]], config: SGDConfig
 ) -> LinearModel:
-    """One-vs-rest hinge SGD over the eight features; deterministic per seed."""
-    from .errors import DegenerateLabels
-
+    """One binary hinge classifier per class of IMPACT_CLASSES over the
+    eight features, rows interned once; class idx visits them in the epoch
+    orders of seed config.seed * 31 + idx. Deterministic per seed."""
     labels = {label for _, label in rows}
     if len(labels) < 2:
         raise DegenerateLabels("impact training needs at least two classes")
     unknown = labels - set(IMPACT_CLASSES)
     if unknown:
         raise ValueError(f"unknown impact labels: {sorted(unknown)}")
-    prepared = [(row.as_features(), label) for row, label in rows]
-    return train_one_vs_rest(prepared, IMPACT_CLASSES, config, kind="impact")
+    design, names = intern((row.as_features(), label) for row, label in rows)
+    weights, bias, obj_first, obj_last = {}, {}, {}, {}
+    for idx, cls in enumerate(IMPACT_CLASSES):
+        binary = [(ids, vals, 1 if label == cls else -1) for ids, vals, label in design]
+        orders = epoch_orders(config.seed * 31 + idx, len(binary), config.epochs)
+        fit = train_binary_hinge(binary, config, names, orders)
+        weights[cls], bias[cls], obj_first[cls], obj_last[cls] = fit
+    meta = {
+        "epochs": config.epochs,
+        "learning_rate": config.learning_rate,
+        "l2": config.l2,
+        "seed": config.seed,
+        "class_weight": config.class_weight,
+        "objective_first": obj_first,
+        "objective_last": obj_last,
+        "n_rows": len(design),
+    }
+    return LinearModel(kind="impact", classes=IMPACT_CLASSES, weights=weights, bias=bias,
+                       train_meta=meta)
 
 
 def impact_labels(

@@ -20,9 +20,8 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateLabels
-from .impact import default_address_terms, default_human_impact_terms, default_site_terms
 from .records import Headline, LabeledExample, Post
-from .scope import TextAnalysis, default_fire_causes, default_scale_lexicon
+from .scope import TextAnalysis, lexicon
 from .spans import PhraseTable, select_spans
 from .textvec import SparseVector, cosine, fit_tfidf, tokenize, vectorize
 
@@ -38,13 +37,13 @@ def default_mask_rules() -> PhraseTable:
     """One phrase table over every shipped taxonomy, each phrase set
     under its feature name; masking adds the scope-pattern spans."""
     named = (
-        ("scope_scale_adj", default_scale_lexicon()),
-        ("scope_fire_cause", default_fire_causes()),
-        ("impact_human_term", default_human_impact_terms()),
-        ("impact_address_term", default_address_terms()),
-        ("impact_site_term", default_site_terms()),
+        ("scope_scale_adj", "scale_adjectives"),
+        ("scope_fire_cause", "fire_causes"),
+        ("impact_human_term", "human_impact_terms"),
+        ("impact_address_term", "address_terms"),
+        ("impact_site_term", "site_terms"),
     )
-    return PhraseTable([dict.fromkeys(tax.token_phrases, name) for name, tax in named])
+    return PhraseTable([dict.fromkeys(lexicon(tax).token_phrases, name) for name, tax in named])
 
 
 def _claimed_spans(a: TextAnalysis, rules: PhraseTable) -> list[tuple[int, int, str]]:
@@ -299,29 +298,20 @@ def undersample(
     return [examples[i] for i in keep]
 
 
-@dataclass
-class LabelingRun:
-    """Everything one labeling pass produced, plus its counters."""
-
-    results: list[MatchResult]
-    stats: dict[str, int]
-
-
 def label_corpus(
     posts: Sequence[Post],
     headlines: Sequence[Headline],
     threshold: float,
     link_threshold: float,
     same_user_threshold: float,
-) -> LabelingRun:
-    """Mask both sides, fit one shared tf.idf vocabulary, match, propagate.
-    Each masked text is tokenized once and vectorized once."""
-    documents = [(f"post:{p.post_id}", tokenize(mask_taxonomy_tokens(p.text))) for p in posts]
-    documents += [
-        (f"headline:{i}", tokenize(mask_taxonomy_tokens(h.text))) for i, h in enumerate(headlines)
-    ]
+) -> tuple[list[MatchResult], dict[str, int]]:
+    """Mask both sides, fit one shared tf.idf vocabulary, match, propagate;
+    returns (one result per post, counters). Each masked text is tokenized
+    once and vectorized once."""
+    documents = [tokenize(mask_taxonomy_tokens(p.text)) for p in posts]
+    documents += [tokenize(mask_taxonomy_tokens(h.text)) for h in headlines]
     tfidf = fit_tfidf(documents)
-    vectors = [vectorize(tokens, tfidf) for _, tokens in documents]  # posts, then headlines
+    vectors = [vectorize(tokens, tfidf) for tokens in documents]  # posts, then headlines
     index = TermTimeIndex([h.published_at for h in headlines], vectors[len(posts) :])
     first_pass = [match_to_headlines(p, v, index, threshold) for p, v in zip(posts, vectors)]
     final = propagate_links(
@@ -336,4 +326,4 @@ def label_corpus(
         "unmatched": sum(1 for r in final if r.status == UNMATCHED),
     }
     stats["via_link"] = stats["matched"] - stats["matched_direct"]
-    return LabelingRun(results=final, stats=stats)
+    return final, stats

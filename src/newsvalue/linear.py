@@ -267,42 +267,3 @@ def train_binary_hinge(
     bias = weights.pop(BIAS_KEY, 0.0)
     return weights, bias, obj_first, obj_last
 
-
-def train_one_vs_rest(
-    rows: Iterable[tuple[FeatureRow, str]],
-    classes: Sequence[str],
-    cfg: SGDConfig,
-    kind: str,
-) -> LinearModel:
-    """One binary hinge classifier per class, deterministic per seed."""
-    rows, names = intern(rows)
-    weights: dict[str, dict[str, float]] = {}
-    bias: dict[str, float] = {}
-    obj_first: dict[str, float] = {}
-    obj_last: dict[str, float] = {}
-    for idx, cls in enumerate(classes):
-        binary = [(ids, vals, 1 if label == cls else -1) for ids, vals, label in rows]
-        sub_cfg = SGDConfig(
-            epochs=cfg.epochs,
-            seed=cfg.seed * 31 + idx,
-            l2=cfg.l2,
-            learning_rate=cfg.learning_rate,
-            class_weight=cfg.class_weight,
-        )
-        orders = epoch_orders(sub_cfg.seed, len(binary), cfg.epochs)
-        w, b, first, last = train_binary_hinge(binary, sub_cfg, names, orders)
-        weights[cls] = w
-        bias[cls] = b
-        obj_first[cls] = first
-        obj_last[cls] = last
-    meta = {
-        "epochs": cfg.epochs,
-        "learning_rate": cfg.learning_rate,
-        "l2": cfg.l2,
-        "seed": cfg.seed,
-        "class_weight": cfg.class_weight,
-        "objective_first": obj_first,
-        "objective_last": obj_last,
-        "n_rows": len(rows),
-    }
-    return LinearModel(kind=kind, classes=tuple(classes), weights=weights, bias=bias, train_meta=meta)

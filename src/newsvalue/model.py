@@ -14,17 +14,17 @@ import random
 import zlib
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
-from .impact import bootstrap_impact_model, default_site_terms, impact_labels, numeric_phrases
+from .impact import bootstrap_impact_model, impact_labels, numeric_phrases
 from .labeling import masked_text
 from .linear import InternedRow, LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
-from .scope import ScopeFeatures, TextAnalysis
-from .textvec import CentroidSet, TfidfModel, nearest_centroid, tokenize, vectorize
+from .scope import ScopeFeatures, TextAnalysis, lexicon
+from .textvec import SparseVector, TfidfModel, nearest_centroid, tokenize, vectorize
 
 POSITIVE_CLASS = "matched"
 
@@ -47,7 +47,7 @@ class FeatureContext:
 
     gazetteer: Gazetteer
     tfidf: TfidfModel
-    centroids: CentroidSet
+    centroids: dict[str, SparseVector]
     impact_model: LinearModel
     background: Optional[BackgroundIndex] = None
 
@@ -55,7 +55,7 @@ class FeatureContext:
 def build_context(
     gazetteer: Gazetteer,
     tfidf: TfidfModel,
-    centroids: CentroidSet,
+    centroids: dict[str, SparseVector],
     background: Optional[BackgroundIndex] = None,
     *,
     seed: int,
@@ -151,7 +151,7 @@ def assemble_features(
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = default_site_terms().match(a.tokens)
+    site_hits = lexicon("site_terms").match(a.tokens)
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
@@ -234,10 +234,6 @@ def train_svm(
     )
 
 
-def svm_predict(model: LinearModel, features: Mapping[str, float]) -> bool:
-    return model.decision(features)[POSITIVE_CLASS] >= 0.0
-
-
 @dataclass
 class EvalReport:
     """Pooled precision/recall/F1 (percent) over held-out predictions."""
@@ -307,7 +303,8 @@ def _resample(
             # features score as the restricted ones would, term for term
             c = [0, 0, 0, 0]  # tp, fp, fn, tn: at 2 * (not predicted) + (not label)
             for i in test:
-                c[2 * (not svm_predict(model, examples[i].features)) + (not examples[i].label)] += 1
+                predicted = model.decision(examples[i].features)[POSITIVE_CLASS] >= 0.0
+                c[2 * (not predicted) + (not examples[i].label)] += 1
             p, r, f = _prf(*c[:3])
             report.folds.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
                                  "f1": f, **dict(zip(("tp", "fp", "fn", "tn"), c))})

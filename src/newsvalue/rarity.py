@@ -14,8 +14,6 @@ from typing import Iterable
 
 from .records import _coordinate, _field, _timestamp
 
-GRID_DEGREES = 0.1
-
 
 def grid_cell(lat: float, lon: float) -> str:
     """Location id: lat/lon snapped to a 0.1-degree grid."""

@@ -9,6 +9,7 @@ skipped, never fatal.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, TypeVar
 
@@ -48,6 +49,8 @@ TRBC_DESCENDANTS = {
     ),
 }
 
+
+_COUNTRY_RE = re.compile(r"[A-Z]{2}")  # fullmatch: an ISO 3166-1 alpha-2 code
 
 # Epoch seconds of 0001-01-01T00:00:00Z and 9999-12-31T23:59:59Z: the
 # whole seconds a UTC datetime can represent.
@@ -179,7 +182,8 @@ class SourceProfile:
             rec["category"] = self.category
         if self.resolved_location is not None:
             rec["resolved_name"] = self.resolved_location.name
-            rec["resolved_country"] = self.resolved_location.country_code
+            if self.resolved_location.country_code:  # "" stands for none read
+                rec["resolved_country"] = self.resolved_location.country_code
             rec["resolved_lat"] = self.resolved_location.lat
             rec["resolved_lon"] = self.resolved_location.lon
         return rec
@@ -193,12 +197,15 @@ class SourceProfile:
         if rec.get("resolved_name") is not None:
             lat = _coordinate(rec, "resolved_lat", 90.0)
             lon = _coordinate(rec, "resolved_lon", 180.0)
+            country = _field(rec, "resolved_country", "a string", "")
+            if "resolved_country" in rec and not _COUNTRY_RE.fullmatch(country):
+                raise ValueError(f"resolved_country {country!r} is not two upper-case letters")
             resolved = GazetteerEntry(
                 name=_field(rec, "resolved_name", "a string"),
                 aliases=(),
                 lat=0.0 if lat is None else lat,
                 lon=0.0 if lon is None else lon,
-                country_code=_field(rec, "resolved_country", "a string", ""),
+                country_code=country,
             )
         return cls(
             user_id=_id(rec, "user_id"),

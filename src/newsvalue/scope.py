@@ -63,15 +63,16 @@ class Taxonomy:
         return f"Taxonomy({self.name!r}, {len(self.token_phrases)} phrases)"
 
 
-def load_taxonomy(path, name: str | None = None) -> Taxonomy:
-    """One phrase per line; blank lines and '#' comments are skipped."""
+def load_taxonomy(path) -> Taxonomy:
+    """One phrase per line, named by the file stem; blank lines and '#'
+    comments are skipped."""
     terms = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if line:
                 terms.append(line)
-    return Taxonomy(name or Path(path).stem, terms)
+    return Taxonomy(Path(path).stem, terms)
 
 
 def load_scale_table(path) -> dict[str, float]:
@@ -99,13 +100,9 @@ def fold_key(raw: str, table) -> str:
 
 
 @lru_cache(maxsize=None)
-def default_scale_lexicon() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "scale_adjectives.txt", "scale_adjectives")
-
-
-@lru_cache(maxsize=None)
-def default_fire_causes() -> Taxonomy:
-    return load_taxonomy(_DATA_DIR / "fire_causes.txt", "fire_causes")
+def lexicon(name: str) -> Taxonomy:
+    """The shipped taxonomy data/<name>.txt, loaded once."""
+    return load_taxonomy(_DATA_DIR / f"{name}.txt")
 
 
 @lru_cache(maxsize=None)
@@ -439,9 +436,9 @@ class TextAnalysis:
         highest weather level wins (then the leftmost), else the largest value."""
         alarms, quakes, sizes, vehicles, scales, hails = self.finds.values()
         richter = [c for c in quakes if c[2][0] == "richter"] or quakes
-        causes = default_fire_causes().match(self.tokens)
+        causes = lexicon("fire_causes").match(self.tokens)
         return ScopeFeatures(
-            scale_adjectives=tuple(default_scale_lexicon().match(self.tokens)),
+            scale_adjectives=tuple(lexicon("scale_adjectives").match(self.tokens)),
             alarm_level=_largest(alarms),
             fire_cause=causes[0] if causes else None,
             quake_magnitude=max(richter, key=lambda c: (c[2][1], -c[0]))[2] if quakes else None,

@@ -120,12 +120,12 @@ class TfidfModel:
         return self._idf.get(term, self._unseen_idf)
 
 
-def fit_tfidf(documents: Sequence[tuple[str, Sequence[str]]]) -> TfidfModel:
-    """Fit document frequencies from (label, tokens) pairs."""
+def fit_tfidf(documents: Sequence[Sequence[str]]) -> TfidfModel:
+    """Fit document frequencies from the documents' token lists."""
     if not documents:
         raise DegenerateLabels("fit_tfidf needs at least one document")
     df: Counter[str] = Counter()
-    for _, tokens in documents:
+    for tokens in documents:
         df.update(set(tokens))
     return TfidfModel(doc_count=len(documents), doc_freq=dict(df))
 
@@ -137,36 +137,26 @@ def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
     return SparseVector({t: count * idf(t) for t, count in tf.items()})
 
 
-class CentroidSet:
-    """Labeled centroid vectors; every centroid must have positive norm."""
-
-    def __init__(self, centroids: dict[str, SparseVector]):
-        for label, vec in centroids.items():
-            if vec.norm <= 0.0:
-                raise ValueError(f"centroid {label!r} has zero norm")
-        self.centroids = dict(centroids)
-
-    def labels(self) -> list[str]:
-        return sorted(self.centroids)
-
-
-def nearest_centroid(v: SparseVector, cs: CentroidSet) -> tuple[str, float]:
+def nearest_centroid(v: SparseVector, centroids: dict[str, SparseVector]) -> tuple[str, float]:
     """Label of the most similar centroid; ties go to the first label in
     lexicographic order so results are deterministic."""
-    if not cs.centroids:
+    if not centroids:
         raise DegenerateLabels("nearest_centroid against an empty centroid set")
     best_label = None
     best_sim = -1.0
-    for label in cs.labels():
-        sim = cosine(v, cs.centroids[label])
+    for label in sorted(centroids):
+        sim = cosine(v, centroids[label])
         if sim > best_sim:
             best_label, best_sim = label, sim
     assert best_label is not None
     return best_label, best_sim
 
 
-def build_centroids(groups: Iterable[tuple[str, Sequence[SparseVector]]]) -> CentroidSet:
-    """Mean vector per labeled group; groups averaging to zero are dropped."""
+def build_centroids(
+    groups: Iterable[tuple[str, Sequence[SparseVector]]]
+) -> dict[str, SparseVector]:
+    """Mean vector per labeled group; groups averaging to zero are dropped,
+    so every centroid has a positive norm."""
     out: dict[str, SparseVector] = {}
     for label, vectors in groups:
         if not vectors:
@@ -174,4 +164,4 @@ def build_centroids(groups: Iterable[tuple[str, Sequence[SparseVector]]]) -> Cen
         c = centroid(vectors)
         if c.norm > 0.0:
             out[label] = c
-    return CentroidSet(out)
+    return out

@@ -33,7 +33,7 @@ from newsvalue.model import (
 )
 from newsvalue.rarity import TaggedPost, build_background, grid_cell, rarity
 from newsvalue.records import Headline, LabeledExample, Post
-from newsvalue.scope import TextAnalysis, default_scale_lexicon
+from newsvalue.scope import TextAnalysis, lexicon
 from newsvalue.textvec import cosine, fit_tfidf, tokenize, vectorize
 from test_impact import impact_f1, synthetic_impact_rows
 from test_model import separable_examples
@@ -83,9 +83,9 @@ def test_parser_suites():
         assert (sunny.weather_scale, sunny.hail_size_inches) == (None, None)
 
         toks = tokenize("deadly shooting near Alvin")
-        assert default_scale_lexicon().match(toks) == ["deadly"]
-        assert default_scale_lexicon().match(tokenize("small kitchen issue")) == []
-        assert default_scale_lexicon().match(
+        assert lexicon("scale_adjectives").match(toks) == ["deadly"]
+        assert lexicon("scale_adjectives").match(tokenize("small kitchen issue")) == []
+        assert lexicon("scale_adjectives").match(
             tokenize("massive deadly blaze")
         ) == ["massive", "deadly"]
 
@@ -159,13 +159,12 @@ def test_tfidf_cosine_oracle():
         for _ in range(100):
             n_docs = rng.randint(1, 20)
             docs = [
-                (f"d{i}", [rng.choice(vocab) for _ in range(rng.randint(1, 25))])
-                for i in range(n_docs)
+                [rng.choice(vocab) for _ in range(rng.randint(1, 25))] for _ in range(n_docs)
             ]
             model = fit_tfidf(docs)
             # independent recount of document frequencies
             df = {}
-            for _, toks in docs:
+            for toks in docs:
                 for t in set(toks):
                     df[t] = df.get(t, 0) + 1
             queries = [
@@ -247,7 +246,7 @@ def _utc_date(ts):
 def test_labeling_semantics():
     with criterion("labeling window/tardy/propagation vs brute force", 5.0):
         # exact window boundary
-        tfidf = fit_tfidf([("d", tokenize("one two three"))])
+        tfidf = fit_tfidf([tokenize("one two three")])
         post = Post("p", "u", 1000, "one two three")
         inside = Headline("one two three", "ap", 1000 + 86400)
         outside = Headline("one two three", "ap", 1000 + 86401)
@@ -279,9 +278,7 @@ def test_labeling_semantics():
             for pool in pools[:3]
             for _ in range(3)
         ]
-        docs = [(p.post_id, tokenize(p.text)) for p in posts]
-        docs += [(f"h{i}", tokenize(h.text)) for i, h in enumerate(headlines)]
-        shared = fit_tfidf(docs)
+        shared = fit_tfidf([tokenize(t.text) for t in (*posts, *headlines)])
         first_pass = [match_one(p, headlines, shared, 0.5) for p in posts]
         got = propagate(first_pass, posts, shared, 0.5, 0.3)
 

@@ -337,6 +337,61 @@ class TestFullPipeline:
         assert err == f"warning: labeled line {n + 1}: status is not a string (record skipped)\n"
 
 
+class TestRepeatedIds:
+    """Of the records that share an id, the first is read and each later one
+    is skipped with a warning, so no label or feature row of one record
+    lands on another."""
+
+    def test_repeated_post_id(self, tmp_path, capsys):
+        posts, headlines = make_event_posts()
+        first = posts[0]
+        cat = Post(first.post_id, first.user_id, first.created_at, "cat rescued from a tree")
+        runs = {}
+        for name, corpus in (("plain", posts), ("repeated", posts + [cat])):
+            (tmp_path / name).mkdir()
+            config = write_pipeline_inputs(tmp_path / name, posts=corpus, headlines=headlines)
+            for verb in ("label", "extract"):
+                assert main([verb, "--config", str(config)]) == EXIT_OK
+            captured = capsys.readouterr()
+            runs[name] = (captured.out.replace(str(tmp_path / name), ""), captured.err)
+        warning = (f"warning: posts.ndjson line {len(posts) + 1}: "
+                   f"duplicate post_id {first.post_id!r} (record skipped)")
+        assert runs["repeated"] == (runs["plain"][0], f"{warning}\n{warning}\n")
+        for artifact in ("labeled.ndjson", "features.tsv"):
+            plain = (tmp_path / "plain" / "out" / artifact).read_bytes()
+            assert (tmp_path / "repeated" / "out" / artifact).read_bytes() == plain
+
+    @pytest.mark.parametrize("before, path, verb, name, key", [
+        ((), "profiles.ndjson", "curate", "profiles", "user_id"),
+        (("curate",), "out/curated.ndjson", "extract", "curated", "user_id"),
+        (("label", "extract"), "out/labeled.ndjson", "train", "labeled", "post_id"),
+    ])
+    def test_repeated_record_id_skipped(self, pipeline, capsys, before, path, verb, name, key):
+        tmp_path, config = pipeline
+        for step in before:
+            assert main([step, "--config", str(config)]) == EXIT_OK
+        records = (tmp_path / path).read_text().splitlines()
+        with open(tmp_path / path, "a", encoding="utf-8") as fh:
+            fh.write(records[0] + "\n")
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_OK
+        ident = json.loads(records[0])[key]
+        warning = (f"warning: {name} line {len(records) + 1}: "
+                   f"duplicate {key} {ident!r} (record skipped)")
+        assert warning in capsys.readouterr().err.splitlines()
+
+    def test_repeated_event_id_keeps_the_first(self, tmp_path, capsys):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0},
+                                 {"event_id": "e1", "first_tweet_at": 600}])
+        write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": 1800}])
+        assert main(["timeliness", "--feed", str(feed), "--wire", str(wire)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "e1: lead +30.0 min" in captured.out
+        assert captured.err == "warning: feed line 2: duplicate event_id 'e1' (record skipped)\n"
+
+
 class TestErrorExitCodes:
     """Toolkit errors end in a documented exit code and one error line."""
 
@@ -631,6 +686,29 @@ class TestInputRecordChecks:
         self._assert_skipped(capsys, "curated", lineno, f"{key} ")
         for line in (tmp_path / "out" / "features.tsv").open():
             assert math.isfinite(float(line.split("\t")[2]))
+
+    @pytest.mark.parametrize("country", ["U\tS", "US\n", "us", "USA", ""])
+    def test_resolved_country_not_two_capitals_skipped(self, pipeline, capsys, country):
+        # The code names the feature loc_country_<code>, a field of a
+        # features.tsv line.
+        tmp_path, config = pipeline
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        curated = tmp_path / "out" / "curated.ndjson"
+        records = [json.loads(line) for line in curated.read_text().splitlines()]
+        bad = [i for i, rec in enumerate(records, 1) if "resolved_country" in rec]
+        assert bad
+        for i in bad:
+            records[i - 1]["resolved_country"] = country
+        curated.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        assert main(["label", "--config", str(config)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: curated line {i}: resolved_country {country!r} is not two upper-case "
+            "letters (record skipped)"
+            for i in bad
+        ]
+        assert main(["train", "--config", str(config)]) == EXIT_OK
 
     @pytest.mark.parametrize("key, value", [("lat", math.nan), ("lon", math.inf), ("lat", -91.0)])
     def test_bad_background_coordinate_skipped(self, pipeline, capsys, key, value):

@@ -34,20 +34,31 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_every_defined_name_is_read_in_the_package():
-    """No function, class or method lives only for its tests: each name the
-    package defines, dunders aside, is read as a name or an attribute
-    somewhere in the package."""
+    """No function, class, method or module-level name lives only for its
+    tests: each name the package defines, dunders aside, is read as a name
+    or an attribute somewhere in the package."""
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "newsvalue").glob("*.py"))
     ]
     nodes = [node for tree in trees for node in ast.walk(tree)]
-    read = {node.id for node in nodes if isinstance(node, ast.Name)}
+    read = {
+        node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     read |= {node.attr for node in nodes if isinstance(node, ast.Attribute)}
     defined = {
         node.name
         for node in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    defined |= {
+        target.id
+        for tree in trees
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        for node in (statement.targets if isinstance(statement, ast.Assign) else [statement.target])
+        for target in ast.walk(node)
+        if isinstance(target, ast.Name)
     }
     unread = sorted(
         name for name in defined - read if not (name.startswith("__") and name.endswith("__"))

@@ -13,13 +13,13 @@ from newsvalue.geo import (
     Gazetteer,
     GazetteerEntry,
     _best_entry,
-    _matches_anchor,
     geocode,
     load_gazetteer,
     location_of,
     tag_locations,
 )
 from newsvalue.records import Post, SourceProfile
+from newsvalue.textvec import tokenize
 
 FIXTURE = """\
 # test gazetteer
@@ -125,9 +125,20 @@ class TestGeocode:
             if res is not None:
                 assert res.country_code == "US"
 
+    def test_tokenless_parent_matches_no_anchor(self, tmp_path):
+        # The anchor resolves through its alias; its name and the town's
+        # admin parent hold no word token, so they name no place.
+        path = tmp_path / "gaz.txt"
+        path.write_text("***|Star City|10.0|10.0|US|Texas|100\nTown||20.0|20.0|MX|!!!|50\n")
+        g = load_gazetteer(path)
+        assert geocode("Star City", None, g).name == "***"
+        assert geocode("Town", "Star City", g) is None
+
 
 def _reference_within(entry, anchor, g) -> bool:
-    """Uncached copy of geo._within as it stood before geocode was memoized."""
+    """Uncached copy of geo._within as it stood before geocode was memoized,
+    with its name rule written out: a parent names the anchor when both
+    have the same word tokens, and there is at least one."""
     if entry == anchor:
         return True
     if anchor.admin_parent is None and entry.country_code == anchor.country_code:
@@ -138,7 +149,8 @@ def _reference_within(entry, anchor, g) -> bool:
         parent = cur.admin_parent
         if not parent or parent.lower() in seen:
             break
-        if _matches_anchor(parent, anchor):
+        key = tokenize(parent)
+        if key and any(key == tokenize(s) for s in (anchor.name, *anchor.aliases)):
             return True
         seen.add(parent.lower())
         nxt = _best_entry(g.lookup(parent))
@@ -251,14 +263,12 @@ class TestTagLocations:
         assert text[start:end] == "New York City"
 
     def test_spans_exact_and_disjoint(self, gaz):
-        from newsvalue.geo import _normalize
-
         text = "From Paris to Tokyo and New York City, then Jalisco"
         hits = tag_locations(text, gaz)
         last = -1
         for start, end, entry in hits:
             assert start >= last
-            assert entry in gaz.lookup(_normalize(text[start:end])), text[start:end]
+            assert entry in gaz.lookup(text[start:end]), text[start:end]
             last = end
 
     def test_total_on_arbitrary_text(self, gaz):

@@ -13,14 +13,13 @@ from newsvalue.impact import (
     _phrase_row,
     _tfidf_triple,
     bootstrap_impact_model,
-    default_site_terms,
     impact_labels,
     numeric_phrases,
     parse_word_number,
     train_impact_classifier,
 )
 from newsvalue.linear import LinearModel, SGDConfig
-from newsvalue.scope import TextAnalysis
+from newsvalue.scope import TextAnalysis, lexicon
 from newsvalue.textvec import tokenize
 
 
@@ -326,14 +325,14 @@ class TestImpactClassifier:
 
 class TestSiteTerms:
     def test_refinery(self):
-        assert default_site_terms().match(tokenize("explosion at a refinery")) == ["refinery"]
+        assert lexicon("site_terms").match(tokenize("explosion at a refinery")) == ["refinery"]
 
     def test_bridge(self):
-        assert default_site_terms().match(tokenize("collapse of a bridge")) == ["bridge"]
+        assert lexicon("site_terms").match(tokenize("collapse of a bridge")) == ["bridge"]
 
     def test_none(self):
-        assert default_site_terms().match(tokenize("loud noise reported")) == []
+        assert lexicon("site_terms").match(tokenize("loud noise reported")) == []
 
     def test_text_order(self):
-        got = default_site_terms().match(tokenize("school bus hit near the hospital"))
+        got = lexicon("site_terms").match(tokenize("school bus hit near the hospital"))
         assert got == ["school", "hospital"]

@@ -79,7 +79,7 @@ class TestMasking:
 
 
 def _tfidf_for(texts):
-    return fit_tfidf([(str(i), tokenize(t)) for i, t in enumerate(texts)])
+    return fit_tfidf([tokenize(t) for t in texts])
 
 
 class TestMatchToHeadlines:
@@ -137,9 +137,10 @@ class TestMatchToHeadlines:
         res = match_one(post, [Headline("one two three", "ap", 900)], tfidf, 0.0)
         assert (res.status, res.best_headline) == (TARDY, 0)
         assert res.best_score == pytest.approx(1.0)
-        run = label_corpus([post], [Headline("one two three", "ap", 900)], 0.0, 0.5, 0.3)
-        assert (run.results[0].status, run.results[0].best_headline) == (TARDY, 0)
-        assert run.stats["matched_direct"] == 0
+        headlines = [Headline("one two three", "ap", 900)]
+        results, stats = label_corpus([post], headlines, 0.0, 0.5, 0.3)
+        assert (results[0].status, results[0].best_headline) == (TARDY, 0)
+        assert stats["matched_direct"] == 0
 
     def test_threshold_zero_later_headline_is_unmatched(self):
         post = Post("p", "u", 1000, "one two three")
@@ -153,9 +154,9 @@ class TestMatchToHeadlines:
         tfidf = _tfidf_for(["one two three"])
         res = match_one(post, [], tfidf, 0.0)
         assert (res.status, res.best_headline, res.best_score) == (UNMATCHED, None, 0.0)
-        run = label_corpus([post], [], 0.0, 0.5, 0.3)
-        assert run.results[0].status == UNMATCHED
-        assert run.stats["matched"] == 0
+        results, stats = label_corpus([post], [], 0.0, 0.5, 0.3)
+        assert results[0].status == UNMATCHED
+        assert stats["matched"] == 0
 
 
 DAY = 86400
@@ -293,12 +294,12 @@ class TestLabelCorpusPipeline:
             Headline("massive quake rocks valley town", "reuters", base + 3600),
             Headline("embassy statement issued fully", "bbc", base + 3600),
         ]
-        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
-        by_id = {r.post_id: r for r in run.results}
+        results, stats = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
+        by_id = {r.post_id: r for r in results}
         assert by_id["hit"].status == MATCHED
         assert by_id["tardy"].status == TARDY
         assert by_id["miss"].status == UNMATCHED
-        assert run.stats["matched"] == 1
+        assert stats["matched"] == 1
 
     def test_propagation_adds_same_user_near_duplicate(self):
         # dup shares only "huge blaze" with the headline (cosine ~0.31,
@@ -310,11 +311,11 @@ class TestLabelCorpusPipeline:
             Post("hit", "u1", base + 200, "huge blaze engulfs mill"),
         ]
         headlines = [Headline("huge blaze engulfs mill", "cnn", base + 4000)]
-        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
-        by_id = {r.post_id: r for r in run.results}
+        results, stats = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
+        by_id = {r.post_id: r for r in results}
         assert by_id["hit"].status == MATCHED and not by_id["hit"].via_link
         assert by_id["dup"].status == MATCHED and by_id["dup"].via_link
-        assert run.stats["via_link"] == 1
+        assert stats["via_link"] == 1
 
     def test_all_headlines_before_everything_tardy_or_unmatched(self):
         base = _day_ts(5)
@@ -323,8 +324,8 @@ class TestLabelCorpusPipeline:
             Post("b", "u2", base, "completely different content here"),
         ]
         headlines = [Headline("storm hits the coast overnight", "afp", base - 100)]
-        run = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
-        statuses = {r.post_id: r.status for r in run.results}
+        results, stats = label_corpus(posts, headlines, 0.5, 0.5, 0.3)
+        statuses = {r.post_id: r.status for r in results}
         assert statuses["a"] == TARDY
         assert statuses["b"] == UNMATCHED
-        assert run.stats["matched"] == 0
+        assert stats["matched"] == 0

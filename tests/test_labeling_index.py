@@ -124,9 +124,7 @@ def brute_label(posts, headlines, threshold, link_threshold, same_user_threshold
     """label_corpus's masking and vocabulary, all-pairs matching and linking."""
     posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
     headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
-    docs = [(f"post:{p.post_id}", tokenize(p.text)) for p in posts]
-    docs += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(headlines)]
-    tfidf = fit_tfidf(docs)
+    tfidf = fit_tfidf([tokenize(t.text) for t in (*posts, *headlines)])
     first = [brute_match(p, headlines, tfidf, threshold) for p in posts]
     return brute_propagate(first, posts, tfidf, link_threshold, same_user_threshold)
 
@@ -172,9 +170,7 @@ thresholds = st.sampled_from([-0.5, 0.0, 0.1, 0.3, 0.5, 0.8, 1.0, 1.5])
 
 
 def _fit(posts, headlines):
-    docs = [(p.post_id, tokenize(p.text)) for p in posts]
-    docs += [(f"h{i}", tokenize(h.text)) for i, h in enumerate(headlines)]
-    return fit_tfidf(docs)
+    return fit_tfidf([tokenize(t.text) for t in (*posts, *headlines)])
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +228,8 @@ def test_propagation_equals_all_pairs(corpus, data):
 @given(corpora(), thresholds, thresholds, thresholds)
 def test_label_corpus_equals_all_pairs(corpus, threshold, link, same_user):
     posts, headlines = corpus
-    run = label_corpus(posts, headlines, threshold, link, same_user)
-    assert run.results == brute_label(posts, headlines, threshold, link, same_user)
+    results, _ = label_corpus(posts, headlines, threshold, link, same_user)
+    assert results == brute_label(posts, headlines, threshold, link, same_user)
 
 
 @SETTINGS
@@ -248,7 +244,7 @@ def test_labels_do_not_depend_on_post_order(corpus, rnd):
     def outcome(ps, hs):
         return {
             r.post_id: (r.status, r.best_score, r.via_link, r.best_headline is None)
-            for r in label_corpus(ps, hs, 0.5, 0.5, 0.3).results
+            for r in label_corpus(ps, hs, 0.5, 0.5, 0.3)[0]
         }
 
     base = outcome(posts, headlines)
@@ -417,7 +413,7 @@ def test_permuted_wire_corpus_keeps_labels():
         for i in range(120)
     ]
     expected = brute_label(posts, headlines, 0.5, 0.5, 0.3)
-    assert label_corpus(posts, headlines, 0.5, 0.5, 0.3).results == expected
+    assert label_corpus(posts, headlines, 0.5, 0.5, 0.3)[0] == expected
     rng.shuffle(posts)
-    got = {r.post_id: r for r in label_corpus(posts, headlines, 0.5, 0.5, 0.3).results}
+    got = {r.post_id: r for r in label_corpus(posts, headlines, 0.5, 0.5, 0.3)[0]}
     assert got == {r.post_id: r for r in expected}

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue.errors import DegenerateLabels, SchemaMismatch
+from newsvalue.impact import IMPACT_CLASSES, ImpactFeatureRow, train_impact_classifier
 from newsvalue.linear import (
     BIAS_KEY,
     SGDConfig,
@@ -23,7 +24,6 @@ from newsvalue.linear import (
     epoch_orders,
     intern,
     train_binary_hinge,
-    train_one_vs_rest,
 )
 from newsvalue.model import POSITIVE_CLASS, train_svm
 from newsvalue.records import LabeledExample
@@ -188,22 +188,29 @@ def test_no_rows_raise_degenerate_labels():
         interned_fit(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
 
 
-def test_one_vs_rest_fed_a_generator():
+def test_impact_classifier_matches_reference_kernel():
     rng = random.Random(4)
-    classes = ("x", "y", "z")
     rows = [
-        ([(f"f{j}", rng.uniform(-2, 2)) for j in rng.sample(range(8), 3)], rng.choice(classes))
+        (ImpactFeatureRow(mixed_alnum=rng.random() < 0.5, human_terms_hits=rng.randrange(3),
+                          tfidf_triple=(rng.uniform(0, 2), rng.uniform(0, 2), 0.0)),
+         rng.choice(IMPACT_CLASSES))
         for _ in range(30)
     ]
     cfg = SGDConfig(epochs=5, seed=2, l2=1e-3, learning_rate=0.05)
-    from_list = train_one_vs_rest(rows, classes, cfg, kind="toy")
-    from_gen = train_one_vs_rest((r for r in rows), classes, cfg, kind="toy")
-    assert repr(from_gen) == repr(from_list)
-    for idx, cls in enumerate(classes):
-        binary = [(x, 1 if label == cls else -1) for x, label in rows]
+    model = train_impact_classifier(rows, cfg)
+    assert (model.kind, model.classes) == ("impact", IMPACT_CLASSES)
+    assert sorted(model.train_meta) == [
+        "class_weight", "epochs", "l2", "learning_rate", "n_rows", "objective_first",
+        "objective_last", "seed",
+    ]
+    for idx, cls in enumerate(IMPACT_CLASSES):
+        binary = [(row.as_features(), 1 if label == cls else -1) for row, label in rows]
         sub = SGDConfig(epochs=5, seed=2 * 31 + idx, l2=1e-3, learning_rate=0.05)
-        w, b, _, _ = reference_train_binary_hinge(binary, sub)
-        assert repr((from_gen.weights[cls], from_gen.bias[cls])) == repr((w, b))
+        w, b, first, last = reference_train_binary_hinge(binary, sub)
+        assert repr((model.weights[cls], model.bias[cls])) == repr((w, b))
+        objectives = (model.train_meta["objective_first"][cls],
+                      model.train_meta["objective_last"][cls])
+        assert repr(objectives) == repr((first, last))
 
 
 def test_train_svm_matches_reference_kernel():

@@ -14,14 +14,13 @@ from newsvalue.scope import (
     MAX_QUAKE_MAGNITUDE,
     MAX_TORRO_LEVEL,
     TextAnalysis,
-    default_fire_causes,
-    default_scale_lexicon,
     find_alarm_levels,
     find_hail_sizes,
     find_quake_magnitudes,
     find_vehicle_counts,
     find_weather_scales,
     find_wildfire_sizes,
+    lexicon,
     load_scale_table,
     load_taxonomy,
 )
@@ -30,16 +29,18 @@ from newsvalue.textvec import tokenize
 
 class TestTaxonomyLoading:
     def test_shipped_lexicon_has_21_adjectives(self):
-        assert len(default_scale_lexicon().token_phrases) == 21
+        assert len(lexicon("scale_adjectives").token_phrases) == 21
+        assert lexicon("scale_adjectives") is lexicon("scale_adjectives")  # loaded once
 
     def test_shipped_causes_have_15_terms(self):
-        assert len(default_fire_causes().token_phrases) == 15
+        assert len(lexicon("fire_causes").token_phrases) == 15
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "tax.txt"
         p.write_text("# comment\nalpha\n\nbeta gamma  # trailing\n")
         tax = load_taxonomy(p)
         assert tax.terms == frozenset({"alpha", "beta gamma"})
+        assert tax.name == "tax"  # the file stem
 
     def test_scale_table(self, tmp_path):
         p = tmp_path / "table.txt"
@@ -55,14 +56,15 @@ class TestTaxonomyLoading:
 
 class TestScaleAdjectives:
     def test_deadly(self):
-        assert default_scale_lexicon().match(tokenize("deadly shooting near Alvin")) == ["deadly"]
+        toks = tokenize("deadly shooting near Alvin")
+        assert lexicon("scale_adjectives").match(toks) == ["deadly"]
 
     def test_no_match(self):
-        assert default_scale_lexicon().match(tokenize("small kitchen issue")) == []
+        assert lexicon("scale_adjectives").match(tokenize("small kitchen issue")) == []
 
     def test_order_and_duplicates(self):
         toks = tokenize("massive deadly blaze, massive crowds")
-        assert default_scale_lexicon().match(toks) == ["massive", "deadly", "massive"]
+        assert lexicon("scale_adjectives").match(toks) == ["massive", "deadly", "massive"]
 
 
 class TestAlarmLevel:
@@ -284,9 +286,9 @@ class TestComposite:
             toks = tokenize(text)
             quakes = find_quake_magnitudes(text)
             assert scope == TextAnalysis(text).scope()
-            assert scope.scale_adjectives == tuple(default_scale_lexicon().match(toks))
+            assert scope.scale_adjectives == tuple(lexicon("scale_adjectives").match(toks))
             assert scope.alarm_level == largest(find_alarm_levels(text))
-            assert scope.fire_cause == (default_fire_causes().match(toks) or [None])[0]
+            assert scope.fire_cause == (lexicon("fire_causes").match(toks) or [None])[0]
             assert scope.quake_magnitude == highest_leftmost(
                 [c for c in quakes if c[2][0] == "richter"] or quakes
             )

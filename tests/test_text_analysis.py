@@ -34,9 +34,6 @@ from newsvalue.impact import (
     _ATTACHED_SUFFIX_RE,
     ImpactFeatureRow,
     _chunk_stop,
-    default_address_terms,
-    default_human_impact_terms,
-    default_site_terms,
     numeric_phrases,
 )
 from newsvalue.labeling import _claimed_spans, default_mask_rules, mask_taxonomy_tokens
@@ -47,14 +44,13 @@ from newsvalue.scope import (
     ScopeFeatures,
     TextAnalysis,
     Taxonomy,
-    default_fire_causes,
-    default_scale_lexicon,
     find_alarm_levels,
     find_hail_sizes,
     find_quake_magnitudes,
     find_vehicle_counts,
     find_weather_scales,
     find_wildfire_sizes,
+    lexicon,
 )
 from newsvalue.spans import PhraseTable, select_spans
 from newsvalue.textvec import nearest_centroid, token_spans, tokenize, vectorize
@@ -146,9 +142,9 @@ def ref_extract_scope(text):
     alarms = [v for _, _, v in find_alarm_levels(text)]
     sizes = [v for _, _, v in find_wildfire_sizes(text)]
     vehicles = [v for _, _, v in find_vehicle_counts(text)]
-    fires = ref_match(default_fire_causes(), tokens)
+    fires = ref_match(lexicon("fire_causes"), tokens)
     return ScopeFeatures(
-        scale_adjectives=tuple(ref_match(default_scale_lexicon(), tokens)),
+        scale_adjectives=tuple(ref_match(lexicon("scale_adjectives"), tokens)),
         alarm_level=max(alarms) if alarms else None,
         fire_cause=fires[0] if fires else None,
         quake_magnitude=quake,
@@ -211,8 +207,8 @@ def ref_impact_features(p, text):
         monetary_suffix=bool(_ATTACHED_SUFFIX_RE.search(raw)),
         timestamp_symbol=bool(_TS_RE.search(raw)),
         timezone_or_period=bool(near & _TZ_PERIOD),
-        human_terms_hits=len(ref_match(default_human_impact_terms(), context)),
-        address_terms_hits=len(ref_match(default_address_terms(), context)),
+        human_terms_hits=len(ref_match(lexicon("human_impact_terms"), context)),
+        address_terms_hits=len(ref_match(lexicon("address_terms"), context)),
         tfidf_triple=(triple[0], triple[1], triple[2]),
     )
 
@@ -265,7 +261,7 @@ def ref_assemble_features(post, source, ctx, rules):
             features["impact_human_max"] = math.log1p(human_max)
     if financial_count:
         features["impact_financial_count"] = float(financial_count)
-    site_hits = ref_match(default_site_terms(), tokenize(post.text))
+    site_hits = ref_match(lexicon("site_terms"), tokenize(post.text))
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
     tagged = ref_tag_locations(post.text, ctx.gazetteer)
@@ -318,8 +314,9 @@ SOCIAL_FRAGMENTS = [
     "#M5", "#3alarm", "RT @news:", "@dead", "@st", "https://city.gov/street-fire",
 ]
 ALL_TAXONOMIES = [
-    default_scale_lexicon(), default_fire_causes(), default_human_impact_terms(),
-    default_address_terms(), default_site_terms(),
+    lexicon(name)
+    for name in ("scale_adjectives", "fire_causes", "human_impact_terms", "address_terms",
+                 "site_terms")
 ]
 PHRASES = sorted({term for tax in ALL_TAXONOMIES for term in tax.terms})
 # Phrases of one taxonomy that share a token with a phrase of another.
@@ -655,17 +652,15 @@ def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch
 
     monkeypatch.setattr(labeling, "tokenize", counted_tokenize)
     monkeypatch.setattr(labeling, "vectorize", counted_vectorize)
-    run = labeling.label_corpus(posts, headlines, 0.5, 0.5, 0.3)
+    results, stats = labeling.label_corpus(posts, headlines, 0.5, 0.5, 0.3)
     assert sorted(tokenized) == sorted(masked)
     assert sorted(vectorized) == sorted(tuple(tokenize(t)) for t in masked)
-    assert {r.status for r in run.results} == {"matched", "tardy", "unmatched"}
-    assert run.stats["via_link"] == 1
+    assert {r.status for r in results} == {"matched", "tardy", "unmatched"}
+    assert stats["via_link"] == 1
 
     # The vectors label_corpus passes down are those of the masked texts
     # under the shared vocabulary.
     monkeypatch.undo()
-    documents = [(f"post:{p.post_id}", tokenize(p.text)) for p in masked_posts]
-    documents += [(f"headline:{i}", tokenize(h.text)) for i, h in enumerate(masked_headlines)]
-    tfidf = textvec.fit_tfidf(documents)
+    tfidf = textvec.fit_tfidf([tokenize(t) for t in masked])
     first = [match_one(p, masked_headlines, tfidf, 0.5) for p in masked_posts]
-    assert run.results == propagate(first, masked_posts, tfidf, 0.5, 0.3)
+    assert results == propagate(first, masked_posts, tfidf, 0.5, 0.3)
