@@ -5,6 +5,10 @@ and the news-value SVM (binary, 1/(lambda*t) schedule).
 Training is single-threaded and fully determined by (data, config, seed);
 the bias enters as a regularized constant feature so the weight-decay
 trick keeps every step O(nnz).
+
+The objective after the first and last epochs costs a pass over the rows
+each; only fits whose objective is read (the saved SVM, the impact model)
+always pay it, see `train_binary_hinge`.
 """
 
 from __future__ import annotations
@@ -147,6 +151,37 @@ def _objective(
     return 0.5 * l2 * sq_norm + hinge / len(rows)
 
 
+def _objective_unless_bounded(
+    rows: Sequence[InternedRow],
+    cs: tuple[float, float],
+    v: list[float],
+    touched: dict[int, None],
+    scale: float,
+    l2: float,
+    max_row_norm: float | None,
+) -> float | None:
+    """`_objective`, or None where max_row_norm (`largest_row_norm` of the
+    rows or of a superset) proves it finite in O(touched) without a pass
+    over the rows.
+
+    Each margin is scale * (v . row) and |v . row| <= ||v||_2 * ||row||_1,
+    repeated ids included, so the objective is at most
+    0.5*l2*||w||^2 + max(cs) * (1 + scale * ||v||_2 * max_row_norm). Both
+    that dot bound and the whole bound must stay under 1e300: rounding,
+    underflowed squares and up to 1e8 rows' hinge terms summed before the
+    mean fit in the rest of the float range. A NaN or inf fails either
+    test, and a failed test runs the exact pass, so a caller that checks
+    the objective for finiteness decides as if it had always computed it.
+    """
+    if max_row_norm is not None:
+        sq_sum = sum(v[j] * v[j] for j in touched)
+        dot = math.sqrt(sq_sum) * max_row_norm
+        bound = 0.5 * l2 * (scale * scale * sq_sum) + max(cs) * (1.0 + scale * dot)
+        if dot < 1e300 and bound < 1e300:
+            return None
+    return _objective(rows, cs, v, touched, scale, l2)
+
+
 def _shuffler(rng: random.Random, n: int) -> Callable[[list], None]:
     """`rng.shuffle` for lists of n items, written out: the same Fisher-Yates
     swaps and `getrandbits` draws, so the same permutations and generator
@@ -178,6 +213,12 @@ def intern(rows: Iterable[tuple[FeatureRow, Any]]) -> tuple[list[InternedRow], l
     return out, list(index)
 
 
+def largest_row_norm(rows: Iterable[InternedRow]) -> float:
+    """The largest L1 norm of a row's values, the bias's included:
+    `train_binary_hinge`'s max_row_norm for these rows or any subset."""
+    return max((sum(map(abs, vals)) for _, vals, _ in rows), default=0.0)
+
+
 def epoch_orders(seed: int, n: int, epochs: int) -> Iterator[list[int]]:
     """The visiting order of n rows in each epoch, drawn from Random(seed):
     one list shuffled in place per epoch, so copy an order to keep it."""
@@ -189,8 +230,9 @@ def epoch_orders(seed: int, n: int, epochs: int) -> Iterator[list[int]]:
 
 
 def train_binary_hinge(
-    rows: Sequence[InternedRow], cfg: SGDConfig, names: Sequence[str], orders: Iterable[Sequence[int]]
-) -> tuple[dict[str, float], float, float, float]:
+    rows: Sequence[InternedRow], cfg: SGDConfig, names: Sequence[str],
+    orders: Iterable[Sequence[int]], max_row_norm: float | None = None,
+) -> tuple[dict[str, float], float, float | None, float | None]:
     """Train one binary hinge classifier over interned (+1/-1)-labeled rows.
 
     Rows come from `intern`, so BIAS_KEY ends each and the bias is a
@@ -198,6 +240,10 @@ def train_binary_hinge(
     hold names no row uses. `orders` gives each epoch's visiting order
     (`epoch_orders`); `cfg.seed` is not read. Returns
     (weights, bias, objective_first_epoch, objective_last_epoch).
+
+    Without max_row_norm both objectives are computed. With it (a bound
+    from `largest_row_norm`), an objective is None where the bound proves
+    it finite and the exact value otherwise; the weights are the same.
 
     The kernel is exact against a dict of weights keyed by name:
     - a margin is `sum()` over the row's products in row order, the same
@@ -259,9 +305,9 @@ def train_binary_hinge(
                     row_stamp[i] = stamp
                     touched.update(zip(ids, repeat(None)))
         if epoch == 0:
-            obj_first = _objective(rows, cs, v, touched, scale, l2)
+            obj_first = _objective_unless_bounded(rows, cs, v, touched, scale, l2, max_row_norm)
         if epoch == cfg.epochs - 1:
-            obj_last = _objective(rows, cs, v, touched, scale, l2)
+            obj_last = _objective_unless_bounded(rows, cs, v, touched, scale, l2, max_row_norm)
 
     weights = {names[j]: scale * v[j] for j in touched if scale * v[j] != 0.0}
     bias = weights.pop(BIAS_KEY, 0.0)

@@ -20,7 +20,9 @@ from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
 from .impact import bootstrap_impact_model, impact_labels, numeric_phrases
 from .labeling import masked_text
-from .linear import InternedRow, LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
+from .linear import (
+    InternedRow, LinearModel, SGDConfig, epoch_orders, intern, largest_row_norm, train_binary_hinge,
+)
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
 from .scope import ScopeFeatures, TextAnalysis, lexicon
@@ -190,6 +192,7 @@ def train_svm(
     examples: Sequence[LabeledExample], *, epochs: int, C: float, seed: int,
     design: Optional[tuple[Sequence[InternedRow], Sequence[str]]] = None,
     orders: Optional[Iterable[Sequence[int]]] = None,
+    max_row_norm: Optional[float] = None,
 ) -> LinearModel:
     """Binary linear SVM via Pegasos-style SGD (hinge + L2, eta = 1/(lambda t)).
 
@@ -199,6 +202,11 @@ def train_svm(
     orders given (default drawn from the seed), so it is deterministic
     given the seed; the regularized objective after the first and last
     epochs lands in train_meta for monitoring.
+
+    A fit that is not saved passes max_row_norm (`largest_row_norm` of
+    the design's rows): its objectives are then None wherever that bound
+    proves them finite, and computed otherwise, so the overflow check
+    below rejects exactly the fits it would reject with both computed.
     """
     labels = {e.label for e in examples}
     if len(labels) < 2:
@@ -212,8 +220,9 @@ def train_svm(
     rows, names = design or svm_design(examples)
     orders = epoch_orders(seed, len(rows), epochs) if orders is None else orders
     sgd = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
-    weights, bias, obj_first, obj_last = train_binary_hinge(rows, sgd, names, orders)
-    if not all(map(math.isfinite, (bias, obj_first, obj_last, *weights.values()))):
+    weights, bias, obj_first, obj_last = train_binary_hinge(rows, sgd, names, orders, max_row_norm)
+    computed = [obj for obj in (obj_first, obj_last) if obj is not None]
+    if not all(map(math.isfinite, (bias, *computed, *weights.values()))):
         raise SchemaMismatch(f"svm C={C} overflows the SGD weights or objective; lower C")
     meta = {
         "epochs": epochs,
@@ -279,6 +288,7 @@ def _resample(
     if len(examples) < folds * 2:
         raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
     reports = [EvalReport(0.0, 0.0, 0.0) for _ in set_rows]
+    bound = largest_row_norm(row for rows in set_rows for row in rows)
     for fold in range(folds):
         fseed = _fold_seed(seed, fold)
         rng = random.Random(fseed)
@@ -298,7 +308,8 @@ def _resample(
             orders = [tuple(order) for order in orders]
         for rows, report in zip(set_rows, reports):
             model = train_svm(fit_examples, epochs=epochs, C=C, seed=fseed,
-                              design=([rows[i] for i in train], names), orders=orders)
+                              design=([rows[i] for i in train], names), orders=orders,
+                              max_row_norm=bound)
             # a model's weights hold only its set's names, so the full
             # features score as the restricted ones would, term for term
             c = [0, 0, 0, 0]  # tp, fp, fn, tn: at 2 * (not predicted) + (not label)

@@ -182,8 +182,7 @@ class SourceProfile:
             rec["category"] = self.category
         if self.resolved_location is not None:
             rec["resolved_name"] = self.resolved_location.name
-            if self.resolved_location.country_code:  # "" stands for none read
-                rec["resolved_country"] = self.resolved_location.country_code
+            rec["resolved_country"] = self.resolved_location.country_code
             rec["resolved_lat"] = self.resolved_location.lat
             rec["resolved_lon"] = self.resolved_location.lon
         return rec
@@ -197,8 +196,8 @@ class SourceProfile:
         if rec.get("resolved_name") is not None:
             lat = _coordinate(rec, "resolved_lat", 90.0)
             lon = _coordinate(rec, "resolved_lon", 180.0)
-            country = _field(rec, "resolved_country", "a string", "")
-            if "resolved_country" in rec and not _COUNTRY_RE.fullmatch(country):
+            country = _field(rec, "resolved_country", "a string")
+            if not _COUNTRY_RE.fullmatch(country):
                 raise ValueError(f"resolved_country {country!r} is not two upper-case letters")
             resolved = GazetteerEntry(
                 name=_field(rec, "resolved_name", "a string"),

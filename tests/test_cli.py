@@ -24,6 +24,7 @@ from conftest import (
     write_ndjson_file,
     write_pipeline_inputs,
 )
+import newsvalue.linear
 import newsvalue.model
 from newsvalue import errors
 from newsvalue.cli import (
@@ -258,22 +259,24 @@ class TestFullPipeline:
         assert main(["label", "--config", str(config)]) == EXIT_OK
         assert main(["extract", "--config", str(config)]) == EXIT_OK
         folds = json.loads(config.read_text())["svm"]["folds"]
-        calls = dict.fromkeys(("train_binary_hinge", "intern", "epoch_orders"), 0)
+        calls = dict.fromkeys(("train_binary_hinge", "intern", "epoch_orders", "_objective"), 0)
         for name in calls:
-            original = getattr(newsvalue.model, name)
+            module = newsvalue.linear if name == "_objective" else newsvalue.model
+            original = getattr(module, name)
 
             def counted(*args, name=name, original=original):
                 calls[name] += 1
                 return original(*args)
 
-            monkeypatch.setattr(newsvalue.model, name, counted)
+            monkeypatch.setattr(module, name, counted)
         assert main(["train", "--config", str(config)]) == EXIT_OK
-        # the folds and the saved model: one design, one schedule per fit
-        assert list(calls.values()) == [folds + 1, 1, folds + 1]
+        # the folds and the saved model: one design, one schedule per fit;
+        # only the saved model computes its two objectives
+        assert list(calls.values()) == [folds + 1, 1, folds + 1, 2]
         calls.update(dict.fromkeys(calls, 0))
         assert main(["evaluate", "--config", str(config)]) == EXIT_OK
         # four feature sets per fold, sharing the fold's schedule
-        assert list(calls.values()) == [4 * folds, 1, folds]
+        assert list(calls.values()) == [4 * folds, 1, folds, 0]
 
     @pytest.mark.parametrize("post_id", ["a\rb", "a\tb", "a\nb"])
     def test_id_with_tab_or_line_break_skipped_by_extract(self, tmp_path, capsys, post_id):
@@ -687,10 +690,10 @@ class TestInputRecordChecks:
         for line in (tmp_path / "out" / "features.tsv").open():
             assert math.isfinite(float(line.split("\t")[2]))
 
-    @pytest.mark.parametrize("country", ["U\tS", "US\n", "us", "USA", ""])
+    @pytest.mark.parametrize("country", ["U\tS", "US\n", "us", "USA", "", None])
     def test_resolved_country_not_two_capitals_skipped(self, pipeline, capsys, country):
         # The code names the feature loc_country_<code>, a field of a
-        # features.tsv line.
+        # features.tsv line; None drops the key.
         tmp_path, config = pipeline
         assert main(["curate", "--config", str(config)]) == EXIT_OK
         curated = tmp_path / "out" / "curated.ndjson"
@@ -698,15 +701,18 @@ class TestInputRecordChecks:
         bad = [i for i, rec in enumerate(records, 1) if "resolved_country" in rec]
         assert bad
         for i in bad:
-            records[i - 1]["resolved_country"] = country
+            if country is None:
+                del records[i - 1]["resolved_country"]
+            else:
+                records[i - 1]["resolved_country"] = country
         curated.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         assert main(["label", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         assert main(["extract", "--config", str(config)]) == EXIT_OK
+        reason = ("'resolved_country'" if country is None else
+                  f"resolved_country {country!r} is not two upper-case letters")
         assert capsys.readouterr().err.splitlines() == [
-            f"warning: curated line {i}: resolved_country {country!r} is not two upper-case "
-            "letters (record skipped)"
-            for i in bad
+            f"warning: curated line {i}: {reason} (record skipped)" for i in bad
         ]
         assert main(["train", "--config", str(config)]) == EXIT_OK
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import newsvalue.linear
 from newsvalue.errors import DegenerateLabels, SchemaMismatch
 from newsvalue.impact import IMPACT_CLASSES, ImpactFeatureRow, train_impact_classifier
 from newsvalue.linear import (
@@ -23,9 +25,10 @@ from newsvalue.linear import (
     _shuffler,
     epoch_orders,
     intern,
+    largest_row_norm,
     train_binary_hinge,
 )
-from newsvalue.model import POSITIVE_CLASS, train_svm
+from newsvalue.model import POSITIVE_CLASS, svm_design, train_svm
 from newsvalue.records import LabeledExample
 
 
@@ -242,3 +245,79 @@ def test_train_svm_rejects_c_without_positive_finite_l2(c):
     ]
     with pytest.raises(SchemaMismatch):
         train_svm(examples, epochs=2, C=c, seed=0)
+
+
+# Fits a cross-validation resample makes: train_svm given a row-norm bound,
+# as (examples' (features, label) pairs, C, epochs, seed).
+BOUND_HOLDS = ([({"text_a": 1.0}, True), ({"scope_b": 1.0}, False)], 1.0, 2, 0)
+BOUND_FAILS_OBJECTIVE_OVERFLOWS = ([({"text_a": 1.0}, True), ({"scope_b": 1.0}, False)], 1e200, 2, 0)
+BOUND_FAILS_OBJECTIVE_FINITE = (
+    [({"text_a": 1e290}, True), ({"scope_b": -1e58}, False), ({}, True), ({}, True)], 1e60, 1, 0
+)
+
+
+def bounded_fit(data, c, epochs, seed):
+    examples = [LabeledExample(f"p{i}", x, y) for i, (x, y) in enumerate(data)]
+    rows, names = svm_design(examples)
+    return train_svm(examples, epochs=epochs, C=c, seed=seed, design=(rows, names),
+                     max_row_norm=largest_row_norm(rows))
+
+
+# BIAS_KEY as a feature repeats an id within a row
+svm_data = st.lists(
+    st.tuples(
+        st.dictionaries(
+            st.sampled_from(("text_a", "scope_b", "loc_c", BIAS_KEY)),
+            st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            max_size=4,
+        ),
+        st.booleans(),
+    ),
+    min_size=2,
+    max_size=8,
+).filter(lambda data: len({y for _, y in data}) == 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(svm_data, st.floats(-3.0, 308.0).map(lambda e: 10.0 ** e), st.integers(1, 4),
+       st.integers(0, 2**32))
+@example(*BOUND_FAILS_OBJECTIVE_OVERFLOWS)
+@example(*BOUND_FAILS_OBJECTIVE_FINITE)
+def test_bounded_fit_rejects_iff_the_reference_overflows(data, c, epochs, seed):
+    """With a row-norm bound, train_svm rejects a fit exactly when the
+    reference kernel, which computes both objectives, returns a non-finite
+    weight, bias or objective; an accepted fit has the reference's weights
+    and bias, and each objective is None or the reference's."""
+    lam = 1.0 / (c * len(data))
+    expected = None
+    if math.isfinite(lam) and lam > 0.0:
+        rows = [(tuple(sorted(x.items())), 1 if y else -1) for x, y in data]
+        cfg = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
+        expected = reference_train_binary_hinge(rows, cfg)
+        w, b, first, last = expected
+        if not all(map(math.isfinite, (b, first, last, *w.values()))):
+            expected = None
+    if expected is None:
+        with pytest.raises(SchemaMismatch):
+            bounded_fit(data, c, epochs, seed)
+        return
+    model = bounded_fit(data, c, epochs, seed)
+    assert repr((model.weights[POSITIVE_CLASS], model.bias[POSITIVE_CLASS])) == repr((w, b))
+    for key, objective in (("objective_first", first), ("objective_last", last)):
+        assert model.train_meta[key] is None or repr(model.train_meta[key]) == repr(objective)
+
+
+@pytest.mark.parametrize(
+    "case, passes, accepted",
+    [(BOUND_HOLDS, 0, True), (BOUND_FAILS_OBJECTIVE_OVERFLOWS, 2, False),
+     (BOUND_FAILS_OBJECTIVE_FINITE, 2, True)],
+    ids=["bound-holds", "objective-overflows", "objective-finite"],
+)
+def test_objective_pass_runs_only_where_the_bound_fails(case, passes, accepted):
+    with mock.patch.object(newsvalue.linear, "_objective", wraps=newsvalue.linear._objective) as objective:
+        try:
+            model = bounded_fit(*case)
+        except SchemaMismatch:
+            model = None
+    assert objective.call_count == passes
+    assert (model is not None) == accepted

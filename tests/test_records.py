@@ -57,16 +57,7 @@ WRONG_TYPED = [
 ]
 
 
-# A place read without a country code is written without one.
-ROUND_TRIPS = [
-    *GOOD.items(),
-    (SourceProfile, {k: v for k, v in GOOD[SourceProfile].items() if k != "resolved_country"}),
-]
-
-
-@pytest.mark.parametrize(
-    "kind, rec", ROUND_TRIPS, ids=[kind.__name__ for kind in GOOD] + ["SourceProfile-no-country"]
-)
+@pytest.mark.parametrize("kind, rec", GOOD.items(), ids=[kind.__name__ for kind in GOOD])
 def test_well_typed_record_round_trips(kind, rec):
     parsed = kind.from_record(rec)
     if hasattr(parsed, "to_record"):
