@@ -367,7 +367,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         examples, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
         design=design,
     )
-    model = train_svm(examples, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed, design=design)
+    model = train_svm(design, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
     report.group_weights = feature_group_weights(model)
     model_path = cfg.out_path("model.json")
     model.save(model_path)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import replace
-from math import ceil, log
+from math import ceil
 from typing import Mapping, Sequence
 
 from .errors import DegenerateLabels
@@ -102,17 +102,13 @@ def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
     if not assignments:
         raise DegenerateLabels("no topic assignments")
     topics = sorted({a.topic for a in assignments})
-    n_topics = len(topics)
-    df: dict[str, int] = {}
     per_topic: dict[str, dict[str, int]] = {t: {} for t in topics}
     for a in assignments:
         per_topic[a.topic][a.user_id] = per_topic[a.topic].get(a.user_id, 0) + a.count
-    for topic_counts in per_topic.values():
-        for user in topic_counts:
-            df[user] = df.get(user, 0) + 1
+    accounts = fit_tfidf([list(counts) for counts in per_topic.values()])
     scores: dict[str, float] = {}
-    for user, user_df in df.items():
-        idf = log((1 + n_topics) / (1 + user_df)) + 1.0
+    for user in accounts.doc_freq:
+        idf = accounts.idf(user)
         best = 0.0
         for topic in TARGET_TOPICS:
             tf = per_topic.get(topic, {}).get(user, 0)

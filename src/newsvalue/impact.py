@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateLabels
 from .linear import LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
-from .scope import TextAnalysis, fold_key, lexicon
+from .scope import _TENS, _UNITS, TextAnalysis, fold_key, lexicon
 from .spans import select_spans
 from .textvec import fit_tfidf, tokenize, vectorize
 
@@ -34,16 +34,6 @@ SOFT_QUANTITIES = {
     "crore": 10000000.0,
 }
 
-_UNITS = {
-    "zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
-    "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11,
-    "twelve": 12, "thirteen": 13, "fourteen": 14, "fifteen": 15,
-    "sixteen": 16, "seventeen": 17, "eighteen": 18, "nineteen": 19,
-}
-_TENS = {
-    "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
-    "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
-}
 _SCALES = {
     "dozen": 12, "hundred": 100, "thousand": 1000,
     "million": 1_000_000, "billion": 1_000_000_000,
@@ -346,11 +336,11 @@ def _phrase_row(p: NumericPhrase, text: str, triple: tuple[float, ...]) -> Impac
 # ---------------------------------------------------------------------------
 
 def train_impact_classifier(
-    rows: Sequence[tuple[ImpactFeatureRow, str]], config: SGDConfig
+    rows: Sequence[tuple[ImpactFeatureRow, str]], config: SGDConfig, seed: int
 ) -> LinearModel:
     """One binary hinge classifier per class of IMPACT_CLASSES over the
     eight features, rows interned once; class idx visits them in the epoch
-    orders of seed config.seed * 31 + idx. Deterministic per seed."""
+    orders of seed * 31 + idx. Deterministic per seed."""
     labels = {label for _, label in rows}
     if len(labels) < 2:
         raise DegenerateLabels("impact training needs at least two classes")
@@ -361,14 +351,14 @@ def train_impact_classifier(
     weights, bias, obj_first, obj_last = {}, {}, {}, {}
     for idx, cls in enumerate(IMPACT_CLASSES):
         binary = [(ids, vals, 1 if label == cls else -1) for ids, vals, label in design]
-        orders = epoch_orders(config.seed * 31 + idx, len(binary), config.epochs)
+        orders = epoch_orders(seed * 31 + idx, len(binary), config.epochs)
         fit = train_binary_hinge(binary, config, names, orders)
         weights[cls], bias[cls], obj_first[cls], obj_last[cls] = fit
     meta = {
         "epochs": config.epochs,
         "learning_rate": config.learning_rate,
         "l2": config.l2,
-        "seed": config.seed,
+        "seed": seed,
         "class_weight": config.class_weight,
         "objective_first": obj_first,
         "objective_last": obj_last,
@@ -435,5 +425,5 @@ def _canonical_rows() -> list[tuple[ImpactFeatureRow, str]]:
 
 def bootstrap_impact_model(seed: int) -> LinearModel:
     """Train the default impact model from built-in canonical rows."""
-    cfg = SGDConfig(epochs=50, learning_rate=0.01, l2=1e-4, seed=seed)
-    return train_impact_classifier(_canonical_rows(), cfg)
+    cfg = SGDConfig(epochs=50, learning_rate=0.01, l2=1e-4)
+    return train_impact_classifier(_canonical_rows(), cfg, seed)

@@ -34,7 +34,6 @@ InternedRow = tuple[tuple[int, ...], tuple[float, ...], Any]  # (ids, values, la
 @dataclass(frozen=True)
 class SGDConfig:
     epochs: int
-    seed: int
     l2: float
     learning_rate: float | None = None  # None -> 1/(l2 * t) schedule
     class_weight: str | None = None     # None | "balanced"
@@ -87,7 +86,7 @@ class LinearModel:
             fh.write("\n")
 
     @classmethod
-    def load(cls, path, expect_kind: str | None = None) -> "LinearModel":
+    def load(cls, path, expect_kind: str) -> "LinearModel":
         with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
@@ -100,7 +99,7 @@ class LinearModel:
                 else "model file is not an object"
             )
         kind = payload.get("kind")
-        if expect_kind is not None and kind != expect_kind:
+        if kind != expect_kind:
             raise SchemaMismatch(f"expected a {expect_kind!r} model, got {kind!r}")
         classes = payload.get("classes")
         weights = payload.get("weights")
@@ -238,7 +237,7 @@ def train_binary_hinge(
     Rows come from `intern`, so BIAS_KEY ends each and the bias is a
     regularized weight like any other; `names` maps ids to names and may
     hold names no row uses. `orders` gives each epoch's visiting order
-    (`epoch_orders`); `cfg.seed` is not read. Returns
+    (`epoch_orders`). Returns
     (weights, bias, objective_first_epoch, objective_last_epoch).
 
     Without max_row_norm both objectives are computed. With it (a bound

@@ -172,8 +172,8 @@ def assemble_features(
             (grid_cell(loc.lat, loc.lon), loc.country_code, topic), ctx.background
         )
         features["rarity_present"] = 1.0
-        if score.value != 0.0:
-            features["rarity"] = score.value
+        if score != 0.0:
+            features["rarity"] = score
 
     return {k: v for k, v in features.items() if v != 0.0}
 
@@ -189,16 +189,15 @@ def svm_design(examples: Sequence[LabeledExample]) -> tuple[list[InternedRow], l
 
 
 def train_svm(
-    examples: Sequence[LabeledExample], *, epochs: int, C: float, seed: int,
-    design: Optional[tuple[Sequence[InternedRow], Sequence[str]]] = None,
+    design: tuple[Sequence[InternedRow], Sequence[str]], *, epochs: int, C: float, seed: int,
     orders: Optional[Iterable[Sequence[int]]] = None,
     max_row_norm: Optional[float] = None,
 ) -> LinearModel:
     """Binary linear SVM via Pegasos-style SGD (hinge + L2, eta = 1/(lambda t)).
 
-    Class weights are balanced (inverse to class frequency). The
-    regularizer is lambda = 1/(C n). The fit reads design, the examples'
-    interned rows and names (default svm_design(examples)), in the epoch
+    design is `svm_design(examples)`, the n examples' interned rows and
+    names. Class weights are balanced (inverse to class frequency). The
+    regularizer is lambda = 1/(C n). The fit visits the rows in the epoch
     orders given (default drawn from the seed), so it is deterministic
     given the seed; the regularized objective after the first and last
     epochs lands in train_meta for monitoring.
@@ -208,18 +207,18 @@ def train_svm(
     proves them finite, and computed otherwise, so the overflow check
     below rejects exactly the fits it would reject with both computed.
     """
-    labels = {e.label for e in examples}
-    if len(labels) < 2:
+    rows, names = design
+    if len({y for *_, y in rows}) < 2:
         raise DegenerateLabels("SVM training needs both classes")
-    lam = 1.0 / (C * len(examples)) if C > 0 else math.nan
+    n = len(rows)
+    lam = 1.0 / (C * n) if C > 0 else math.nan
     if not (math.isfinite(lam) and lam > 0.0):
         raise SchemaMismatch(
-            f"svm C={C} over {len(examples)} examples gives l2={lam}; "
+            f"svm C={C} over {n} examples gives l2={lam}; "
             "it must be a positive finite number"
         )
-    rows, names = design or svm_design(examples)
-    orders = epoch_orders(seed, len(rows), epochs) if orders is None else orders
-    sgd = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
+    orders = epoch_orders(seed, n, epochs) if orders is None else orders
+    sgd = SGDConfig(epochs=epochs, l2=lam, class_weight="balanced")
     weights, bias, obj_first, obj_last = train_binary_hinge(rows, sgd, names, orders, max_row_norm)
     computed = [obj for obj in (obj_first, obj_last) if obj is not None]
     if not all(map(math.isfinite, (bias, *computed, *weights.values()))):
@@ -232,7 +231,7 @@ def train_svm(
         "class_weight": "balanced",
         "objective_first": obj_first,
         "objective_last": obj_last,
-        "n_examples": len(examples),
+        "n_examples": n,
     }
     return LinearModel(
         kind="svm",
@@ -301,15 +300,13 @@ def _resample(
             n_train = max(1, min(len(idx) - 1, n_train)) if len(idx) >= 2 else len(idx)
             train += idx[:n_train]
             test += idx[n_train:]
-        fit_examples = [examples[i] for i in train]
         # rebinding orders to a generator frees the last fold's copy first
         orders: Iterable[Sequence[int]] = epoch_orders(fseed, len(train), epochs)
         if len(set_rows) > 1:  # every set's fit reads the same orders
             orders = [tuple(order) for order in orders]
         for rows, report in zip(set_rows, reports):
-            model = train_svm(fit_examples, epochs=epochs, C=C, seed=fseed,
-                              design=([rows[i] for i in train], names), orders=orders,
-                              max_row_norm=bound)
+            model = train_svm(([rows[i] for i in train], names), epochs=epochs, C=C,
+                              seed=fseed, orders=orders, max_row_norm=bound)
             # a model's weights hold only its set's names, so the full
             # features score as the restricted ones would, term for term
             c = [0, 0, 0, 0]  # tp, fp, fn, tn: at 2 * (not predicted) + (not label)

@@ -55,19 +55,11 @@ class BackgroundIndex:
     """Count maps over the background window: by (location, topic), by
     location, by country, by (country, topic), and by (country, location)."""
 
-    window: tuple[int, int]
     counts: dict[tuple[str, str], int] = field(default_factory=dict)
     loc_counts: dict[str, int] = field(default_factory=dict)
     country_counts: dict[str, int] = field(default_factory=dict)
     country_topic_counts: dict[tuple[str, str], int] = field(default_factory=dict)
     country_loc_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-
-@dataclass(frozen=True)
-class RarityScore:
-    value: float
-    lambda_: float
-    local_term: float
-    country_term: float
 
 
 def build_background(
@@ -77,7 +69,7 @@ def build_background(
     start, end = window
     if end <= start:
         raise ValueError("window end must exceed start")
-    idx = BackgroundIndex(window=window)
+    idx = BackgroundIndex()
     for post in posts:
         if not start <= post.created_at < end:
             continue
@@ -101,13 +93,11 @@ def lambda_discount(country: str, location: str, idx: BackgroundIndex) -> float:
     return idx.country_loc_counts.get((country, location), 0) / denom
 
 
-def rarity(
-    event: tuple[str, str, str], idx: BackgroundIndex
-) -> RarityScore:
+def rarity(event: tuple[str, str, str], idx: BackgroundIndex) -> float:
     """Score an event given as (location-id, country, topic).
 
     local = |T(l,s)| / |T(l)|, country = |T(L,s)| / |T(L)| (zero on zero
-    denominators); value = local + lambda * country.
+    denominators); the score is local + lambda * country.
     """
     location, country, topic = event
     loc_total = idx.loc_counts.get(location, 0)
@@ -118,10 +108,4 @@ def rarity(
         if country_total
         else 0.0
     )
-    lam = lambda_discount(country, location, idx)
-    return RarityScore(
-        value=local + lam * country_term,
-        lambda_=lam,
-        local_term=local,
-        country_term=country_term,
-    )
+    return local + lambda_discount(country, location, idx) * country_term

@@ -237,12 +237,19 @@ def find_wildfire_sizes(text: str) -> list[tuple[int, int, float]]:
 # multi-vehicle crashes
 # ---------------------------------------------------------------------------
 
-WORD_NUMBERS = {
-    "one": 1, "two": 2, "three": 3, "four": 4, "five": 5, "six": 6,
-    "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11, "twelve": 12,
-    "thirteen": 13, "fourteen": 14, "fifteen": 15, "sixteen": 16,
-    "seventeen": 17, "eighteen": 18, "nineteen": 19, "twenty": 20,
+# English number words (impact parses them); vehicle counts spell out those
+# worth 1 to 20.
+_UNITS = {
+    "zero": 0, "one": 1, "two": 2, "three": 3, "four": 4, "five": 5,
+    "six": 6, "seven": 7, "eight": 8, "nine": 9, "ten": 10, "eleven": 11,
+    "twelve": 12, "thirteen": 13, "fourteen": 14, "fifteen": 15,
+    "sixteen": 16, "seventeen": 17, "eighteen": 18, "nineteen": 19,
 }
+_TENS = {
+    "twenty": 20, "thirty": 30, "forty": 40, "fifty": 50,
+    "sixty": 60, "seventy": 70, "eighty": 80, "ninety": 90,
+}
+WORD_NUMBERS = {w: v for w, v in (_UNITS | _TENS).items() if 1 <= v <= 20}
 _COUNT = r"\d{1,2}|" + "|".join(WORD_NUMBERS)
 _VEH_NOUNS = ("car", "truck", "vehicle", "van", "bus", "suv", "semi", "motorcycle", "lorry",
               "trailer")

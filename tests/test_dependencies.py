@@ -34,9 +34,10 @@ def test_pyproject_declares_no_dependencies():
 
 
 def test_every_defined_name_is_read_in_the_package():
-    """No function, class, method or module-level name lives only for its
-    tests: each name the package defines, dunders aside, is read as a name
-    or an attribute somewhere in the package."""
+    """No function, class, method, class field or module-level name lives
+    only for its tests: each name the package defines, dunders aside, is
+    read as a name or an attribute somewhere in the package, and each name
+    annotated in a class body is read as an attribute."""
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "newsvalue").glob("*.py"))
@@ -62,5 +63,18 @@ def test_every_defined_name_is_read_in_the_package():
     }
     unread = sorted(
         name for name in defined - read if not (name.startswith("__") and name.endswith("__"))
+    )
+    # a field is read only as an attribute: a local of the same name does not count
+    loaded = {
+        node.attr for node in nodes
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread += sorted(
+        f"{node.name}.{statement.target.id}"
+        for node in nodes
+        if isinstance(node, ast.ClassDef)
+        for statement in node.body
+        if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
+        and statement.target.id not in loaded
     )
     assert unread == []

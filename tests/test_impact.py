@@ -230,9 +230,9 @@ def label_rule(row: ImpactFeatureRow) -> str:
     return "date_time"
 
 
-def _sgd(epochs, seed):
+def _sgd(epochs):
     """The impact classifier's rate and regularizer."""
-    return SGDConfig(epochs=epochs, learning_rate=0.01, l2=1e-4, seed=seed)
+    return SGDConfig(epochs=epochs, learning_rate=0.01, l2=1e-4)
 
 
 def impact_f1(model, rows):
@@ -251,7 +251,7 @@ def impact_f1(model, rows):
 class TestImpactClassifier:
     def test_separable_synthetic_perfect(self):
         rows = synthetic_impact_rows(400, seed=11)
-        model = train_impact_classifier(rows, _sgd(epochs=50, seed=1))
+        model = train_impact_classifier(rows, _sgd(epochs=50), 1)
         assert impact_f1(model, rows)[1] >= 0.99
 
     def test_two_feature_separable_perfect(self):
@@ -261,19 +261,19 @@ class TestImpactClassifier:
                 rows.append((ImpactFeatureRow(human_terms_hits=2), "human_impact"))
             else:
                 rows.append((ImpactFeatureRow(address_terms_hits=2), "address"))
-        model = train_impact_classifier(rows, _sgd(epochs=30, seed=4))
+        model = train_impact_classifier(rows, _sgd(epochs=30), 4)
         correct = sum(model.predict(dict(r.as_features())) == label for r, label in rows)
         assert correct == len(rows)
 
     def test_single_class_raises(self):
         rows = [(ImpactFeatureRow(), "date_time")] * 5
         with pytest.raises(DegenerateLabels):
-            train_impact_classifier(rows, _sgd(epochs=50, seed=0))
+            train_impact_classifier(rows, _sgd(epochs=50), 0)
 
     def test_conflicting_labels_bounded_by_majority(self):
         row = ImpactFeatureRow(human_terms_hits=1)
         rows = [(row, "human_impact")] * 7 + [(row, "address")] * 3
-        model = train_impact_classifier(rows, _sgd(epochs=30, seed=2))
+        model = train_impact_classifier(rows, _sgd(epochs=30), 2)
         correct = sum(
             model.predict(dict(r.as_features())) == label for r, label in rows
         )
@@ -281,15 +281,15 @@ class TestImpactClassifier:
 
     def test_objective_decreases(self):
         rows = synthetic_impact_rows(300, seed=12)
-        model = train_impact_classifier(rows, _sgd(epochs=50, seed=3))
+        model = train_impact_classifier(rows, _sgd(epochs=50), 3)
         for cls in IMPACT_CLASSES:
             assert model.train_meta["objective_last"][cls] < model.train_meta["objective_first"][cls]
 
     def test_seed_reproducible_bit_exact(self):
         rows = synthetic_impact_rows(300, seed=13)
-        cfg = _sgd(epochs=50, seed=9)
-        a = train_impact_classifier(rows, cfg)
-        b = train_impact_classifier(rows, cfg)
+        cfg = _sgd(epochs=50)
+        a = train_impact_classifier(rows, cfg, 9)
+        b = train_impact_classifier(rows, cfg, 9)
         assert a.weights == b.weights
         assert a.bias == b.bias
 

@@ -41,7 +41,7 @@ def reference_objective(rows, v, scale, l2):
     return 0.5 * l2 * sq_norm + hinge / len(rows)
 
 
-def reference_train_binary_hinge(rows, cfg):
+def reference_train_binary_hinge(rows, cfg, seed):
     n = len(rows)
     if n == 0:
         raise DegenerateLabels("no training rows")
@@ -59,7 +59,7 @@ def reference_train_binary_hinge(rows, cfg):
 
     v = {}
     scale = 1.0
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     order = list(range(n))
     l2 = cfg.l2
     t = 0
@@ -105,46 +105,45 @@ labeled_rows = st.lists(st.tuples(feature_rows, st.sampled_from((1, -1))), min_s
 configs = st.builds(
     SGDConfig,
     epochs=st.integers(1, 4),
-    seed=st.integers(0, 2**32),
     l2=st.floats(1e-4, 2.0),
     learning_rate=st.one_of(st.none(), st.floats(1e-3, 4.0)),
     class_weight=st.sampled_from((None, "balanced")),
 )
 
-CLEAR_EVERY_STEP = SGDConfig(epochs=3, seed=5, l2=1.0, learning_rate=1.5)
+CLEAR_EVERY_STEP = SGDConfig(epochs=3, l2=1.0, learning_rate=1.5)
 
 
-def interned_fit(rows, cfg, keep_orders=False):
+def interned_fit(rows, cfg, seed, keep_orders=False):
     """train_binary_hinge over intern(rows), its epoch orders drawn lazily
     or, with keep_orders, copied up front as a shared schedule is."""
     rows, names = intern(rows)
-    orders = epoch_orders(cfg.seed, len(rows), cfg.epochs)
+    orders = epoch_orders(seed, len(rows), cfg.epochs)
     if keep_orders:
         orders = [tuple(order) for order in orders]
     return train_binary_hinge(rows, cfg, names, orders)
 
 
-def assert_same_fit(rows, cfg):
-    expected = reference_train_binary_hinge(list(rows), cfg)
+def assert_same_fit(rows, cfg, seed):
+    expected = reference_train_binary_hinge(list(rows), cfg, seed)
     for keep_orders in (False, True):
-        got = interned_fit(iter(rows), cfg, keep_orders)
+        got = interned_fit(iter(rows), cfg, seed, keep_orders)
         assert repr(got) == repr(expected)
         assert list(got[0]) == list(expected[0])
 
 
 @settings(max_examples=300, deadline=None)
-@given(labeled_rows, configs)
-@example([([("a", 1.0), ("b", 2.0)], 1), ([("b", -1.0)], -1), ([], 1)], CLEAR_EVERY_STEP)
+@given(labeled_rows, configs, st.integers(0, 2**32))
+@example([([("a", 1.0), ("b", 2.0)], 1), ([("b", -1.0)], -1), ([], 1)], CLEAR_EVERY_STEP, 5)
 @example(
     [([("a", 0.5), ("a", 0.25), (BIAS_KEY, 3.0)], 1), ([("c", 1.0)], 1)],
-    SGDConfig(epochs=1, seed=0, l2=0.01, class_weight="balanced"),
+    SGDConfig(epochs=1, l2=0.01, class_weight="balanced"), 0,
 )
 @example(
     [([("c", 1e-9), ("a", 3e7), ("b", -3e7)], -1), ([("b", 0.1), ("c", 1.0)], 1)],
-    SGDConfig(epochs=2, seed=3, l2=0.5, learning_rate=0.3),
+    SGDConfig(epochs=2, l2=0.5, learning_rate=0.3), 3,
 )
-def test_interned_kernel_matches_dict_kernel(rows, cfg):
-    assert_same_fit(rows, cfg)
+def test_interned_kernel_matches_dict_kernel(rows, cfg, seed):
+    assert_same_fit(rows, cfg, seed)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 160, 257])
@@ -175,20 +174,20 @@ def test_clear_every_step_resets_weights_and_order():
     cfg = CLEAR_EVERY_STEP
     assert cfg.learning_rate * cfg.l2 >= 1.0
     rows = [([("a", 1.0), ("b", 2.0)], 1), ([("c", 1.0), ("a", -1.0)], -1), ([], 1)]
-    assert_same_fit(rows, cfg)
+    assert_same_fit(rows, cfg, 5)
 
 
 def test_balanced_with_one_class_absent():
     rows = [([("a", 1.0)], 1), ([("b", 0.5), ("a", 0.2)], 1)]
-    cfg = SGDConfig(epochs=3, seed=1, l2=0.1, class_weight="balanced")
-    assert_same_fit(rows, cfg)
+    cfg = SGDConfig(epochs=3, l2=0.1, class_weight="balanced")
+    assert_same_fit(rows, cfg, 1)
 
 
 def test_no_rows_raise_degenerate_labels():
     with pytest.raises(DegenerateLabels, match="no training rows"):
-        interned_fit([], SGDConfig(epochs=100, seed=0, l2=1e-4))
+        interned_fit([], SGDConfig(epochs=100, l2=1e-4), 0)
     with pytest.raises(DegenerateLabels, match="no training rows"):
-        interned_fit(iter(()), SGDConfig(epochs=100, seed=0, l2=1e-4))
+        interned_fit(iter(()), SGDConfig(epochs=100, l2=1e-4), 0)
 
 
 def test_impact_classifier_matches_reference_kernel():
@@ -199,17 +198,17 @@ def test_impact_classifier_matches_reference_kernel():
          rng.choice(IMPACT_CLASSES))
         for _ in range(30)
     ]
-    cfg = SGDConfig(epochs=5, seed=2, l2=1e-3, learning_rate=0.05)
-    model = train_impact_classifier(rows, cfg)
+    cfg = SGDConfig(epochs=5, l2=1e-3, learning_rate=0.05)
+    model = train_impact_classifier(rows, cfg, 2)
     assert (model.kind, model.classes) == ("impact", IMPACT_CLASSES)
     assert sorted(model.train_meta) == [
         "class_weight", "epochs", "l2", "learning_rate", "n_rows", "objective_first",
         "objective_last", "seed",
     ]
+    assert model.train_meta["seed"] == 2
     for idx, cls in enumerate(IMPACT_CLASSES):
         binary = [(row.as_features(), 1 if label == cls else -1) for row, label in rows]
-        sub = SGDConfig(epochs=5, seed=2 * 31 + idx, l2=1e-3, learning_rate=0.05)
-        w, b, first, last = reference_train_binary_hinge(binary, sub)
+        w, b, first, last = reference_train_binary_hinge(binary, cfg, 2 * 31 + idx)
         assert repr((model.weights[cls], model.bias[cls])) == repr((w, b))
         objectives = (model.train_meta["objective_first"][cls],
                       model.train_meta["objective_last"][cls])
@@ -226,10 +225,10 @@ def test_train_svm_matches_reference_kernel():
         )
         for i in range(40)
     ]
-    model = train_svm(examples, epochs=7, C=2.0, seed=3)
+    model = train_svm(svm_design(examples), epochs=7, C=2.0, seed=3)
     rows = [(tuple(sorted(e.features.items())), 1 if e.label else -1) for e in examples]
-    cfg = SGDConfig(epochs=7, seed=3, l2=1.0 / (2.0 * 40), class_weight="balanced")
-    w, b, first, last = reference_train_binary_hinge(rows, cfg)
+    cfg = SGDConfig(epochs=7, l2=1.0 / (2.0 * 40), class_weight="balanced")
+    w, b, first, last = reference_train_binary_hinge(rows, cfg, 3)
     assert repr(model.weights[POSITIVE_CLASS]) == repr(w)
     assert repr(model.bias[POSITIVE_CLASS]) == repr(b)
     assert repr((model.train_meta["objective_first"], model.train_meta["objective_last"])) == repr(
@@ -244,7 +243,7 @@ def test_train_svm_rejects_c_without_positive_finite_l2(c):
         LabeledExample(post_id="b", features={"text_y": 1.0}, label=False),
     ]
     with pytest.raises(SchemaMismatch):
-        train_svm(examples, epochs=2, C=c, seed=0)
+        train_svm(svm_design(examples), epochs=2, C=c, seed=0)
 
 
 # Fits a cross-validation resample makes: train_svm given a row-norm bound,
@@ -258,9 +257,9 @@ BOUND_FAILS_OBJECTIVE_FINITE = (
 
 def bounded_fit(data, c, epochs, seed):
     examples = [LabeledExample(f"p{i}", x, y) for i, (x, y) in enumerate(data)]
-    rows, names = svm_design(examples)
-    return train_svm(examples, epochs=epochs, C=c, seed=seed, design=(rows, names),
-                     max_row_norm=largest_row_norm(rows))
+    design = svm_design(examples)
+    return train_svm(design, epochs=epochs, C=c, seed=seed,
+                     max_row_norm=largest_row_norm(design[0]))
 
 
 # BIAS_KEY as a feature repeats an id within a row
@@ -292,8 +291,8 @@ def test_bounded_fit_rejects_iff_the_reference_overflows(data, c, epochs, seed):
     expected = None
     if math.isfinite(lam) and lam > 0.0:
         rows = [(tuple(sorted(x.items())), 1 if y else -1) for x, y in data]
-        cfg = SGDConfig(epochs=epochs, seed=seed, l2=lam, class_weight="balanced")
-        expected = reference_train_binary_hinge(rows, cfg)
+        cfg = SGDConfig(epochs=epochs, l2=lam, class_weight="balanced")
+        expected = reference_train_binary_hinge(rows, cfg, seed)
         w, b, first, last = expected
         if not all(map(math.isfinite, (b, first, last, *w.values()))):
             expected = None

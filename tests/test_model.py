@@ -119,22 +119,22 @@ def separable_examples(n=120, seed=0):
 class TestTrainSvm:
     def test_separable_perfect_training_fit(self):
         examples = separable_examples()
-        model = train_svm(examples, **SVM, seed=1)
+        model = train_svm(svm_design(examples), **SVM, seed=1)
         assert all(predicted(model, e.features) == e.label for e in examples)
 
     def test_single_class_raises(self):
         examples = [LabeledExample(f"p{i}", {"a": 1.0}, True) for i in range(10)]
         with pytest.raises(DegenerateLabels):
-            train_svm(examples, **SVM, seed=0)
+            train_svm(svm_design(examples), **SVM, seed=0)
 
     def test_objective_strictly_decreases(self):
-        model = train_svm(separable_examples(), **SVM, seed=2)
+        model = train_svm(svm_design(separable_examples()), **SVM, seed=2)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
 
     def test_identical_features_conflicting_labels(self):
         examples = [LabeledExample(f"m{i}", {"a": 1.0}, True) for i in range(6)]
         examples += [LabeledExample(f"u{i}", {"a": 1.0}, False) for i in range(4)]
-        model = train_svm(examples, epochs=30, C=1.0, seed=3)
+        model = train_svm(svm_design(examples), epochs=30, C=1.0, seed=3)
         correct = sum(predicted(model, e.features) == e.label for e in examples)
         assert correct <= 6
 
@@ -143,20 +143,20 @@ class TestTrainSvm:
         flipped = [
             LabeledExample(e.post_id, e.features, not e.label) for e in examples
         ]
-        m = train_svm(examples, **SVM, seed=5)
-        mf = train_svm(flipped, **SVM, seed=5)
+        m = train_svm(svm_design(examples), **SVM, seed=5)
+        mf = train_svm(svm_design(flipped), **SVM, seed=5)
         for f, w in m.weights["matched"].items():
             assert mf.weights["matched"][f] == pytest.approx(-w, abs=1e-6)
         assert mf.bias["matched"] == pytest.approx(-m.bias["matched"], abs=1e-6)
 
     def test_seed_reproducible(self):
         examples = separable_examples(seed=6)
-        a = train_svm(examples, **SVM, seed=7)
-        b = train_svm(examples, **SVM, seed=7)
+        a = train_svm(svm_design(examples), **SVM, seed=7)
+        b = train_svm(svm_design(examples), **SVM, seed=7)
         assert a.weights == b.weights and a.bias == b.bias
 
     def test_save_load_round_trip(self, tmp_path):
-        model = train_svm(separable_examples(), **SVM, seed=8)
+        model = train_svm(svm_design(separable_examples()), **SVM, seed=8)
         path = tmp_path / "model.json"
         model.save(path)
         again = LinearModel.load(path, expect_kind="svm")
@@ -325,7 +325,7 @@ def reference_cross_validate(examples, *, folds, seed, epochs, C):
     for fold in range(folds):
         fseed = _fold_seed(seed, fold)
         train, test = _stratified_split(examples, random.Random(fseed))
-        model = train_svm(train, epochs=epochs, C=C, seed=fseed)
+        model = train_svm(svm_design(train), epochs=epochs, C=C, seed=fseed)
         ftp = ffp = ffn = ftn = 0
         for e in test:
             pred = predicted(model, e.features)
@@ -445,6 +445,6 @@ class TestFeatureGroupWeights:
                         "text_w": rng.uniform(0, 1)}
             features = {k: v for k, v in features.items() if v}
             examples.append(LabeledExample(f"p{i}", features, label))
-        model = train_svm(examples, **SVM, seed=13)
+        model = train_svm(svm_design(examples), **SVM, seed=13)
         gw = feature_group_weights(model)
         assert gw["topic"][0] > gw["text"][0]

@@ -94,8 +94,8 @@ class TestRarity:
     def test_saturated_location(self):
         posts = [_post(35.68, 139.69, "JP", "quake")] * 4
         idx = build_background(posts, (0, 100))
-        score = rarity((TOKYO, "JP", "quake"), idx)
-        assert score.local_term == 1.0
+        # every term is 1: local 4/4, country 4/4, lambda 4/4
+        assert rarity((TOKYO, "JP", "quake"), idx) == 2.0
 
     def test_fixture_value(self):
         # Tokyo: 4 posts, 3 quakes. Japan: 10 posts, 6 quakes, 4 in Tokyo.
@@ -104,16 +104,13 @@ class TestRarity:
         posts += [_post(34.69, 135.5, "JP", "quake")] * 3
         posts += [_post(34.69, 135.5, "JP", "flood")] * 3
         idx = build_background(posts, (0, 100))
-        score = rarity((TOKYO, "JP", "quake"), idx)
-        assert score.local_term == pytest.approx(0.75)
-        assert score.country_term == pytest.approx(0.6)
-        assert score.lambda_ == pytest.approx(0.4)
-        assert score.value == pytest.approx(0.99)
+        # local 0.75 + lambda 0.4 * country 0.6
+        assert lambda_discount("JP", TOKYO, idx) == pytest.approx(0.4)
+        assert rarity((TOKYO, "JP", "quake"), idx) == pytest.approx(0.99)
 
     def test_unseen_everything(self):
         idx = build_background([], (0, 100))
-        score = rarity(("1.0,1.0", "XX", "quake"), idx)
-        assert score.value == 0.0
+        assert rarity(("1.0,1.0", "XX", "quake"), idx) == 0.0
 
     def test_value_identity(self):
         rng = random.Random(4)
@@ -128,11 +125,13 @@ class TestRarity:
         for loc in list(idx.loc_counts)[:10]:
             for country in countries:
                 for topic in topics:
+                    local = idx.counts.get((loc, topic), 0) / idx.loc_counts[loc]
+                    total = idx.country_counts[country]
+                    country_term = idx.country_topic_counts.get((country, topic), 0) / total
+                    lam = lambda_discount(country, loc, idx)
+                    assert 0.0 <= local <= 1.0
+                    assert 0.0 <= country_term <= 1.0
+                    assert 0.0 <= lam <= 1.0
                     s = rarity((loc, country, topic), idx)
-                    assert s.value == pytest.approx(
-                        s.local_term + s.lambda_ * s.country_term, abs=1e-9
-                    )
-                    assert 0.0 <= s.local_term <= 1.0
-                    assert 0.0 <= s.country_term <= 1.0
-                    assert 0.0 <= s.lambda_ <= 1.0
-                    assert 0.0 <= s.value <= 2.0
+                    assert s == local + lam * country_term
+                    assert 0.0 <= s <= 2.0

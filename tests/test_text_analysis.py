@@ -278,8 +278,8 @@ def ref_assemble_features(post, source, ctx, rules):
     if ctx.background is not None and topic is not None and entry is not None:
         score = rarity((grid_cell(entry.lat, entry.lon), entry.country_code, topic), ctx.background)
         features["rarity_present"] = 1.0
-        if score.value != 0.0:
-            features["rarity"] = score.value
+        if score != 0.0:
+            features["rarity"] = score
     return {k: v for k, v in features.items() if v != 0.0}
 
 
