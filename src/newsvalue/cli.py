@@ -338,8 +338,25 @@ def _read_features(path: Path) -> dict[str, dict[str, float]]:
                 raise SchemaMismatch(f"features line {lineno}: bad value {value!r}") from None
             if not math.isfinite(number):
                 raise SchemaMismatch(f"features line {lineno}: non-finite value {value!r}")
-            features.setdefault(post_id, {})[name] = number
+            row = features.setdefault(post_id, {})
+            if name in row:
+                raise SchemaMismatch(
+                    f"features line {lineno}: feature {name!r} of post {post_id!r} "
+                    f"repeats line {_first_line(path, post_id, name)}"
+                )
+            row[name] = number
     return features
+
+
+def _first_line(path: Path, post_id: str, name: str) -> int:
+    """The number of the first `features.tsv` line for (post_id, name),
+    found again only when a repeat is reported, so reading keeps no line
+    numbers."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return next(
+            lineno for lineno, line in enumerate(fh, start=1)
+            if line.rstrip("\n").split("\t")[:2] == [post_id, name]
+        )
 
 
 def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:

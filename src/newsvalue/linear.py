@@ -4,7 +4,11 @@ and the news-value SVM (binary, 1/(lambda*t) schedule).
 
 Training is single-threaded and fully determined by (data, config, seed);
 the bias enters as a regularized constant feature so the weight-decay
-trick keeps every step O(nnz).
+trick keeps every step O(nnz). Most steps leave the weights alone (only
+the decay factor moves), so each row keeps its last dot product with them
+and a step recomputes it only after an update or a clear: the same
+`sum()` over the same floats, so a reused value is the one a recompute
+would return, on every Python version.
 
 The objective after the first and last epochs costs a pass over the rows
 each; only fits whose objective is read (the saved SVM, the impact model)
@@ -245,9 +249,16 @@ def train_binary_hinge(
     it finite and the exact value otherwise; the weights are the same.
 
     The kernel is exact against a dict of weights keyed by name:
-    - a margin is `sum()` over the row's products in row order, the same
-      floats in the same order. Keep it a `sum()`: from Python 3.12 a float
-      `sum()` is compensated, and a `+=` loop would round differently;
+    - a margin is `y * scale * dot`, dot being `sum()` over the row's
+      products in row order, the same floats in the same order. Keep it a
+      `sum()`: from Python 3.12 a float `sum()` is compensated, and a `+=`
+      loop (or the bias's product split off and added after) would round
+      differently;
+    - a row's dot is stored with the `version` it was computed at, and
+      `version` moves on every update and every clear, the only writes to
+      v. A step whose row holds the current version reads the stored dot:
+      it is the same `sum()` over the same unchanged floats, so it equals
+      the recomputed one bit for bit, compensated or not;
     - an update adds `g * val` to each id in row order, and an id no step
       has touched holds 0.0, which is what a missing key reads as;
     - `touched` keeps ids in first-update order, the order a dict inserts
@@ -273,33 +284,43 @@ def train_binary_hinge(
     touched: dict[int, None] = {}
     stamp = 0
     row_stamp = [-1] * n
+    version = 0  # bumped whenever v changes: an update or a clear
+    dots = [0.0] * n
+    dot_version = [-1] * n
     scale = 1.0
     l2 = cfg.l2
+    rate = cfg.learning_rate
     t = 0
     obj_first = obj_last = 0.0
     for epoch, order in enumerate(orders):
         for i in order:
             t += 1
-            if cfg.learning_rate is None:
-                eta = 1.0 / (l2 * t)
+            if rate is None:
                 decay = 1.0 - 1.0 / t  # algebraically eta*l2 == 1/t; exact at t=1
             else:
-                eta = cfg.learning_rate
-                decay = 1.0 - eta * l2
+                decay = 1.0 - rate * l2
             ids, vals, y = rows[i]
-            margin = y * scale * sum(map(mul, map(weight, ids), vals))
+            if dot_version[i] == version:
+                dot = dots[i]
+            else:
+                dot = dots[i] = sum(map(mul, map(weight, ids), vals))
+                dot_version[i] = version
+            margin = y * scale * dot
             if decay <= 0.0:
                 for j in touched:
                     v[j] = 0.0
                 touched.clear()
                 stamp += 1
+                version += 1
                 scale = 1.0
             else:
                 scale *= decay
             if margin < 1.0:
+                eta = 1.0 / (l2 * t) if rate is None else rate
                 g = eta * cs[y > 0] * y / scale
                 for j, val in zip(ids, vals):
                     v[j] += g * val
+                version += 1
                 if row_stamp[i] != stamp:
                     row_stamp[i] = stamp
                     touched.update(zip(ids, repeat(None)))

@@ -477,6 +477,25 @@ class TestErrorExitCodes:
             f"error: features line {len(lines)}: reserved feature name '__bias__'\n"
         )
 
+    @pytest.mark.parametrize("verb", ["train", "evaluate", "predict"])
+    def test_repeated_feature_line_exit_4(self, pipeline, capsys, verb):
+        # A second value for one (post, feature) pair would silently replace
+        # the first; both line numbers are named.
+        tmp_path, config = pipeline
+        for step in ("label", "extract", "train"):
+            assert main([step, "--config", str(config)]) == EXIT_OK
+        features = tmp_path / "out" / "features.tsv"
+        lines = features.read_text(encoding="utf-8").splitlines()
+        post_id, name, _ = lines[1].split("\t")
+        lines.append(f"{post_id}\t{name}\t0.5")
+        features.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_SCHEMA_MISMATCH
+        assert capsys.readouterr().err == (
+            f"error: features line {len(lines)}: feature {name!r} of post {post_id!r} "
+            "repeats line 2\n"
+        )
+
     def test_extract_without_topic_headlines_exit_3(self, tmp_path, capsys):
         posts, _ = make_event_posts()
         config = write_pipeline_inputs(tmp_path, posts=posts, headlines=[])
@@ -1443,6 +1462,7 @@ def features_lines(draw):
 @example(lines=[POSTS[0].post_id.encode() + b"\t__bias__\t1.0"])
 @example(lines=[POSTS[0].post_id.encode() + b"\tloc_lat\t1_000", b"\t\t1.0", b"a\rb\t\t"])
 @example(lines=[POSTS[0].post_id.encode() + b"\tloc_lat\t1e400"])
+@example(lines=[b"p9\tloc_lat\t1.0", b"p9\tloc_lat\t2.0"])
 def test_any_features_line_keeps_the_exit_code_contract(fixture_config, fixture_model, verb, lines):
     """Arbitrary lines appended to features.tsv exit train, evaluate and
     predict with 0, 2, 3 or 4, with no uncaught exception, and every stderr

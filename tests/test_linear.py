@@ -3,7 +3,9 @@
 `reference_train_binary_hinge` is that kernel, kept here as the oracle: the
 interned kernel (`intern`, then `train_binary_hinge` over `epoch_orders`)
 must return repr-identical weights (same key order), bias and objectives
-for every input, because the artifacts hash its floats.
+for every input, because the artifacts hash its floats. The reference
+computes every margin afresh, so it also checks the kernel's reuse of a
+row's stored dot product.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ def reference_objective(rows, v, scale, l2):
     return 0.5 * l2 * sq_norm + hinge / len(rows)
 
 
-def reference_train_binary_hinge(rows, cfg, seed):
+def reference_train_binary_hinge(rows, cfg, seed, steps=None):
+    """The dict-keyed kernel; with a `steps` list, it also appends one
+    (epoch, row, cleared, updated) tuple per step."""
     n = len(rows)
     if n == 0:
         raise DegenerateLabels("no training rows")
@@ -85,6 +89,8 @@ def reference_train_binary_hinge(rows, cfg, seed):
                 g = eta * c * y / scale
                 for f, val in x:
                     v[f] = v.get(f, 0.0) + g * val
+            if steps is not None:
+                steps.append((epoch, i, decay <= 0.0, margin < 1.0))
         if epoch == 0:
             obj_first = reference_objective(prepared, v, scale, l2)
         if epoch == cfg.epochs - 1:
@@ -111,6 +117,11 @@ configs = st.builds(
 )
 
 CLEAR_EVERY_STEP = SGDConfig(epochs=3, l2=1.0, learning_rate=1.5)
+SEPARABLE = [([("a", 1.0)], 1), ([("b", 2.0)], -1)]
+# Under CLEAR_EVERY_STEP the row's margin after its own update is at least
+# 1, so every second step clears the weights without updating them, and the
+# next step must see the cleared weights.
+CLEARS_WITHOUT_UPDATES = [([("a", 1.0), ("b", 2.0)], 1)]
 
 
 def interned_fit(rows, cfg, seed, keep_orders=False):
@@ -142,8 +153,88 @@ def assert_same_fit(rows, cfg, seed):
     [([("c", 1e-9), ("a", 3e7), ("b", -3e7)], -1), ([("b", 0.1), ("c", 1.0)], 1)],
     SGDConfig(epochs=2, l2=0.5, learning_rate=0.3), 3,
 )
+# Stored dot products reused: a separable design that stops updating, rows
+# with repeated ids and BIAS_KEY as a feature, a bias-only row, and clears
+# that come without an update.
+@example(SEPARABLE, SGDConfig(epochs=4, l2=0.5), 1)
+@example(
+    [([("a", 0.5), ("a", 0.25), (BIAS_KEY, 3.0)], 1), ([("c", 2.0), ("c", -0.5)], -1)],
+    SGDConfig(epochs=4, l2=0.2, class_weight="balanced"), 2,
+)
+@example([([], 1), ([("a", 2.0)], -1), ([], 1)], SGDConfig(epochs=4, l2=0.3), 2)
+@example(CLEARS_WITHOUT_UPDATES, CLEAR_EVERY_STEP, 0)
 def test_interned_kernel_matches_dict_kernel(rows, cfg, seed):
     assert_same_fit(rows, cfg, seed)
+
+
+class VisitedRows(list):
+    """Interned rows that open one log entry, [row], per `rows[i]` read:
+    the kernel reads its row once per step."""
+
+    def __init__(self, rows, log):
+        super().__init__(rows)
+        self.log = log
+
+    def __getitem__(self, i):
+        self.log.append([i])
+        return super().__getitem__(i)
+
+
+def computed_dot_products(rows, cfg, seed):
+    """(row, values multiplied) per step of train_binary_hinge: a dot
+    product's `sum()` calls `mul` with each of the row's values in order, so
+    a step that reuses its row's stored dot product multiplies nothing."""
+    log = []
+
+    def logged_mul(w, val):
+        log[-1].append(val)
+        return w * val
+
+    rows, names = intern(rows)
+    with mock.patch.object(newsvalue.linear, "mul", logged_mul):
+        *_, first, last = train_binary_hinge(
+            VisitedRows(rows, log), cfg, names, epoch_orders(seed, len(rows), cfg.epochs),
+            max_row_norm=largest_row_norm(rows),
+        )
+    assert first is None and last is None  # no objective pass calls `mul`
+    return [(i, tuple(vals)) for i, *vals in log]
+
+
+@pytest.mark.parametrize(
+    "rows, cfg, seed",
+    [(SEPARABLE, SGDConfig(epochs=8, l2=0.05), 1), (CLEARS_WITHOUT_UPDATES, CLEAR_EVERY_STEP, 0)],
+    ids=["separable", "clear-every-step"],
+)
+def test_dot_product_recomputed_only_after_a_weight_changes(rows, cfg, seed):
+    """Replayed from the reference kernel's steps: a row's dot product is
+    computed on its first visit and on every visit after an update or a
+    clear, and reused otherwise. So the step after an update or a clear
+    computes, and an epoch with neither, after one with neither, computes
+    nothing."""
+    steps = []
+    reference_train_binary_hinge(rows, cfg, seed, steps)
+    interned, _ = intern(rows)
+    expected = []
+    fresh = set()
+    for _, i, cleared, updated in steps:
+        expected.append((i, () if i in fresh else interned[i][1]))
+        fresh.add(i)
+        if cleared or updated:
+            fresh.clear()
+    got = computed_dot_products(rows, cfg, seed)
+    assert got == expected
+
+    changed = [cleared or updated for _, _, cleared, updated in steps]
+    assert all(vals for (_, vals), after in zip(got[1:], changed) if after)
+    by_epoch = [[k for k, (epoch, *_) in enumerate(steps) if epoch == e] for e in range(cfg.epochs)]
+    quiet = [not any(changed[k] for k in ks) for ks in by_epoch]
+    for e in range(1, cfg.epochs):
+        if quiet[e - 1] and quiet[e]:
+            assert not any(got[k][1] for k in by_epoch[e])
+    if cfg.learning_rate is None:
+        assert any(a and b for a, b in zip(quiet, quiet[1:]))  # the case has such epochs
+    else:
+        assert all(changed)  # a clear on every step
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 160, 257])
