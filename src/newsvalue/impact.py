@@ -57,6 +57,10 @@ _WORD_RUN_RE = re.compile(
     r"\b(?:" + "|".join(sorted(_NUMBER_WORDS - {"and", "a", "an"})) + r")\b",
     re.IGNORECASE,
 )
+# What may separate two words of one run, and a leading "a"/"an" that
+# ends the text before a run.
+_RUN_GAP_RE = re.compile(r"[\s\-]+(?:and[\s\-]+)?|[\s\-]*")
+_LEAD_ARTICLE_RE = re.compile(r"\b(an?)[\s\-]+$", re.IGNORECASE)
 
 _SUFFIX_SCALE = {"k": 1e3, "m": 1e6, "mm": 1e6, "b": 1e9, "bn": 1e9}
 # _SOFT_RE phrases, spaces collapsed, to their SOFT_QUANTITIES key.
@@ -108,7 +112,11 @@ class ImpactFeatureRow:
     tfidf_triple: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def as_features(self) -> list[tuple[str, float]]:
-        return [
+        """The features whose value is not 0.0, in a fixed order. A 0.0
+        feature only adds +-0.0 to a dot product's `sum()` or to a weight,
+        so a fit or a score over these is the one over all ten, value for
+        value, at a cost per step of the features a phrase has."""
+        full = (
             ("mixed_alnum", 1.0 if self.mixed_alnum else 0.0),
             ("currency_symbol", 1.0 if self.currency_symbol else 0.0),
             ("monetary_suffix", 1.0 if self.monetary_suffix else 0.0),
@@ -119,7 +127,8 @@ class ImpactFeatureRow:
             ("tfidf_address", self.tfidf_triple[0]),
             ("tfidf_human", self.tfidf_triple[1]),
             ("tfidf_financial", self.tfidf_triple[2]),
-        ]
+        )
+        return [(name, value) for name, value in full if value != 0.0]
 
 
 def parse_word_number(words: Sequence[str]) -> Optional[float]:
@@ -165,13 +174,14 @@ def _word_number_runs(text: str) -> list[tuple[int, int, float]]:
         # Extend while separated only by spaces, hyphens, or "and"/"a".
         while j + 1 < len(matches):
             gap = text[matches[j].end() : matches[j + 1].start()]
-            if re.fullmatch(r"[\s\-]+(?:and[\s\-]+)?|[\s\-]*", gap) and len(gap) <= 8:
+            if _RUN_GAP_RE.fullmatch(gap) and len(gap) <= 8:
                 j += 1
             else:
                 break
         start, end = matches[i].start(), matches[j].end()
-        # Include a leading "a"/"an" for "a dozen" style phrases.
-        lead = re.search(r"\b(an?)[\s\-]+$", text[:start], re.IGNORECASE)
+        # Include a leading "a"/"an" for "a dozen" style phrases; `$` and
+        # `\b` read the text cut at endpos as they would read text[:start].
+        lead = _LEAD_ARTICLE_RE.search(text, 0, start)
         words = [fold_key(m.group(), _NUMBER_WORDS) for m in matches[i : j + 1]]
         if lead and words and words[0] in _SCALES:
             start = lead.start(1)

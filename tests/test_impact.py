@@ -3,15 +3,25 @@
 from __future__ import annotations
 
 import random
+import re
+from functools import lru_cache
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_linear import reference_train_binary_hinge
 
 from newsvalue.errors import DegenerateLabels, SchemaMismatch
 from newsvalue.impact import (
+    _NUMBER_WORDS,
+    _SCALES,
+    _WORD_RUN_RE,
     IMPACT_CLASSES,
     ImpactFeatureRow,
+    _canonical_rows,
     _phrase_row,
     _tfidf_triple,
+    _word_number_runs,
     bootstrap_impact_model,
     impact_labels,
     numeric_phrases,
@@ -19,13 +29,46 @@ from newsvalue.impact import (
     train_impact_classifier,
 )
 from newsvalue.linear import LinearModel, SGDConfig
-from newsvalue.scope import TextAnalysis, lexicon
+from newsvalue.scope import TextAnalysis, fold_key, lexicon
 from newsvalue.textvec import tokenize
 
 
 def feature_row(p, text):
     """The eight classifier features of one phrase in its tweet."""
     return _phrase_row(p, text, _tfidf_triple(tokenize(text)))
+
+
+def sliced_word_number_runs(text):
+    """`_word_number_runs` reading each gap and the text before a run as
+    slices, with the patterns written out: the oracle for its endpos search."""
+    matches = list(_WORD_RUN_RE.finditer(text))
+    runs = []
+    i = 0
+    while i < len(matches):
+        j = i
+        while j + 1 < len(matches):
+            gap = text[matches[j].end() : matches[j + 1].start()]
+            if re.fullmatch(r"[\s\-]+(?:and[\s\-]+)?|[\s\-]*", gap) and len(gap) <= 8:
+                j += 1
+            else:
+                break
+        start, end = matches[i].start(), matches[j].end()
+        lead = re.search(r"\b(an?)[\s\-]+$", text[:start], re.IGNORECASE)
+        words = [fold_key(m.group(), _NUMBER_WORDS) for m in matches[i : j + 1]]
+        if lead and words and words[0] in _SCALES:
+            start = lead.start(1)
+            words.insert(0, lead.group(1).lower())
+        value = parse_word_number(words)
+        if value is not None:
+            runs.append((start, end, value))
+        i = j + 1
+    return runs
+
+
+RUN_PIECES = (
+    "a", "an", "A", "AN", "and", "x", "dozen", "hundred", "two", "five", "ſix",
+    " ", "  ", "-", "\n", "         ", ",",
+)
 
 # ---------------------------------------------------------------------------
 # independent oracle: render 0-9999 in canonical English
@@ -66,6 +109,30 @@ class TestWordNumbers:
 
     def test_non_number_words(self):
         assert parse_word_number(["banana"]) is None
+
+    @pytest.mark.parametrize(
+        "text, runs",
+        [
+            ("two hundred and five people injured", [(0, 20, 205.0)]),
+            ("an\n hundred", [(0, 11, 100.0)]),
+            ("a dozen", [(0, 7, 12.0)]),
+            ("five - and six", [(0, 14, 11.0)]),
+            # a gap of up to 8 characters joins a run, a longer one ends it
+            ("five" + " " * 8 + "six", [(0, 15, 11.0)]),
+            ("five" + " " * 9 + "six", [(0, 4, 5.0), (13, 16, 6.0)]),
+            ("five          hundred hurt", [(0, 4, 5.0), (14, 21, 100.0)]),
+        ],
+    )
+    def test_runs(self, text, runs):
+        assert _word_number_runs(text) == runs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(RUN_PIECES), max_size=12).map("".join))
+    @example("a\ndozen")
+    @example("xa dozen")
+    @example("an -dozen and an hundred")
+    def test_runs_match_the_sliced_text_form(self, text):
+        assert _word_number_runs(text) == sliced_word_number_runs(text)
 
 
 class TestExtractNumericPhrases:
@@ -321,6 +388,120 @@ class TestImpactClassifier:
         )
         p = numeric_phrases(TextAnalysis("12 anything"))[0]
         assert impact_labels(TextAnalysis("12 anything"), [p], model) == ["date_time"]
+
+
+def full_features(row):
+    """All ten features of a row in their fixed order, zeros included: the
+    rows `as_features` gives with its zeros put back."""
+    return [
+        ("mixed_alnum", 1.0 if row.mixed_alnum else 0.0),
+        ("currency_symbol", 1.0 if row.currency_symbol else 0.0),
+        ("monetary_suffix", 1.0 if row.monetary_suffix else 0.0),
+        ("timestamp_symbol", 1.0 if row.timestamp_symbol else 0.0),
+        ("timezone_or_period", 1.0 if row.timezone_or_period else 0.0),
+        ("human_terms_hits", float(row.human_terms_hits)),
+        ("address_terms_hits", float(row.address_terms_hits)),
+        ("tfidf_address", row.tfidf_triple[0]),
+        ("tfidf_human", row.tfidf_triple[1]),
+        ("tfidf_financial", row.tfidf_triple[2]),
+    ]
+
+
+@lru_cache(maxsize=None)
+def full_row_model(seed):
+    """The bootstrap model fitted by the dict-keyed reference kernel on the
+    canonical rows' full ten-feature rows, class idx in the epoch orders of
+    seed * 31 + idx as `train_impact_classifier` draws them."""
+    rows = _canonical_rows()
+    weights, bias = {}, {}
+    for idx, cls in enumerate(IMPACT_CLASSES):
+        binary = [(full_features(row), 1 if label == cls else -1) for row, label in rows]
+        weights[cls], bias[cls], _, _ = reference_train_binary_hinge(
+            binary, _sgd(epochs=50), seed * 31 + idx
+        )
+    return LinearModel(kind="impact", classes=IMPACT_CLASSES, weights=weights, bias=bias)
+
+
+cached_bootstrap = lru_cache(maxsize=None)(bootstrap_impact_model)
+
+impact_rows = st.builds(
+    ImpactFeatureRow,
+    mixed_alnum=st.booleans(),
+    currency_symbol=st.booleans(),
+    monetary_suffix=st.booleans(),
+    timestamp_symbol=st.booleans(),
+    timezone_or_period=st.booleans(),
+    human_terms_hits=st.integers(-2, 3),
+    address_terms_hits=st.integers(-2, 3),
+    tfidf_triple=st.tuples(*[st.sampled_from((0.0, -0.0, 0.4, -1.5))] * 3),
+)
+
+PHRASE_FRAGMENTS = (
+    "20 victims wounded", "a dozen homes", "$2 million in damages", "06:02 UTC",
+    "1,200 residents", "twenty-one hurt", "5 lakh people", "120MM in damages",
+    "4 dead 12 injured", "crews at 3910 Tangle Ln", "losses of $120",
+    "two hundred and five people injured", "scores of residents hurt", "May-20 06:02 pm",
+    "5K attended", "thousands displaced near the avenue", "12 dead after the blast",
+)
+phrase_texts = st.lists(
+    st.one_of(st.sampled_from(PHRASE_FRAGMENTS), st.text(max_size=10)), min_size=1, max_size=6
+).map(" ".join)
+
+
+class TestNonzeroFeatures:
+    """The classifier fits and scores the features a phrase has; a zero
+    feature only adds +-0.0, so fits and scores equal the full rows'."""
+
+    @pytest.mark.parametrize(
+        "row, want",
+        [
+            (ImpactFeatureRow(), []),
+            (ImpactFeatureRow(human_terms_hits=-1), [("human_terms_hits", -1.0)]),
+            (ImpactFeatureRow(tfidf_triple=(0.0, -0.0, 0.7)), [("tfidf_financial", 0.7)]),
+            (
+                ImpactFeatureRow(currency_symbol=True, address_terms_hits=2,
+                                 tfidf_triple=(0.5, 0.0, 1.25)),
+                [("currency_symbol", 1.0), ("address_terms_hits", 2.0),
+                 ("tfidf_address", 0.5), ("tfidf_financial", 1.25)],
+            ),
+            (
+                ImpactFeatureRow(True, True, True, True, True, 1, 3, (0.1, 0.2, 0.3)),
+                [("mixed_alnum", 1.0), ("currency_symbol", 1.0), ("monetary_suffix", 1.0),
+                 ("timestamp_symbol", 1.0), ("timezone_or_period", 1.0),
+                 ("human_terms_hits", 1.0), ("address_terms_hits", 3.0),
+                 ("tfidf_address", 0.1), ("tfidf_human", 0.2), ("tfidf_financial", 0.3)],
+            ),
+        ],
+    )
+    def test_as_features_examples(self, row, want):
+        assert row.as_features() == want
+
+    @given(impact_rows)
+    def test_as_features_omits_exactly_the_zeros_in_order(self, row):
+        assert row.as_features() == [(f, x) for f, x in full_features(row) if x != 0.0]
+
+    @pytest.mark.parametrize("seed", range(21))
+    def test_bootstrap_equals_the_full_row_fit(self, seed):
+        model, full = bootstrap_impact_model(seed), full_row_model(seed)
+        for cls in IMPACT_CLASSES:
+            assert repr(sorted(model.weights[cls].items())) == repr(
+                sorted(full.weights[cls].items())
+            ), cls
+            assert repr(model.bias[cls]) == repr(full.bias[cls]), cls
+
+    @settings(max_examples=60, deadline=None)
+    @given(phrase_texts, st.integers(0, 3))
+    @example("alert issued 06:02 UTC today, $2 million in damages, 12 dead at 3910 Tangle Ln", 0)
+    def test_labels_and_scores_equal_the_full_row_model(self, text, seed):
+        a = TextAnalysis(text)
+        phrases = numeric_phrases(a)
+        model, full = cached_bootstrap(seed), full_row_model(seed)
+        triple = _tfidf_triple(a.tokens)
+        full_rows = [dict(full_features(_phrase_row(p, text, triple))) for p in phrases]
+        assert impact_labels(a, phrases, model) == [full.predict(x) for x in full_rows]
+        for p, x in zip(phrases, full_rows):
+            got = model.decision(dict(_phrase_row(p, text, triple).as_features()))
+            assert repr(got) == repr(full.decision(x))
 
 
 class TestSiteTerms:
