@@ -27,7 +27,6 @@ class Gazetteer:
     """
 
     def __init__(self, entries: list[GazetteerEntry]):
-        self.entries = tuple(entries)
         self._resolved: dict[tuple[str, Optional[str]], Optional[GazetteerEntry]] = {}
         self._names: dict[tuple[str, ...], list[GazetteerEntry]] = {}
         for entry in entries:

@@ -17,7 +17,9 @@ from operator import itemgetter
 from typing import Optional, Sequence
 
 from .errors import DegenerateLabels
-from .linear import LinearModel, SGDConfig, epoch_orders, intern, train_binary_hinge
+from .linear import (
+    LinearModel, SGDConfig, epoch_orders, intern, largest_row_norm, train_binary_hinge,
+)
 from .scope import _TENS, _UNITS, TextAnalysis, fold_key, lexicon
 from .spans import select_spans
 from .textvec import fit_tfidf, tokenize, vectorize
@@ -358,24 +360,13 @@ def train_impact_classifier(
     if unknown:
         raise ValueError(f"unknown impact labels: {sorted(unknown)}")
     design, names = intern((row.as_features(), label) for row, label in rows)
-    weights, bias, obj_first, obj_last = {}, {}, {}, {}
+    max_row_norm = largest_row_norm(design)  # no objective is read: skip its passes
+    weights, bias = {}, {}
     for idx, cls in enumerate(IMPACT_CLASSES):
         binary = [(ids, vals, 1 if label == cls else -1) for ids, vals, label in design]
         orders = epoch_orders(seed * 31 + idx, len(binary), config.epochs)
-        fit = train_binary_hinge(binary, config, names, orders)
-        weights[cls], bias[cls], obj_first[cls], obj_last[cls] = fit
-    meta = {
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "l2": config.l2,
-        "seed": seed,
-        "class_weight": config.class_weight,
-        "objective_first": obj_first,
-        "objective_last": obj_last,
-        "n_rows": len(design),
-    }
-    return LinearModel(kind="impact", classes=IMPACT_CLASSES, weights=weights, bias=bias,
-                       train_meta=meta)
+        weights[cls], bias[cls], _, _ = train_binary_hinge(binary, config, names, orders, max_row_norm)
+    return LinearModel(kind="impact", classes=IMPACT_CLASSES, weights=weights, bias=bias)
 
 
 def impact_labels(

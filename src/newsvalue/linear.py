@@ -11,8 +11,8 @@ and a step recomputes it only after an update or a clear: the same
 would return, on every Python version.
 
 The objective after the first and last epochs costs a pass over the rows
-each; only fits whose objective is read (the saved SVM, the impact model)
-always pay it, see `train_binary_hinge`.
+each; only the fit whose objective is read (the saved SVM) always pays
+it, see `train_binary_hinge`.
 """
 
 from __future__ import annotations

@@ -324,7 +324,7 @@ def _resample(
 
 def cross_validate(
     examples: Sequence[LabeledExample], *, folds: int, seed: int, epochs: int, C: float,
-    design: Optional[tuple[Sequence[InternedRow], Sequence[str]]] = None,
+    design: tuple[Sequence[InternedRow], Sequence[str]],
 ) -> EvalReport:
     """Repeated seeded 80/20 resampling (stratified), pooled P/R/F.
 
@@ -333,7 +333,7 @@ def cross_validate(
     group_weights stay empty; the caller that fits the final model fills
     them with feature_group_weights. design: as for train_svm.
     """
-    rows, names = design or svm_design(examples)
+    rows, names = design
     return _resample(examples, [rows], names, folds=folds, seed=seed, epochs=epochs, C=C)[0]
 
 

@@ -233,14 +233,6 @@ class Headline:
         if self.outlet not in OUTLETS:
             raise ValueError(f"unknown outlet {self.outlet!r}")
 
-    def to_record(self) -> dict:
-        return {
-            "text": self.text,
-            "outlet": self.outlet,
-            "published_at": self.published_at,
-            "topic_codes": sorted(self.topic_codes),
-        }
-
     @classmethod
     def from_record(cls, rec: dict) -> "Headline":
         codes = rec.get("topic_codes", [])
@@ -270,9 +262,6 @@ class TopicAssignment:
     def from_record(cls, rec: dict) -> "TopicAssignment":
         return cls(_id(rec, "user_id"), _field(rec, "topic", "a string"),
                    _field(rec, "count", "an integer"))
-
-    def to_record(self) -> dict:
-        return {"user_id": self.user_id, "topic": self.topic, "count": self.count}
 
 
 @dataclass(frozen=True)

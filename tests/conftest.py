@@ -192,6 +192,12 @@ def write_ndjson_file(path, records):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
+def headline_record(h: Headline) -> dict:
+    """The headlines.ndjson record of a headline."""
+    return {"text": h.text, "outlet": h.outlet, "published_at": h.published_at,
+            "topic_codes": sorted(h.topic_codes)}
+
+
 def write_pipeline_inputs(tmp_path, posts=None, headlines=None):
     """Write the curation fixture plus optional post/headline corpora into
     tmp_path; returns the config file path."""
@@ -201,8 +207,11 @@ def write_pipeline_inputs(tmp_path, posts=None, headlines=None):
 
     write_ndjson_file(tmp_path / "profiles.ndjson", (p.to_record() for p in profiles))
     write_ndjson_file(tmp_path / "tweets.ndjson", (t.to_record() for t in all_tweets))
-    write_ndjson_file(tmp_path / "assignments.ndjson", (a.to_record() for a in assignments))
-    write_ndjson_file(tmp_path / "headlines.ndjson", (h.to_record() for h in wire))
+    write_ndjson_file(
+        tmp_path / "assignments.ndjson",
+        ({"user_id": a.user_id, "topic": a.topic, "count": a.count} for a in assignments),
+    )
+    write_ndjson_file(tmp_path / "headlines.ndjson", map(headline_record, wire))
     if posts is not None:
         write_ndjson_file(tmp_path / "posts.ndjson", (p.to_record() for p in posts))
 

@@ -335,11 +335,13 @@ def test_impact_classifier_synthetic():
 def test_svm_acceptance():
     with criterion("SVM: perfect held-out on separable, objective, reproducible", 10.0):
         examples = separable_examples(n=150, seed=71)
-        report = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0)
+        design = svm_design(examples)
+        report = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0, design=design)
         assert report.precision == 100.0 and report.recall == 100.0 and report.f1 == 100.0
-        model = train_svm(svm_design(examples), epochs=100, C=1.0, seed=73)
+        model = train_svm(design, epochs=100, C=1.0, seed=73)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
-        again = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0)
+        again = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0,
+                               design=svm_design(examples))
         assert report.to_json() == again.to_json()
 
 

@@ -20,6 +20,7 @@ from conftest import (
     EXPECTED_SURVIVORS,
     GAZETTEER_PATH,
     curation_fixture,
+    headline_record,
     make_wire_headlines,
     write_ndjson_file,
     write_pipeline_inputs,
@@ -1243,7 +1244,7 @@ PROFILE = curation_fixture()[0][3].to_record()  # houston_fire
 # not hold is this one record.
 GOOD_RECORDS = {
     "posts": POSTS[0].to_record(),
-    "headlines": HEADLINES[0].to_record(),
+    "headlines": headline_record(HEADLINES[0]),
     "profiles": PROFILE,
     "tweets": POSTS[1].to_record(),
     "assignments": {"user_id": PROFILE["user_id"], "topic": "Crisis/War/Disaster", "count": 2},

@@ -49,7 +49,7 @@ class TestLoadGazetteer:
         path = tmp_path / "empty.txt"
         path.write_text("")
         g = load_gazetteer(path)
-        assert g.entries == ()
+        assert g.lookup("Paris") == []
         assert geocode("Paris", None, g) is None
 
     def test_duplicate_names_indexed(self, gaz):

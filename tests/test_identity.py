@@ -1,0 +1,66 @@
+"""tools/identity.py on its bootstrap case: a tree matches itself, and a
+one-ulp change to the bootstrap learning rate fails the check by name."""
+
+from __future__ import annotations
+
+import importlib.util
+import math
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+
+
+def _load_identity():
+    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+identity = _load_identity()
+BOOTSTRAP = [case for case in identity.CASES if case.name == "bootstrap"]
+
+
+@pytest.fixture(autouse=True)
+def work_in_tmp(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+
+def _tables(out: str) -> list[list[str]]:
+    """The printed sha256 tables, one list of lines per tree."""
+    tables = []
+    for line in out.splitlines():
+        if line.startswith("sha256 of"):
+            tables.append([])
+        elif tables and "  " in line:
+            tables[-1].append(line)
+    return tables
+
+
+def test_tree_matches_itself(capsys):
+    assert identity.main(["--base", str(SRC), "--head", str(SRC)], cases=BOOTSTRAP) == 0
+    base, head = _tables(capsys.readouterr().out)
+    assert base == head
+    assert {line.split("  ")[1] for line in head} == {
+        "bootstrap/program.stdout", "bootstrap/program.stderr", "bootstrap/program.exit",
+    }
+
+
+def test_one_ulp_in_the_bootstrap_learning_rate_fails(tmp_path, capsys):
+    mutant = tmp_path / "mutant-src"
+    shutil.copytree(SRC, mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    impact = mutant / "newsvalue" / "impact.py"
+    text = impact.read_text(encoding="utf-8")
+    rate = f"learning_rate={math.nextafter(0.01, 1.0)!r}"
+    assert text.count("learning_rate=0.01,") == 1
+    impact.write_text(text.replace("learning_rate=0.01,", rate + ","), encoding="utf-8")
+    assert identity.main(["--base", str(SRC), "--head", str(mutant)], cases=BOOTSTRAP) == 1
+    err = capsys.readouterr().err
+    assert "differs: bootstrap/program.stdout" in err.splitlines()

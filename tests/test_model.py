@@ -166,19 +166,21 @@ class TestTrainSvm:
 
 class TestCrossValidate:
     def test_perfect_on_separable(self):
-        report = cross_validate(separable_examples(), folds=10, seed=1, **SVM)
+        examples = separable_examples()
+        report = cross_validate(examples, folds=10, seed=1, design=svm_design(examples), **SVM)
         assert report.precision == 100.0
         assert report.recall == 100.0
         assert report.f1 == 100.0
 
     def test_insufficient_data(self):
         with pytest.raises(DegenerateLabels, match="10 examples for 10 folds"):
-            cross_validate(separable_examples(n=10), folds=10, seed=0, **SVM)
+            examples = separable_examples(n=10)
+            cross_validate(examples, folds=10, seed=0, design=svm_design(examples), **SVM)
 
     def test_bit_reproducible(self):
         examples = separable_examples(seed=9)
-        a = cross_validate(examples, folds=10, seed=4, **SVM)
-        b = cross_validate(examples, folds=10, seed=4, **SVM)
+        a = cross_validate(examples, folds=10, seed=4, design=svm_design(examples), **SVM)
+        b = cross_validate(examples, folds=10, seed=4, design=svm_design(examples), **SVM)
         assert a.to_json() == b.to_json()
 
     def test_f1_consistent_with_pooled_counts(self):
@@ -189,7 +191,7 @@ class TestCrossValidate:
             LabeledExample(e.post_id, {"scope_sig": rng.uniform(-3, 3)}, e.label)
             for e in examples
         ]
-        report = cross_validate(noisy, folds=5, seed=2, **SVM)
+        report = cross_validate(noisy, folds=5, seed=2, design=svm_design(noisy), **SVM)
         tp, fp, fn = report.counts["tp"], report.counts["fp"], report.counts["fn"]
         p = 100.0 * tp / (tp + fp) if tp + fp else 0.0
         r = 100.0 * tp / (tp + fn) if tp + fn else 0.0
@@ -205,7 +207,7 @@ class TestCrossValidate:
                 LabeledExample(e.post_id, {f: v * factor for f, v in e.features.items()}, e.label)
                 for e in separable_examples(seed=21)
             ]
-            report = cross_validate(scaled, folds=5, seed=6, **SVM)
+            report = cross_validate(scaled, folds=5, seed=6, design=svm_design(scaled), **SVM)
             assert report.f1 == 100.0
 
     def test_random_labels_f_near_base_rate(self):
@@ -222,7 +224,8 @@ class TestCrossValidate:
         ]
         fs = []
         for seed in range(20):
-            report = cross_validate(examples, folds=3, seed=seed, epochs=20, C=1.0)
+            report = cross_validate(examples, folds=3, seed=seed, epochs=20, C=1.0,
+                                    design=svm_design(examples))
             fs.append(report.f1)
         mean_f = sum(fs) / len(fs)
         assert 25.0 <= mean_f <= 75.0
@@ -413,7 +416,7 @@ def test_fold_by_fold_equals_per_fit_path(inputs):
     design, split and epoch schedule; reports are repr-identical to one
     restriction, split and fit per set and fold, errors included."""
     examples, sets, svm = inputs
-    assert _outcome(cross_validate, examples, **svm) == _outcome(
+    assert _outcome(cross_validate, examples, design=svm_design(examples), **svm) == _outcome(
         reference_cross_validate, examples, **svm
     )
     assert _outcome(ablate, examples, sets, **svm) == _outcome(

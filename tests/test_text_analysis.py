@@ -20,7 +20,7 @@ import zlib
 from dataclasses import replace
 
 import pytest
-from conftest import match_one, propagate
+from conftest import GAZETTEER_PATH, match_one, propagate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -39,7 +39,7 @@ from newsvalue.impact import (
 from newsvalue.labeling import _claimed_spans, default_mask_rules, mask_taxonomy_tokens
 from newsvalue.model import NAME_BUCKETS, _scope_features, assemble_features, build_context
 from newsvalue.rarity import grid_cell, rarity
-from newsvalue.records import Headline, Post, SourceProfile
+from newsvalue.records import GazetteerEntry, Headline, Post, SourceProfile
 from newsvalue.scope import (
     ScopeFeatures,
     TextAnalysis,
@@ -213,9 +213,27 @@ def ref_impact_features(p, text):
     )
 
 
-def ref_tag_locations(text, g):
+def ref_gazetteer_entries(path):
+    """The entries of a well-formed gazetteer file, in file order."""
+    entries = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        name, aliases, lat, lon, country, parent, population = line.split("|")
+        entries.append(GazetteerEntry(
+            name.strip(), tuple(a.strip() for a in aliases.split(";") if a.strip()),
+            float(lat), float(lon), country.strip(), parent.strip() or None,
+            int(population) if population.strip() else None,
+        ))
+    return entries
+
+
+GAZETTEER_ENTRIES = ref_gazetteer_entries(GAZETTEER_PATH)
+
+
+def ref_tag_locations(text, entries):
     phrases = {}
-    for entry in g.entries:
+    for entry in entries:
         for surface in (entry.name, *entry.aliases):
             key = tuple(tokenize(surface))
             if key:
@@ -264,7 +282,7 @@ def ref_assemble_features(post, source, ctx, rules):
     site_hits = ref_match(lexicon("site_terms"), tokenize(post.text))
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
-    tagged = ref_tag_locations(post.text, ctx.gazetteer)
+    tagged = ref_tag_locations(post.text, GAZETTEER_ENTRIES)
     entry = tagged[0][2] if tagged else None
     if entry is None and source is not None and source.locally_focused:
         entry = source.resolved_location
@@ -439,7 +457,7 @@ def test_assemble_features_equals_reference(ctx, text, local):
 @given(texts())
 @example("RT @news: https://t.co/Ab12 quake near Jalisco, Mexico")
 def test_thin_entry_points_equal_reference(gazetteer, text):
-    assert tag_locations(text, gazetteer) == ref_tag_locations(text, gazetteer)
+    assert tag_locations(text, gazetteer) == ref_tag_locations(text, GAZETTEER_ENTRIES)
     assert TextAnalysis(text).scope() == ref_extract_scope(text)
     assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
     assert numeric_phrases(TextAnalysis(text)) == ref_numeric_phrases(text)

@@ -1,0 +1,191 @@
+"""Byte-identity check of the newsvalue pipeline between two source trees.
+
+    python tools/identity.py --head SRC [--base SRC]
+
+Each SRC is a tree's `src/` directory. Every case of CASES runs on each
+tree: its verbs (or its program) run one by one as `python -S -m
+newsvalue.cli VERB --config config.json` with PYTHONPATH=SRC, so neither
+site-packages nor an installed copy is read, and each tree uses its own
+gazetteer. The corpora are built once, by this checkout's
+`bench/gen.py`, and only read.
+
+The script prints one sha256 table per tree, over every artifact of
+every case and every run's stdout, stderr and exit code, and fails
+
+- when a verb chain or the bootstrap program exits non-zero or writes to
+  stderr, on either tree; or
+- with --base, when the two trees' tables differ.
+
+Either way it names the case and the file, and keeps the run
+directories. To compare a change with its parent commit:
+
+    git worktree add --detach ../parent HEAD~1
+    python tools/identity.py --base ../parent/src --head src
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib.util
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+CHAIN = ("curate", "label", "extract", "train", "predict", "evaluate")
+WORKLOADS = ("feed-rich", "wire-dense", "model-fit")
+
+# The bootstrap impact model that every extract fits, seeds 0-9: each
+# class's weights, sorted by name, and bias, as repr.
+BOOTSTRAP = """\
+from newsvalue.impact import IMPACT_CLASSES, bootstrap_impact_model
+for seed in range(10):
+    model = bootstrap_impact_model(seed)
+    for cls in IMPACT_CLASSES:
+        print(seed, cls, repr(sorted(model.weights[cls].items())), repr(model.bias[cls]))
+"""
+
+
+@dataclass(frozen=True)
+class Case:
+    """One run directory. A chain case generates `corpus`, a (workload,
+    seed, scale) of bench/gen.py, and runs `verbs` on it; a case with
+    `start` runs `verbs` on a copy of that earlier case's config and out/,
+    with `svm` set in the config; a case with `program` runs that Python
+    source instead. A case without `start` is clean: a non-zero exit or
+    any stderr output fails the check. A `start` case may be meant to
+    fail, as a too large `svm.C` is."""
+
+    name: str
+    corpus: tuple[str, int, float] | None = None
+    start: str | None = None
+    svm: tuple[tuple[str, float], ...] = ()
+    verbs: tuple[str, ...] = CHAIN
+    program: str | None = None
+
+
+def _chain(workload: str, seed: int, scale: float) -> str:
+    return f"{workload}-s{seed}-x{scale:g}"
+
+
+CASES = (
+    # every verb on every workload, seeds 1-3, at 0.5x and 1x
+    *(Case(_chain(w, seed, scale), corpus=(w, seed, scale))
+      for w in WORKLOADS for seed in (1, 2, 3) for scale in (0.5, 1.0)),
+    # svm.C near and past where the SGD objective (not the weights)
+    # overflows, so that the overflow check's decision is compared
+    *(Case(f"{_chain(w, 1, 0.5)}-C{c}", start=_chain(w, 1, 0.5), svm=(("C", float(c)),),
+           verbs=("train", "evaluate"))
+      for w in ("feed-rich", "model-fit") for c in ("1e150", "1e300")),
+    # 300 epochs, where most SGD steps reuse a row's stored dot product
+    Case(f"{_chain('model-fit', 1, 0.5)}-epochs300", start=_chain("model-fit", 1, 0.5),
+         svm=(("epochs", 300),), verbs=("train", "evaluate")),
+    Case("bootstrap", program=BOOTSTRAP),
+)
+
+
+def _generator():
+    """bench/gen.py of this checkout, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_gen", REPO / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen  # dataclasses resolve their module by name
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def build_corpora(cases, root: Path) -> dict[tuple, Path]:
+    """Each chain case's corpus directory under root, generated once."""
+    corpora = {case.corpus: root / _chain(*case.corpus) for case in cases if case.corpus}
+    if corpora:
+        gen = _generator()
+        for corpus, out in corpora.items():
+            # the gazetteer only names a path in config.json, which each tree replaces
+            gen.generate(*corpus, out, REPO / "src/newsvalue/data/world_cities.txt")
+    return corpora
+
+
+def _write_config(case: Case, run: Path, tree: Path, src: Path, corpora) -> None:
+    """Lay out a verb case's run directory: its config.json and, for a case
+    with `start`, a copy of that case's out/."""
+    if case.corpus:
+        corpus = corpora[case.corpus]
+        config = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+        config["paths"] = {key: str(corpus / path) for key, path in config["paths"].items()}
+        config["paths"].update(gazetteer=str(src / "newsvalue/data/world_cities.txt"), out_dir="out")
+        run.mkdir(parents=True)
+    else:
+        config = json.loads((tree / case.start / "config.json").read_text(encoding="utf-8"))
+        shutil.copytree(tree / case.start / "out", run / "out")
+    config.setdefault("svm", {}).update(case.svm)
+    (run / "config.json").write_text(json.dumps(config, sort_keys=True, indent=1) + "\n",
+                                     encoding="utf-8")
+
+
+def run_tree(src: Path, tree: Path, cases, corpora) -> tuple[dict[str, str], list[str]]:
+    """Run every case on one tree under the directory tree: the sha256
+    table, keyed by case/file, and the failures of clean cases."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    table, failures = {}, []
+    for case in cases:
+        run = tree / case.name
+        if case.program is None:
+            _write_config(case, run, tree, src, corpora)
+            commands = {v: ("-m", "newsvalue.cli", v, "--config", "config.json") for v in case.verbs}
+        else:
+            run.mkdir(parents=True)
+            commands = {"program": ("-c", case.program)}
+        for name, args in commands.items():
+            with open(run / f"{name}.stdout", "wb") as out, open(run / f"{name}.stderr", "wb") as err:
+                code = subprocess.run([sys.executable, "-S", *args], cwd=run, env=env,
+                                      stdout=out, stderr=err).returncode
+            (run / f"{name}.exit").write_text(f"{code}\n", encoding="utf-8")
+            if case.start is None and code != 0:
+                failures.append(f"{case.name}/{name}.exit: exited {code}")
+            if case.start is None and (run / f"{name}.stderr").stat().st_size:
+                failures.append(f"{case.name}/{name}.stderr: wrote to stderr")
+        for path in sorted(run.rglob("*")):
+            if path.is_file() and path.name != "config.json":
+                table[path.relative_to(tree).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return table, failures
+
+
+def main(argv=None, cases=CASES) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--head", type=Path, required=True, help="the src/ directory of the change")
+    parser.add_argument("--base", type=Path, help="the src/ directory to compare it with")
+    args = parser.parse_args(argv)
+    trees = {"base": args.base, "head": args.head} if args.base else {"head": args.head}
+    work = Path(tempfile.mkdtemp(prefix="identity-"))
+    corpora = build_corpora(cases, work / "corpora")
+    tables, failures = {}, []
+    for label, src in trees.items():
+        tables[label], failed = run_tree(src.resolve(), work / label, cases, corpora)
+        failures += [f"{label}: {failure}" for failure in failed]
+        print(f"sha256 of every artifact, stdout, stderr and exit code, {label} tree {src}:")
+        for key, digest in tables[label].items():
+            print(f"{digest}  {key}")
+    if args.base:
+        base, head = tables["base"], tables["head"]
+        for key in sorted(base.keys() | head.keys()):
+            if base.get(key) != head.get(key):
+                failures.append(f"differs: {key}" if key in base and key in head
+                                else f"only in the {'base' if key in base else 'head'} tree: {key}")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    if failures:
+        print(f"{len(failures)} failure(s); run directories kept in {work}", file=sys.stderr)
+        return 1
+    shutil.rmtree(work)
+    if args.base:
+        print(f"identical: {len(tables['head'])} files over {len(cases)} cases")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
