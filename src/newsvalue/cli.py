@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TypeVar
 
@@ -64,7 +63,6 @@ ABLATION_SETS = (
 )
 
 
-@dataclass
 class PipelineConfig:
     """Seed, thresholds and SVM settings, and file paths. The field defaults
     are the published operating points and the only default values of the
@@ -80,7 +78,9 @@ class PipelineConfig:
     svm_epochs: int = 100
     svm_c: float = 1.0
     folds: int = 10
-    paths: dict[str, str] = field(default_factory=dict)
+
+    def __init__(self):
+        self.paths: dict[str, str] = {}
 
     def path(self, key: str) -> Path:
         if key not in self.paths:
@@ -318,45 +318,41 @@ def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def _read_features(path: Path) -> dict[str, dict[str, float]]:
-    features: dict[str, dict[str, float]] = {}
     with open(_require(path), encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if not _is_utf8(line):
-                raise SchemaMismatch(f"features line {lineno}: invalid UTF-8")
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise SchemaMismatch(f"features line {lineno}: expected 3 columns")
-            post_id, name, value = parts
-            if name == BIAS_KEY:
-                raise SchemaMismatch(f"features line {lineno}: reserved feature name {name!r}")
-            try:
-                number = float(value)
-            except ValueError:
-                raise SchemaMismatch(f"features line {lineno}: bad value {value!r}") from None
-            if not math.isfinite(number):
-                raise SchemaMismatch(f"features line {lineno}: non-finite value {value!r}")
-            row = features.setdefault(post_id, {})
-            if name in row:
-                raise SchemaMismatch(
-                    f"features line {lineno}: feature {name!r} of post {post_id!r} "
-                    f"repeats line {_first_line(path, post_id, name)}"
-                )
-            row[name] = number
+        text = fh.read()  # universal newlines: \r and \r\n end a line as \n does
+    ascii_only = text.isascii()  # else each line is checked for undecodable bytes
+    lines = text.split("\n")
+    features: dict[str, dict[str, float]] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line:
+            continue
+        if not ascii_only and not _is_utf8(line):
+            raise SchemaMismatch(f"features line {lineno}: invalid UTF-8")
+        try:
+            post_id, name, value = line.split("\t")
+        except ValueError:
+            raise SchemaMismatch(f"features line {lineno}: expected 3 columns") from None
+        if name == BIAS_KEY:
+            raise SchemaMismatch(f"features line {lineno}: reserved feature name {name!r}")
+        try:
+            number = float(value)
+        except ValueError:
+            raise SchemaMismatch(f"features line {lineno}: bad value {value!r}") from None
+        if not math.isfinite(number):
+            raise SchemaMismatch(f"features line {lineno}: non-finite value {value!r}")
+        row = features.get(post_id)
+        if row is None:
+            row = features[post_id] = {}
+        elif name in row:
+            # the first line is looked up only when a repeat is reported
+            first = next(n for n, earlier in enumerate(lines, start=1)
+                         if earlier.split("\t")[:2] == [post_id, name])
+            raise SchemaMismatch(
+                f"features line {lineno}: feature {name!r} of post {post_id!r} "
+                f"repeats line {first}"
+            )
+        row[name] = number
     return features
-
-
-def _first_line(path: Path, post_id: str, name: str) -> int:
-    """The number of the first `features.tsv` line for (post_id, name),
-    found again only when a repeat is reported, so reading keeps no line
-    numbers."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        return next(
-            lineno for lineno, line in enumerate(fh, start=1)
-            if line.rstrip("\n").split("\t")[:2] == [post_id, name]
-        )
 
 
 def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
@@ -440,9 +436,8 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
                 "f1": report.f1,
             }
         )
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    with open(out, "w", encoding="utf-8") as fh:  # one write, as in LinearModel.save
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 

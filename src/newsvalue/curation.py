@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import replace
 from math import ceil
 from typing import Mapping, Sequence
 
@@ -243,12 +242,12 @@ def curate(
             stages["removed_no_location"] += 1
             removed.append(p)
         else:
-            step2.append(replace(p, resolved_location=entry))
+            step2.append(p._replace(resolved_location=entry))
 
     for p in step2:
         ratio = local_focus_ratio(p, tweets_by_user.get(p.user_id, ()), g, seed=seed)
         if ratio >= local_focus_threshold:
-            survivors.append(replace(p, locally_focused=True))
+            survivors.append(p._replace(locally_focused=True))
         else:
             stages["removed_not_local"] += 1
             removed.append(p)
@@ -258,7 +257,7 @@ def curate(
         for p in removed:
             if p.user_id in qualified:
                 stages["readmitted_topical"] += 1
-                survivors.append(replace(p, locally_focused=False))
+                survivors.append(p._replace(locally_focused=False))
 
     story_counts: dict[str, int] = {}
     for a in assignments:
@@ -273,7 +272,7 @@ def curate(
             continue
         category = classify_account(p, history, trbc_centroids, tfidf, seed=seed)
         info = informativeness(history, story_counts.get(p.user_id, 0))
-        curated.append(replace(p, category=category, informativeness=info))
+        curated.append(p._replace(category=category, informativeness=info))
 
     curated.sort(key=lambda p: p.user_id)
     stages["curated"] = len(curated)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels
 from .linear import (
@@ -83,9 +82,9 @@ _FUNCTION_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class NumericPhrase:
-    """One numeric expression with its span and noun-phrase context."""
+class NumericPhrase(NamedTuple):
+    """One numeric expression with its span and noun-phrase context,
+    checked where numeric_phrases builds it."""
 
     span: tuple[int, int]
     raw: str
@@ -93,15 +92,8 @@ class NumericPhrase:
     soft_quantity: Optional[str] = None
     context_tokens: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.value is None and self.soft_quantity is None:
-            raise ValueError("numeric phrase needs a value or a soft quantity")
-        if self.span[1] <= self.span[0]:
-            raise ValueError("empty span")
 
-
-@dataclass(frozen=True)
-class ImpactFeatureRow:
+class ImpactFeatureRow(NamedTuple):
     """The eight classifier features for one numeric phrase."""
 
     mixed_alnum: bool = False
@@ -269,15 +261,18 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
     selected = select_spans(cands)
     out = []
     for start, end, (value, soft) in selected:
-        out.append(
-            NumericPhrase(
-                span=(start, end),
-                raw=text[start:end],
-                value=value,
-                soft_quantity=soft,
-                context_tokens=_context_tokens(a, (start, end)),
-            )
+        phrase = NumericPhrase(
+            span=(start, end),
+            raw=text[start:end],
+            value=value,
+            soft_quantity=soft,
+            context_tokens=_context_tokens(a, (start, end)),
         )
+        if phrase.value is None and phrase.soft_quantity is None:
+            raise ValueError("numeric phrase needs a value or a soft quantity")
+        if phrase.span[1] <= phrase.span[0]:
+            raise ValueError("empty span")
+        out.append(phrase)
     return out
 
 

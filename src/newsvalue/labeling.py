@@ -14,10 +14,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
 from datetime import date, datetime, timezone
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels
 from .records import Headline, LabeledExample, Post
@@ -64,8 +63,7 @@ def mask_taxonomy_tokens(text: str) -> str:
     return masked_text(TextAnalysis(text))
 
 
-@dataclass(frozen=True)
-class MatchResult:
+class MatchResult(NamedTuple):
     """Labeling outcome for one post."""
 
     post_id: str
@@ -270,12 +268,7 @@ def propagate_links(
                     best_link = score
         if best_link > 0.0:
             out.append(
-                replace(
-                    r,
-                    status=MATCHED,
-                    via_link=True,
-                    best_score=max(r.best_score, best_link),
-                )
+                r._replace(status=MATCHED, via_link=True, best_score=max(r.best_score, best_link))
             )
         else:
             out.append(r)

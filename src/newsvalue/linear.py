@@ -20,10 +20,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import mul
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
 
@@ -35,23 +34,25 @@ FeatureRow = Sequence[tuple[str, float]]
 InternedRow = tuple[tuple[int, ...], tuple[float, ...], Any]  # (ids, values, label)
 
 
-@dataclass(frozen=True)
-class SGDConfig:
+class SGDConfig(NamedTuple):
     epochs: int
     l2: float
     learning_rate: float | None = None  # None -> 1/(l2 * t) schedule
     class_weight: str | None = None     # None | "balanced"
 
 
-@dataclass
 class LinearModel:
     """Per-class weight maps plus bias and training metadata."""
 
-    kind: str
-    classes: tuple[str, ...]
-    weights: dict[str, dict[str, float]]
-    bias: dict[str, float]
-    train_meta: dict = field(default_factory=dict)
+    def __init__(
+        self, kind: str, classes: tuple[str, ...], weights: dict[str, dict[str, float]],
+        bias: dict[str, float], train_meta: dict | None = None,
+    ):
+        self.kind = kind
+        self.classes = classes
+        self.weights = weights
+        self.bias = bias
+        self.train_meta = {} if train_meta is None else train_meta
 
     def decision(self, features: dict[str, float]) -> dict[str, float]:
         if not self.classes:
@@ -85,9 +86,9 @@ class LinearModel:
             "bias": self.bias,
             "train_meta": self.train_meta,
         }
+        # one write: json.dump with an indent writes once per chunk
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
     @classmethod
     def load(cls, path, expect_kind: str) -> "LinearModel":

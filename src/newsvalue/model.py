@@ -12,9 +12,8 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
 from itertools import compress
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, location_of, tagged_locations
@@ -42,8 +41,7 @@ FEATURE_GROUPS = {
 NAME_BUCKETS = 1024
 
 
-@dataclass
-class FeatureContext:
+class FeatureContext(NamedTuple):
     """Everything feature assembly needs beyond the shipped lexicons,
     built once and shared."""
 
@@ -242,16 +240,20 @@ def train_svm(
     )
 
 
-@dataclass
 class EvalReport:
     """Pooled precision/recall/F1 (percent) over held-out predictions."""
 
-    precision: float
-    recall: float
-    f1: float
-    folds: list[dict] = field(default_factory=list)
-    group_weights: dict[str, tuple[float, float]] = field(default_factory=dict)
-    counts: dict[str, int] = field(default_factory=dict)
+    def __init__(
+        self, precision: float, recall: float, f1: float, folds: list[dict],
+        counts: dict[str, int],
+    ):
+        self.precision = precision
+        self.recall = recall
+        self.f1 = f1
+        self.folds = folds
+        # filled by the caller that fits the final model
+        self.group_weights: dict[str, tuple[float, float]] = {}
+        self.counts = counts
 
     def to_json(self) -> str:
         payload = {
@@ -286,7 +288,7 @@ def _resample(
     orders are alive at a time."""
     if len(examples) < folds * 2:
         raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
-    reports = [EvalReport(0.0, 0.0, 0.0) for _ in set_rows]
+    fold_rows: list[list[dict]] = [[] for _ in set_rows]
     bound = largest_row_norm(row for rows in set_rows for row in rows)
     for fold in range(folds):
         fseed = _fold_seed(seed, fold)
@@ -304,7 +306,7 @@ def _resample(
         orders: Iterable[Sequence[int]] = epoch_orders(fseed, len(train), epochs)
         if len(set_rows) > 1:  # every set's fit reads the same orders
             orders = [tuple(order) for order in orders]
-        for rows, report in zip(set_rows, reports):
+        for rows, folds_of_set in zip(set_rows, fold_rows):
             model = train_svm(([rows[i] for i in train], names), epochs=epochs, C=C,
                               seed=fseed, orders=orders, max_row_norm=bound)
             # a model's weights hold only its set's names, so the full
@@ -314,11 +316,12 @@ def _resample(
                 predicted = model.decision(examples[i].features)[POSITIVE_CLASS] >= 0.0
                 c[2 * (not predicted) + (not examples[i].label)] += 1
             p, r, f = _prf(*c[:3])
-            report.folds.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
+            folds_of_set.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
                                  "f1": f, **dict(zip(("tp", "fp", "fn", "tn"), c))})
-    for report in reports:
-        report.counts = c = {k: sum(r[k] for r in report.folds) for k in ("tp", "fp", "fn", "tn")}
-        report.precision, report.recall, report.f1 = _prf(c["tp"], c["fp"], c["fn"])
+    reports = []
+    for folds_of_set in fold_rows:
+        c = {k: sum(r[k] for r in folds_of_set) for k in ("tp", "fp", "fn", "tn")}
+        reports.append(EvalReport(*_prf(c["tp"], c["fp"], c["fn"]), folds_of_set, c))
     return reports
 
 

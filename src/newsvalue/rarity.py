@@ -9,8 +9,7 @@ as-is and the downstream linear model learns the sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .records import _coordinate, _field, _timestamp
 
@@ -26,8 +25,7 @@ def grid_cell(lat: float, lon: float) -> str:
     return f"{la:.1f},{lo:.1f}"
 
 
-@dataclass(frozen=True)
-class TaggedPost:
+class TaggedPost(NamedTuple):
     """A background post carrying its resolved location and topic."""
 
     created_at: int
@@ -50,16 +48,16 @@ class TaggedPost:
         )
 
 
-@dataclass
 class BackgroundIndex:
     """Count maps over the background window: by (location, topic), by
     location, by country, by (country, topic), and by (country, location)."""
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    loc_counts: dict[str, int] = field(default_factory=dict)
-    country_counts: dict[str, int] = field(default_factory=dict)
-    country_topic_counts: dict[tuple[str, str], int] = field(default_factory=dict)
-    country_loc_counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    def __init__(self):
+        self.counts: dict[tuple[str, str], int] = {}
+        self.loc_counts: dict[str, int] = {}
+        self.country_counts: dict[str, int] = {}
+        self.country_topic_counts: dict[tuple[str, str], int] = {}
+        self.country_loc_counts: dict[tuple[str, str], int] = {}
 
 
 def build_background(

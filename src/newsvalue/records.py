@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -103,8 +102,7 @@ def _coordinate(rec: dict, key: str, limit: float) -> Optional[float]:
     return value
 
 
-@dataclass(frozen=True)
-class Post:
+class Post(NamedTuple):
     """One short report (tweet-like)."""
 
     post_id: str
@@ -139,8 +137,7 @@ class Post:
         )
 
 
-@dataclass(frozen=True)
-class GazetteerEntry:
+class GazetteerEntry(NamedTuple):
     """One place: a gazetteer line, or a curated profile's resolved location."""
 
     name: str
@@ -152,8 +149,7 @@ class GazetteerEntry:
     population: Optional[int] = None
 
 
-@dataclass
-class SourceProfile:
+class SourceProfile(NamedTuple):
     """A candidate or curated reporting account."""
 
     user_id: str
@@ -220,52 +216,47 @@ class SourceProfile:
         )
 
 
-@dataclass(frozen=True)
-class Headline:
+class Headline(NamedTuple):
     """One wire headline from the five global outlets."""
 
     text: str
     outlet: str
     published_at: int
-    topic_codes: frozenset[str] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.outlet not in OUTLETS:
-            raise ValueError(f"unknown outlet {self.outlet!r}")
+    topic_codes: frozenset[str] = frozenset()
 
     @classmethod
     def from_record(cls, rec: dict) -> "Headline":
         codes = rec.get("topic_codes", [])
         if type(codes) is not list or not all(type(code) is str for code in codes):
             raise ValueError("topic_codes is not a list of strings")
-        return cls(
+        headline = cls(
             text=_field(rec, "text", "a string"),
             outlet=_field(rec, "outlet", "a string"),
             published_at=_timestamp(rec["published_at"]),
             topic_codes=frozenset(codes),
         )
+        if headline.outlet not in OUTLETS:
+            raise ValueError(f"unknown outlet {headline.outlet!r}")
+        return headline
 
 
-@dataclass(frozen=True)
-class TopicAssignment:
+class TopicAssignment(NamedTuple):
     """How many stories of one topic an account participated in."""
 
     user_id: str
     topic: str
     count: int
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("assignment count must be positive")
-
     @classmethod
     def from_record(cls, rec: dict) -> "TopicAssignment":
-        return cls(_id(rec, "user_id"), _field(rec, "topic", "a string"),
-                   _field(rec, "count", "an integer"))
+        assignment = cls(_id(rec, "user_id"), _field(rec, "topic", "a string"),
+                         _field(rec, "count", "an integer"))
+        if assignment.count < 1:
+            raise ValueError("assignment count must be positive")
+        return assignment
 
 
-@dataclass(frozen=True)
-class LabeledExample:
+class LabeledExample(NamedTuple):
     """A feature vector plus its noisy global-coverage label."""
 
     post_id: str

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .spans import PhraseTable, select_spans
 from .textvec import token_spans, tokenize
@@ -110,8 +109,7 @@ def default_hail_table() -> dict[str, float]:
     return load_scale_table(_DATA_DIR / "hail_sizes.txt")
 
 
-@dataclass(frozen=True)
-class ScopeFeatures:
+class ScopeFeatures(NamedTuple):
     """Composite result of the seven scope indicators; absent slots are None."""
 
     scale_adjectives: tuple[str, ...] = ()
@@ -403,7 +401,6 @@ def _largest(cands: list) -> float | None:
     return max(v for _, _, v in cands) if cands else None
 
 
-@dataclass(frozen=True)
 class TextAnalysis:
     """The scans of one text that masking, scope, impact and geo share,
     each run on first use and kept, so none runs twice per text. Two token
@@ -412,7 +409,8 @@ class TextAnalysis:
     URLs and mentions rewritten) feed taxonomy features and impact tf.idf.
     """
 
-    text: str
+    def __init__(self, text: str):
+        self.text = text
 
     @cached_property
     def spans(self) -> list[tuple[str, int, int]]:

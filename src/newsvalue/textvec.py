@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import DegenerateLabels
@@ -91,18 +90,12 @@ def centroid(vectors: Sequence[SparseVector]) -> SparseVector:
     return SparseVector({t: s / n for t, s in sums.items()})
 
 
-@dataclass(frozen=True)
 class TfidfModel:
     """Document frequencies learned from a labeled document collection."""
 
-    doc_count: int
-    doc_freq: dict[str, int]
-    # idf per fitted term and for unseen terms, computed once per model
-    # rather than once per term of every text vectorized with it.
-    _idf: dict[str, float] = field(init=False, repr=False, compare=False)
-    _unseen_idf: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, doc_count: int, doc_freq: dict[str, int]):
+        self.doc_count = doc_count
+        self.doc_freq = doc_freq
         if self.doc_count < 1:
             raise ValueError("doc_count must be positive")
         for term, df in self.doc_freq.items():
@@ -113,8 +106,10 @@ class TfidfModel:
             # Smoothed: never negative, defined for unseen terms (df = 0).
             return math.log((1 + self.doc_count) / (1 + df)) + 1.0
 
-        object.__setattr__(self, "_idf", {t: smoothed(df) for t, df in self.doc_freq.items()})
-        object.__setattr__(self, "_unseen_idf", smoothed(0))
+        # idf per fitted term and for unseen terms, computed once per model
+        # rather than once per term of every text vectorized with it.
+        self._idf = {t: smoothed(df) for t, df in self.doc_freq.items()}
+        self._unseen_idf = smoothed(0)
 
     def idf(self, term: str) -> float:
         return self._idf.get(term, self._unseen_idf)

@@ -34,12 +34,13 @@ from newsvalue.cli import (
     EXIT_OK,
     EXIT_SCHEMA_MISMATCH,
     VERBS,
+    _read_features,
     load_config,
     main,
 )
-from newsvalue.linear import LinearModel
+from newsvalue.linear import BIAS_KEY, LinearModel
 from newsvalue.model import feature_group_weights
-from newsvalue.records import Headline, Post
+from newsvalue.records import Headline, Post, _is_utf8
 
 
 def make_event_posts() -> tuple[list[Post], list[Headline]]:
@@ -1480,6 +1481,97 @@ def test_any_features_line_keeps_the_exit_code_contract(fixture_config, fixture_
     code, stderr = _run_in_work_dir(work_root, config, verb, files)
     _assert_exit_code_contract(code, stderr)
     assert "Traceback" not in stderr
+
+
+def reference_read_features(path: Path) -> dict[str, dict[str, float]]:
+    """features.tsv read line by line from the file, each line checked
+    for undecodable bytes, and the file read again to name the first line
+    of a repeat: the reader that _read_features replaced."""
+    features: dict[str, dict[str, float]] = {}
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if not _is_utf8(line):
+                raise errors.SchemaMismatch(f"features line {lineno}: invalid UTF-8")
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise errors.SchemaMismatch(f"features line {lineno}: expected 3 columns")
+            post_id, name, value = parts
+            if name == BIAS_KEY:
+                raise errors.SchemaMismatch(
+                    f"features line {lineno}: reserved feature name {name!r}")
+            try:
+                number = float(value)
+            except ValueError:
+                raise errors.SchemaMismatch(
+                    f"features line {lineno}: bad value {value!r}") from None
+            if not math.isfinite(number):
+                raise errors.SchemaMismatch(
+                    f"features line {lineno}: non-finite value {value!r}")
+            row = features.setdefault(post_id, {})
+            if name in row:
+                with open(path, encoding="utf-8", errors="surrogateescape") as again:
+                    first = next(
+                        n for n, earlier in enumerate(again, start=1)
+                        if earlier.rstrip("\n").split("\t")[:2] == [post_id, name]
+                    )
+                raise errors.SchemaMismatch(
+                    f"features line {lineno}: feature {name!r} of post {post_id!r} "
+                    f"repeats line {first}"
+                )
+            row[name] = number
+    return features
+
+
+def _read_outcome(reader, path):
+    """repr of what reader returns (insertion order and float bits
+    included), or the SchemaMismatch text it raises."""
+    try:
+        return repr(reader(path))
+    except errors.SchemaMismatch as exc:
+        return f"SchemaMismatch: {exc}"
+
+
+# Few ids and names, so that pairs repeat; values that parse, that do
+# not, and that are not finite.
+features_cells = st.sampled_from(
+    ["p1", "p2", "a", "b", "", " ", BIAS_KEY, "1.0", "-0.0", "2e-3", "1_0", "nan", "inf",
+     "-Infinity", "1e400", "x", "\u0663", "\u00e9"]
+)
+
+
+@st.composite
+def features_file(draw):
+    """features.tsv bytes: rows of 2, 3 or 4 cells, blank lines and
+    arbitrary bytes (invalid UTF-8, tabs and \\r among them), each line
+    ended by \\n, \\r or \\r\\n, the last one maybe by nothing."""
+    row = st.lists(features_cells, min_size=2, max_size=4).map(
+        lambda cells: "\t".join(cells).encode("utf-8"))
+    three = st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from(["a", "b", BIAS_KEY]),
+                      features_cells).map(lambda cells: "\t".join(cells).encode("utf-8"))
+    line = st.one_of(three, three, row, st.just(b""), st.binary(max_size=12))
+    lines = draw(st.lists(st.tuples(line, st.sampled_from([b"\n", b"\r", b"\r\n"])),
+                          max_size=8))
+    data = b"".join(text + end for text, end in lines)
+    if lines and draw(st.booleans()):
+        data = data[: -len(lines[-1][1])]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=features_file())
+@example(data=b"p1\ta\t1.0\np1\tb\t2.0\r\np2\ta\t3.0\rp1\ta\t4.0")
+@example(data=b"p1\ta\t1.0\n\xff\n\np1\ta\t1.0\t\n")
+@example(data=b"p1\ta\t1.0\n\n\xc3\xa9\ta\t2.0\np1\tb\tnan\n")
+def test_features_reader_equals_line_by_line_reader(tmp_path_factory, data):
+    """_read_features, which reads the file in one call and checks bytes
+    only in a file that is not ASCII, returns the reference reader's dict
+    or raises its SchemaMismatch text, line numbers included."""
+    path = tmp_path_factory.getbasetemp() / "features-property.tsv"
+    path.write_bytes(data)
+    assert _read_outcome(_read_features, path) == _read_outcome(reference_read_features, path)
 
 
 def test_json_nested_too_deep_is_bad_input_not_a_crash(fixture_config, tmp_path, capsys):

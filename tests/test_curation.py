@@ -148,9 +148,8 @@ class TestClassifyAccount:
     def test_journalist_by_description(self, trbc_model):
         tfidf, centroids = trbc_model
         profile = _profile(
-            "jr", locally_focused=True,
+            "jr", locally_focused=True, description="Reporter covering Toronto. I chase sirens.",
         )
-        profile.description = "Reporter covering Toronto. I chase sirens."
         tweets = self._tweets("jr", TRBC_VOCAB["disasters_accidents"][:4])
         assert classify_account(profile, tweets, centroids, tfidf, seed=0) == "local_journalist"
 
@@ -162,15 +161,13 @@ class TestClassifyAccount:
 
     def test_media_keywords_mean_local_news(self, trbc_model):
         tfidf, centroids = trbc_model
-        profile = _profile("ln", locally_focused=True)
-        profile.description = "Breaking coverage for the metro area newsroom."
+        profile = _profile("ln", locally_focused=True, description="Breaking coverage for the metro area newsroom.")
         tweets = self._tweets("ln", TRBC_VOCAB["disasters_accidents"][:4])
         assert classify_account(profile, tweets, centroids, tfidf, seed=0) == "local_news"
 
     def test_plain_local_account_is_authority(self, trbc_model):
         tfidf, centroids = trbc_model
-        profile = _profile("la", locally_focused=True)
-        profile.description = "Official municipal bulletins."
+        profile = _profile("la", locally_focused=True, description="Official municipal bulletins.")
         tweets = self._tweets("la", TRBC_VOCAB["disasters_accidents"][:4])
         assert classify_account(profile, tweets, centroids, tfidf, seed=0) == "local_authority"
 

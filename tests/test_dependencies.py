@@ -4,6 +4,8 @@ library and itself, and pyproject.toml declares nothing to install."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,11 +35,29 @@ def test_pyproject_declares_no_dependencies():
     assert "dependencies = []" in project.splitlines()
 
 
+def test_startup_loads_neither_dataclasses_nor_inspect():
+    """The modules a verb's set-up imports leave out dataclasses, which
+    generates and compiles each record's methods at import, and inspect,
+    which it pulls in: a fresh interpreter without site-packages imports
+    them and loads neither."""
+    code = (
+        "import sys\n"
+        "import newsvalue.cli, newsvalue.curation, newsvalue.geo, newsvalue.model\n"
+        "import newsvalue.rarity, newsvalue.records\n"
+        "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_every_defined_name_is_read_in_the_package():
     """No function, class, method, class field or module-level name lives
     only for its tests: each name the package defines, dunders aside, is
     read as a name or an attribute somewhere in the package, and each name
-    annotated in a class body is read as an attribute."""
+    annotated in a class body or stored on self in a method is read as an
+    attribute."""
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "newsvalue").glob("*.py"))
@@ -77,4 +97,15 @@ def test_every_defined_name_is_read_in_the_package():
         if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name)
         and statement.target.id not in loaded
     )
+    unread += sorted({
+        f"{node.name}.{target.attr}"
+        for node in nodes
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for target in ast.walk(method)
+        if isinstance(target, ast.Attribute) and isinstance(target.ctx, ast.Store)
+        and isinstance(target.value, ast.Name) and target.value.id == "self"
+        and target.attr not in loaded
+    })
     assert unread == []

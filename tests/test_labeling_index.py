@@ -15,7 +15,6 @@ midnight, and texts that are empty or mask away entirely.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
@@ -115,15 +114,15 @@ def brute_propagate_vectors(results, posts, vectors, link_threshold, same_user_t
             if score >= threshold and score > best_link:
                 best_link = score
         if best_link > 0.0:
-            r = replace(r, status=MATCHED, via_link=True, best_score=max(r.best_score, best_link))
+            r = r._replace(status=MATCHED, via_link=True, best_score=max(r.best_score, best_link))
         out.append(r)
     return out
 
 
 def brute_label(posts, headlines, threshold, link_threshold, same_user_threshold):
     """label_corpus's masking and vocabulary, all-pairs matching and linking."""
-    posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
-    headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
+    posts = [p._replace(text=mask_taxonomy_tokens(p.text)) for p in posts]
+    headlines = [h._replace(text=mask_taxonomy_tokens(h.text)) for h in headlines]
     tfidf = fit_tfidf([tokenize(t.text) for t in (*posts, *headlines)])
     first = [brute_match(p, headlines, tfidf, threshold) for p in posts]
     return brute_propagate(first, posts, tfidf, link_threshold, same_user_threshold)

@@ -359,11 +359,15 @@ def reference_ablate(examples, feature_groups, **svm):
 
 
 def _outcome(fn, *args, **kwargs):
-    """repr of the result, or the exception's type and message."""
+    """repr of the result's report fields (a report, or (groups, report)
+    pairs), or the exception's type and message."""
     try:
-        return repr(fn(*args, **kwargs))
+        result = fn(*args, **kwargs)
     except (DegenerateLabels, SchemaMismatch) as exc:
         return type(exc).__name__, str(exc)
+    if isinstance(result, EvalReport):
+        return repr(vars(result))
+    return repr([(groups, vars(report)) for groups, report in result])
 
 
 # Names of every family, one outside every prefix and the reserved bias

@@ -17,7 +17,6 @@ import re
 import string
 import sys
 import zlib
-from dataclasses import replace
 
 import pytest
 from conftest import GAZETTEER_PATH, match_one, propagate
@@ -180,7 +179,7 @@ def ref_context_tokens(text, span):
 
 def ref_numeric_phrases(text):
     return [
-        replace(p, context_tokens=ref_context_tokens(text, p.span))
+        p._replace(context_tokens=ref_context_tokens(text, p.span))
         for p in numeric_phrases(TextAnalysis(text))
     ]
 
@@ -445,7 +444,7 @@ def test_masking_with_overlapping_taxonomies_equals_reference(case):
 def test_assemble_features_equals_reference(ctx, text, local):
     source = SourceProfile("u", locally_focused=local)
     if local:
-        source = replace(source, resolved_location=geocode("Paris", None, ctx.gazetteer))
+        source = source._replace(resolved_location=geocode("Paris", None, ctx.gazetteer))
     post = Post("p", "u", 0, text)
     expected = ref_assemble_features(post, source, ctx, REF_RULES)
     got = assemble_features(post, source, ctx)
@@ -655,8 +654,8 @@ def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch
         Post("d", "u3", 10 * day, "story about a flood in London"),
         Post("e", "u4", 10 * day, "bake sale at the community hall"),
     ]
-    masked_posts = [replace(p, text=mask_taxonomy_tokens(p.text)) for p in posts]
-    masked_headlines = [replace(h, text=mask_taxonomy_tokens(h.text)) for h in headlines]
+    masked_posts = [p._replace(text=mask_taxonomy_tokens(p.text)) for p in posts]
+    masked_headlines = [h._replace(text=mask_taxonomy_tokens(h.text)) for h in headlines]
     masked = [p.text for p in masked_posts] + [h.text for h in masked_headlines]
     tokenized, vectorized = [], []
 
