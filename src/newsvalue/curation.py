@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import Counter
 from math import ceil
 from typing import Mapping, Sequence
 
 from .errors import DegenerateLabels
-from .geo import Gazetteer, geocode, tag_locations
+from .geo import Gazetteer, first_location, geocode
 from .records import (
     Headline,
     Post,
@@ -81,9 +82,9 @@ def local_focus_ratio(
         posts = rng.sample(posts, SAMPLE_SIZE)
     hits = located = 0
     for post in posts:
-        tagged = tag_locations(post.text, g)
-        if tagged:
-            start, end, _ = tagged[0]
+        span = first_location(post.text, g)
+        if span is not None:
+            start, end = span
             located += 1
             hits += geocode(post.text[start:end], profile.profile_location, g) is not None
     return hits / located if located else 0.0
@@ -152,6 +153,17 @@ def build_trbc_centroids(
     return tfidf, build_centroids(groups)
 
 
+def account_centroid(tweets: Sequence[Post], tfidf: TfidfModel) -> SparseVector:
+    """Mean tf.idf vector of the tweets: each tweet's term weights are
+    summed into it in tweet order, terms in order of first occurrence,
+    and no vector is built per tweet."""
+    idf = tfidf.idf
+    return centroid(
+        {term: count * idf(term) for term, count in Counter(tokenize(t.text)).items()}
+        for t in tweets
+    )
+
+
 def classify_account(
     profile: SourceProfile,
     sample_tweets: Sequence[Post],
@@ -171,14 +183,12 @@ def classify_account(
     if len(tweets) > MAX_ACCOUNT_TWEETS:
         rng = random.Random(_stable_seed(seed, profile.user_id))
         tweets = rng.sample(tweets, MAX_ACCOUNT_TWEETS)
-    vectors = [vectorize(tokenize(t.text), tfidf) for t in tweets]
-    acct = centroid(vectors)
-    code, _sim = nearest_centroid(acct, trbc_centroids)
+    code, _sim = nearest_centroid(account_centroid(tweets, tfidf), trbc_centroids)
     direct = DIRECT_CATEGORY.get(code)
     if direct is not None:
         return direct
     description_tokens = set(tokenize(profile.description))
-    occupation_words = {t for p in lexicon("journalist_occupations").terms for t in p.split()}
+    occupation_words = {t for toks in lexicon("journalist_occupations").token_phrases for t in toks}
     if description_tokens & (PERSONAL_PRONOUNS | occupation_words):
         return "local_journalist"
     if not profile.locally_focused:

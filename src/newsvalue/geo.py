@@ -8,13 +8,14 @@ what the local-focus hit/miss ratio is built on.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
 from .errors import SchemaMismatch
 from .records import _COUNTRY_RE, GazetteerEntry, SourceProfile, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
-from .textvec import tokenize
+from .textvec import _TOKEN_RE, tokenize
 
 class Gazetteer:
     """Entries indexed by the tokens of each name and alias; the entries
@@ -139,8 +140,20 @@ def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> Optional[Gazette
     return entry
 
 
-def tag_locations(text: str, g: Gazetteer) -> list[tuple[int, int, GazetteerEntry]]:
-    return tagged_locations(TextAnalysis(text), g)
+def first_location(text: str, g: Gazetteer) -> Optional[tuple[int, int]]:
+    """(start, end) of the first hit of tagged_locations over the text, or
+    None. The gazetteer walks the lowered tokens of one findall; character
+    offsets are found only for the tokens up to the end of that hit."""
+    if text.isascii():
+        tokens = _TOKEN_RE.findall(text.lower())
+    else:
+        tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
+    hit = g._table.first(tokens)
+    if hit is None:
+        return None
+    i, j = hit
+    found = list(islice(_TOKEN_RE.finditer(text), j))
+    return found[i].start(), found[-1].end()
 
 
 def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[tuple[int, int, GazetteerEntry]]:

@@ -66,6 +66,26 @@ class PhraseTable:
                         free[slot] = j
         return out
 
+    def first(self, tokens: Sequence[str]) -> tuple[int, int] | None:
+        """(first token, end token) of the leftmost phrase, the longest one
+        there, or None: for a table of one set, the first hit of matches()."""
+        root = self._root
+        n = len(tokens)
+        for i, tok in enumerate(tokens):
+            node = root.get(tok)
+            if node is None:
+                continue
+            end = 0
+            j = i + 1
+            while node is not None:
+                if None in node:
+                    end = j
+                node = node.get(tokens[j]) if j < n else None
+                j += 1
+            if end:
+                return i, end
+        return None
+
     def spans(self, toks: Sequence[tuple[str, int, int]]) -> list[tuple[int, int, Any]]:
         """matches() over token_spans() output as character spans, set by set."""
         hits = self.matches([tok for tok, _, _ in toks])

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DegenerateLabels
 
@@ -30,7 +30,21 @@ def tokenize(text: str) -> list[str]:
     URLs and @mentions collapse to sentinel tokens, the leading '#' of a
     hashtag is stripped, punctuation separates, numbers are kept whole.
     Empty input yields an empty list.
+
+    ASCII text is lower-cased first, and each rewrite runs only where its
+    literal occurs: on ASCII, lower() keeps every character's length and
+    class, the URL pattern ignores case and the sentinels are lower-case,
+    so the tokens are the same. Other text keeps the general path.
     """
+    if text.isascii():
+        text = text.lower()
+        if "://" in text or "www." in text:
+            text = _URL_RE.sub(f" {URL_TOKEN} ", text)
+        if "@" in text:
+            text = _MENTION_RE.sub(f" {USER_TOKEN} ", text)
+        if "#" in text:
+            text = _HASHTAG_RE.sub(r"\1", text)
+        return _TOKEN_RE.findall(text)
     text = _URL_RE.sub(f" {URL_TOKEN} ", text)
     text = _MENTION_RE.sub(f" {USER_TOKEN} ", text)
     text = _HASHTAG_RE.sub(r"\1", text)
@@ -78,15 +92,17 @@ def cosine(a: SparseVector, b: SparseVector) -> float:
     return max(0.0, min(1.0, value))
 
 
-def centroid(vectors: Sequence[SparseVector]) -> SparseVector:
-    """Per-term arithmetic mean over the input count."""
-    if not vectors:
-        raise DegenerateLabels("centroid over an empty vector list")
+def centroid(weights: Iterable[Mapping[str, float]]) -> SparseVector:
+    """Per-term arithmetic mean of term→weight maps over their count,
+    summed in input order."""
     sums: dict[str, float] = {}
-    for v in vectors:
-        for t, w in v.entries.items():
+    n = 0
+    for entries in weights:
+        n += 1
+        for t, w in entries.items():
             sums[t] = sums.get(t, 0.0) + w
-    n = len(vectors)
+    if not n:
+        raise DegenerateLabels("centroid over an empty vector list")
     return SparseVector({t: s / n for t, s in sums.items()})
 
 
@@ -156,7 +172,7 @@ def build_centroids(
     for label, vectors in groups:
         if not vectors:
             continue
-        c = centroid(vectors)
+        c = centroid(v.entries for v in vectors)
         if c.norm > 0.0:
             out[label] = c
     return out

@@ -127,7 +127,7 @@ def _random_unicode(rng: random.Random) -> str:
 
 def test_fuzz_robustness(gazetteer):
     from newsvalue.labeling import mask_taxonomy_tokens
-    from newsvalue.geo import tag_locations
+    from newsvalue.geo import tagged_locations
     from test_scope import assert_scope_within_bounds
 
     with criterion("fuzz: 10,000 arbitrary strings, no exceptions, bounded", 30.0):
@@ -145,7 +145,7 @@ def test_fuzz_robustness(gazetteer):
                 assert phrase.value is not None or phrase.soft_quantity is not None
             if i % 5 == 0:
                 mask_taxonomy_tokens(text)
-                for s, e, _ in tag_locations(text, gazetteer):
+                for s, e, _ in tagged_locations(TextAnalysis(text), gazetteer):
                     assert 0 <= s < e <= len(text)
 
 

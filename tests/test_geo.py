@@ -16,9 +16,10 @@ from newsvalue.geo import (
     geocode,
     load_gazetteer,
     location_of,
-    tag_locations,
+    tagged_locations,
 )
 from newsvalue.records import Post, SourceProfile
+from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import tokenize
 
 FIXTURE = """\
@@ -249,22 +250,22 @@ class TestGeocodeMemo:
 
 class TestTagLocations:
     def test_jalisco_mexico(self, gaz):
-        hits = tag_locations("earthquake off the coast of Jalisco, Mexico", gaz)
+        hits = tagged_locations(TextAnalysis("earthquake off the coast of Jalisco, Mexico"), gaz)
         assert [entry.name for _, _, entry in hits] == ["Jalisco", "Mexico"]
 
     def test_no_locations(self, gaz):
-        assert tag_locations("all quiet", gaz) == []
+        assert tagged_locations(TextAnalysis("all quiet"), gaz) == []
 
     def test_longest_match_wins(self, gaz):
         text = "New York City on alert"
-        hits = tag_locations(text, gaz)
+        hits = tagged_locations(TextAnalysis(text), gaz)
         assert len(hits) == 1
         start, end, _ = hits[0]
         assert text[start:end] == "New York City"
 
     def test_spans_exact_and_disjoint(self, gaz):
         text = "From Paris to Tokyo and New York City, then Jalisco"
-        hits = tag_locations(text, gaz)
+        hits = tagged_locations(TextAnalysis(text), gaz)
         last = -1
         for start, end, entry in hits:
             assert start >= last
@@ -273,7 +274,7 @@ class TestTagLocations:
 
     def test_total_on_arbitrary_text(self, gaz):
         for text in ("", "\x00\x01", "🌍🌋", "a" * 500):
-            tag_locations(text, gaz)  # must not raise
+            tagged_locations(TextAnalysis(text), gaz)  # must not raise
 
 
 class TestLocationFeatures:
@@ -286,27 +287,27 @@ class TestLocationFeatures:
 
     def test_text_location_wins(self, gaz):
         post = Post("p", "u1", 0, "tremor felt in Jalisco this morning")
-        feats = location_of(tag_locations(post.text, gaz), self._profile(True, gaz))
+        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(True, gaz))
         assert feats.name == "Jalisco"
         assert feats.country_code == "MX"
         assert feats.lat == pytest.approx(20.7)
 
     def test_fallback_to_local_source(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_of(tag_locations(post.text, gaz), self._profile(True, gaz))
+        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(True, gaz))
         assert feats.name == "Tokyo"
 
     def test_non_local_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_of(tag_locations(post.text, gaz), self._profile(False, gaz))
+        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(False, gaz))
         assert feats is None
 
     def test_no_source_gives_nil(self, gaz):
         post = Post("p", "u1", 0, "strong shaking reported")
-        assert location_of(tag_locations(post.text, gaz), None) is None
+        assert location_of(tagged_locations(TextAnalysis(post.text), gaz), None) is None
 
     def test_total_and_deterministic(self, gaz):
         post = Post("p", "u1", 0, "Paris Paris Tokyo " + chr(0) + " weird ⚡ text")
-        a = location_of(tag_locations(post.text, gaz), None)
-        b = location_of(tag_locations(post.text, gaz), None)
+        a = location_of(tagged_locations(TextAnalysis(post.text), gaz), None)
+        b = location_of(tagged_locations(TextAnalysis(post.text), gaz), None)
         assert a == b

@@ -1,9 +1,11 @@
 """tools/identity.py on its bootstrap case: a tree matches itself, and a
-one-ulp change to the bootstrap learning rate fails the check by name."""
+one-ulp change to the bootstrap learning rate fails the check by name.
+Also the fragments a decorated corpus's texts get."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import math
 import shutil
 import sys
@@ -64,3 +66,17 @@ def test_one_ulp_in_the_bootstrap_learning_rate_fails(tmp_path, capsys):
     assert identity.main(["--base", str(SRC), "--head", str(mutant)], cases=BOOTSTRAP) == 1
     err = capsys.readouterr().err
     assert "differs: bootstrap/program.stdout" in err.splitlines()
+
+
+def test_decorate_puts_each_fragment_in_front_of_a_text(tmp_path):
+    n = len(identity.DECORATIONS)
+    for name in ("posts", "tweets", "headlines"):
+        rows = [{"id": i, "text": f"text {i}"} for i in range(n + 1)]
+        (tmp_path / f"{name}.ndjson").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    identity.decorate(tmp_path)
+    for name in ("posts", "tweets", "headlines"):
+        lines = (tmp_path / f"{name}.ndjson").read_text(encoding="utf-8").splitlines()
+        texts = [json.loads(line)["text"] for line in lines]
+        expected = [f"{frag} text {i}".lstrip() for i, frag in enumerate(identity.DECORATIONS)]
+        assert texts == expected + [f"{identity.DECORATIONS[0]} text {n}"]

@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue import geo, impact, labeling, model, scope, spans, textvec
-from newsvalue.geo import geocode, tag_locations
+from newsvalue.geo import geocode, tagged_locations
 from newsvalue.impact import (
     _CURRENCY_CHARS,
     _MIXED_RE,
@@ -456,7 +456,7 @@ def test_assemble_features_equals_reference(ctx, text, local):
 @given(texts())
 @example("RT @news: https://t.co/Ab12 quake near Jalisco, Mexico")
 def test_thin_entry_points_equal_reference(gazetteer, text):
-    assert tag_locations(text, gazetteer) == ref_tag_locations(text, GAZETTEER_ENTRIES)
+    assert tagged_locations(TextAnalysis(text), gazetteer) == ref_tag_locations(text, GAZETTEER_ENTRIES)
     assert TextAnalysis(text).scope() == ref_extract_scope(text)
     assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
     assert numeric_phrases(TextAnalysis(text)) == ref_numeric_phrases(text)
@@ -489,7 +489,7 @@ def test_extractors_total_over_unicode(ctx, text):
     assert isinstance(a.scope(), ScopeFeatures)
     for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
-    for s, e, _ in tag_locations(text, ctx.gazetteer):
+    for s, e, _ in tagged_locations(TextAnalysis(text), ctx.gazetteer):
         assert 0 <= s < e <= len(text)
     assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)

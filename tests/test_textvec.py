@@ -146,15 +146,18 @@ class TestCosine:
 
 class TestCentroid:
     def test_singleton(self):
-        v = SparseVector({"a": 2.0})
-        assert centroid([v]).entries == v.entries
+        assert centroid([{"a": 2.0}]).entries == {"a": 2.0}
 
     def test_missing_treated_as_zero(self):
-        assert centroid([SparseVector({"x": 2.0}), SparseVector()]).entries == {"x": 1.0}
+        assert centroid([{"x": 2.0}, {}]).entries == {"x": 1.0}
 
     def test_hand_mean(self):
-        c = centroid([SparseVector({"x": 1.0}), SparseVector({"y": 1.0})])
+        c = centroid([{"x": 1.0}, {"y": 1.0}])
         assert c.entries == {"x": 0.5, "y": 0.5}
+
+    def test_counts_a_generator(self):
+        c = centroid({"x": float(i)} for i in range(4))
+        assert c.entries == {"x": 1.5}
 
     def test_empty_raises(self):
         with pytest.raises(DegenerateLabels, match="centroid over an empty vector list"):

@@ -7,7 +7,8 @@ tree: its verbs (or its program) run one by one as `python -S -m
 newsvalue.cli VERB --config config.json` with PYTHONPATH=SRC, so neither
 site-packages nor an installed copy is read, and each tree uses its own
 gazetteer. The corpora are built once, by this checkout's
-`bench/gen.py`, and only read.
+`bench/gen.py` (a `decorated` case's texts then get the DECORATIONS),
+and only read.
 
 The script prints one sha256 table per tree, over every artifact of
 every case and every run's stdout, stderr and exit code, and fails
@@ -52,10 +53,24 @@ for seed in range(10):
 """
 
 
+# Fragments given in turn to the post, tweet and headline texts of a
+# `decorated` corpus, in front of each text. Generated texts hold no URL,
+# '@', '#' or non-ASCII character, so without them only the ASCII paths of
+# the tokenizer and the place tagger would run: URLs in mixed case, a
+# mention of a place name, characters that lower() lengthens (İ) or that
+# case-insensitive patterns fold (ſ), fullwidth letters and digits, and a
+# text left as it is.
+DECORATIONS = (
+    "HTTPS://News.Example.COM/Quake?id=7", "via WWW.Example.ORG:", "@user says",
+    "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris", "",
+)
+
+
 @dataclass(frozen=True)
 class Case:
     """One run directory. A chain case generates `corpus`, a (workload,
-    seed, scale) of bench/gen.py, and runs `verbs` on it; a case with
+    seed, scale) of bench/gen.py, gives its texts the DECORATIONS when
+    `decorated`, and runs `verbs` on it; a case with
     `start` runs `verbs` on a copy of that earlier case's config and out/,
     with `svm` set in the config; a case with `program` runs that Python
     source instead. A case without `start` is clean: a non-zero exit or
@@ -68,6 +83,7 @@ class Case:
     svm: tuple[tuple[str, float], ...] = ()
     verbs: tuple[str, ...] = CHAIN
     program: str | None = None
+    decorated: bool = False
 
 
 def _chain(workload: str, seed: int, scale: float) -> str:
@@ -83,6 +99,8 @@ CASES = (
     *(Case(f"{_chain(w, 1, 0.5)}-C{c}", start=_chain(w, 1, 0.5), svm=(("C", float(c)),),
            verbs=("train", "evaluate"))
       for w in ("feed-rich", "model-fit") for c in ("1e150", "1e300")),
+    # URLs, mentions, hashtags and non-ASCII text in every text file
+    Case(f"{_chain('feed-rich', 1, 0.5)}-decorated", corpus=("feed-rich", 1, 0.5), decorated=True),
     # 300 epochs, where most SGD steps reuse a row's stored dot product
     Case(f"{_chain('model-fit', 1, 0.5)}-epochs300", start=_chain("model-fit", 1, 0.5),
          svm=(("epochs", 300),), verbs=("train", "evaluate")),
@@ -99,22 +117,42 @@ def _generator():
     return gen
 
 
-def build_corpora(cases, root: Path) -> dict[tuple, Path]:
-    """Each chain case's corpus directory under root, generated once."""
-    corpora = {case.corpus: root / _chain(*case.corpus) for case in cases if case.corpus}
+def decorate(corpus: Path) -> None:
+    """Put DECORATIONS, in turn, in front of the texts of the corpus's
+    posts, tweets and headlines."""
+    for name in ("posts", "tweets", "headlines"):
+        path = corpus / f"{name}.ndjson"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        for i, row in enumerate(rows):
+            fragment = DECORATIONS[i % len(DECORATIONS)]
+            if fragment:
+                row["text"] = f"{fragment} {row['text']}"
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows),
+                        encoding="utf-8")
+
+
+def _corpus_name(case: Case) -> str:
+    return _chain(*case.corpus) + ("-decorated" if case.decorated else "")
+
+
+def build_corpora(cases, root: Path) -> dict[str, Path]:
+    """Each chain case's corpus directory under root, by name, generated once."""
+    corpora = {_corpus_name(case): case for case in cases if case.corpus}
     if corpora:
         gen = _generator()
-        for corpus, out in corpora.items():
+        for name, case in corpora.items():
             # the gazetteer only names a path in config.json, which each tree replaces
-            gen.generate(*corpus, out, REPO / "src/newsvalue/data/world_cities.txt")
-    return corpora
+            gen.generate(*case.corpus, root / name, REPO / "src/newsvalue/data/world_cities.txt")
+            if case.decorated:
+                decorate(root / name)
+    return {name: root / name for name in corpora}
 
 
 def _write_config(case: Case, run: Path, tree: Path, src: Path, corpora) -> None:
     """Lay out a verb case's run directory: its config.json and, for a case
     with `start`, a copy of that case's out/."""
     if case.corpus:
-        corpus = corpora[case.corpus]
+        corpus = corpora[_corpus_name(case)]
         config = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
         config["paths"] = {key: str(corpus / path) for key, path in config["paths"].items()}
         config["paths"].update(gazetteer=str(src / "newsvalue/data/world_cities.txt"), out_dir="out")
