@@ -5,7 +5,8 @@ Every command is deterministic given the config seed and input files.
 Exit codes: 0 ok, 2 missing input file (or one that is not a regular
 file), 3 degenerate labels or too few examples, 4 model/file schema
 mismatch (including a bad gazetteer, a model without weights or an output
-name that is a directory).
+name that is a directory), 141 standard output closed before the report
+was printed.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ EXIT_OK = 0
 EXIT_MISSING_INPUT = 2
 EXIT_DEGENERATE_LABELS = 3
 EXIT_SCHEMA_MISMATCH = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a command a closed pipe stops
 
 ABLATION_SETS = (
     ("text", "topic"),
@@ -375,10 +377,10 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
 
 def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
-    design = svm_design(examples)
-    report = cross_validate(
-        examples, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
-        design=design,
+    rows, names = design = svm_design(examples)
+    [report] = cross_validate(
+        examples, [rows], names, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs,
+        C=cfg.svm_c,
     )
     model = train_svm(design, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
     report.group_weights = feature_group_weights(model)
@@ -423,21 +425,18 @@ def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
     )
     out = cfg.out_path("ablation.json")
-    payload = []
+    payload = [
+        {"groups": list(groups), "precision": report.precision, "recall": report.recall,
+         "f1": report.f1}
+        for groups, report in results
+    ]
+    with open(out, "w", encoding="utf-8") as fh:  # one write, as in LinearModel.save
+        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    # every verb writes its artifacts before it prints, so a closed stdout cannot cut them
     print(f"{'feature set':<42} {'P':>7} {'R':>7} {'F':>7}")
     for groups, report in results:
         name = "+".join(groups)
         print(f"{name:<42} {report.precision:7.2f} {report.recall:7.2f} {report.f1:7.2f}")
-        payload.append(
-            {
-                "groups": list(groups),
-                "precision": report.precision,
-                "recall": report.recall,
-                "f1": report.f1,
-            }
-        )
-    with open(out, "w", encoding="utf-8") as fh:  # one write, as in LinearModel.save
-        fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -456,18 +455,20 @@ def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) 
     wire = dict(_read(Path(wire_path), _event("wire_alert_at"), "wire", "event_id"))
     shared = sorted(set(feed) & set(wire))
     skipped = sorted((set(feed) | set(wire)) - set(shared))
-    rows = []
-    for event_id in shared:
-        lead_minutes = (wire[event_id] - feed[event_id]) / 60.0
-        rows.append(
-            {
-                "event_id": event_id,
-                "first_tweet_at": feed[event_id],
-                "wire_alert_at": wire[event_id],
-                "lead_minutes": lead_minutes,
-            }
-        )
-        print(f"{event_id}: lead {lead_minutes:+.1f} min")
+    rows = [
+        {"event_id": event_id, "first_tweet_at": feed[event_id],
+         "wire_alert_at": wire[event_id], "lead_minutes": (wire[event_id] - feed[event_id]) / 60.0}
+        for event_id in shared
+    ]
+    if out_path:
+        try:
+            write_ndjson(out_path, rows)
+        except IsADirectoryError:
+            raise  # reported by main, as for every verb
+        except (OSError, ValueError) as exc:  # a NUL byte, too long a name
+            raise SchemaMismatch(f"output {out_path!r} cannot be written: {exc}") from None
+    for r in rows:
+        print(f"{r['event_id']}: lead {r['lead_minutes']:+.1f} min")
     if rows:
         mean_lead = sum(r["lead_minutes"] for r in rows) / len(rows)
         beats = sum(1 for r in rows if r["lead_minutes"] > 0)
@@ -480,12 +481,6 @@ def cmd_timeliness(feed_path: str, wire_path: str, out_path: str | None = None) 
     if skipped:
         print("skipped (present on one side only): " + ", ".join(skipped))
     if out_path:
-        try:
-            write_ndjson(out_path, rows)
-        except IsADirectoryError:
-            raise  # reported by main, as for every verb
-        except (OSError, ValueError) as exc:  # a NUL byte, too long a name
-            raise SchemaMismatch(f"output {out_path!r} cannot be written: {exc}") from None
         print(f"wrote {out_path}")
     return EXIT_OK
 
@@ -533,6 +528,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught
+    except BrokenPipeError:
+        # the exit flush writes what is left to devnull (Python signal docs, SIGPIPE note)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         if args.verb == "timeliness":
             return cmd_timeliness(args.feed, args.wire, args.out)

@@ -12,7 +12,7 @@ from itertools import islice
 from typing import Optional
 
 from .errors import SchemaMismatch
-from .records import _COUNTRY_RE, GazetteerEntry, SourceProfile, _is_utf8
+from .records import _COUNTRY_RE, GazetteerEntry, _is_utf8
 from .scope import TextAnalysis
 from .spans import PhraseTable
 from .textvec import _TOKEN_RE, tokenize
@@ -141,9 +141,10 @@ def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> Optional[Gazette
 
 
 def first_location(text: str, g: Gazetteer) -> Optional[tuple[int, int]]:
-    """(start, end) of the first hit of tagged_locations over the text, or
-    None. The gazetteer walks the lowered tokens of one findall; character
-    offsets are found only for the tokens up to the end of that hit."""
+    """(start, end) of the first gazetteer name in the text, the one
+    first_place resolves, or None. The gazetteer walks the lowered tokens
+    of one findall; character offsets are found only for the tokens up to
+    the end of that name."""
     if text.isascii():
         tokens = _TOKEN_RE.findall(text.lower())
     else:
@@ -151,27 +152,13 @@ def first_location(text: str, g: Gazetteer) -> Optional[tuple[int, int]]:
     hit = g._table.first(tokens)
     if hit is None:
         return None
-    i, j = hit
+    i, j, _ = hit
     found = list(islice(_TOKEN_RE.finditer(text), j))
     return found[i].start(), found[-1].end()
 
 
-def tagged_locations(a: TextAnalysis, g: Gazetteer) -> list[tuple[int, int, GazetteerEntry]]:
-    """Greedy longest-match scan of the text's raw tokens against gazetteer
-    names and aliases: (start, end, place) per hit, the span indexing the
-    matched surface text (every name has at least one entry, so every hit
-    resolves).
-    """
-    return [(s, e, _best_entry(cands)) for s, e, cands in g._table.spans(a.spans)]
-
-
-def location_of(
-    tagged: list[tuple[int, int, GazetteerEntry]], source: Optional[SourceProfile]
-) -> Optional[GazetteerEntry]:
-    """First tagged location of the text; else the profile location of a
-    locally-focused source; else None."""
-    if tagged:
-        return tagged[0][2]
-    if source is not None and source.locally_focused:
-        return source.resolved_location
-    return None
+def first_place(a: TextAnalysis, g: Gazetteer) -> Optional[GazetteerEntry]:
+    """The highest-population entry of the first gazetteer name (greedy
+    longest match) among the text's raw tokens, or None."""
+    hit = g._table.first([tok for tok, _, _ in a.spans])
+    return None if hit is None else _best_entry(hit[2])

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from datetime import date, datetime, timezone
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -214,10 +213,6 @@ def match_to_headlines(
     return MatchResult(post.post_id, UNMATCHED, after[1], after[0])
 
 
-def _utc_date(ts: int) -> date:
-    return datetime.fromtimestamp(ts, tz=timezone.utc).date()
-
-
 def propagate_links(
     results: Sequence[MatchResult],
     posts: Sequence[Post],
@@ -231,34 +226,27 @@ def propagate_links(
     enough to a first-pass matched post from strictly later the same UTC
     day; the threshold drops for matched posts by the same author. Never
     unmatches anything; runs exactly once to avoid long-tail error chains.
-    Matched posts are indexed per UTC day; the later ones sharing a term
-    with the post are summed term at a time, and only those whose sum is
-    within RECHECK_MARGIN of their own threshold are scored, so every
-    pair that clears it is. vectors maps each post id to its tf.idf
-    vector.
+    Matched posts are indexed once by time; those in the rest of the
+    post's UTC day sharing a term with it are summed term at a time, and
+    only those whose sum is within RECHECK_MARGIN of their own threshold
+    are scored, so every pair that clears it is. vectors maps each post id
+    to its tf.idf vector.
     """
     by_id = {p.post_id: p for p in posts}
-    days = {pid: _utc_date(p.created_at) for pid, p in by_id.items()}
-    matched_by_day: dict[date, list[Post]] = {}
-    for r in results:
-        if r.status == MATCHED and r.post_id in by_id:
-            matched_by_day.setdefault(days[r.post_id], []).append(by_id[r.post_id])
-    day_index = {
-        day: (matched, TermTimeIndex(
-            [m.created_at for m in matched], [vectors[m.post_id] for m in matched]
-        ))
-        for day, matched in matched_by_day.items()
-    }
+    matched = [by_id[r.post_id] for r in results if r.status == MATCHED and r.post_id in by_id]
+    index = TermTimeIndex([m.created_at for m in matched], [vectors[m.post_id] for m in matched])
     out = []
     for r in results:
         post = by_id.get(r.post_id)
-        if r.status == MATCHED or post is None or days[post.post_id] not in day_index:
+        if r.status == MATCHED or post is None:
             out.append(r)
             continue
-        matched, index = day_index[days[post.post_id]]
+        t = post.created_at
         v = vectors[post.post_id]
         best_link = 0.0
-        for i, approx in index._sums(v, post.created_at, math.inf).items():
+        # POSIX time has no leap seconds, so a UTC day starts at a multiple
+        # of 86400; % floors, also before 1970.
+        for i, approx in index._sums(v, t, t - t % 86400 + 86399).items():
             threshold = (
                 same_user_threshold if matched[i].user_id == post.user_id else link_threshold
             )

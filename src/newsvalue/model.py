@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
-from .geo import Gazetteer, location_of, tagged_locations
+from .geo import Gazetteer, first_place
 from .impact import bootstrap_impact_model, impact_labels, numeric_phrases
 from .labeling import masked_text
 from .linear import (
@@ -155,7 +155,9 @@ def assemble_features(
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
-    loc = location_of(tagged_locations(a, ctx.gazetteer), source)
+    loc = first_place(a, ctx.gazetteer)
+    if loc is None and source is not None and source.locally_focused:
+        loc = source.resolved_location
     if loc is not None:
         features["loc_present"] = 1.0
         # unit-scaled so coordinates are commensurate with other features
@@ -278,14 +280,21 @@ def _fold_seed(seed: int, fold: int) -> int:
     return seed * 1009 + fold
 
 
-def _resample(
+def cross_validate(
     examples: Sequence[LabeledExample], set_rows: Sequence[Sequence[InternedRow]],
     names: Sequence[str], *, folds: int, seed: int, epochs: int, C: float,
 ) -> list[EvalReport]:
     """One report per row set over the same repeated seeded 80/20 resamples
-    (stratified: 80% of each class to train), pooled P/R/F. A fold draws
-    its split and epoch orders once for all sets, and only one fold's
-    orders are alive at a time."""
+    (stratified: 80% of each class to train), pooled P/R/F.
+
+    set_rows holds row sets of the examples, each in the ids of names
+    (`svm_design(examples)`, or rows of it restricted). A fold draws its
+    split and epoch orders once for all sets, and only one fold's orders
+    are alive at a time. Fold seeds derive from the master seed, so every
+    report is bit-reproducible. No model is fitted on all examples here,
+    so group_weights stay empty; the caller that fits the final model
+    fills them with feature_group_weights.
+    """
     if len(examples) < folds * 2:
         raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
     fold_rows: list[list[dict]] = [[] for _ in set_rows]
@@ -325,21 +334,6 @@ def _resample(
     return reports
 
 
-def cross_validate(
-    examples: Sequence[LabeledExample], *, folds: int, seed: int, epochs: int, C: float,
-    design: tuple[Sequence[InternedRow], Sequence[str]],
-) -> EvalReport:
-    """Repeated seeded 80/20 resampling (stratified), pooled P/R/F.
-
-    Fold seeds derive from the master seed, so the whole report is
-    bit-reproducible. No model is fitted on all examples here, so
-    group_weights stay empty; the caller that fits the final model fills
-    them with feature_group_weights. design: as for train_svm.
-    """
-    rows, names = design
-    return _resample(examples, [rows], names, folds=folds, seed=seed, epochs=epochs, C=C)[0]
-
-
 def _restrict(
     rows: Sequence[InternedRow], names: Sequence[str], groups: Sequence[str]
 ) -> list[InternedRow]:
@@ -375,7 +369,7 @@ def ablate(
     is fitted on a fold's split and epoch orders before the next fold."""
     rows, names = svm_design(examples)
     set_rows = [_restrict(rows, names, groups) for groups in feature_groups]
-    reports = _resample(examples, set_rows, names, folds=folds, seed=seed, epochs=epochs, C=C)
+    reports = cross_validate(examples, set_rows, names, folds=folds, seed=seed, epochs=epochs, C=C)
     return [(tuple(groups), report) for groups, report in zip(feature_groups, reports)]
 
 

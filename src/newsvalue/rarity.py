@@ -16,12 +16,8 @@ from .records import _coordinate, _field, _timestamp
 
 def grid_cell(lat: float, lon: float) -> str:
     """Location id: lat/lon snapped to a 0.1-degree grid."""
-    la = round(lat, 1) + 0.0
+    la = round(lat, 1) + 0.0  # + 0.0 turns -0.0 into 0.0
     lo = round(lon, 1) + 0.0
-    if la == 0.0:
-        la = 0.0  # normalize -0.0
-    if lo == 0.0:
-        lo = 0.0
     return f"{la:.1f},{lo:.1f}"
 
 

@@ -9,6 +9,7 @@ skipped, never fatal.
 from __future__ import annotations
 
 import json
+import math
 import re
 from typing import Callable, Iterable, NamedTuple, Optional, TypeVar
 
@@ -202,6 +203,9 @@ class SourceProfile(NamedTuple):
                 lon=0.0 if lon is None else lon,
                 country_code=country,
             )
+        informativeness = float(_field(rec, "informativeness", "a number", 0.0))
+        if not math.isfinite(informativeness):
+            raise ValueError(f"informativeness {informativeness} is not finite")
         return cls(
             user_id=_id(rec, "user_id"),
             display_name=_field(rec, "display_name", "a string", ""),
@@ -212,7 +216,7 @@ class SourceProfile(NamedTuple):
             resolved_location=resolved,
             category=category,
             locally_focused=_field(rec, "locally_focused", "a boolean", False),
-            informativeness=float(_field(rec, "informativeness", "a number", 0.0)),
+            informativeness=informativeness,
         )
 
 

@@ -66,9 +66,10 @@ class PhraseTable:
                         free[slot] = j
         return out
 
-    def first(self, tokens: Sequence[str]) -> tuple[int, int] | None:
-        """(first token, end token) of the leftmost phrase, the longest one
-        there, or None: for a table of one set, the first hit of matches()."""
+    def first(self, tokens: Sequence[str]) -> tuple[int, int, Any] | None:
+        """(first token, end token, payload) of the leftmost phrase, the
+        longest one there, or None: for a table of one set, the first hit
+        of matches()."""
         root = self._root
         n = len(tokens)
         for i, tok in enumerate(tokens):
@@ -79,11 +80,11 @@ class PhraseTable:
             j = i + 1
             while node is not None:
                 if None in node:
-                    end = j
+                    end, entries = j, node[None]
                 node = node.get(tokens[j]) if j < n else None
                 j += 1
             if end:
-                return i, end
+                return i, end, entries[0][1]
         return None
 
     def spans(self, toks: Sequence[tuple[str, int, int]]) -> list[tuple[int, int, Any]]:

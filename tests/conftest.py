@@ -1,6 +1,6 @@
 """Shared synthetic fixtures: a topic-coded headline corpus, the 12-profile
-curation fixture, per-post labeling under a given vocabulary, and file
-writers for CLI runs."""
+curation fixture, per-post labeling under a given vocabulary, the
+all-places tagger, and file writers for CLI runs."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from newsvalue.curation import build_trbc_centroids
-from newsvalue.geo import load_gazetteer
+from newsvalue.geo import _best_entry, load_gazetteer
 from newsvalue.labeling import TermTimeIndex, match_to_headlines, propagate_links
 from newsvalue.records import Headline, Post, SourceProfile, TopicAssignment
 from newsvalue.textvec import tokenize, vectorize
@@ -180,6 +180,17 @@ def match_one(post, headlines, tfidf, threshold):
 def propagate(results, posts, tfidf, link_threshold, same_user_threshold):
     vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
     return propagate_links(results, posts, vectors, link_threshold, same_user_threshold)
+
+
+# ---------------------------------------------------------------------------
+# the all-places tagger: the oracle of geo.first_place and geo.first_location
+# ---------------------------------------------------------------------------
+
+def tagged_locations(a, g):
+    """Every gazetteer name among the text's raw tokens, greedy longest
+    match, as (start, end, place): the span indexes the matched surface
+    text and the place is the name's highest-population entry."""
+    return [(s, e, _best_entry(cands)) for s, e, cands in g._table.spans(a.spans)]
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def _random_unicode(rng: random.Random) -> str:
 
 def test_fuzz_robustness(gazetteer):
     from newsvalue.labeling import mask_taxonomy_tokens
-    from newsvalue.geo import tagged_locations
+    from newsvalue.geo import first_location, first_place
     from test_scope import assert_scope_within_bounds
 
     with criterion("fuzz: 10,000 arbitrary strings, no exceptions, bounded", 30.0):
@@ -145,8 +145,9 @@ def test_fuzz_robustness(gazetteer):
                 assert phrase.value is not None or phrase.soft_quantity is not None
             if i % 5 == 0:
                 mask_taxonomy_tokens(text)
-                for s, e, _ in tagged_locations(TextAnalysis(text), gazetteer):
-                    assert 0 <= s < e <= len(text)
+                span = first_location(text, gazetteer)
+                assert span is None or 0 <= span[0] < span[1] <= len(text)
+                first_place(TextAnalysis(text), gazetteer)
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +336,13 @@ def test_impact_classifier_synthetic():
 def test_svm_acceptance():
     with criterion("SVM: perfect held-out on separable, objective, reproducible", 10.0):
         examples = separable_examples(n=150, seed=71)
-        design = svm_design(examples)
-        report = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0, design=design)
+        rows, names = design = svm_design(examples)
+        [report] = cross_validate(examples, [rows], names, folds=10, seed=72, epochs=100, C=1.0)
         assert report.precision == 100.0 and report.recall == 100.0 and report.f1 == 100.0
         model = train_svm(design, epochs=100, C=1.0, seed=73)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
-        again = cross_validate(examples, folds=10, seed=72, epochs=100, C=1.0,
-                               design=svm_design(examples))
+        rows, names = svm_design(examples)
+        [again] = cross_validate(examples, [rows], names, folds=10, seed=72, epochs=100, C=1.0)
         assert report.to_json() == again.to_json()
 
 

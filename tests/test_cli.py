@@ -7,6 +7,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -29,6 +31,7 @@ import newsvalue.linear
 import newsvalue.model
 from newsvalue import errors
 from newsvalue.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_DEGENERATE_LABELS,
     EXIT_MISSING_INPUT,
     EXIT_OK,
@@ -41,6 +44,8 @@ from newsvalue.cli import (
 from newsvalue.linear import BIAS_KEY, LinearModel
 from newsvalue.model import feature_group_weights
 from newsvalue.records import Headline, Post, _is_utf8
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def make_event_posts() -> tuple[list[Post], list[Headline]]:
@@ -588,6 +593,42 @@ class TestErrorExitCodes:
         self._assert_one_line_error(capsys)
         assert not (tmp_path / "out" / "predictions.ndjson").exists()
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("verb, artifact", [("label", "out/labeled.ndjson"),
+                                                ("evaluate", "out/ablation.json"),
+                                                ("timeliness", "rows.ndjson")])
+    def test_closed_stdout_exits_141_after_writing(self, pipeline, verb, artifact, unbuffered):
+        # `newsvalue label ... | head -1` once head has exited: the read end
+        # of the pipe is closed before the verb prints a line.
+        tmp_path, config = pipeline
+        argv = [verb, "--config", str(config)]
+        if verb == "evaluate":
+            for prior in ("label", "extract"):
+                assert main([prior, "--config", str(config)]) == EXIT_OK
+        if verb == "timeliness":
+            feed, wire = tmp_path / "feed.ndjson", tmp_path / "wire.ndjson"
+            write_ndjson_file(feed, [{"event_id": "e1", "first_tweet_at": 0}])
+            write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": 60}])
+            out = tmp_path / artifact
+            argv = [verb, "--feed", str(feed), "--wire", str(wire), "--out", str(out)]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "newsvalue.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+        assert done.returncode == EXIT_BROKEN_PIPE == 141
+        # every artifact is written before the first line on stdout
+        written = (tmp_path / artifact).read_bytes()
+        assert main(argv) == EXIT_OK
+        assert (tmp_path / artifact).read_bytes() == written
+
 
 class TestInputRecordChecks:
     """Input the readers cannot represent is skipped with a warning, or, for
@@ -711,7 +752,23 @@ class TestInputRecordChecks:
         for line in (tmp_path / "out" / "features.tsv").open():
             assert math.isfinite(float(line.split("\t")[2]))
 
-    @pytest.mark.parametrize("country", ["U\tS", "US\n", "us", "USA", "", None])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_informativeness_skipped(self, pipeline, capsys, literal):
+        # json.loads reads each literal as a float nan or inf
+        tmp_path, config = pipeline
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        curated = tmp_path / "out" / "curated.ndjson"
+        records = [json.loads(line) for line in curated.read_text().splitlines()]
+        records[-1]["informativeness"] = "LITERAL"
+        text = "".join(json.dumps(rec) + "\n" for rec in records)
+        curated.write_text(text.replace('"LITERAL"', literal))
+        capsys.readouterr()
+        assert main(["extract", "--config", str(config)]) == EXIT_OK
+        captured = self._assert_skipped(capsys, "curated", len(records), "informativeness ")
+        assert captured.err.count("\n") == 1
+        assert "not finite" in captured.err
+
+    @pytest.mark.parametrize("country",["U\tS", "US\n", "us", "USA", "", None])
     def test_resolved_country_not_two_capitals_skipped(self, pipeline, capsys, country):
         # The code names the feature loc_country_<code>, a field of a
         # features.tsv line; None drops the key.

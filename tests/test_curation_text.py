@@ -5,14 +5,17 @@ centroid summed without a vector per tweet."""
 from __future__ import annotations
 
 import re
+import zlib
 
-from conftest import GAZETTEER_PATH
+import pytest
+from conftest import GAZETTEER_PATH, tagged_locations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue.curation import account_centroid
 from newsvalue.errors import DegenerateLabels
-from newsvalue.geo import first_location, tagged_locations
+from newsvalue.geo import first_location, first_place
+from newsvalue.model import NAME_BUCKETS, assemble_features, build_context
 from newsvalue.records import Post
 from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import SparseVector, fit_tfidf, tokenize, vectorize
@@ -102,15 +105,34 @@ def test_tokenize_equals_the_general_path(text):
 # ---------------------------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def ctx(gazetteer, trbc_model):
+    tfidf, centroids = trbc_model
+    return build_context(gazetteer, tfidf, centroids, seed=0)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(texts)
 @example("quake near New York City and Paris")
 @example("İa Paris")
 @example("@Paris fire")
 @example("all quiet")
-def test_first_location_is_the_first_tagged_span(gazetteer, text):
-    tagged = tagged_locations(TextAnalysis(text), gazetteer)
-    assert first_location(text, gazetteer) == (tagged[0][:2] if tagged else None)
+@example("fire near New @York and Times #Square")
+def test_first_location_is_the_first_tagged_span(ctx, text):
+    """curate's span (first_location) and extract's place (first_place, read
+    by the loc_* features) are the all-places tagger's first hit."""
+    tagged = tagged_locations(TextAnalysis(text), ctx.gazetteer)
+    assert first_location(text, ctx.gazetteer) == (tagged[0][:2] if tagged else None)
+    place = first_place(TextAnalysis(text), ctx.gazetteer)
+    assert place == (tagged[0][2] if tagged else None)
+    features = assemble_features(Post("p", "u", 0, text), None, ctx)
+    located = {k for k in features if k.startswith("loc_")}
+    if place is None:
+        assert not located
+    else:
+        bucket = zlib.crc32(place.name.lower().encode("utf-8")) % NAME_BUCKETS
+        expected = {"loc_present", f"loc_country_{place.country_code}", f"loc_name_b{bucket}"}
+        assert expected <= located
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import zlib
 from typing import Optional
 
 import pytest
+from conftest import tagged_locations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +15,12 @@ from newsvalue.geo import (
     Gazetteer,
     GazetteerEntry,
     _best_entry,
+    first_location,
+    first_place,
     geocode,
     load_gazetteer,
-    location_of,
-    tagged_locations,
 )
+from newsvalue.model import NAME_BUCKETS, assemble_features, build_context
 from newsvalue.records import Post, SourceProfile
 from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import tokenize
@@ -250,18 +253,20 @@ class TestGeocodeMemo:
 
 class TestTagLocations:
     def test_jalisco_mexico(self, gaz):
-        hits = tagged_locations(TextAnalysis("earthquake off the coast of Jalisco, Mexico"), gaz)
-        assert [entry.name for _, _, entry in hits] == ["Jalisco", "Mexico"]
+        text = "earthquake off the coast of Jalisco, Mexico"
+        assert first_place(TextAnalysis(text), gaz).name == "Jalisco"
+        start, end = first_location(text, gaz)
+        assert text[start:end] == "Jalisco"
 
     def test_no_locations(self, gaz):
-        assert tagged_locations(TextAnalysis("all quiet"), gaz) == []
+        assert first_place(TextAnalysis("all quiet"), gaz) is None
+        assert first_location("all quiet", gaz) is None
 
     def test_longest_match_wins(self, gaz):
         text = "New York City on alert"
-        hits = tagged_locations(TextAnalysis(text), gaz)
-        assert len(hits) == 1
-        start, end, _ = hits[0]
+        start, end = first_location(text, gaz)
         assert text[start:end] == "New York City"
+        assert first_place(TextAnalysis(text), gaz) == _best_entry(gaz.lookup("New York City"))
 
     def test_spans_exact_and_disjoint(self, gaz):
         text = "From Paris to Tokyo and New York City, then Jalisco"
@@ -271,13 +276,19 @@ class TestTagLocations:
             assert start >= last
             assert entry in gaz.lookup(text[start:end]), text[start:end]
             last = end
+        paris = _best_entry(gaz.lookup("Paris"))
+        assert first_place(TextAnalysis(text), gaz) == hits[0][2] == paris
 
     def test_total_on_arbitrary_text(self, gaz):
         for text in ("", "\x00\x01", "🌍🌋", "a" * 500):
-            tagged_locations(TextAnalysis(text), gaz)  # must not raise
+            first_place(TextAnalysis(text), gaz)  # must not raise
+            first_location(text, gaz)
 
 
 class TestLocationFeatures:
+    """The place the loc_* features read: the text's first place, else the
+    profile location of a locally-focused source."""
+
     def _profile(self, locally_focused, gaz):
         entry = geocode("Tokyo", None, gaz)
         return SourceProfile(
@@ -285,29 +296,34 @@ class TestLocationFeatures:
             resolved_location=entry, locally_focused=locally_focused,
         )
 
-    def test_text_location_wins(self, gaz):
+    def _located(self, post, source, gaz, trbc_model):
+        tfidf, centroids = trbc_model
+        feats = assemble_features(post, source, build_context(gaz, tfidf, centroids, seed=0))
+        return {k: v for k, v in feats.items() if k.startswith("loc_")}
+
+    def test_text_location_wins(self, gaz, trbc_model):
         post = Post("p", "u1", 0, "tremor felt in Jalisco this morning")
-        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(True, gaz))
-        assert feats.name == "Jalisco"
-        assert feats.country_code == "MX"
-        assert feats.lat == pytest.approx(20.7)
+        feats = self._located(post, self._profile(True, gaz), gaz, trbc_model)
+        assert feats["loc_country_MX"] == 1.0
+        assert feats["loc_lat"] == pytest.approx(20.7 / 90.0)
+        assert f"loc_name_b{zlib.crc32(b'jalisco') % NAME_BUCKETS}" in feats
 
-    def test_fallback_to_local_source(self, gaz):
+    def test_fallback_to_local_source(self, gaz, trbc_model):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(True, gaz))
-        assert feats.name == "Tokyo"
+        feats = self._located(post, self._profile(True, gaz), gaz, trbc_model)
+        assert f"loc_name_b{zlib.crc32(b'tokyo') % NAME_BUCKETS}" in feats
+        assert feats["loc_country_JP"] == 1.0
 
-    def test_non_local_source_gives_nil(self, gaz):
+    def test_non_local_source_gives_nil(self, gaz, trbc_model):
         post = Post("p", "u1", 0, "strong shaking reported")
-        feats = location_of(tagged_locations(TextAnalysis(post.text), gaz), self._profile(False, gaz))
-        assert feats is None
+        assert self._located(post, self._profile(False, gaz), gaz, trbc_model) == {}
 
-    def test_no_source_gives_nil(self, gaz):
+    def test_no_source_gives_nil(self, gaz, trbc_model):
         post = Post("p", "u1", 0, "strong shaking reported")
-        assert location_of(tagged_locations(TextAnalysis(post.text), gaz), None) is None
+        assert self._located(post, None, gaz, trbc_model) == {}
 
-    def test_total_and_deterministic(self, gaz):
+    def test_total_and_deterministic(self, gaz, trbc_model):
         post = Post("p", "u1", 0, "Paris Paris Tokyo " + chr(0) + " weird ⚡ text")
-        a = location_of(tagged_locations(TextAnalysis(post.text), gaz), None)
-        b = location_of(tagged_locations(TextAnalysis(post.text), gaz), None)
+        a = self._located(post, None, gaz, trbc_model)
+        b = self._located(post, None, gaz, trbc_model)
         assert a == b

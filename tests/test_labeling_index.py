@@ -9,7 +9,9 @@ brute-force scan of every pair, float for float, on corpora built to hit
 the edges: score ties between duplicate headlines and between the same
 terms in another order, weights over many orders of magnitude, timestamps
 on the window boundaries, same-author links, posts on both sides of a UTC
-midnight, and texts that are empty or mask away entirely.
+midnight (in 2017, before 1970, and at the end of the first and the start
+of the last UTC day a record can name), and texts that are empty or mask
+away entirely.
 """
 
 from __future__ import annotations
@@ -35,10 +37,20 @@ from newsvalue.labeling import (
     match_to_headlines,
     propagate_links,
 )
-from newsvalue.records import Headline, Post
+from newsvalue.records import _TIMESTAMP_MAX, _TIMESTAMP_MIN, Headline, Post
 from newsvalue.textvec import SparseVector, cosine, fit_tfidf, tokenize, vectorize
 
 MIDNIGHT = int(datetime(2017, 6, 2, tzinfo=timezone.utc).timestamp())
+# The midnights corpora gather around: MIDNIGHT; one before 1970, where a
+# day start found by truncating t / 86400 would be a day late; the one that
+# ends the first UTC day a record's timestamp can name, and the one that
+# starts the last.
+MIDNIGHTS = [
+    MIDNIGHT,
+    int(datetime(1969, 7, 21, tzinfo=timezone.utc).timestamp()),
+    _TIMESTAMP_MIN + 86400,
+    _TIMESTAMP_MAX + 1 - 86400,
+]
 POST_WORDS = ["storm", "flood", "river", "fire", "smoke", "crews", "quake", "town", "road", "bridge"]
 OTHER_WORDS = ["market", "shares", "bank", "rates", "garden", "bloom"]
 # Texts the maskers claim whole, and ones with no token at all.
@@ -132,6 +144,11 @@ def brute_label(posts, headlines, threshold, link_threshold, same_user_threshold
 # corpora
 # ---------------------------------------------------------------------------
 
+def _timestamp(ts):
+    """ts moved into the range a record's timestamp can take."""
+    return min(max(ts, _TIMESTAMP_MIN), _TIMESTAMP_MAX)
+
+
 def _text(draw, words):
     if draw(st.integers(0, 5)) == 0:
         return draw(st.sampled_from(MASKED_AWAY))
@@ -142,13 +159,15 @@ def _text(draw, words):
 def corpora(draw):
     """(posts, headlines) near one UTC midnight; headline vocabulary is
     either shared with the posts or disjoint from it."""
+    midnight = draw(st.sampled_from(MIDNIGHTS))
     shared = draw(st.booleans())
     head_words = POST_WORDS if shared else OTHER_WORDS
     users = ["u0", "u1", "u2"][: draw(st.integers(1, 3))]
     posts = []
     for i in range(draw(st.integers(1, 12))):
         # often exactly on or next to midnight, so posts share timestamps
-        ts = MIDNIGHT + draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3 * 3600, 3 * 3600)))
+        offset = draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-3 * 3600, 3 * 3600)))
+        ts = midnight + offset
         posts.append(Post(f"p{i:02d}", draw(st.sampled_from(users)), ts, _text(draw, POST_WORDS)))
     headlines = []
     for _ in range(draw(st.integers(0, 10))):
@@ -156,8 +175,8 @@ def corpora(draw):
             anchor = draw(st.sampled_from(posts)).created_at
             ts = anchor + draw(st.sampled_from(EDGE_OFFSETS))
         else:
-            ts = MIDNIGHT + draw(st.integers(-2 * 86400, 2 * 86400))
-        headlines.append(Headline(_text(draw, head_words), "reuters", ts))
+            ts = midnight + draw(st.integers(-2 * 86400, 2 * 86400))
+        headlines.append(Headline(_text(draw, head_words), "reuters", _timestamp(ts)))
     # exact duplicates, so several headlines tie on score
     for _ in range(draw(st.integers(0, 3)) if headlines else 0):
         dup = draw(st.sampled_from(headlines))
@@ -277,15 +296,17 @@ def weighted_corpora(draw):
     directly: headlines on the window edges of a post, exact duplicates and
     permuted copies of other headlines and of the posts."""
     rnd = draw(st.randoms(use_true_random=False))
+    midnight = draw(st.sampled_from(MIDNIGHTS))
     posts, post_vectors = [], []
     for i in range(draw(st.integers(1, 8))):
-        ts = MIDNIGHT + draw(st.sampled_from([-1, 0, 1]) | st.integers(-3 * 3600, 3 * 3600))
+        ts = midnight + draw(st.sampled_from([-1, 0, 1]) | st.integers(-3 * 3600, 3 * 3600))
         posts.append(Post(f"p{i}", draw(st.sampled_from(["u0", "u1"])), ts, ""))
         post_vectors.append(draw(vectors))
     times, head_vectors = [], []
     for _ in range(draw(st.integers(0, 12))):
         anchor = draw(st.sampled_from(posts)).created_at
-        times.append(anchor + draw(st.sampled_from(EDGE_OFFSETS) | st.integers(-86400, 86400)))
+        times.append(_timestamp(
+            anchor + draw(st.sampled_from(EDGE_OFFSETS) | st.integers(-86400, 86400))))
         kind = draw(st.sampled_from(["new", "copy", "permuted", "post"]))
         if kind == "new" or not head_vectors:
             head_vectors.append(draw(vectors))

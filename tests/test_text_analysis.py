@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue import geo, impact, labeling, model, scope, spans, textvec
-from newsvalue.geo import geocode, tagged_locations
+from newsvalue.geo import first_location, first_place, geocode
 from newsvalue.impact import (
     _CURRENCY_CHARS,
     _MIXED_RE,
@@ -456,7 +456,9 @@ def test_assemble_features_equals_reference(ctx, text, local):
 @given(texts())
 @example("RT @news: https://t.co/Ab12 quake near Jalisco, Mexico")
 def test_thin_entry_points_equal_reference(gazetteer, text):
-    assert tagged_locations(TextAnalysis(text), gazetteer) == ref_tag_locations(text, GAZETTEER_ENTRIES)
+    tagged = ref_tag_locations(text, GAZETTEER_ENTRIES)
+    assert first_place(TextAnalysis(text), gazetteer) == (tagged[0][2] if tagged else None)
+    assert first_location(text, gazetteer) == (tagged[0][:2] if tagged else None)
     assert TextAnalysis(text).scope() == ref_extract_scope(text)
     assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
     assert numeric_phrases(TextAnalysis(text)) == ref_numeric_phrases(text)
@@ -489,8 +491,9 @@ def test_extractors_total_over_unicode(ctx, text):
     assert isinstance(a.scope(), ScopeFeatures)
     for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
-    for s, e, _ in tagged_locations(TextAnalysis(text), ctx.gazetteer):
-        assert 0 <= s < e <= len(text)
+    span = first_location(text, ctx.gazetteer)
+    assert span is None or 0 <= span[0] < span[1] <= len(text)
+    first_place(TextAnalysis(text), ctx.gazetteer)
     assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert all(math.isfinite(v) for v in feats.values())

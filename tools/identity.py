@@ -58,11 +58,14 @@ for seed in range(10):
 # '@', '#' or non-ASCII character, so without them only the ASCII paths of
 # the tokenizer and the place tagger would run: URLs in mixed case, a
 # mention of a place name, characters that lower() lengthens (İ) or that
-# case-insensitive patterns fold (ſ), fullwidth letters and digits, and a
-# text left as it is.
+# case-insensitive patterns fold (ſ), fullwidth letters and digits, a
+# two-word place name split by a mention or a hashtag (curate geocodes the
+# matched text, where tokenize rewrites the mention, while extract reads
+# the name's entries), and a text left as it is.
 DECORATIONS = (
     "HTTPS://News.Example.COM/Quake?id=7", "via WWW.Example.ORG:", "@user says",
-    "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris", "",
+    "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris",
+    "New @York", "Times #Square", "",
 )
 
 
