@@ -14,7 +14,7 @@ from math import ceil
 from typing import Mapping, Sequence
 
 from .errors import DegenerateLabels
-from .geo import Gazetteer, first_location, geocode
+from .geo import Gazetteer, _within, first_place, geocode
 from .records import (
     Headline,
     Post,
@@ -69,12 +69,14 @@ def local_focus_ratio(
     *,
     seed: int,
 ) -> float:
-    """Share of located sample tweets that geocode inside the profile region.
+    """Share of located sample tweets whose first place lies inside the
+    profile region: one of the place name's entries is `_within` it.
 
-    Tweets with no tagged location stay out of the denominator; an account
+    Tweets with no place name stay out of the denominator; an account
     with zero locatable tweets scores 0 (treated as not locally focused).
     """
-    if geocode(profile.profile_location, None, g) is None:
+    region = geocode(profile.profile_location, g)
+    if region is None:
         raise ValueError(f"profile location {profile.profile_location!r} does not resolve")
     posts = list(sample)
     if len(posts) > SAMPLE_SIZE:
@@ -82,11 +84,10 @@ def local_focus_ratio(
         posts = rng.sample(posts, SAMPLE_SIZE)
     hits = located = 0
     for post in posts:
-        span = first_location(post.text, g)
-        if span is not None:
-            start, end = span
+        entries = first_place(tokenize(post.text), g)
+        if entries:
             located += 1
-            hits += geocode(post.text[start:end], profile.profile_location, g) is not None
+            hits += any(_within(e, region, g) for e in entries)
     return hits / located if located else 0.0
 
 
@@ -247,7 +248,7 @@ def curate(
 
     step2 = []
     for p in step1:
-        entry = geocode(p.profile_location, None, g) if p.profile_location else None
+        entry = geocode(p.profile_location, g)
         if entry is None:
             stages["removed_no_location"] += 1
             removed.append(p)

@@ -1,39 +1,34 @@
-"""File-backed gazetteer with guided (anchored) lookup and text tagging.
+"""File-backed gazetteer: place lookup, region containment and a text's
+first place.
 
 Stands in for live geocoding services: lookups are deterministic, offline,
-and disambiguated by population. A guided query resolves a toponym only
-inside an anchor region (the anchor's admin chain or country), which is
-what the local-focus hit/miss ratio is built on.
+and disambiguated by population. A text's first place is the first
+gazetteer name among its `tokenize` tokens, so no place is read from a URL
+or an @mention. `_within` decides whether a place lies inside a region
+(the region's admin chain or country), which is what the local-focus
+hit/miss ratio is built on.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import SchemaMismatch
 from .records import _COUNTRY_RE, GazetteerEntry, _is_utf8
-from .scope import TextAnalysis
 from .spans import PhraseTable
-from .textvec import _TOKEN_RE, tokenize
+from .textvec import URL_TOKEN, USER_TOKEN, tokenize
 
 class Gazetteer:
     """Entries indexed by the tokens of each name and alias; the entries
-    are immutable after load.
-
-    `geocode` stores each place it resolves, or None for a miss, in
-    `_resolved`, keyed by (query, anchor). A resolution depends only on
-    that key and the entries, so the dict is exact. It lives as long as
-    this instance, which the CLI loads once per verb.
-    """
+    are immutable after load. A name holding a URL or a mention names no
+    place, since in a text those are sentinel tokens."""
 
     def __init__(self, entries: list[GazetteerEntry]):
-        self._resolved: dict[tuple[str, Optional[str]], Optional[GazetteerEntry]] = {}
         self._names: dict[tuple[str, ...], list[GazetteerEntry]] = {}
         for entry in entries:
             for surface in (entry.name, *entry.aliases):
                 key = tuple(tokenize(surface))
-                if key:
+                if key and URL_TOKEN not in key and USER_TOKEN not in key:
                     self._names.setdefault(key, []).append(entry)
         self._table = PhraseTable([self._names])
 
@@ -122,43 +117,15 @@ def _within(entry: GazetteerEntry, anchor: GazetteerEntry, g: Gazetteer) -> bool
     return False
 
 
-def geocode(query: str, anchor: Optional[str], g: Gazetteer) -> Optional[GazetteerEntry]:
-    """Resolve a toponym, optionally only within an anchor region.
-
-    Unanchored: highest-population match. Anchored: the anchor resolves
-    first (unanchored); candidates outside it are discarded. A miss is
-    None, never an error.
-    """
-    key = (query, anchor)
-    if key in g._resolved:
-        return g._resolved[key]
-    cands = g.lookup(query) if query else []
-    if anchor is not None and cands:
-        region = geocode(anchor, None, g)
-        cands = [] if region is None else [e for e in cands if _within(e, region, g)]
-    entry = g._resolved[key] = _best_entry(cands)
-    return entry
+def geocode(query: str, g: Gazetteer) -> Optional[GazetteerEntry]:
+    """The highest-population place the query names, or None for a miss,
+    never an error."""
+    return _best_entry(g.lookup(query))
 
 
-def first_location(text: str, g: Gazetteer) -> Optional[tuple[int, int]]:
-    """(start, end) of the first gazetteer name in the text, the one
-    first_place resolves, or None. The gazetteer walks the lowered tokens
-    of one findall; character offsets are found only for the tokens up to
-    the end of that name."""
-    if text.isascii():
-        tokens = _TOKEN_RE.findall(text.lower())
-    else:
-        tokens = [t.lower() for t in _TOKEN_RE.findall(text)]
+def first_place(tokens: Sequence[str], g: Gazetteer) -> Sequence[GazetteerEntry]:
+    """The entries of the first gazetteer name (greedy longest match)
+    among `tokenize` tokens, or () when there is none. URLs and mentions
+    are sentinel tokens there, so they name no place."""
     hit = g._table.first(tokens)
-    if hit is None:
-        return None
-    i, j, _ = hit
-    found = list(islice(_TOKEN_RE.finditer(text), j))
-    return found[i].start(), found[-1].end()
-
-
-def first_place(a: TextAnalysis, g: Gazetteer) -> Optional[GazetteerEntry]:
-    """The highest-population entry of the first gazetteer name (greedy
-    longest match) among the text's raw tokens, or None."""
-    hit = g._table.first([tok for tok, _, _ in a.spans])
-    return None if hit is None else _best_entry(hit[2])
+    return () if hit is None else hit[2]

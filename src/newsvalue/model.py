@@ -16,7 +16,7 @@ from itertools import compress
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
-from .geo import Gazetteer, first_place
+from .geo import Gazetteer, _best_entry, first_place
 from .impact import bootstrap_impact_model, impact_labels, numeric_phrases
 from .labeling import masked_text
 from .linear import (
@@ -155,7 +155,7 @@ def assemble_features(
     if site_hits:
         features["impact_site_count"] = float(len(site_hits))
 
-    loc = first_place(a, ctx.gazetteer)
+    loc = _best_entry(first_place(a.tokens, ctx.gazetteer))
     if loc is None and source is not None and source.locally_focused:
         loc = source.resolved_location
     if loc is not None:

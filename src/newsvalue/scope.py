@@ -405,8 +405,8 @@ class TextAnalysis:
     """The scans of one text that masking, scope, impact and geo share,
     each run on first use and kept, so none runs twice per text. Two token
     streams stay apart: spans (token_spans, offsets into the raw text) feed
-    masking, numeric-phrase context and the gazetteer; tokens (tokenize,
-    URLs and mentions rewritten) feed taxonomy features and impact tf.idf.
+    masking and numeric-phrase context; tokens (tokenize, URLs and mentions
+    rewritten) feed taxonomy features, impact tf.idf and the gazetteer.
     """
 
     def __init__(self, text: str):

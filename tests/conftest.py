@@ -183,14 +183,14 @@ def propagate(results, posts, tfidf, link_threshold, same_user_threshold):
 
 
 # ---------------------------------------------------------------------------
-# the all-places tagger: the oracle of geo.first_place and geo.first_location
+# the all-places tagger: the oracle of geo.first_place
 # ---------------------------------------------------------------------------
 
 def tagged_locations(a, g):
-    """Every gazetteer name among the text's raw tokens, greedy longest
-    match, as (start, end, place): the span indexes the matched surface
-    text and the place is the name's highest-population entry."""
-    return [(s, e, _best_entry(cands)) for s, e, cands in g._table.spans(a.spans)]
+    """Every gazetteer name among the text's `tokenize` tokens, greedy
+    longest match, as (first token, end token, place): the place is the
+    name's highest-population entry."""
+    return [(i, j, _best_entry(cands)) for i, j, cands in g._table.matches(a.tokens)[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ def _random_unicode(rng: random.Random) -> str:
 
 def test_fuzz_robustness(gazetteer):
     from newsvalue.labeling import mask_taxonomy_tokens
-    from newsvalue.geo import first_location, first_place
+    from newsvalue.geo import first_place
     from test_scope import assert_scope_within_bounds
 
     with criterion("fuzz: 10,000 arbitrary strings, no exceptions, bounded", 30.0):
@@ -145,9 +145,7 @@ def test_fuzz_robustness(gazetteer):
                 assert phrase.value is not None or phrase.soft_quantity is not None
             if i % 5 == 0:
                 mask_taxonomy_tokens(text)
-                span = first_location(text, gazetteer)
-                assert span is None or 0 <= span[0] < span[1] <= len(text)
-                first_place(TextAnalysis(text), gazetteer)
+                first_place(toks, gazetteer)
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +375,11 @@ def _ablation_corpus(gazetteer, trbc_model):
     sources = {
         "jalisco_desk": SourceProfile(
             "jalisco_desk", locally_focused=True,
-            resolved_location=geocode("Jalisco", None, gazetteer),
+            resolved_location=geocode("Jalisco", gazetteer),
         ),
         "paris_desk": SourceProfile(
             "paris_desk", locally_focused=True,
-            resolved_location=geocode("Paris", None, gazetteer),
+            resolved_location=geocode("Paris", gazetteer),
         ),
     }
     rng = random.Random(81)

@@ -1,6 +1,7 @@
-"""The per-tweet text work of curation against copies of the code it
-replaced: the tokenizer's ASCII path, first-place tagging and the account
-centroid summed without a vector per tweet."""
+"""The per-tweet text work of curation: the tokenizer's ASCII path and
+the account centroid summed without a vector per tweet against copies of
+the code they replaced, and the first-place walk that curate and extract
+share, which reads no place from a URL or a mention."""
 
 from __future__ import annotations
 
@@ -12,11 +13,11 @@ from conftest import GAZETTEER_PATH, tagged_locations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newsvalue.curation import account_centroid
+from newsvalue.curation import account_centroid, local_focus_ratio
 from newsvalue.errors import DegenerateLabels
-from newsvalue.geo import first_location, first_place
+from newsvalue.geo import _best_entry, _within, first_place, geocode
 from newsvalue.model import NAME_BUCKETS, assemble_features, build_context
-from newsvalue.records import Post
+from newsvalue.records import Post, SourceProfile
 from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import SparseVector, fit_tfidf, tokenize, vectorize
 
@@ -101,8 +102,18 @@ def test_tokenize_equals_the_general_path(text):
 
 
 # ---------------------------------------------------------------------------
-# first_location
+# first_place
 # ---------------------------------------------------------------------------
+
+# Texts that once gave a place from a URL or a mention, or on which curate
+# and extract disagreed (curate took `New @York` as a located tweet outside
+# every region, extract as New York).
+URL_AND_MENTION_TEXTS = [
+    "https://news.example.com/tokyo-fire",
+    "thanks @Paris for the help",
+    "see www.houston.com now",
+    "fire in New @York tonight",
+]
 
 
 @pytest.fixture(scope="module")
@@ -119,11 +130,12 @@ def ctx(gazetteer, trbc_model):
 @example("all quiet")
 @example("fire near New @York and Times #Square")
 def test_first_location_is_the_first_tagged_span(ctx, text):
-    """curate's span (first_location) and extract's place (first_place, read
-    by the loc_* features) are the all-places tagger's first hit."""
+    """The first place (geo.first_place, which curate reads and whose best
+    entry the loc_* features of extract read) is the all-places tagger's
+    first hit."""
     tagged = tagged_locations(TextAnalysis(text), ctx.gazetteer)
-    assert first_location(text, ctx.gazetteer) == (tagged[0][:2] if tagged else None)
-    place = first_place(TextAnalysis(text), ctx.gazetteer)
+    entries = first_place(tokenize(text), ctx.gazetteer)
+    place = _best_entry(entries)
     assert place == (tagged[0][2] if tagged else None)
     features = assemble_features(Post("p", "u", 0, text), None, ctx)
     located = {k for k in features if k.startswith("loc_")}
@@ -133,6 +145,62 @@ def test_first_location_is_the_first_tagged_span(ctx, text):
         bucket = zlib.crc32(place.name.lower().encode("utf-8")) % NAME_BUCKETS
         expected = {"loc_present", f"loc_country_{place.country_code}", f"loc_name_b{bucket}"}
         assert expected <= located
+
+
+def _outside_urls_and_mentions(text):
+    """The pieces of the text between its URLs and mentions, found as
+    tokenize finds them: URLs first, then mentions in what is left."""
+    return [piece for part in _URL_RE.split(text) for piece in _MENTION_RE.split(part)]
+
+
+# A home region, and a place outside it.
+REGIONS = [("Houston", "Tokyo"), ("Texas", "Tokyo"), ("United States", "Tokyo"),
+           ("France", "Houston"), ("Japan", "Houston")]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(texts, st.sampled_from(REGIONS))
+@example(URL_AND_MENTION_TEXTS[0], REGIONS[0])
+@example(URL_AND_MENTION_TEXTS[1], REGIONS[3])
+@example(URL_AND_MENTION_TEXTS[2], REGIONS[0])
+@example(URL_AND_MENTION_TEXTS[3], REGIONS[2])
+@example("#Houston", REGIONS[1])
+@example("Times #Square", REGIONS[2])
+def test_no_place_from_a_url_or_a_mention(ctx, text, region):
+    """The first place is the first place of the text's pieces between
+    URLs and mentions, so none is read from a URL or a mention; and
+    curate's located/inside decision is the one that extract's entries
+    and `_within` give."""
+    g = ctx.gazetteer
+    entries = first_place(tokenize(text), g)
+    pieces = [tagged_locations(TextAnalysis(p), g) for p in _outside_urls_and_mentions(text)]
+    expected = next((hits[0][2] for hits in pieces if hits), None)
+    assert _best_entry(entries) == expected
+    # curate's decision, read from the ratio over the text, a tweet inside
+    # the region and one outside it: 1/2 unlocated, 2/3 inside, 1/3 outside
+    home, away = region
+    anchor = geocode(home, g)
+    profile = SourceProfile("u", profile_location=home)
+    tweets = [Post(f"p{i}", "u", i, t) for i, t in enumerate((text, home, f"fire in {away}"))]
+    ratio = local_focus_ratio(profile, tweets, g, seed=0)
+    if not entries:
+        assert ratio == 1 / 2
+    elif any(_within(e, anchor, g) for e in entries):
+        assert ratio == 2 / 3
+    else:
+        assert ratio == 1 / 3
+
+
+@pytest.mark.parametrize("text", URL_AND_MENTION_TEXTS)
+def test_urls_and_mentions_name_no_place(ctx, text):
+    assert first_place(tokenize(text), ctx.gazetteer) == ()
+    features = assemble_features(Post("p", "u", 0, text), None, ctx)
+    assert not any(k.startswith("loc_") for k in features)
+
+
+@pytest.mark.parametrize("text, name", [("#Houston", "Houston"), ("Times #Square", "Times Square")])
+def test_a_hashtag_keeps_its_place(ctx, text, name):
+    assert _best_entry(first_place(tokenize(text), ctx.gazetteer)).name == name
 
 
 # ---------------------------------------------------------------------------

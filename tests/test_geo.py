@@ -1,4 +1,5 @@
-"""Gazetteer loading, guided geocoding, and location tagging."""
+"""Gazetteer loading, place lookup, region containment (`_within`) and a
+text's first place."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from newsvalue.geo import (
     Gazetteer,
     GazetteerEntry,
     _best_entry,
-    first_location,
+    _within,
     first_place,
     geocode,
     load_gazetteer,
@@ -48,19 +49,27 @@ def gaz(tmp_path):
     return load_gazetteer(path)
 
 
+def inside(query, region, g):
+    """The places `query` names that lie inside the place `region` names,
+    by `_within`: what curate tests a tweet's first place against (the
+    tweet is inside when this is not empty)."""
+    anchor = geocode(region, g)
+    return [] if anchor is None else [e for e in g.lookup(query) if _within(e, anchor, g)]
+
+
 class TestLoadGazetteer:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
         g = load_gazetteer(path)
         assert g.lookup("Paris") == []
-        assert geocode("Paris", None, g) is None
+        assert geocode("Paris", g) is None
 
     def test_duplicate_names_indexed(self, gaz):
         assert len(gaz.lookup("paris")) == 2
 
     def test_alias_resolves(self, gaz):
-        res = geocode("NYC", None, gaz)
+        res = geocode("NYC", gaz)
         assert res is not None and res.name == "New York"
 
     def test_bad_column_count(self, tmp_path):
@@ -90,44 +99,37 @@ class TestLoadGazetteer:
 
 class TestGeocode:
     def test_anchored_hit(self, gaz):
-        res = geocode("Paris", "France", gaz)
-        assert res is not None and res.country_code == "FR"
+        assert [e.country_code for e in inside("Paris", "France", gaz)] == ["FR"]
 
     def test_anchored_miss(self, gaz):
-        assert geocode("Paris", "Japan", gaz) is None
+        assert inside("Paris", "Japan", gaz) == []
 
     def test_empty_query(self, gaz):
-        assert geocode("", None, gaz) is None
+        assert geocode("", gaz) is None
+        assert inside("", "France", gaz) == []
 
     def test_unanchored_population_disambiguation(self, gaz):
-        res = geocode("Paris", None, gaz)
+        res = geocode("Paris", gaz)
         assert res.country_code == "FR"
 
     def test_anchor_admin_chain(self, gaz):
-        res = geocode("Paris", "Texas", gaz)
-        assert res is not None and res.country_code == "US"
-        res = geocode("Paris", "United States", gaz)
-        assert res is not None and res.country_code == "US"
+        assert [e.country_code for e in inside("Paris", "Texas", gaz)] == ["US"]
+        assert [e.country_code for e in inside("Paris", "United States", gaz)] == ["US"]
 
     def test_unresolvable_anchor_misses(self, gaz):
-        assert geocode("Paris", "Atlantis", gaz) is None
+        assert geocode("Atlantis", gaz) is None
+        assert inside("Paris", "Atlantis", gaz) == []
 
     def test_anchoring_only_restricts(self, gaz):
         queries = ["Paris", "Tokyo", "Jalisco", "New York", "nothing"]
-        anchors = [None, "France", "Japan", "Texas", "United States", "Mexico"]
+        anchors = ["France", "Japan", "Texas", "United States", "Mexico"]
         for q in queries:
             for a in anchors:
-                if a is None:
-                    continue
-                anchored = geocode(q, a, gaz)
-                if anchored is not None:
-                    assert geocode(q, None, gaz) is not None
+                assert all(e in gaz.lookup(q) for e in inside(q, a, gaz))
 
     def test_anchored_results_within_anchor(self, gaz):
         for q in ("Paris", "Tokyo", "New York"):
-            res = geocode(q, "United States", gaz)
-            if res is not None:
-                assert res.country_code == "US"
+            assert all(e.country_code == "US" for e in inside(q, "United States", gaz))
 
     def test_tokenless_parent_matches_no_anchor(self, tmp_path):
         # The anchor resolves through its alias; its name and the town's
@@ -135,14 +137,14 @@ class TestGeocode:
         path = tmp_path / "gaz.txt"
         path.write_text("***|Star City|10.0|10.0|US|Texas|100\nTown||20.0|20.0|MX|!!!|50\n")
         g = load_gazetteer(path)
-        assert geocode("Star City", None, g).name == "***"
-        assert geocode("Town", "Star City", g) is None
+        assert geocode("Star City", g).name == "***"
+        assert inside("Town", "Star City", g) == []
 
 
 def _reference_within(entry, anchor, g) -> bool:
-    """Uncached copy of geo._within as it stood before geocode was memoized,
-    with its name rule written out: a parent names the anchor when both
-    have the same word tokens, and there is at least one."""
+    """Copy of geo._within with its name rule written out: a parent names
+    the anchor when both have the same word tokens, and there is at least
+    one."""
     if entry == anchor:
         return True
     if anchor.admin_parent is None and entry.country_code == anchor.country_code:
@@ -165,7 +167,9 @@ def _reference_within(entry, anchor, g) -> bool:
 
 
 def _reference_geocode(query: str, anchor: Optional[str], g) -> Optional[GazetteerEntry]:
-    """Uncached copy of geo.geocode as it stood before it was memoized."""
+    """The anchored lookup curate made before it tested a name's entries
+    with `_within`: the query's highest-population place inside the
+    anchor's place, or None."""
     cands = g.lookup(query) if query else []
     if anchor is not None and cands:
         region = _reference_geocode(anchor, None, g)
@@ -213,28 +217,28 @@ _ANCHORS = [
 ]
 
 
-class TestGeocodeMemo:
+class TestWithin:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(_QUERIES), st.sampled_from(_ANCHORS)),
                     max_size=30))
-    def test_memo_equals_uncached_reference(self, calls):
+    def test_within_equals_reference(self, calls):
         g = Gazetteer(_PROPERTY_ENTRIES)
-        reference = Gazetteer(_PROPERTY_ENTRIES)
-        for query, anchor in calls + calls:
-            assert geocode(query, anchor, g) == _reference_geocode(query, anchor, reference)
         for query, anchor in calls:
-            assert geocode(query, anchor, g) is geocode(query, anchor, g)
+            if anchor is None:
+                assert geocode(query, g) == _reference_geocode(query, None, g)
+            else:
+                assert _best_entry(inside(query, anchor, g)) == _reference_geocode(query, anchor, g)
 
     def test_guards_are_exercised(self):
         g = Gazetteer(_PROPERTY_ENTRIES)
-        assert geocode("Loopville", "Elsewhere", g) is None  # cycle: `seen` guard
-        assert geocode("Ouroboros", "Elsewhere", g) is None
-        assert geocode("Rung 00", "Rung 16", g) is not None  # 16th step reaches it
-        assert geocode("Rung 00", "Rung 17", g) is None  # past the 16-step guard
-        assert geocode("Rung 00", "Rung 20", g) is not None  # country-level anchor
-        assert geocode("spb", "Russia", g).country_code == "RU"
-        assert geocode("st petersburg", "Florida", g).country_code == "US"
-        assert geocode("Athens", "Georgia", g).country_code == "US"
+        assert inside("Loopville", "Elsewhere", g) == []  # cycle: `seen` guard
+        assert inside("Ouroboros", "Elsewhere", g) == []
+        assert inside("Rung 00", "Rung 16", g) != []  # 16th step reaches it
+        assert inside("Rung 00", "Rung 17", g) == []  # past the 16-step guard
+        assert inside("Rung 00", "Rung 20", g) != []  # country-level anchor
+        assert [e.country_code for e in inside("spb", "Russia", g)] == ["RU"]
+        assert [e.country_code for e in inside("st petersburg", "Florida", g)] == ["US"]
+        assert [e.country_code for e in inside("Athens", "Georgia", g)] == ["US"]
 
     def test_instances_do_not_share_resolutions(self, tmp_path):
         first = tmp_path / "first.txt"
@@ -242,47 +246,50 @@ class TestGeocodeMemo:
         first.write_text("France||46.2|2.2|FR||68000000\nParis||48.86|2.35|FR|France|2148000\n")
         second.write_text("Texas||31.0|-100.0|US||29000000\nParis||33.66|-95.56|US|Texas|24839\n")
         g1, g2 = load_gazetteer(first), load_gazetteer(second)
-        assert geocode("Paris", None, g1).country_code == "FR"
-        assert geocode("Paris", "France", g1) is not None
-        assert geocode("Paris", "Texas", g1) is None
-        assert geocode("Paris", None, g2).country_code == "US"
-        assert geocode("Paris", "France", g2) is None
-        assert geocode("Paris", "Texas", g2) is not None
-        assert geocode("Paris", None, g1).country_code == "FR"
+        assert geocode("Paris", g1).country_code == "FR"
+        assert inside("Paris", "France", g1) != []
+        assert inside("Paris", "Texas", g1) == []
+        assert geocode("Paris", g2).country_code == "US"
+        assert inside("Paris", "France", g2) == []
+        assert inside("Paris", "Texas", g2) != []
+        assert geocode("Paris", g1).country_code == "FR"
 
 
 class TestTagLocations:
     def test_jalisco_mexico(self, gaz):
         text = "earthquake off the coast of Jalisco, Mexico"
-        assert first_place(TextAnalysis(text), gaz).name == "Jalisco"
-        start, end = first_location(text, gaz)
-        assert text[start:end] == "Jalisco"
+        assert first_place(tokenize(text), gaz) == gaz.lookup("Jalisco")
+        assert _best_entry(first_place(tokenize(text), gaz)).name == "Jalisco"
 
     def test_no_locations(self, gaz):
-        assert first_place(TextAnalysis("all quiet"), gaz) is None
-        assert first_location("all quiet", gaz) is None
+        assert first_place(tokenize("all quiet"), gaz) == ()
 
     def test_longest_match_wins(self, gaz):
         text = "New York City on alert"
-        start, end = first_location(text, gaz)
-        assert text[start:end] == "New York City"
-        assert first_place(TextAnalysis(text), gaz) == _best_entry(gaz.lookup("New York City"))
+        assert first_place(tokenize(text), gaz) == gaz.lookup("New York City")
 
     def test_spans_exact_and_disjoint(self, gaz):
         text = "From Paris to Tokyo and New York City, then Jalisco"
-        hits = tagged_locations(TextAnalysis(text), gaz)
-        last = -1
+        a = TextAnalysis(text)
+        hits = tagged_locations(a, gaz)
+        last = 0
         for start, end, entry in hits:
-            assert start >= last
-            assert entry in gaz.lookup(text[start:end]), text[start:end]
+            assert last <= start < end
+            assert entry in gaz.lookup(" ".join(a.tokens[start:end]))
             last = end
+        assert [entry.name for _, _, entry in hits] == ["Paris", "Tokyo", "New York", "Jalisco"]
         paris = _best_entry(gaz.lookup("Paris"))
-        assert first_place(TextAnalysis(text), gaz) == hits[0][2] == paris
+        assert _best_entry(first_place(a.tokens, gaz)) == hits[0][2] == paris
+
+    def test_a_name_with_a_url_or_a_mention_names_no_place(self):
+        g = Gazetteer([_entry("@Base", "US"), _entry("www.paris.fr", "FR"), _entry("Paris", "FR")])
+        assert g.lookup("@Base") == g.lookup("www.paris.fr") == []
+        assert first_place(tokenize("thanks @Paris, see www.paris.fr"), g) == ()
+        assert [e.name for e in first_place(tokenize("@Base Paris"), g)] == ["Paris"]
 
     def test_total_on_arbitrary_text(self, gaz):
         for text in ("", "\x00\x01", "🌍🌋", "a" * 500):
-            first_place(TextAnalysis(text), gaz)  # must not raise
-            first_location(text, gaz)
+            first_place(tokenize(text), gaz)  # must not raise
 
 
 class TestLocationFeatures:
@@ -290,7 +297,7 @@ class TestLocationFeatures:
     profile location of a locally-focused source."""
 
     def _profile(self, locally_focused, gaz):
-        entry = geocode("Tokyo", None, gaz)
+        entry = geocode("Tokyo", gaz)
         return SourceProfile(
             "u1", profile_location="Tokyo",
             resolved_location=entry, locally_focused=locally_focused,

@@ -1,6 +1,8 @@
 """tools/identity.py on its bootstrap case: a tree matches itself, and a
-one-ulp change to the bootstrap learning rate fails the check by name.
-Also the fragments a decorated corpus's texts get."""
+one-ulp change to the bootstrap learning rate fails the check by name
+unless the expected-changes list names it; a listed file that does not
+differ fails too. Also the committed list and the fragments a decorated
+corpus's texts get."""
 
 from __future__ import annotations
 
@@ -35,6 +37,26 @@ def work_in_tmp(tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
+def _expected(tmp_path, *lines) -> Path:
+    path = tmp_path / "expected-changes.txt"
+    path.write_text("# none but these\n" + "".join(line + "\n" for line in lines),
+                    encoding="utf-8")
+    return path
+
+
+@pytest.fixture()
+def mutant(tmp_path) -> Path:
+    """A copy of src/ whose bootstrap learning rate is one ulp larger."""
+    mutant = tmp_path / "mutant-src"
+    shutil.copytree(SRC, mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    impact = mutant / "newsvalue" / "impact.py"
+    text = impact.read_text(encoding="utf-8")
+    rate = f"learning_rate={math.nextafter(0.01, 1.0)!r}"
+    assert text.count("learning_rate=0.01,") == 1
+    impact.write_text(text.replace("learning_rate=0.01,", rate + ","), encoding="utf-8")
+    return mutant
+
+
 def _tables(out: str) -> list[list[str]]:
     """The printed sha256 tables, one list of lines per tree."""
     tables = []
@@ -46,8 +68,9 @@ def _tables(out: str) -> list[list[str]]:
     return tables
 
 
-def test_tree_matches_itself(capsys):
-    assert identity.main(["--base", str(SRC), "--head", str(SRC)], cases=BOOTSTRAP) == 0
+def test_tree_matches_itself(tmp_path, capsys):
+    argv = ["--base", str(SRC), "--head", str(SRC)]
+    assert identity.main(argv, cases=BOOTSTRAP, expected=_expected(tmp_path)) == 0
     base, head = _tables(capsys.readouterr().out)
     assert base == head
     assert {line.split("  ")[1] for line in head} == {
@@ -55,17 +78,38 @@ def test_tree_matches_itself(capsys):
     }
 
 
-def test_one_ulp_in_the_bootstrap_learning_rate_fails(tmp_path, capsys):
-    mutant = tmp_path / "mutant-src"
-    shutil.copytree(SRC, mutant, ignore=shutil.ignore_patterns("__pycache__"))
-    impact = mutant / "newsvalue" / "impact.py"
-    text = impact.read_text(encoding="utf-8")
-    rate = f"learning_rate={math.nextafter(0.01, 1.0)!r}"
-    assert text.count("learning_rate=0.01,") == 1
-    impact.write_text(text.replace("learning_rate=0.01,", rate + ","), encoding="utf-8")
-    assert identity.main(["--base", str(SRC), "--head", str(mutant)], cases=BOOTSTRAP) == 1
+def test_one_ulp_in_the_bootstrap_learning_rate_fails(tmp_path, mutant, capsys):
+    argv = ["--base", str(SRC), "--head", str(mutant)]
+    assert identity.main(argv, cases=BOOTSTRAP, expected=_expected(tmp_path)) == 1
     err = capsys.readouterr().err
     assert "differs: bootstrap/program.stdout" in err.splitlines()
+
+
+def test_a_listed_difference_passes(tmp_path, mutant, capsys):
+    expected = _expected(tmp_path, "bootstrap/*.stdout  one ulp up in the learning rate")
+    argv = ["--base", str(SRC), "--head", str(mutant)]
+    assert identity.main(argv, cases=BOOTSTRAP, expected=expected) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "differs as listed: bootstrap/program.stdout (one ulp up in the learning rate)" in out
+
+
+def test_a_listed_file_that_does_not_differ_fails(tmp_path, mutant, capsys):
+    expected = _expected(tmp_path, "bootstrap/program.stdout  one ulp up",
+                         "bootstrap/program.stderr  stale")
+    argv = ["--base", str(SRC), "--head", str(mutant)]
+    assert identity.main(argv, cases=BOOTSTRAP, expected=expected) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert "listed, but no file differs: bootstrap/program.stderr" in err
+    assert not any("program.stdout" in line for line in err)
+
+
+def test_the_committed_list_names_files_of_cases():
+    """Each glob of tools/expected-changes.txt names one case's files and
+    gives a reason."""
+    expected = identity.read_expected(identity.EXPECTED)
+    names = {case.name for case in identity.CASES}
+    for glob, reason in expected.items():
+        assert glob.split("/", 1)[0] in names and "/" in glob and reason, glob
 
 
 def test_decorate_puts_each_fragment_in_front_of_a_text(tmp_path):

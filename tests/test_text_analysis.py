@@ -24,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newsvalue import geo, impact, labeling, model, scope, spans, textvec
-from newsvalue.geo import first_location, first_place, geocode
+from newsvalue.geo import first_place, geocode
 from newsvalue.impact import (
     _CURRENCY_CHARS,
     _MIXED_RE,
@@ -231,18 +231,17 @@ GAZETTEER_ENTRIES = ref_gazetteer_entries(GAZETTEER_PATH)
 
 
 def ref_tag_locations(text, entries):
+    """Every gazetteer name among the text's `tokenize` tokens, as (first
+    token, end token, highest-population entry)."""
     phrases = {}
     for entry in entries:
         for surface in (entry.name, *entry.aliases):
             key = tuple(tokenize(surface))
             if key:
                 phrases.setdefault(key, []).append(entry)
-    out = []
-    for start, end, cands in ref_phrase_spans(text, phrases):
-        entry = geo._best_entry(cands)
-        if entry is not None:
-            out.append((start, end, entry))
-    return out
+    max_len = max((len(p) for p in phrases), default=1)
+    return [(i, j, geo._best_entry(cands))
+            for i, j, cands in ref_phrase_matches(tokenize(text), phrases, max_len)]
 
 
 def ref_assemble_features(post, source, ctx, rules):
@@ -444,7 +443,7 @@ def test_masking_with_overlapping_taxonomies_equals_reference(case):
 def test_assemble_features_equals_reference(ctx, text, local):
     source = SourceProfile("u", locally_focused=local)
     if local:
-        source = source._replace(resolved_location=geocode("Paris", None, ctx.gazetteer))
+        source = source._replace(resolved_location=geocode("Paris", ctx.gazetteer))
     post = Post("p", "u", 0, text)
     expected = ref_assemble_features(post, source, ctx, REF_RULES)
     got = assemble_features(post, source, ctx)
@@ -457,8 +456,8 @@ def test_assemble_features_equals_reference(ctx, text, local):
 @example("RT @news: https://t.co/Ab12 quake near Jalisco, Mexico")
 def test_thin_entry_points_equal_reference(gazetteer, text):
     tagged = ref_tag_locations(text, GAZETTEER_ENTRIES)
-    assert first_place(TextAnalysis(text), gazetteer) == (tagged[0][2] if tagged else None)
-    assert first_location(text, gazetteer) == (tagged[0][:2] if tagged else None)
+    entries = first_place(TextAnalysis(text).tokens, gazetteer)
+    assert geo._best_entry(entries) == (tagged[0][2] if tagged else None)
     assert TextAnalysis(text).scope() == ref_extract_scope(text)
     assert TextAnalysis(text).pattern_spans == ref_scope_pattern_spans(text)
     assert numeric_phrases(TextAnalysis(text)) == ref_numeric_phrases(text)
@@ -491,9 +490,7 @@ def test_extractors_total_over_unicode(ctx, text):
     assert isinstance(a.scope(), ScopeFeatures)
     for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text)
-    span = first_location(text, ctx.gazetteer)
-    assert span is None or 0 <= span[0] < span[1] <= len(text)
-    first_place(TextAnalysis(text), ctx.gazetteer)
+    first_place(a.tokens, ctx.gazetteer)
     assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert all(math.isfinite(v) for v in feats.values())

@@ -14,11 +14,17 @@ The script prints one sha256 table per tree, over every artifact of
 every case and every run's stdout, stderr and exit code, and fails
 
 - when a verb chain or the bootstrap program exits non-zero or writes to
-  stderr, on either tree; or
-- with --base, when the two trees' tables differ.
+  stderr, on either tree;
+- with --base, when the two trees' tables differ in a file that
+  tools/expected-changes.txt does not list; or
+- with --base, when a glob of that list matches no file that differs (a
+  stale expectation).
 
 Either way it names the case and the file, and keeps the run
-directories. To compare a change with its parent commit:
+directories. tools/expected-changes.txt names the files a change alters
+on purpose: one `case/file` glob (fnmatch) per line, then the reason;
+blank lines and '#' comments are skipped. A change that alters no
+artifact leaves it empty. To compare a change with its parent commit:
 
     git worktree add --detach ../parent HEAD~1
     python tools/identity.py --base ../parent/src --head src
@@ -27,6 +33,7 @@ directories. To compare a change with its parent commit:
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import importlib.util
 import json
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
+EXPECTED = REPO / "tools" / "expected-changes.txt"
 CHAIN = ("curate", "label", "extract", "train", "predict", "evaluate")
 WORKLOADS = ("feed-rich", "wire-dense", "model-fit")
 
@@ -59,9 +67,8 @@ for seed in range(10):
 # the tokenizer and the place tagger would run: URLs in mixed case, a
 # mention of a place name, characters that lower() lengthens (İ) or that
 # case-insensitive patterns fold (ſ), fullwidth letters and digits, a
-# two-word place name split by a mention or a hashtag (curate geocodes the
-# matched text, where tokenize rewrites the mention, while extract reads
-# the name's entries), and a text left as it is.
+# two-word place name split by a mention (which names no place) or by a
+# hashtag (which keeps its word), and a text left as it is.
 DECORATIONS = (
     "HTTPS://News.Example.COM/Quake?id=7", "via WWW.Example.ORG:", "@user says",
     "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris",
@@ -196,7 +203,37 @@ def run_tree(src: Path, tree: Path, cases, corpora) -> tuple[dict[str, str], lis
     return table, failures
 
 
-def main(argv=None, cases=CASES) -> int:
+def read_expected(path: Path) -> dict[str, str]:
+    """The expected-changes list: each `case/file` glob and its reason."""
+    expected = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            glob, *reason = line.split(None, 1)
+            expected[glob] = " ".join(reason).strip()
+    return expected
+
+
+def compare(base: dict[str, str], head: dict[str, str], expected: dict[str, str]) -> list[str]:
+    """The failures of comparing two tables under the expected changes: a
+    file that differs unlisted, and a listed glob that matches no file
+    that differs. Prints each listed file that differs, with its reason."""
+    failures, matched = [], set()
+    for key in sorted(base.keys() | head.keys()):
+        if base.get(key) == head.get(key):
+            continue
+        globs = [glob for glob in expected if fnmatch.fnmatchcase(key, glob)]
+        if globs:
+            matched.update(globs)
+            print(f"differs as listed: {key} ({expected[globs[0]]})")
+        else:
+            failures.append(f"differs: {key}" if key in base and key in head
+                            else f"only in the {'base' if key in base else 'head'} tree: {key}")
+    failures += [f"listed, but no file differs: {glob}"
+                 for glob in expected if glob not in matched]
+    return failures
+
+
+def main(argv=None, cases=CASES, expected: Path = EXPECTED) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--head", type=Path, required=True, help="the src/ directory of the change")
     parser.add_argument("--base", type=Path, help="the src/ directory to compare it with")
@@ -212,11 +249,7 @@ def main(argv=None, cases=CASES) -> int:
         for key, digest in tables[label].items():
             print(f"{digest}  {key}")
     if args.base:
-        base, head = tables["base"], tables["head"]
-        for key in sorted(base.keys() | head.keys()):
-            if base.get(key) != head.get(key):
-                failures.append(f"differs: {key}" if key in base and key in head
-                                else f"only in the {'base' if key in base else 'head'} tree: {key}")
+        failures += compare(tables["base"], tables["head"], read_expected(expected))
     for failure in failures:
         print(failure, file=sys.stderr)
     if failures:
@@ -224,7 +257,8 @@ def main(argv=None, cases=CASES) -> int:
         return 1
     shutil.rmtree(work)
     if args.base:
-        print(f"identical: {len(tables['head'])} files over {len(cases)} cases")
+        print(f"identical but for the listed changes: {len(tables['head'])} files"
+              f" over {len(cases)} cases")
     return 0
 
 
