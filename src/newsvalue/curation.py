@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 import zlib
-from collections import Counter
 from math import ceil
 from typing import Mapping, Sequence
 
@@ -27,12 +26,11 @@ from .scope import lexicon
 from .textvec import (
     SparseVector,
     TfidfModel,
-    build_centroids,
     centroid,
     fit_tfidf,
     nearest_centroid,
+    term_weights,
     tokenize,
-    vectorize,
 )
 
 SAMPLE_SIZE = 50  # tweets per account for the local-focus ratio
@@ -70,14 +68,13 @@ def local_focus_ratio(
     seed: int,
 ) -> float:
     """Share of located sample tweets whose first place lies inside the
-    profile region: one of the place name's entries is `_within` it.
+    profile region, its `resolved_location` (a place of `g`, which curate
+    sets): one of the place name's entries is `_within` it.
 
     Tweets with no place name stay out of the denominator; an account
     with zero locatable tweets scores 0 (treated as not locally focused).
     """
-    region = geocode(profile.profile_location, g)
-    if region is None:
-        raise ValueError(f"profile location {profile.profile_location!r} does not resolve")
+    region = profile.resolved_location
     posts = list(sample)
     if len(posts) > SAMPLE_SIZE:
         rng = random.Random(_stable_seed(seed, profile.user_id))
@@ -129,6 +126,8 @@ def build_trbc_centroids(
     Each code is one tf.idf document built from up to PER_CODE_CAP sampled
     headlines; a code with listed descendants only samples headlines not
     also tagged by a descendant, so the parent code's sample stays disjoint.
+    A centroid is the mean of its headlines' term weights; a code whose
+    headlines hold no word token has a zero-norm centroid and is dropped.
     """
     by_code: dict[str, list[Headline]] = {code: [] for code in TRBC_CODES}
     for h in headlines:
@@ -150,19 +149,12 @@ def build_trbc_centroids(
         raise DegenerateLabels("no headlines carry known topic codes")
     tokens = {code: [tokenize(h.text) for h in sampled[code]] for code in sorted(sampled)}
     tfidf = fit_tfidf([[t for toks in docs for t in toks] for docs in tokens.values()])
-    groups = [(code, [vectorize(toks, tfidf) for toks in docs]) for code, docs in tokens.items()]
-    return tfidf, build_centroids(groups)
-
-
-def account_centroid(tweets: Sequence[Post], tfidf: TfidfModel) -> SparseVector:
-    """Mean tf.idf vector of the tweets: each tweet's term weights are
-    summed into it in tweet order, terms in order of first occurrence,
-    and no vector is built per tweet."""
-    idf = tfidf.idf
-    return centroid(
-        {term: count * idf(term) for term, count in Counter(tokenize(t.text)).items()}
-        for t in tweets
-    )
+    centroids = {}
+    for code, docs in tokens.items():
+        c = centroid(term_weights(toks, tfidf) for toks in docs)
+        if c.norm > 0.0:
+            centroids[code] = c
+    return tfidf, centroids
 
 
 def classify_account(
@@ -184,7 +176,9 @@ def classify_account(
     if len(tweets) > MAX_ACCOUNT_TWEETS:
         rng = random.Random(_stable_seed(seed, profile.user_id))
         tweets = rng.sample(tweets, MAX_ACCOUNT_TWEETS)
-    code, _sim = nearest_centroid(account_centroid(tweets, tfidf), trbc_centroids)
+    # the mean of the tweets' term weights; no vector is built per tweet
+    account = centroid(term_weights(tokenize(t.text), tfidf) for t in tweets)
+    code, _sim = nearest_centroid(account, trbc_centroids)
     direct = DIRECT_CATEGORY.get(code)
     if direct is not None:
         return direct

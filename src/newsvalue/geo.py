@@ -4,9 +4,10 @@ first place.
 Stands in for live geocoding services: lookups are deterministic, offline,
 and disambiguated by population. A text's first place is the first
 gazetteer name among its `tokenize` tokens, so no place is read from a URL
-or an @mention. `_within` decides whether a place lies inside a region
-(the region's admin chain or country), which is what the local-focus
-hit/miss ratio is built on.
+or an @mention. Each place's admin chain is resolved once, when the
+gazetteer is built; `_within` decides whether a place lies inside a region
+(on the place's admin chain, or the region is its country), which is what
+the local-focus hit/miss ratio is built on.
 """
 
 from __future__ import annotations
@@ -19,9 +20,15 @@ from .spans import PhraseTable
 from .textvec import URL_TOKEN, USER_TOKEN, tokenize
 
 class Gazetteer:
-    """Entries indexed by the tokens of each name and alias; the entries
-    are immutable after load. A name holding a URL or a mention names no
-    place, since in a text those are sentinel tokens."""
+    """Entries indexed by the tokens of each name and alias, each with its
+    admin chain; the entries are immutable after load. A name holding a URL
+    or a mention names no place, since in a text those are sentinel tokens.
+
+    An entry's admin chain holds the entries its admin parent names, then
+    those the parent of that parent's highest-population entry names, and
+    so on: at most 16 rungs, ending at a parent with no entry or one already
+    walked. A parent names the entries `lookup` finds for it, so a parent
+    with no word token names none."""
 
     def __init__(self, entries: list[GazetteerEntry]):
         self._names: dict[tuple[str, ...], list[GazetteerEntry]] = {}
@@ -31,6 +38,22 @@ class Gazetteer:
                 if key and URL_TOKEN not in key and USER_TOKEN not in key:
                     self._names.setdefault(key, []).append(entry)
         self._table = PhraseTable([self._names])
+        self._chains: dict[GazetteerEntry, frozenset[GazetteerEntry]] = {}
+        for entry in entries:
+            chain: set[GazetteerEntry] = set()
+            seen = set()
+            cur = entry
+            for _ in range(16):
+                parent = cur.admin_parent
+                if not parent or parent.lower() in seen:
+                    break
+                named = self.lookup(parent)
+                chain.update(named)
+                seen.add(parent.lower())
+                cur = _best_entry(named)
+                if cur is None:
+                    break
+            self._chains[entry] = frozenset(chain)
 
     def lookup(self, query: str) -> list[GazetteerEntry]:
         return list(self._names.get(tuple(tokenize(query)), ()))
@@ -92,29 +115,14 @@ def load_gazetteer(path) -> Gazetteer:
 
 
 def _within(entry: GazetteerEntry, anchor: GazetteerEntry, g: Gazetteer) -> bool:
-    """entry is inside anchor: same place, anchor on its admin chain, or a
-    country-level anchor sharing the entry's country code. An admin parent
-    names the entries lookup finds for it, so a parent with no word token
-    names none."""
-    if entry == anchor:
-        return True
-    if anchor.admin_parent is None and entry.country_code == anchor.country_code:
-        return True
-    seen = set()
-    cur = entry
-    for _ in range(16):
-        parent = cur.admin_parent
-        if not parent or parent.lower() in seen:
-            break
-        named = g.lookup(parent)
-        if anchor in named:
-            return True
-        seen.add(parent.lower())
-        nxt = _best_entry(named)
-        if nxt is None:
-            break
-        cur = nxt
-    return False
+    """entry, a place of g, is inside anchor: same place, a country-level
+    anchor sharing the entry's country code, or anchor on the entry's admin
+    chain."""
+    return (
+        entry == anchor
+        or (anchor.admin_parent is None and entry.country_code == anchor.country_code)
+        or anchor in g._chains[entry]
+    )
 
 
 def geocode(query: str, g: Gazetteer) -> Optional[GazetteerEntry]:

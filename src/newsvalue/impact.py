@@ -21,7 +21,7 @@ from .linear import (
 )
 from .scope import _TENS, _UNITS, TextAnalysis, fold_key, lexicon
 from .spans import select_spans
-from .textvec import fit_tfidf, tokenize, vectorize
+from .textvec import fit_tfidf, term_weights, tokenize
 
 IMPACT_CLASSES = ("date_time", "address", "human_impact", "financial_impact")
 
@@ -83,13 +83,12 @@ _FUNCTION_WORDS = frozenset(
 
 
 class NumericPhrase(NamedTuple):
-    """One numeric expression with its span and noun-phrase context,
-    checked where numeric_phrases builds it."""
+    """One numeric expression with its non-empty span, its value (a soft
+    quantity's magnitude floor) and its noun-phrase context."""
 
     span: tuple[int, int]
     raw: str
-    value: Optional[float] = None
-    soft_quantity: Optional[str] = None
+    value: float
     context_tokens: tuple[str, ...] = ()
 
 
@@ -240,40 +239,32 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
     magnitude floors.
     """
     text = a.text
-    cands: list[tuple[int, int, tuple[Optional[float], Optional[str]]]] = []
+    cands: list[tuple[int, int, float]] = []
     for m in _JOINED_RUN_RE.finditer(text):
         lead = float(m.group(0).split(":")[0].split("/")[0].split("-")[0])
-        cands.append((m.start(), m.end(), (lead, None)))
+        cands.append((m.start(), m.end(), lead))
     for m in _DIGIT_RE.finditer(text):
         value = float(m.group(1).replace(",", ""))
         if m.group(2):
             value *= _SCALES[fold_key(m.group(2), _SCALES)]
         elif m.group(3):
             value *= _SUFFIX_SCALE[fold_key(m.group(3), _SUFFIX_SCALE)]
-        cands.append((m.start(), m.end(), (value, None)))
+        cands.append((m.start(), m.end(), value))
     for m in _SOFT_RE.finditer(text):
         phrase = fold_key(" ".join(m.group(1).split()), _SOFT_KEYS)
         key = _SOFT_KEYS[phrase]
         floor = 100000.0 if phrase == "hundreds of thousands" else SOFT_QUANTITIES[key]
-        cands.append((m.start(), m.end(), (floor, key)))
-    for start, end, value in _word_number_runs(text):
-        cands.append((start, end, (value, None)))
-    selected = select_spans(cands)
-    out = []
-    for start, end, (value, soft) in selected:
-        phrase = NumericPhrase(
+        cands.append((m.start(), m.end(), floor))
+    cands += _word_number_runs(text)
+    return [
+        NumericPhrase(
             span=(start, end),
             raw=text[start:end],
             value=value,
-            soft_quantity=soft,
             context_tokens=_context_tokens(a, (start, end)),
         )
-        if phrase.value is None and phrase.soft_quantity is None:
-            raise ValueError("numeric phrase needs a value or a soft quantity")
-        if phrase.span[1] <= phrase.span[0]:
-            raise ValueError("empty span")
-        out.append(phrase)
-    return out
+        for start, end, value in select_spans(cands)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +297,7 @@ def default_category_tfidf() -> tuple[dict[str, float], ...]:
         "financial_impact": financial,
     }
     model = fit_tfidf([docs[name] for name in sorted(docs)])
-    return tuple(vectorize(tokens, model).entries for tokens in docs.values())
+    return tuple(term_weights(tokens, model) for tokens in docs.values())
 
 
 def _tfidf_triple(tokens: Sequence[str]) -> tuple[float, ...]:

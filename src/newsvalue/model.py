@@ -141,8 +141,7 @@ def assemble_features(
     for phrase, label in zip(phrases, labels):
         if label == "human_impact":
             human_count += 1
-            if phrase.value is not None:
-                human_max = max(human_max, phrase.value)
+            human_max = max(human_max, phrase.value)
         elif label == "financial_impact":
             financial_count += 1
     if human_count:

@@ -141,11 +141,16 @@ def fit_tfidf(documents: Sequence[Sequence[str]]) -> TfidfModel:
     return TfidfModel(doc_count=len(documents), doc_freq=dict(df))
 
 
-def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
-    """tf × smoothed-idf weights; unseen terms get the df=0 idf."""
-    tf = Counter(tokens)
+def term_weights(tokens: Sequence[str], model: TfidfModel) -> dict[str, float]:
+    """tf × smoothed-idf weight of each term, in order of first occurrence;
+    unseen terms get the df=0 idf. Every weight is positive."""
     idf = model.idf
-    return SparseVector({t: count * idf(t) for t, count in tf.items()})
+    return {t: count * idf(t) for t, count in Counter(tokens).items()}
+
+
+def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
+    """The tf.idf vector of the tokens: their `term_weights`."""
+    return SparseVector(term_weights(tokens, model))
 
 
 def nearest_centroid(v: SparseVector, centroids: dict[str, SparseVector]) -> tuple[str, float]:
@@ -162,17 +167,3 @@ def nearest_centroid(v: SparseVector, centroids: dict[str, SparseVector]) -> tup
     assert best_label is not None
     return best_label, best_sim
 
-
-def build_centroids(
-    groups: Iterable[tuple[str, Sequence[SparseVector]]]
-) -> dict[str, SparseVector]:
-    """Mean vector per labeled group; groups averaging to zero are dropped,
-    so every centroid has a positive norm."""
-    out: dict[str, SparseVector] = {}
-    for label, vectors in groups:
-        if not vectors:
-            continue
-        c = centroid(v.entries for v in vectors)
-        if c.norm > 0.0:
-            out[label] = c
-    return out

@@ -142,7 +142,7 @@ def test_fuzz_robustness(gazetteer):
                 start, end = phrase.span
                 assert 0 <= start < end <= len(text)
                 assert text[start:end] == phrase.raw
-                assert phrase.value is not None or phrase.soft_quantity is not None
+                assert isinstance(phrase.value, (int, float))
             if i % 5 == 0:
                 mask_taxonomy_tokens(text)
                 first_place(toks, gazetteer)

@@ -13,6 +13,7 @@ from newsvalue.curation import (
     topical_focus,
 )
 from newsvalue.errors import DegenerateLabels
+from newsvalue.geo import geocode
 from newsvalue.records import Post, SourceProfile, TopicAssignment
 
 
@@ -47,47 +48,54 @@ class TestFollowerFilter:
 
 
 class TestLocalFocusRatio:
+    """The profiles carry the region curate's location step resolves."""
+
     def _posts(self, places):
         return [Post(f"p{i}", "u", i, f"incident in {place}") for i, place in enumerate(places)]
 
+    def _profile(self, g, location="Houston"):
+        return _profile(location=location, resolved_location=geocode(location, g))
+
     def test_all_inside(self, gazetteer):
         ratio = local_focus_ratio(
-            _profile(), self._posts(["Houston"] * 10), gazetteer, seed=0
+            self._profile(gazetteer), self._posts(["Houston"] * 10), gazetteer, seed=0
         )
         assert ratio == 1.0
 
     def test_half_half_is_threshold(self, gazetteer):
         posts = self._posts(["Houston"] * 5 + ["Tokyo"] * 5)
-        ratio = local_focus_ratio(_profile(), posts, gazetteer, seed=0)
+        ratio = local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=0)
         assert ratio == 0.5
 
     def test_no_located_tweets(self, gazetteer):
         posts = [Post(f"p{i}", "u", i, "nothing here") for i in range(4)]
-        assert local_focus_ratio(_profile(), posts, gazetteer, seed=0) == 0.0
+        assert local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=0) == 0.0
 
     def test_unlocated_excluded_from_denominator(self, gazetteer):
         posts = self._posts(["Houston", "Houston"]) + [
             Post("px", "u", 99, "no place mentioned")
         ]
-        assert local_focus_ratio(_profile(), posts, gazetteer, seed=0) == 1.0
+        assert local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=0) == 1.0
 
-    def test_unresolvable_profile_location(self, gazetteer):
-        with pytest.raises(ValueError, match="profile location 'Atlantis' does not resolve"):
-            local_focus_ratio(
-                _profile(location="Atlantis"), self._posts(["Houston"]), gazetteer, seed=0
-            )
+    def test_region_is_the_resolved_location(self, gazetteer):
+        # the same tweets, read against a Texas and then a Japan region
+        posts = self._posts(["Houston"] * 3 + ["Tokyo"])
+        assert local_focus_ratio(self._profile(gazetteer, "Texas"), posts, gazetteer,
+                                 seed=0) == 0.75
+        assert local_focus_ratio(self._profile(gazetteer, "Japan"), posts, gazetteer,
+                                 seed=0) == 0.25
 
     def test_bounds_and_monotonicity(self, gazetteer):
         for hits in range(0, 6):
             posts = self._posts(["Houston"] * hits + ["Tokyo"] * (6 - hits))
-            ratio = local_focus_ratio(_profile(), posts, gazetteer, seed=0)
+            ratio = local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=0)
             assert 0.0 <= ratio <= 1.0
             assert ratio == pytest.approx(hits / 6)
 
     def test_seed_deterministic_sampling(self, gazetteer):
         posts = self._posts(["Houston", "Tokyo"] * 40)
-        a = local_focus_ratio(_profile(), posts, gazetteer, seed=3)
-        b = local_focus_ratio(_profile(), posts, gazetteer, seed=3)
+        a = local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=3)
+        b = local_focus_ratio(self._profile(gazetteer), posts, gazetteer, seed=3)
         assert a == b
 
 

@@ -1,25 +1,36 @@
-"""The per-tweet text work of curation: the tokenizer's ASCII path and
-the account centroid summed without a vector per tweet against copies of
-the code they replaced, and the first-place walk that curate and extract
-share, which reads no place from a URL or a mention."""
+"""The text work of curation: the tokenizer's ASCII path, the account
+centroid and the topic-code centroids summed from term weights without a
+vector per text, each against a copy of the code it replaced, and the
+first-place walk that curate and extract share, which reads no place from
+a URL or a mention."""
 
 from __future__ import annotations
 
+import random
 import re
 import zlib
+from unittest import mock
 
 import pytest
 from conftest import GAZETTEER_PATH, tagged_locations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newsvalue.curation import account_centroid, local_focus_ratio
+from newsvalue import curation
+from newsvalue.curation import build_trbc_centroids, local_focus_ratio
 from newsvalue.errors import DegenerateLabels
 from newsvalue.geo import _best_entry, _within, first_place, geocode
 from newsvalue.model import NAME_BUCKETS, assemble_features, build_context
-from newsvalue.records import Post, SourceProfile
+from newsvalue.records import TRBC_CODES, TRBC_DESCENDANTS, Headline, Post, SourceProfile
 from newsvalue.scope import TextAnalysis
-from newsvalue.textvec import SparseVector, fit_tfidf, tokenize, vectorize
+from newsvalue.textvec import (
+    SparseVector,
+    centroid,
+    fit_tfidf,
+    term_weights,
+    tokenize,
+    vectorize,
+)
 
 # ---------------------------------------------------------------------------
 # the replaced code
@@ -47,6 +58,43 @@ def ref_centroid(vectors):
             sums[t] = sums.get(t, 0.0) + w
     n = len(vectors)
     return SparseVector({t: s / n for t, s in sums.items()})
+
+
+def ref_build_centroids(groups):
+    out = {}
+    for label, vectors in groups:
+        if not vectors:
+            continue
+        c = ref_centroid(vectors)
+        if c.norm > 0.0:
+            out[label] = c
+    return out
+
+
+def ref_build_trbc_centroids(headlines, *, seed):
+    """build_trbc_centroids as it was: a vector per headline, then the
+    mean vector per code, zero-norm means dropped."""
+    by_code = {code: [] for code in TRBC_CODES}
+    for h in headlines:
+        for code in h.topic_codes:
+            if code not in by_code:
+                continue
+            if TRBC_DESCENDANTS.get(code, frozenset()) & h.topic_codes:
+                continue
+            by_code[code].append(h)
+    sampled = {}
+    for code, items in by_code.items():
+        if len(items) > curation.PER_CODE_CAP:
+            rng = random.Random(curation._stable_seed(seed, code))
+            items = rng.sample(items, curation.PER_CODE_CAP)
+        if items:
+            sampled[code] = items
+    if not sampled:
+        raise DegenerateLabels("no headlines carry known topic codes")
+    tokens = {code: [tokenize(h.text) for h in sampled[code]] for code in sorted(sampled)}
+    tfidf = fit_tfidf([[t for toks in docs for t in toks] for docs in tokens.values()])
+    groups = [(code, [vectorize(toks, tfidf) for toks in docs]) for code, docs in tokens.items()]
+    return tfidf, ref_build_centroids(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +228,7 @@ def test_no_place_from_a_url_or_a_mention(ctx, text, region):
     # the region and one outside it: 1/2 unlocated, 2/3 inside, 1/3 outside
     home, away = region
     anchor = geocode(home, g)
-    profile = SourceProfile("u", profile_location=home)
+    profile = SourceProfile("u", profile_location=home, resolved_location=anchor)
     tweets = [Post(f"p{i}", "u", i, t) for i, t in enumerate((text, home, f"fire in {away}"))]
     ratio = local_focus_ratio(profile, tweets, g, seed=0)
     if not entries:
@@ -204,7 +252,7 @@ def test_a_hashtag_keeps_its_place(ctx, text, name):
 
 
 # ---------------------------------------------------------------------------
-# account centroid
+# account and topic-code centroids
 # ---------------------------------------------------------------------------
 
 tweet_texts = st.lists(
@@ -224,8 +272,42 @@ def _exact(v):
 @given(tweet_texts)
 @example(["fire fire smoke", "smoke quake", "fire quake quake"])
 def test_account_centroid_equals_the_mean_of_tweet_vectors(texts):
+    """The centroid classify_account builds from the tweets' term weights."""
     tfidf = fit_tfidf(DOCUMENTS)
-    tweets = [Post(f"p{i}", "u", i, t) for i, t in enumerate(texts)]
     expected = ref_centroid([vectorize(ref_tokenize(t), tfidf) for t in texts])
-    got = account_centroid(tweets, tfidf)
+    got = centroid(term_weights(tokenize(t), tfidf) for t in texts)
     assert _exact(got) == _exact(expected)
+
+
+headline_lists = st.lists(
+    st.builds(
+        Headline,
+        text=st.lists(st.sampled_from(["quake", "fire", "fire", "storm", "police", "flood",
+                                       "7.1", "!!!", "@wire", "http://x.co", "İ"]),
+                      max_size=6).map(" ".join),
+        outlet=st.just("reuters"),
+        published_at=st.just(0),
+        topic_codes=st.frozensets(st.sampled_from([*TRBC_CODES, "sports"]), max_size=3),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(headline_lists, st.integers(0, 3))
+@example([Headline("!!!", "reuters", 0, frozenset({"floods"})),
+          Headline("fire", "reuters", 0, frozenset({"fires_explosions"}))], 0)
+def test_trbc_centroids_equal_the_mean_of_headline_vectors(headlines, seed):
+    """A per-code cap of 3 makes the sampling run, too."""
+    with mock.patch.object(curation, "PER_CODE_CAP", 3):
+        try:
+            expected = ref_build_trbc_centroids(headlines, seed=seed)
+        except DegenerateLabels as exc:
+            with pytest.raises(DegenerateLabels, match=str(exc)):
+                build_trbc_centroids(headlines, seed=seed)
+            return
+        got = build_trbc_centroids(headlines, seed=seed)
+    assert (got[0].doc_count, got[0].doc_freq) == (expected[0].doc_count, expected[0].doc_freq)
+    assert [(code, _exact(c)) for code, c in got[1].items()] == [
+        (code, _exact(c)) for code, c in expected[1].items()
+    ]

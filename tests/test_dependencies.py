@@ -109,3 +109,24 @@ def test_every_defined_name_is_read_in_the_package():
         and target.attr not in loaded
     })
     assert unread == []
+
+
+def test_every_imported_name_is_read_in_its_module():
+    """No import outlives the code that used it: each name a module of the
+    package imports is read as a name in that module."""
+    unread = []
+    for path in sorted((ROOT / "src" / "newsvalue").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unread += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unread == []

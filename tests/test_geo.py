@@ -7,7 +7,7 @@ import zlib
 from typing import Optional
 
 import pytest
-from conftest import tagged_locations
+from conftest import GAZETTEER_PATH, tagged_locations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -228,6 +228,18 @@ class TestWithin:
                 assert geocode(query, g) == _reference_geocode(query, None, g)
             else:
                 assert _best_entry(inside(query, anchor, g)) == _reference_geocode(query, anchor, g)
+
+    def test_within_equals_reference_on_every_pair(self):
+        """Every ordered pair of places, of the property entries (a cycle,
+        a self-parented place, a 21-rung chain) and of the shipped
+        gazetteer: the chains resolved at load give the walk's answer."""
+        shipped = load_gazetteer(GAZETTEER_PATH)
+        for g, places in ((Gazetteer(_PROPERTY_ENTRIES), _PROPERTY_ENTRIES),
+                          (shipped, list(shipped._chains))):
+            assert places
+            for entry in places:
+                for anchor in places:
+                    assert _within(entry, anchor, g) == _reference_within(entry, anchor, g)
 
     def test_guards_are_exercised(self):
         g = Gazetteer(_PROPERTY_ENTRIES)

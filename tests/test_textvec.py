@@ -8,10 +8,11 @@ import random
 
 import pytest
 
+from newsvalue.curation import build_trbc_centroids
 from newsvalue.errors import DegenerateLabels
+from newsvalue.records import Headline
 from newsvalue.textvec import (
     SparseVector,
-    build_centroids,
     centroid,
     cosine,
     fit_tfidf,
@@ -208,5 +209,12 @@ class TestNearestCentroid:
             nearest_centroid(SparseVector({"a": 1.0}), {})
 
     def test_zero_norm_centroid_rejected(self):
-        groups = [("bad", [SparseVector()]), ("none", []), ("ok", [SparseVector({"a": 1.0})])]
-        assert list(build_centroids(groups)) == ["ok"]
+        # floods' only headline holds no word token: its centroid has norm 0
+        headlines = [
+            Headline("!!! ...", "reuters", 0, frozenset({"floods"})),
+            Headline("fire downtown", "reuters", 0, frozenset({"fires_explosions"})),
+        ]
+        tfidf, centroids = build_trbc_centroids(headlines, seed=0)
+        assert tfidf.doc_count == 2
+        assert list(centroids) == ["fires_explosions"]
+        assert centroids["fires_explosions"].norm > 0.0
