@@ -19,6 +19,7 @@ import sys
 from pathlib import Path
 from typing import Callable, TypeVar
 
+from . import __version__
 from .curation import build_trbc_centroids, curate
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import load_gazetteer
@@ -375,8 +376,56 @@ def _load_examples(cfg: PipelineConfig) -> list[LabeledExample]:
     return undersample(examples, ratio=cfg.undersample_ratio, seed=cfg.seed)
 
 
+def _cv_inputs(cfg: PipelineConfig) -> dict[str, object]:
+    """Everything train's cross-validation reads: a 256-bit BLAKE2b digest
+    of each file _load_examples reads (its bytes, never its path), the
+    settings that draw the examples, folds and fits, and the release."""
+    import hashlib  # here, not at the top: it loads OpenSSL, and only train and evaluate hash
+
+    def digest(key: str, name: str) -> str:
+        # BLAKE2b is hashlib's own code, where sha256 would run OpenSSL's
+        # and grow each process by its pages; read in blocks, not whole
+        blake = hashlib.blake2b(digest_size=32)
+        with open(cfg.input_path(key, name), "rb") as fh:
+            while block := fh.read(1 << 16):
+                blake.update(block)
+        return blake.hexdigest()
+
+    return {
+        "features_blake2b": digest("features", "features.tsv"),
+        "labeled_blake2b": digest("labeled", "labeled.ndjson"),
+        "folds": cfg.folds,
+        "seed": cfg.seed,
+        "svm_epochs": cfg.svm_epochs,
+        "svm_c": cfg.svm_c,
+        "undersample_ratio": cfg.undersample_ratio,
+        "version": __version__,
+    }
+
+
+def _train_counts(cfg: PipelineConfig) -> dict[str, int] | None:
+    """The pooled tp/fp/fn/tn of the report.json that train wrote from
+    _cv_inputs(cfg), or None: no such file, one that is not a UTF-8 JSON
+    object, or one with other inputs or a count that is not a non-negative
+    int."""
+    # not out_path: a missing out_dir holds no report, and is not made here
+    path = Path(cfg.paths.get("out_dir", "."), "report.json")
+    try:
+        report = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):  # ValueError: bad JSON or UTF-8, a NUL byte
+        return None
+    if not isinstance(report, dict) or report.get("inputs") != _cv_inputs(cfg):
+        return None
+    counts = report.get("counts")
+    if not isinstance(counts, dict):
+        return None
+    counts = {k: counts.get(k) for k in ("tp", "fp", "fn", "tn")}
+    return counts if all(type(c) is int and c >= 0 for c in counts.values()) else None
+
+
 def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
+    inputs = _cv_inputs(cfg)
     rows, names = design = svm_design(examples)
     [report] = cross_validate(
         examples, [rows], names, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs,
@@ -388,7 +437,7 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     model.save(model_path)
     report_path = cfg.out_path("report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
+        fh.write(report.to_json(inputs=inputs))
         fh.write("\n")
     print(
         f"cross-validation ({cfg.folds} resamples): "
@@ -420,9 +469,12 @@ def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
+    examples = _load_examples(cfg)
+    # the all-families row is train's cross-validation when its report matches
     results = ablate(
-        _load_examples(cfg), ABLATION_SETS,
+        examples, ABLATION_SETS,
         folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
+        full=_train_counts(cfg),
     )
     out = cfg.out_path("ablation.json")
     payload = [

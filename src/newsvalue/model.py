@@ -13,6 +13,7 @@ import math
 import random
 import zlib
 from itertools import compress
+from operator import is_
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import DegenerateLabels, SchemaMismatch
@@ -256,7 +257,8 @@ class EvalReport:
         self.group_weights: dict[str, tuple[float, float]] = {}
         self.counts = counts
 
-    def to_json(self) -> str:
+    def to_json(self, **extra: object) -> str:
+        """The report as one JSON object, with the extra top-level keys."""
         payload = {
             "precision": self.precision,
             "recall": self.recall,
@@ -264,6 +266,7 @@ class EvalReport:
             "folds": self.folds,
             "group_weights": {k: list(v) for k, v in self.group_weights.items()},
             "counts": self.counts,
+            **extra,
         }
         return json.dumps(payload, sort_keys=True)
 
@@ -273,6 +276,11 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return 100.0 * p, 100.0 * r, 100.0 * f
+
+
+def _pooled(counts: dict[str, int], folds: list[dict]) -> EvalReport:
+    """The report of pooled tp/fp/fn/tn counts over the given folds."""
+    return EvalReport(*_prf(counts["tp"], counts["fp"], counts["fn"]), folds, counts)
 
 
 def _fold_seed(seed: int, fold: int) -> int:
@@ -326,11 +334,11 @@ def cross_validate(
             p, r, f = _prf(*c[:3])
             folds_of_set.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
                                  "f1": f, **dict(zip(("tp", "fp", "fn", "tn"), c))})
-    reports = []
-    for folds_of_set in fold_rows:
-        c = {k: sum(r[k] for r in folds_of_set) for k in ("tp", "fp", "fn", "tn")}
-        reports.append(EvalReport(*_prf(c["tp"], c["fp"], c["fn"]), folds_of_set, c))
-    return reports
+    return [
+        _pooled({k: sum(r[k] for r in folds_of_set) for k in ("tp", "fp", "fn", "tn")},
+                folds_of_set)
+        for folds_of_set in fold_rows
+    ]
 
 
 def _restrict(
@@ -338,7 +346,7 @@ def _restrict(
 ) -> list[InternedRow]:
     """The rows with only the named families' features and the bias (each
     row's last id): svm_design of the examples so restricted, in the ids
-    of the full design."""
+    of the full design. A row that keeps every feature is returned itself."""
     if not groups:
         raise DegenerateLabels("empty feature-group set")
     unknown = set(groups) - set(FEATURE_GROUPS)
@@ -347,10 +355,11 @@ def _restrict(
     prefixes = tuple(FEATURE_GROUPS[g] for g in groups)
     keep = [name.startswith(prefixes) for name in names]
     out = []
-    for ids, vals, y in rows:
+    for row in rows:
+        ids, vals, y = row
         mask = [keep[j] for j in ids[:-1]] + [True]
-        # a row that keeps every feature shares its tuples; tuple(list): see linear.intern
-        out.append((ids, vals, y) if all(mask) else (
+        # tuple(list): see linear.intern
+        out.append(row if all(mask) else (
             tuple(list(compress(ids, mask))), tuple(list(compress(vals, mask))), y))
     return out
 
@@ -363,13 +372,24 @@ def ablate(
     seed: int,
     epochs: int,
     C: float,
+    full: Optional[dict[str, int]] = None,
 ) -> list[tuple[tuple[str, ...], EvalReport]]:
     """cross_validate restricted to each requested group union; every union
-    is fitted on a fold's split and epoch orders before the next fold."""
+    is fitted on a fold's split and epoch orders before the next fold.
+
+    full, if given, holds the pooled tp/fp/fn/tn counts of cross_validate
+    over these examples' full design with the same folds, seed, epochs and
+    C. A union whose restriction returns every row of that design is not
+    fitted: its report is built from full, with no folds."""
     rows, names = svm_design(examples)
     set_rows = [_restrict(rows, names, groups) for groups in feature_groups]
-    reports = cross_validate(examples, set_rows, names, folds=folds, seed=seed, epochs=epochs, C=C)
-    return [(tuple(groups), report) for groups, report in zip(feature_groups, reports)]
+    served = [full is not None and all(map(is_, restricted, rows)) for restricted in set_rows]
+    fitted = iter(cross_validate(
+        examples, [r for r, s in zip(set_rows, served) if not s], names,
+        folds=folds, seed=seed, epochs=epochs, C=C,
+    ))
+    return [(tuple(groups), _pooled(full, []) if s else next(fitted))
+            for groups, s in zip(feature_groups, served)]
 
 
 def feature_group_weights(model: LinearModel) -> dict[str, tuple[float, float]]:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -282,7 +283,15 @@ class TestFullPipeline:
         assert list(calls.values()) == [folds + 1, 1, folds + 1, 2]
         calls.update(dict.fromkeys(calls, 0))
         assert main(["evaluate", "--config", str(config)]) == EXIT_OK
-        # four feature sets per fold, sharing the fold's schedule
+        # two feature sets per fold, sharing the fold's schedule: the posts
+        # hold only text, topic and impact features, so the sets with
+        # scope and impact and with every family keep every row, and
+        # their rows are train's, from its report.json
+        assert list(calls.values()) == [2 * folds, 1, folds, 0]
+        calls.update(dict.fromkeys(calls, 0))
+        (tmp_path / "out" / "report.json").unlink()
+        assert main(["evaluate", "--config", str(config)]) == EXIT_OK
+        # without it, all four
         assert list(calls.values()) == [4 * folds, 1, folds, 0]
 
     @pytest.mark.parametrize("post_id", ["a\rb", "a\tb", "a\nb"])
@@ -345,6 +354,148 @@ class TestFullPipeline:
         assert main(["train", "--config", str(config)]) == EXIT_OK
         err = capsys.readouterr().err
         assert err == f"warning: labeled line {n + 1}: status is not a string (record skipped)\n"
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """The CLI fixture's config and out_dir after curate, label, extract and
+    train; a test copies out_dir before it changes anything. Its features
+    hold every family but scope and rarity, so only the all-families set
+    keeps every row."""
+    root = tmp_path_factory.mktemp("trained")
+    posts, headlines = make_event_posts()
+    config_path = write_pipeline_inputs(root, posts=posts, headlines=headlines)
+    for verb in ("curate", "label", "extract", "train"):
+        assert main([verb, "--config", str(config_path)]) == EXIT_OK
+    return json.loads(config_path.read_text()), root / "out"
+
+
+# Pooled counts whose P/R/F (100, 100, 100) no fit of the fixture gives.
+TAMPERED = {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
+
+
+def _with(report: dict, **changes) -> dict:
+    """The report with these keys set, and those set to None left out."""
+    return {k: v for k, v in {**report, **changes}.items() if v is not None}
+
+
+# report.json contents evaluate does not read, made from train's report;
+# each would give the last row 100, 100, 100 if it were read.
+BAD_REPORTS = {
+    "directory": lambda report: "dir",
+    "not-json": lambda report: b"{",
+    "not-utf8": lambda report: b"\xff" + json.dumps(_with(report, counts=TAMPERED)).encode(),
+    "too-deep": lambda report: b"[" * 100_000,
+    "a-list": lambda report: [_with(report, counts=TAMPERED)],
+    "no-inputs": lambda report: _with(report, counts=TAMPERED, inputs=None),
+    "bool-count": lambda report: _with(report, counts=dict(TAMPERED, tp=True)),
+    "negative-count": lambda report: _with(report, counts=dict(TAMPERED, tn=-1)),
+    "float-count": lambda report: _with(report, counts=dict(TAMPERED, tp=1.0)),
+    "missing-count": lambda report: _with(report, counts={"tp": 1, "fp": 0, "fn": 0}),
+    "counts-list": lambda report: _with(report, counts=[1, 0, 0, 0]),
+}
+
+
+class TestEvaluateReusesTrainsReport:
+    """evaluate takes its all-families row from train's report.json when
+    the report's inputs equal its own, and fits it otherwise, with the same
+    output either way."""
+
+    @staticmethod
+    def _evaluate(trained, run: Path, capsys, report=..., config=None, files=None) -> dict:
+        """evaluate on a copy of the trained out_dir in run: with report.json
+        as train wrote it (report=...), deleted (None), a directory ("dir"),
+        these bytes or this JSON object; the config's keys or sections
+        updated by config, and out_dir files replaced by files (name ->
+        bytes). Its exit code, stdout with the out_dir path replaced,
+        stderr and ablation.json."""
+        base, out_dir = trained
+        out = run / "out"
+        shutil.copytree(out_dir, out)
+        settings = json.loads(json.dumps(base))
+        settings["paths"]["out_dir"] = str(out)
+        for key, value in (config or {}).items():
+            if isinstance(value, dict):
+                settings.setdefault(key, {}).update(value)
+            else:
+                settings[key] = value
+        for name, data in (files or {}).items():
+            (out / name).write_bytes(data)
+        path = out / "report.json"
+        if report is None:
+            path.unlink()
+        elif report == "dir":
+            path.unlink()
+            path.mkdir()
+        elif isinstance(report, bytes):
+            path.write_bytes(report)
+        elif report is not ...:
+            path.write_text(json.dumps(report), encoding="utf-8")
+        (run / "config.json").write_text(json.dumps(settings), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["evaluate", "--config", str(run / "config.json")])
+        stdout, stderr = capsys.readouterr()
+        return {"exit": code, "stdout": stdout.replace(str(out), "OUT"), "stderr": stderr,
+                "ablation": (out / "ablation.json").read_bytes()}
+
+    @staticmethod
+    def _report(trained, **changes) -> dict:
+        report = json.loads((trained[1] / "report.json").read_text(encoding="utf-8"))
+        report.update(changes)
+        return report
+
+    @staticmethod
+    def _last_row(result) -> list:
+        row = json.loads(result["ablation"])[-1]
+        return [row["precision"], row["recall"], row["f1"]]
+
+    def test_output_is_the_same_with_the_report_present_deleted_or_stale(
+            self, trained, tmp_path, capsys):
+        stale = self._report(trained)
+        stale["inputs"]["svm_c"] = 2.0
+        present = self._evaluate(trained, tmp_path / "present", capsys)
+        assert present["exit"] == EXIT_OK and present["stderr"] == ""
+        assert self._evaluate(trained, tmp_path / "deleted", capsys, report=None) == present
+        assert self._evaluate(trained, tmp_path / "stale", capsys, report=stale) == present
+
+    def test_counts_of_a_matching_report_make_the_last_row(self, trained, tmp_path, capsys):
+        fitted = self._evaluate(trained, tmp_path / "fitted", capsys, report=None)
+        served = self._evaluate(trained, tmp_path / "served", capsys,
+                                report=self._report(trained, counts=TAMPERED))
+        assert self._last_row(served) == [100.0, 100.0, 100.0] != self._last_row(fitted)
+        assert json.loads(served["ablation"])[:-1] == json.loads(fitted["ablation"])[:-1]
+
+    @pytest.mark.parametrize("change", ["seed", "svm.epochs", "svm.C", "svm.folds",
+                                        "undersample_ratio", "labeled", "features"])
+    def test_a_report_of_other_inputs_is_not_read(self, trained, tmp_path, capsys, change):
+        labeled = (trained[1] / "labeled.ndjson").read_bytes()
+        at = labeled.index(b'"text": "') + len(b'"text": "')  # a letter of a post's text
+        features = (trained[1] / "features.tsv").read_bytes()
+        end = features.index(b"\n")  # after the last digit of the first value
+        changed = {
+            "seed": {"config": {"seed": 8}},
+            "svm.epochs": {"config": {"svm": {"epochs": 31}}},
+            "svm.C": {"config": {"svm": {"C": 2.0}}},
+            "svm.folds": {"config": {"svm": {"folds": 4}}},
+            "undersample_ratio": {"config": {"thresholds": {"undersample_ratio": 2}}},
+            "labeled": {"files": {"labeled.ndjson": labeled[:at] + bytes([labeled[at] ^ 1])
+                                  + labeled[at + 1:]}},
+            "features": {"files": {"features.tsv": features[:end - 1] + bytes([features[end - 1] ^ 1])
+                                   + features[end:]}},
+        }[change]
+        tampered = self._report(trained, counts=TAMPERED)
+        stale = self._evaluate(trained, tmp_path / "stale", capsys, report=tampered, **changed)
+        fitted = self._evaluate(trained, tmp_path / "fitted", capsys, report=None, **changed)
+        assert stale == fitted
+        assert self._last_row(stale) != [100.0, 100.0, 100.0]
+
+    @pytest.mark.parametrize("bad", sorted(BAD_REPORTS))
+    def test_a_report_that_cannot_be_read_is_fitted_again(self, trained, tmp_path, capsys, bad):
+        report = BAD_REPORTS[bad](self._report(trained))
+        fitted = self._evaluate(trained, tmp_path / "fitted", capsys, report=None)
+        result = self._evaluate(trained, tmp_path / "bad", capsys, report=report)
+        assert result == fitted
+        assert result["exit"] == EXIT_OK and result["stderr"] == ""
 
 
 class TestRepeatedIds:

@@ -297,6 +297,24 @@ class TestAblate:
         assert len(results) == 4
         assert results[0][0] == ("text", "topic")
 
+    def test_a_feature_outside_every_family_is_never_served(self):
+        """The all-families set drops a name outside every prefix, so its
+        rows are not the full design's and full cannot stand for them."""
+        from newsvalue.cli import ABLATION_SETS
+
+        svm = {"folds": 3, "seed": 1, "epochs": 15, "C": 1.0}
+        tampered = {"tp": 1, "fp": 0, "fn": 0, "tn": 0}
+        examples = self._ablation_examples(seed=5)
+        served = ablate(examples, ABLATION_SETS, full=tampered, **svm)
+        assert [vars(r) for _, r in served[:-1]] == [
+            vars(r) for _, r in ablate(examples, ABLATION_SETS, **svm)[:-1]]
+        assert served[-1][1].counts is tampered
+        for e in examples[::7]:
+            e.features["other"] = 1.0
+        fitted = ablate(examples, ABLATION_SETS, **svm)
+        assert _outcome(ablate, examples, ABLATION_SETS, full=tampered, **svm) == _outcome(
+            lambda: fitted)
+
 
 # The per-fit path, kept as the oracle of cross_validate and ablate: each
 # ablation row restricts every example to its families, and each fit
@@ -432,6 +450,32 @@ def test_fold_by_fold_equals_per_fit_path(inputs):
     assert _outcome(ablate, examples, sets, **svm) == _outcome(
         reference_ablate, examples, sets, **svm
     )
+
+
+def _rows(examples, sets, **svm):
+    """repr of each set's P/R/F from ablate, or the exception's type and message."""
+    try:
+        return repr([(g, r.precision, r.recall, r.f1) for g, r in ablate(examples, sets, **svm)])
+    except (DegenerateLabels, SchemaMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cv_inputs())
+@example(([LabeledExample(e.post_id, {k: v for k, v in e.features.items()
+                                     if k.startswith(tuple(FEATURE_GROUPS.values()))}, e.label)
+            for e in FAMILY_EXAMPLES],
+          [tuple(sorted(FEATURE_GROUPS)), ("text", "topic")],
+          {"folds": 3, "seed": 5, "epochs": 3, "C": 1.0}))
+def test_a_set_served_from_the_full_counts_reports_its_fit(inputs):
+    """Given the pooled counts of cross_validate over the full design,
+    ablate reports the P/R/F it fits for every set, errors included."""
+    examples, sets, svm = inputs
+    try:
+        full = cross_validate_all(examples, **svm).counts
+    except (DegenerateLabels, SchemaMismatch):
+        return  # no report to serve from: train writes none
+    assert _rows(examples, sets, full=full, **svm) == _rows(examples, sets, **svm)
 
 
 class TestFeatureGroupWeights:

@@ -114,6 +114,13 @@ CASES = (
     # 300 epochs, where most SGD steps reuse a row's stored dot product
     Case(f"{_chain('model-fit', 1, 0.5)}-epochs300", start=_chain("model-fit", 1, 0.5),
          svm=(("epochs", 300),), verbs=("train", "evaluate")),
+    # evaluate alone beside the copied report.json of a train at 100
+    # epochs and C=1: a stale report, so every feature set is fitted. The
+    # C1e cases above cannot show a stale svm.C reused: the sets they fit
+    # overflow either way
+    *(Case(f"{_chain('model-fit', 1, 0.5)}-{name}", start=_chain("model-fit", 1, 0.5),
+           svm=(setting,), verbs=("evaluate",))
+      for name, setting in (("epochs50", ("epochs", 50)), ("C2", ("C", 2.0)))),
     Case("bootstrap", program=BOOTSTRAP),
 )
 
