@@ -26,12 +26,14 @@ from .geo import load_gazetteer
 from .labeling import label_corpus, undersample
 from .linear import BIAS_KEY, LinearModel
 from .model import (
+    COUNTS,
     POSITIVE_CLASS,
     ablate,
     assemble_features,
     build_context,
     cross_validate,
     feature_group_weights,
+    prf,
     svm_design,
     train_svm,
 )
@@ -419,7 +421,7 @@ def _train_counts(cfg: PipelineConfig) -> dict[str, int] | None:
     counts = report.get("counts")
     if not isinstance(counts, dict):
         return None
-    counts = {k: counts.get(k) for k in ("tp", "fp", "fn", "tn")}
+    counts = {k: counts.get(k) for k in COUNTS}
     return counts if all(type(c) is int and c >= 0 for c in counts.values()) else None
 
 
@@ -427,22 +429,20 @@ def cmd_train(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
     inputs = _cv_inputs(cfg)
     rows, names = design = svm_design(examples)
-    [report] = cross_validate(
+    [(counts, folds)] = cross_validate(
         examples, [rows], names, folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs,
         C=cfg.svm_c,
     )
     model = train_svm(design, epochs=cfg.svm_epochs, C=cfg.svm_c, seed=cfg.seed)
-    report.group_weights = feature_group_weights(model)
     model_path = cfg.out_path("model.json")
     model.save(model_path)
+    p, r, f = prf(counts)
+    report = {"precision": p, "recall": r, "f1": f, "folds": folds, "counts": counts,
+              "group_weights": feature_group_weights(model), "inputs": inputs}
     report_path = cfg.out_path("report.json")
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(inputs=inputs))
-        fh.write("\n")
-    print(
-        f"cross-validation ({cfg.folds} resamples): "
-        f"P={report.precision:.2f} R={report.recall:.2f} F={report.f1:.2f}"
-    )
+        fh.write(json.dumps(report, sort_keys=True) + "\n")
+    print(f"cross-validation ({cfg.folds} resamples): P={p:.2f} R={r:.2f} F={f:.2f}")
     print(f"wrote {model_path}")
     print(f"wrote {report_path}")
     return EXIT_OK
@@ -471,24 +471,20 @@ def cmd_predict(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_evaluate(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     examples = _load_examples(cfg)
     # the all-families row is train's cross-validation when its report matches
-    results = ablate(
+    rows = [(groups, prf(counts)) for groups, counts in ablate(
         examples, ABLATION_SETS,
         folds=cfg.folds, seed=cfg.seed, epochs=cfg.svm_epochs, C=cfg.svm_c,
         full=_train_counts(cfg),
-    )
+    )]
     out = cfg.out_path("ablation.json")
-    payload = [
-        {"groups": list(groups), "precision": report.precision, "recall": report.recall,
-         "f1": report.f1}
-        for groups, report in results
-    ]
+    payload = [{"groups": list(groups), "precision": p, "recall": r, "f1": f}
+               for groups, (p, r, f) in rows]
     with open(out, "w", encoding="utf-8") as fh:  # one write, as in LinearModel.save
         fh.write(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     # every verb writes its artifacts before it prints, so a closed stdout cannot cut them
     print(f"{'feature set':<42} {'P':>7} {'R':>7} {'F':>7}")
-    for groups, report in results:
-        name = "+".join(groups)
-        print(f"{name:<42} {report.precision:7.2f} {report.recall:7.2f} {report.f1:7.2f}")
+    for groups, (p, r, f) in rows:
+        print(f"{'+'.join(groups):<42} {p:7.2f} {r:7.2f} {f:7.2f}")
     print(f"wrote {out}")
     return EXIT_OK
 

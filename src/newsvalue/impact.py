@@ -9,6 +9,7 @@ Also detects physical-site nouns.
 
 from __future__ import annotations
 
+import math
 import re
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -236,7 +237,7 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
 
     Digits (with comma grouping, decimals, scale suffixes), joined
     timestamp-like runs, English number words, and soft quantities with
-    magnitude floors.
+    magnitude floors; a value that is not finite is no candidate.
     """
     text = a.text
     cands: list[tuple[int, int, float]] = []
@@ -263,7 +264,7 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
             value=value,
             context_tokens=_context_tokens(a, (start, end)),
         )
-        for start, end, value in select_spans(cands)
+        for start, end, value in select_spans([c for c in cands if math.isfinite(c[2])])
     ]
 
 

@@ -8,7 +8,6 @@ and whole families can be switched off for ablation runs.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import zlib
@@ -40,6 +39,8 @@ FEATURE_GROUPS = {
 }
 
 NAME_BUCKETS = 1024
+
+COUNTS = ("tp", "fp", "fn", "tn")
 
 
 class FeatureContext(NamedTuple):
@@ -242,45 +243,13 @@ def train_svm(
     )
 
 
-class EvalReport:
-    """Pooled precision/recall/F1 (percent) over held-out predictions."""
-
-    def __init__(
-        self, precision: float, recall: float, f1: float, folds: list[dict],
-        counts: dict[str, int],
-    ):
-        self.precision = precision
-        self.recall = recall
-        self.f1 = f1
-        self.folds = folds
-        # filled by the caller that fits the final model
-        self.group_weights: dict[str, tuple[float, float]] = {}
-        self.counts = counts
-
-    def to_json(self, **extra: object) -> str:
-        """The report as one JSON object, with the extra top-level keys."""
-        payload = {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "folds": self.folds,
-            "group_weights": {k: list(v) for k, v in self.group_weights.items()},
-            "counts": self.counts,
-            **extra,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-
-def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+def prf(counts: dict[str, int]) -> tuple[float, float, float]:
+    """Precision, recall and F1 (percent) of tp/fp/fn/tn counts (tn unread)."""
+    tp, fp, fn = counts["tp"], counts["fp"], counts["fn"]
     p = tp / (tp + fp) if tp + fp else 0.0
     r = tp / (tp + fn) if tp + fn else 0.0
     f = 2 * p * r / (p + r) if p + r else 0.0
     return 100.0 * p, 100.0 * r, 100.0 * f
-
-
-def _pooled(counts: dict[str, int], folds: list[dict]) -> EvalReport:
-    """The report of pooled tp/fp/fn/tn counts over the given folds."""
-    return EvalReport(*_prf(counts["tp"], counts["fp"], counts["fn"]), folds, counts)
 
 
 def _fold_seed(seed: int, fold: int) -> int:
@@ -290,17 +259,17 @@ def _fold_seed(seed: int, fold: int) -> int:
 def cross_validate(
     examples: Sequence[LabeledExample], set_rows: Sequence[Sequence[InternedRow]],
     names: Sequence[str], *, folds: int, seed: int, epochs: int, C: float,
-) -> list[EvalReport]:
-    """One report per row set over the same repeated seeded 80/20 resamples
-    (stratified: 80% of each class to train), pooled P/R/F.
+) -> list[tuple[dict[str, int], list[dict]]]:
+    """One (counts, folds) pair per row set over the same repeated seeded
+    80/20 resamples (stratified: 80% of each class to train): the
+    tp/fp/fn/tn pooled over the held-out predictions, and one record per
+    resample with its seed, counts and `prf`.
 
     set_rows holds row sets of the examples, each in the ids of names
     (`svm_design(examples)`, or rows of it restricted). A fold draws its
     split and epoch orders once for all sets, and only one fold's orders
     are alive at a time. Fold seeds derive from the master seed, so every
-    report is bit-reproducible. No model is fitted on all examples here,
-    so group_weights stay empty; the caller that fits the final model
-    fills them with feature_group_weights.
+    result is bit-reproducible.
     """
     if len(examples) < folds * 2:
         raise DegenerateLabels(f"{len(examples)} examples for {folds} folds")
@@ -331,14 +300,12 @@ def cross_validate(
             for i in test:
                 predicted = model.decision(examples[i].features)[POSITIVE_CLASS] >= 0.0
                 c[2 * (not predicted) + (not examples[i].label)] += 1
-            p, r, f = _prf(*c[:3])
+            counts = dict(zip(COUNTS, c))
+            p, r, f = prf(counts)
             folds_of_set.append({"fold": fold, "seed": fseed, "precision": p, "recall": r,
-                                 "f1": f, **dict(zip(("tp", "fp", "fn", "tn"), c))})
-    return [
-        _pooled({k: sum(r[k] for r in folds_of_set) for k in ("tp", "fp", "fn", "tn")},
-                folds_of_set)
-        for folds_of_set in fold_rows
-    ]
+                                 "f1": f, **counts})
+    return [({k: sum(r[k] for r in folds_of_set) for k in COUNTS}, folds_of_set)
+            for folds_of_set in fold_rows]
 
 
 def _restrict(
@@ -373,14 +340,15 @@ def ablate(
     epochs: int,
     C: float,
     full: Optional[dict[str, int]] = None,
-) -> list[tuple[tuple[str, ...], EvalReport]]:
-    """cross_validate restricted to each requested group union; every union
-    is fitted on a fold's split and epoch orders before the next fold.
+) -> list[tuple[tuple[str, ...], dict[str, int]]]:
+    """(groups, pooled counts) of cross_validate restricted to each
+    requested group union; every union is fitted on a fold's split and
+    epoch orders before the next fold.
 
     full, if given, holds the pooled tp/fp/fn/tn counts of cross_validate
     over these examples' full design with the same folds, seed, epochs and
     C. A union whose restriction returns every row of that design is not
-    fitted: its report is built from full, with no folds."""
+    fitted: its counts are full itself."""
     rows, names = svm_design(examples)
     set_rows = [_restrict(rows, names, groups) for groups in feature_groups]
     served = [full is not None and all(map(is_, restricted, rows)) for restricted in set_rows]
@@ -388,12 +356,12 @@ def ablate(
         examples, [r for r, s in zip(set_rows, served) if not s], names,
         folds=folds, seed=seed, epochs=epochs, C=C,
     ))
-    return [(tuple(groups), _pooled(full, []) if s else next(fitted))
+    return [(tuple(groups), full if s else next(fitted)[0])
             for groups, s in zip(feature_groups, served)]
 
 
-def feature_group_weights(model: LinearModel) -> dict[str, tuple[float, float]]:
-    """Signed weight sums per feature family: (positive sum, negative sum)."""
+def feature_group_weights(model: LinearModel) -> dict[str, list[float]]:
+    """Signed weight sums per feature family: [positive sum, negative sum]."""
     sums = {group: [0.0, 0.0] for group in FEATURE_GROUPS}
     weights = model.weights.get(POSITIVE_CLASS, {})
     for feature, w in weights.items():
@@ -404,4 +372,4 @@ def feature_group_weights(model: LinearModel) -> dict[str, tuple[float, float]]:
                 else:
                     sums[group][1] += w
                 break
-    return {group: (pos, neg) for group, (pos, neg) in sums.items()}
+    return sums

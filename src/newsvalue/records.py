@@ -257,6 +257,8 @@ class TopicAssignment(NamedTuple):
                          _field(rec, "count", "an integer"))
         if assignment.count < 1:
             raise ValueError("assignment count must be positive")
+        if assignment.count > 2**53:  # beyond exact floats; 10**400 overflows tf * idf
+            raise ValueError("assignment count is above 2**53")
         return assignment
 
 

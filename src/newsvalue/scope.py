@@ -2,11 +2,13 @@
 big a reported incident is (scale adjectives, alarm levels, fire causes,
 quake magnitudes, wildfire sizes, vehicle counts, weather scales, hail).
 
-All extractors are pure functions of the raw text. When a text carries
-several candidates for the same indicator, the largest value wins: these
-features measure severity ceilings. TextAnalysis holds the scans of one
-text that masking, scope, impact and geo share, and runs each pattern
-finder only when the text passes that finder's gate (see _FINDERS).
+All extractors are pure functions of the raw text. A value that does not
+fit a float (a long digit run, or its product with a unit) is no
+candidate. When a text carries several candidates for the same
+indicator, the largest value wins: these features measure severity
+ceilings. TextAnalysis holds the scans of one text that masking, scope,
+impact and geo share, and runs each pattern finder only when the text
+passes that finder's gate (see _FINDERS).
 """
 
 from __future__ import annotations
@@ -221,12 +223,12 @@ def find_wildfire_sizes(text: str) -> list[tuple[int, int, float]]:
     for m in _AREA_RE.finditer(text):
         value = float(m.group(1).replace(",", ""))
         acres = value * ACRES_PER_UNIT[_area_unit(m.group(2))]
-        if acres > 0.0:
+        if 0.0 < acres < math.inf:  # a long digit run or its product overflows
             cands.append((m.start(), m.end(), acres))
     for m in _RADIUS_RE.finditer(text):
         radius = float(m.group(1).replace(",", ""))
         acres = math.pi * radius * radius * ACRES_PER_UNIT["sq_mi"]
-        if acres > 0.0:
+        if 0.0 < acres < math.inf:
             cands.append((m.start(), m.end(), acres))
     return select_spans(cands)
 
@@ -339,7 +341,7 @@ def find_hail_sizes(text: str) -> list[tuple[int, int, float]]:
     for rx in _HAIL_NUM_RES:
         for m in rx.finditer(text):
             value = float(m.group(1))
-            if value > 0.0:
+            if 0.0 < value < math.inf:
                 cands.append((m.start(), m.end(), value))
     for rx in _hail_object_res():
         for m in rx.finditer(text):

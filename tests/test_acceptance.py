@@ -29,6 +29,7 @@ from newsvalue.model import (
     assemble_features,
     build_context,
     cross_validate,
+    prf,
     svm_design,
     train_svm,
 )
@@ -335,13 +336,13 @@ def test_svm_acceptance():
     with criterion("SVM: perfect held-out on separable, objective, reproducible", 10.0):
         examples = separable_examples(n=150, seed=71)
         rows, names = design = svm_design(examples)
-        [report] = cross_validate(examples, [rows], names, folds=10, seed=72, epochs=100, C=1.0)
-        assert report.precision == 100.0 and report.recall == 100.0 and report.f1 == 100.0
+        [result] = cross_validate(examples, [rows], names, folds=10, seed=72, epochs=100, C=1.0)
+        assert prf(result[0]) == (100.0, 100.0, 100.0)
         model = train_svm(design, epochs=100, C=1.0, seed=73)
         assert model.train_meta["objective_last"] < model.train_meta["objective_first"]
         rows, names = svm_design(examples)
         [again] = cross_validate(examples, [rows], names, folds=10, seed=72, epochs=100, C=1.0)
-        assert report.to_json() == again.to_json()
+        assert repr(result) == repr(again)
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +413,7 @@ def test_ablation_ordering(gazetteer, trbc_model):
         wins = 0
         for seed in range(10):
             results = ablate(examples, sets, folds=3, seed=seed, epochs=15, C=1.0)
-            f_tt = results[0][1].f1
-            f_ttsi = results[1][1].f1
-            f_all = results[2][1].f1
+            f_tt, f_ttsi, f_all = (prf(counts)[2] for _, counts in results)
             if f_all >= f_ttsi >= f_tt:
                 wins += 1
         assert wins >= 8, f"ordering held on only {wins}/10 seeds"

@@ -236,6 +236,23 @@ class TestFullPipeline:
                 for line in data.decode().splitlines():
                     json.loads(line, parse_constant=no_constant)
 
+    def test_overflowing_quantities_leave_every_feature_finite(self, tmp_path, capsys):
+        """A hail size or burnt area too long for a float is no scope value,
+        so extract writes only finite features and train and predict read them."""
+        posts, headlines = make_event_posts()
+        nines = "9" * 400
+        texts = {"noise00": f"{nines} inch hail reported",
+                 "noise01": f"wildfire burns {nines} acres"}
+        posts = [p._replace(text=texts.get(p.post_id, p.text)) for p in posts]
+        config = write_pipeline_inputs(tmp_path, posts=posts, headlines=headlines)
+        for verb in ("label", "extract", "train", "predict"):
+            assert main([verb, "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = [line.split("\t") for line in
+                (tmp_path / "out" / "features.tsv").read_text().splitlines()]
+        assert {post_id for post_id, _, _ in rows} >= set(texts)
+        assert all(math.isfinite(float(value)) for _, _, value in rows)
+
     def test_predict_schema_mismatch_exit_4(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert main(["label", "--config", str(config)]) == EXIT_OK
@@ -807,6 +824,29 @@ class TestInputRecordChecks:
         assert main(["curate", "--config", str(config)]) == EXIT_OK
         captured = self._assert_skipped(capsys, "assignments", lineno)
         assert "curated: 7" in captured.out
+
+    @pytest.mark.parametrize("count", ["1" + "0" * 400, str(2**53 + 1)])
+    def test_huge_assignment_count_skipped(self, pipeline, capsys, count):
+        """A target-topic count whose tf * idf would overflow is skipped,
+        not a traceback."""
+        tmp_path, config = pipeline
+        lineno = self._append(
+            tmp_path / "assignments.ndjson",
+            b'{"user_id": "foodie_fan", "topic": "Law/Crime", "count": %s}' % count.encode(),
+        )
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        captured = self._assert_skipped(capsys, "assignments", lineno,
+                                        "assignment count is above 2**53")
+        assert "curated: 7" in captured.out
+
+    def test_assignment_count_of_2_to_the_53_is_read(self, pipeline, capsys):
+        tmp_path, config = pipeline
+        self._append(
+            tmp_path / "assignments.ndjson",
+            b'{"user_id": "foodie_fan", "topic": "Law/Crime", "count": %d}' % 2**53,
+        )
+        assert main(["curate", "--config", str(config)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "ts", ["1e300", "-1e300", "1" + "0" * 30, "253402300800", "-62135596801", "true"]

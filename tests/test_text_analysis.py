@@ -470,10 +470,20 @@ def test_thin_entry_points_equal_reference(gazetteer, text):
 # totality over arbitrary Unicode
 # ---------------------------------------------------------------------------
 
+# Quantities that overflow a float: a long digit run, its product with a
+# scale word or an area unit, a squared radius, a run of scale words.
+NINES = "9" * 400
+OVERFLOW_FRAGMENTS = [
+    f"{NINES} inch hail reported", f"wildfire burns {NINES} acres", f"hail up to {NINES} inches",
+    f"{NINES} dead", f"{NINES}:00", f"{'9' * 300} billion", f"{'9' * 300} sq km",
+    f"1{'0' * 160} mile radius", " ".join(["hundred"] * 160) + " hurt",
+]
+
 unicode_text = st.one_of(
     st.text(),
     st.lists(st.one_of(st.sampled_from(EDGE_CHARS), st.sampled_from(SCOPE_FRAGMENTS),
-                       st.sampled_from(NUMERIC_FRAGMENTS), st.text(max_size=3)),
+                       st.sampled_from(NUMERIC_FRAGMENTS), st.sampled_from(OVERFLOW_FRAGMENTS),
+                       st.text(max_size=3)),
              max_size=10).map(" ".join),
 )
 
@@ -482,6 +492,7 @@ unicode_text = st.one_of(
 @given(unicode_text)
 @example("٣ dead ² hurt İstanbul ﬁre Ⅻ alarm")
 @example("M٣.٥ magnitude, ٣-alarm, ² acres, 𝟓 dead")
+@example(" ".join(OVERFLOW_FRAGMENTS))
 def test_extractors_total_over_unicode(ctx, text):
     a = TextAnalysis(text)
     assert all(text[s:e].lower() == tok for tok, s, e in a.spans)
@@ -489,7 +500,7 @@ def test_extractors_total_over_unicode(ctx, text):
     assert all(0 <= s < e <= len(text) for s, e, _ in a.pattern_spans)
     assert isinstance(a.scope(), ScopeFeatures)
     for p in numeric_phrases(TextAnalysis(text)):
-        assert 0 <= p.span[0] < p.span[1] <= len(text)
+        assert 0 <= p.span[0] < p.span[1] <= len(text) and math.isfinite(p.value)
     first_place(a.tokens, ctx.gazetteer)
     assert isinstance(mask_taxonomy_tokens(text), str)
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
