@@ -294,10 +294,9 @@ def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
         link_threshold=cfg.link_threshold,
         same_user_threshold=cfg.same_user_link_threshold,
     )
-    by_id = {p.post_id: p for p in posts}
     records = []
-    for r in sorted(results, key=lambda r: r.post_id):
-        rec = by_id[r.post_id].to_record()
+    for post, r in sorted(zip(posts, results), key=lambda pr: pr[1].post_id):
+        rec = post.to_record()
         rec.update(
             {
                 "status": r.status,

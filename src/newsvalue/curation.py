@@ -60,6 +60,14 @@ def _stable_seed(seed: int, key: str) -> int:
     return seed ^ zlib.crc32(key.encode("utf-8"))
 
 
+def _capped(items: Sequence, cap: int, seed: int, key: str) -> list:
+    """items, or a sample of cap of them seeded by (seed, key) when there
+    are more."""
+    if len(items) > cap:
+        return random.Random(_stable_seed(seed, key)).sample(items, cap)
+    return list(items)
+
+
 def local_focus_ratio(
     profile: SourceProfile,
     sample: Sequence[Post],
@@ -75,12 +83,8 @@ def local_focus_ratio(
     with zero locatable tweets scores 0 (treated as not locally focused).
     """
     region = profile.resolved_location
-    posts = list(sample)
-    if len(posts) > SAMPLE_SIZE:
-        rng = random.Random(_stable_seed(seed, profile.user_id))
-        posts = rng.sample(posts, SAMPLE_SIZE)
     hits = located = 0
-    for post in posts:
+    for post in _capped(sample, SAMPLE_SIZE, seed, profile.user_id):
         entries = first_place(tokenize(post.text), g)
         if entries:
             located += 1
@@ -140,11 +144,8 @@ def build_trbc_centroids(
             by_code[code].append(h)
     sampled: dict[str, list[Headline]] = {}
     for code, items in by_code.items():
-        if len(items) > PER_CODE_CAP:
-            rng = random.Random(_stable_seed(seed, code))
-            items = rng.sample(items, PER_CODE_CAP)
         if items:
-            sampled[code] = items
+            sampled[code] = _capped(items, PER_CODE_CAP, seed, code)
     if not sampled:
         raise DegenerateLabels("no headlines carry known topic codes")
     tokens = {code: [tokenize(h.text) for h in sampled[code]] for code in sorted(sampled)}
@@ -172,10 +173,7 @@ def classify_account(
     description, then local focus (non-local means a global monitor), then
     media keywords (news outlet), else local authority.
     """
-    tweets = list(sample_tweets)
-    if len(tweets) > MAX_ACCOUNT_TWEETS:
-        rng = random.Random(_stable_seed(seed, profile.user_id))
-        tweets = rng.sample(tweets, MAX_ACCOUNT_TWEETS)
+    tweets = _capped(sample_tweets, MAX_ACCOUNT_TWEETS, seed, profile.user_id)
     # the mean of the tweets' term weights; no vector is built per tweet
     account = centroid(term_weights(tokenize(t.text), tfidf) for t in tweets)
     code, _sim = nearest_centroid(account, trbc_centroids)

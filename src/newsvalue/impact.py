@@ -26,16 +26,6 @@ from .textvec import fit_tfidf, term_weights, tokenize
 
 IMPACT_CLASSES = ("date_time", "address", "human_impact", "financial_impact")
 
-SOFT_QUANTITIES = {
-    "several": 3.0,
-    "scores": 20.0,
-    "dozens": 24.0,
-    "hundreds": 100.0,
-    "thousands": 1000.0,
-    "lakh": 100000.0,
-    "crore": 10000000.0,
-}
-
 _SCALES = {
     "dozen": 12, "hundred": 100, "thousand": 1000,
     "million": 1_000_000, "billion": 1_000_000_000,
@@ -65,11 +55,11 @@ _RUN_GAP_RE = re.compile(r"[\s\-]+(?:and[\s\-]+)?|[\s\-]*")
 _LEAD_ARTICLE_RE = re.compile(r"\b(an?)[\s\-]+$", re.IGNORECASE)
 
 _SUFFIX_SCALE = {"k": 1e3, "m": 1e6, "mm": 1e6, "b": 1e9, "bn": 1e9}
-# _SOFT_RE phrases, spaces collapsed, to their SOFT_QUANTITIES key.
-_SOFT_KEYS = {
-    "several": "several", "scores of": "scores", "dozens of": "dozens",
-    "hundreds": "hundreds", "thousands": "thousands", "hundreds of thousands": "thousands",
-    "lakh": "lakh", "lakhs": "lakh", "crore": "crore", "crores": "crore",
+# _SOFT_RE phrases, spaces collapsed, to the magnitude floor they name.
+_SOFT_FLOORS = {
+    "several": 3.0, "scores of": 20.0, "dozens of": 24.0, "hundreds": 100.0,
+    "thousands": 1000.0, "hundreds of thousands": 100000.0, "lakh": 100000.0,
+    "lakhs": 100000.0, "crore": 10000000.0, "crores": 10000000.0,
 }
 
 # Tokens that terminate the noun-phrase chunk around a numeral.
@@ -215,19 +205,17 @@ def _context_tokens(a: TextAnalysis, span: tuple[int, int]) -> tuple[str, ...]:
     boundary = span[0]
     for tok, start, end in reversed(left):
         gap = text[end:boundary]
-        if gap.strip(" -") or _chunk_stop(tok) or len(picked_left) >= 2:
+        if gap.strip(" -") or _chunk_stop(tok):
             break
         picked_left.append(tok)
         boundary = start
     out = list(reversed(picked_left))
-    picked_right = 0
     boundary = span[1]
     for tok, start, end in right:
         gap = text[boundary:start]
-        if gap.strip(" -") or _chunk_stop(tok) or picked_right >= 3:
+        if gap.strip(" -") or _chunk_stop(tok):
             break
         out.append(tok)
-        picked_right += 1
         boundary = end
     return tuple(out)
 
@@ -252,9 +240,7 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
             value *= _SUFFIX_SCALE[fold_key(m.group(3), _SUFFIX_SCALE)]
         cands.append((m.start(), m.end(), value))
     for m in _SOFT_RE.finditer(text):
-        phrase = fold_key(" ".join(m.group(1).split()), _SOFT_KEYS)
-        key = _SOFT_KEYS[phrase]
-        floor = 100000.0 if phrase == "hundreds of thousands" else SOFT_QUANTITIES[key]
+        floor = _SOFT_FLOORS[fold_key(" ".join(m.group(1).split()), _SOFT_FLOORS)]
         cands.append((m.start(), m.end(), floor))
     cands += _word_number_runs(text)
     return [

@@ -11,7 +11,6 @@ matched ones, and undersampling trims the negatives to a fixed ratio.
 
 from __future__ import annotations
 
-import math
 import random
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
@@ -103,17 +102,15 @@ class TermTimeIndex:
                 self._postings.setdefault(term, []).append(rank)
                 self._weights.setdefault(term, []).append(weight)
 
-    def candidates(self, terms: Iterable[str], after: float, until: float) -> list[int]:
-        """Ascending indices of the items with after < time <= until that
-        hold one of terms."""
-        lo = bisect_right(self._times, after)
+    def candidates(self, terms: Iterable[str], until: float) -> list[int]:
+        """Ascending indices of the items with time <= until that hold one
+        of terms."""
         hi = bisect_right(self._times, until)
         ranks: set[int] = set()
-        if lo < hi:
-            for term in terms:
-                posting = self._postings.get(term)
-                if posting:
-                    ranks.update(posting[bisect_left(posting, lo) : bisect_left(posting, hi)])
+        for term in terms:
+            posting = self._postings.get(term)
+            if posting:
+                ranks.update(posting[: bisect_left(posting, hi)])
         return sorted(self._order[r] for r in ranks)
 
     def _sums(self, v: SparseVector, after: float, until: float) -> dict[int, float]:
@@ -206,7 +203,7 @@ def match_to_headlines(
     after = _best_in_window(vector, index, t, t + MATCH_WINDOW_SECONDS)
     if after[1] is not None and after[0] >= threshold:
         return MatchResult(post.post_id, MATCHED, after[1], after[0])
-    earlier = index.candidates(_probe_terms(vector, threshold), -math.inf, t)
+    earlier = index.candidates(_probe_terms(vector, threshold), t)
     before = _best_headline(vector, index, earlier)
     if before[1] is not None and before[0] >= threshold:
         return MatchResult(post.post_id, TARDY, before[1], before[0])
@@ -216,7 +213,7 @@ def match_to_headlines(
 def propagate_links(
     results: Sequence[MatchResult],
     posts: Sequence[Post],
-    vectors: dict[str, SparseVector],
+    vectors: Sequence[SparseVector],
     link_threshold: float,
     same_user_threshold: float,
 ) -> list[MatchResult]:
@@ -229,26 +226,24 @@ def propagate_links(
     Matched posts are indexed once by time; those in the rest of the
     post's UTC day sharing a term with it are summed term at a time, and
     only those whose sum is within RECHECK_MARGIN of their own threshold
-    are scored, so every pair that clears it is. vectors maps each post id
-    to its tf.idf vector.
+    are scored, so every pair that clears it is. results, posts and their
+    tf.idf vectors are aligned: the i-th of each is one post.
     """
-    by_id = {p.post_id: p for p in posts}
-    matched = [by_id[r.post_id] for r in results if r.status == MATCHED and r.post_id in by_id]
-    index = TermTimeIndex([m.created_at for m in matched], [vectors[m.post_id] for m in matched])
+    rows = list(zip(results, posts, vectors, strict=True))
+    matched = [(p, v) for r, p, v in rows if r.status == MATCHED]
+    index = TermTimeIndex([p.created_at for p, _ in matched], [v for _, v in matched])
     out = []
-    for r in results:
-        post = by_id.get(r.post_id)
-        if r.status == MATCHED or post is None:
+    for r, post, v in rows:
+        if r.status == MATCHED:
             out.append(r)
             continue
         t = post.created_at
-        v = vectors[post.post_id]
         best_link = 0.0
         # POSIX time has no leap seconds, so a UTC day starts at a multiple
         # of 86400; % floors, also before 1970.
         for i, approx in index._sums(v, t, t - t % 86400 + 86399).items():
             threshold = (
-                same_user_threshold if matched[i].user_id == post.user_id else link_threshold
+                same_user_threshold if matched[i][0].user_id == post.user_id else link_threshold
             )
             if approx >= threshold - RECHECK_MARGIN:
                 score = cosine(v, index.vectors[i])
@@ -296,11 +291,9 @@ def label_corpus(
     index = TermTimeIndex([h.published_at for h in headlines], vectors[len(posts) :])
     first_pass = [match_to_headlines(p, v, index, threshold) for p, v in zip(posts, vectors)]
     final = propagate_links(
-        first_pass, posts, {p.post_id: v for p, v in zip(posts, vectors)},
-        link_threshold, same_user_threshold,
+        first_pass, posts, vectors[: len(posts)], link_threshold, same_user_threshold
     )
     stats = {
-        "posts": len(posts),
         "matched_direct": sum(1 for r in first_pass if r.status == MATCHED),
         "matched": sum(1 for r in final if r.status == MATCHED),
         "tardy": sum(1 for r in final if r.status == TARDY),

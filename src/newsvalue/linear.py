@@ -48,6 +48,11 @@ class LinearModel:
         self, kind: str, classes: tuple[str, ...], weights: dict[str, dict[str, float]],
         bias: dict[str, float], train_meta: dict | None = None,
     ):
+        if not classes:
+            raise SchemaMismatch("model has no classes")
+        for cls in classes:
+            if cls not in weights:
+                raise SchemaMismatch(f"no weights for class {cls!r}")
         self.kind = kind
         self.classes = classes
         self.weights = weights
@@ -55,13 +60,9 @@ class LinearModel:
         self.train_meta = {} if train_meta is None else train_meta
 
     def decision(self, features: dict[str, float]) -> dict[str, float]:
-        if not self.classes:
-            raise SchemaMismatch("model has no classes")
         scores = {}
         for cls in self.classes:
-            w = self.weights.get(cls)
-            if w is None:
-                raise SchemaMismatch(f"no weights for class {cls!r}")
+            w = self.weights[cls]
             scores[cls] = sum(
                 w[f] * v for f, v in features.items() if f in w
             ) + self.bias.get(cls, 0.0)

@@ -193,14 +193,16 @@ class SourceProfile(NamedTuple):
         if rec.get("resolved_name") is not None:
             lat = _coordinate(rec, "resolved_lat", 90.0)
             lon = _coordinate(rec, "resolved_lon", 180.0)
+            if lat is None or lon is None:
+                raise ValueError("resolved_lat and resolved_lon are required with resolved_name")
             country = _field(rec, "resolved_country", "a string")
             if not _COUNTRY_RE.fullmatch(country):
                 raise ValueError(f"resolved_country {country!r} is not two upper-case letters")
             resolved = GazetteerEntry(
                 name=_field(rec, "resolved_name", "a string"),
                 aliases=(),
-                lat=0.0 if lat is None else lat,
-                lon=0.0 if lon is None else lon,
+                lat=lat,
+                lon=lon,
                 country_code=country,
             )
         informativeness = float(_field(rec, "informativeness", "a number", 0.0))

@@ -178,7 +178,7 @@ def match_one(post, headlines, tfidf, threshold):
 
 
 def propagate(results, posts, tfidf, link_threshold, same_user_threshold):
-    vectors = {p.post_id: vectorize(tokenize(p.text), tfidf) for p in posts}
+    vectors = [vectorize(tokenize(p.text), tfidf) for p in posts]
     return propagate_links(results, posts, vectors, link_threshold, same_user_threshold)
 
 

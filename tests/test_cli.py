@@ -236,6 +236,32 @@ class TestFullPipeline:
                 for line in data.decode().splitlines():
                     json.loads(line, parse_constant=no_constant)
 
+    def test_seed_option_overrides_the_config_seed(self, pipeline, capsys):
+        # The fixture config says "seed": 7; the second chain reads a seed-0
+        # config with --seed 7 and must write and print the same bytes.
+        tmp_path, config = pipeline
+        out_dir = tmp_path / "out"
+        artifacts = ("curated.ndjson", "labeled.ndjson", "features.tsv", "model.json",
+                     "report.json", "predictions.ndjson", "ablation.json")
+
+        def run_chain(*extra):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            capsys.readouterr()
+            for verb in ("curate", "label", "extract", "train", "predict", "evaluate"):
+                assert main([verb, "--config", str(config), *extra]) == EXIT_OK
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            return captured.out, {name: (out_dir / name).read_bytes() for name in artifacts}
+
+        seeded = run_chain()
+        raw = json.loads(config.read_text())
+        assert raw["seed"] == 7
+        config.write_text(json.dumps(dict(raw, seed=0)))
+        assert run_chain("--seed", "7") == seeded
+        # the seed reaches the artifacts: without the option, train's differ
+        assert main(["train", "--config", str(config)]) == EXIT_OK
+        assert (out_dir / "model.json").read_bytes() != seeded[1]["model.json"]
+
     def test_overflowing_quantities_leave_every_feature_finite(self, tmp_path, capsys):
         """A hail size or burnt area too long for a float is no scope value,
         so extract writes only finite features and train and predict read them."""
@@ -617,6 +643,25 @@ class TestErrorExitCodes:
         )
         self._assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("features", ["", None], ids=["empty-features", "no-features"])
+    def test_model_without_weights_exit_4_whatever_the_features(self, pipeline, capsys, features):
+        # The model is checked when it is loaded, before features.tsv is read.
+        tmp_path, config = pipeline
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "format": "linear-model/1", "kind": "svm", "classes": ["matched"],
+            "weights": {}, "bias": {},
+        }))
+        if features is not None:
+            (tmp_path / "out").mkdir()
+            (tmp_path / "out" / "features.tsv").write_text(features)
+        assert (
+            main(["predict", "--config", str(config), "--model", str(model)])
+            == EXIT_SCHEMA_MISMATCH
+        )
+        assert capsys.readouterr().err == "error: no weights for class 'matched'\n"
+        assert not (tmp_path / "out" / "predictions.ndjson").exists()
+
     def test_model_without_positive_class_exit_4(self, pipeline, capsys):
         tmp_path, config = pipeline
         assert main(["label", "--config", str(config)]) == EXIT_OK
@@ -959,10 +1004,16 @@ class TestInputRecordChecks:
         assert captured.err.count("\n") == 1
         assert "not finite" in captured.err
 
-    @pytest.mark.parametrize("country",["U\tS", "US\n", "us", "USA", "", None])
-    def test_resolved_country_not_two_capitals_skipped(self, pipeline, capsys, country):
+    @pytest.mark.parametrize(
+        "key, value",
+        [*(("resolved_country", c) for c in ("U\tS", "US\n", "us", "USA", "", None)),
+         ("resolved_lat", None), ("resolved_lon", None)],
+        ids=["U\tS", "US\n", "us", "USA", "", "None", "no-resolved_lat", "no-resolved_lon"],
+    )
+    def test_resolved_country_not_two_capitals_skipped(self, pipeline, capsys, key, value):
         # The code names the feature loc_country_<code>, a field of a
-        # features.tsv line; None drops the key.
+        # features.tsv line; None drops the key. A place without one of its
+        # coordinates is skipped, not read as a place at (0, 0).
         tmp_path, config = pipeline
         assert main(["curate", "--config", str(config)]) == EXIT_OK
         curated = tmp_path / "out" / "curated.ndjson"
@@ -970,16 +1021,20 @@ class TestInputRecordChecks:
         bad = [i for i, rec in enumerate(records, 1) if "resolved_country" in rec]
         assert bad
         for i in bad:
-            if country is None:
-                del records[i - 1]["resolved_country"]
+            if value is None:
+                del records[i - 1][key]
             else:
-                records[i - 1]["resolved_country"] = country
+                records[i - 1][key] = value
         curated.write_text("".join(json.dumps(rec) + "\n" for rec in records))
         assert main(["label", "--config", str(config)]) == EXIT_OK
         capsys.readouterr()
         assert main(["extract", "--config", str(config)]) == EXIT_OK
-        reason = ("'resolved_country'" if country is None else
-                  f"resolved_country {country!r} is not two upper-case letters")
+        if key != "resolved_country":
+            reason = "resolved_lat and resolved_lon are required with resolved_name"
+        elif value is None:
+            reason = "'resolved_country'"
+        else:
+            reason = f"resolved_country {value!r} is not two upper-case letters"
         assert capsys.readouterr().err.splitlines() == [
             f"warning: curated line {i}: {reason} (record skipped)" for i in bad
         ]

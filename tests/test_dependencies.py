@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import newsvalue
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -33,6 +35,13 @@ def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
     assert "dependencies = []" in project.splitlines()
+
+
+def test_pyproject_version_is_the_package_version():
+    # evaluate reuses train's report.json only under the same __version__
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = text.split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert f'version = "{newsvalue.__version__}"' in project.splitlines()
 
 
 def test_startup_loads_neither_dataclasses_nor_inspect():

@@ -343,9 +343,9 @@ def test_accumulated_sums_decide_like_all_pairs(corpus, data):
         MatchResult(p.post_id, data.draw(st.sampled_from([MATCHED, UNMATCHED, TARDY])), None, 0.0)
         for p in posts
     ]
-    by_id = {p.post_id: v for p, v in zip(posts, post_vectors)}
-    assert propagate_links(first, posts, by_id, link, same_user) == brute_propagate_vectors(
-        first, posts, by_id, link, same_user
+    vectors = {p.post_id: v for p, v in zip(posts, post_vectors)}
+    assert propagate_links(first, posts, post_vectors, link, same_user) == (
+        brute_propagate_vectors(first, posts, vectors, link, same_user)
     )
 
 
