@@ -287,6 +287,10 @@ def cmd_extract(cfg: PipelineConfig, args: argparse.Namespace) -> int:
 def cmd_label(cfg: PipelineConfig, args: argparse.Namespace) -> int:
     posts = _read(cfg.path("posts"), Post.from_record, key="post_id")
     headlines = _read(cfg.path("headlines"), Headline.from_record)
+    for name, records in (("posts", posts), ("headlines", headlines)):
+        if not records:
+            _report("error", f"no {name} left in {cfg.path(name).name}")
+            return EXIT_DEGENERATE_LABELS
     results, stats = label_corpus(
         posts,
         headlines,

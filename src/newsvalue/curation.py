@@ -24,7 +24,7 @@ from .records import (
 )
 from .scope import lexicon
 from .textvec import (
-    SparseVector,
+    Centroids,
     TfidfModel,
     centroid,
     fit_tfidf,
@@ -124,8 +124,8 @@ def topical_focus(assignments: Sequence[TopicAssignment]) -> set[str]:
 
 def build_trbc_centroids(
     headlines: Sequence[Headline], *, seed: int
-) -> tuple[TfidfModel, dict[str, SparseVector]]:
-    """Per-topic-code centroids over wire headlines.
+) -> tuple[TfidfModel, Centroids]:
+    """Per-topic-code centroids over wire headlines, indexed once.
 
     Each code is one tf.idf document built from up to PER_CODE_CAP sampled
     headlines; a code with listed descendants only samples headlines not
@@ -155,13 +155,13 @@ def build_trbc_centroids(
         c = centroid(term_weights(toks, tfidf) for toks in docs)
         if c.norm > 0.0:
             centroids[code] = c
-    return tfidf, centroids
+    return tfidf, Centroids(centroids)
 
 
 def classify_account(
     profile: SourceProfile,
     sample_tweets: Sequence[Post],
-    trbc_centroids: dict[str, SparseVector],
+    trbc_centroids: Centroids,
     tfidf: TfidfModel,
     *,
     seed: int,
@@ -204,7 +204,7 @@ def curate(
     tweets_by_user: Mapping[str, Sequence[Post]],
     assignments: Sequence[TopicAssignment],
     g: Gazetteer,
-    trbc_centroids: dict[str, SparseVector],
+    trbc_centroids: Centroids,
     tfidf: TfidfModel,
     *,
     seed: int,

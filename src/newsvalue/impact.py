@@ -20,7 +20,7 @@ from .errors import DegenerateLabels
 from .linear import (
     LinearModel, SGDConfig, epoch_orders, intern, largest_row_norm, train_binary_hinge,
 )
-from .scope import _TENS, _UNITS, TextAnalysis, fold_key, lexicon
+from .scope import _TENS, _UNITS, TextAnalysis, _any_in, _least_keys, fold_key, lexicon
 from .spans import select_spans
 from .textvec import fit_tfidf, term_weights, tokenize
 
@@ -61,6 +61,11 @@ _SOFT_FLOORS = {
     "thousands": 1000.0, "hundreds of thousands": 100000.0, "lakh": 100000.0,
     "lakhs": 100000.0, "crore": 10000000.0, "crores": 10000000.0,
 }
+# Gates, as scope._FINDERS has: every _SOFT_RE match spells one of
+# _SOFT_KEYS, and every _WORD_RUN_RE match one of _RUN_KEYS, in the text
+# TextAnalysis.folded reads; _JOINED_RUN_RE and _DIGIT_RE need a digit.
+_SOFT_KEYS = ("several", "scores", "dozens", "hundreds", "thousands", "lakh", "crore")
+_RUN_KEYS = _least_keys(_NUMBER_WORDS - {"and", "a", "an"})
 
 # Tokens that terminate the noun-phrase chunk around a numeral.
 _FUNCTION_WORDS = frozenset(
@@ -225,24 +230,28 @@ def numeric_phrases(a: TextAnalysis) -> list[NumericPhrase]:
 
     Digits (with comma grouping, decimals, scale suffixes), joined
     timestamp-like runs, English number words, and soft quantities with
-    magnitude floors; a value that is not finite is no candidate.
+    magnitude floors; a value that is not finite is no candidate. Each
+    scan runs only where its gate hits.
     """
     text = a.text
     cands: list[tuple[int, int, float]] = []
-    for m in _JOINED_RUN_RE.finditer(text):
-        lead = float(m.group(0).split(":")[0].split("/")[0].split("-")[0])
-        cands.append((m.start(), m.end(), lead))
-    for m in _DIGIT_RE.finditer(text):
-        value = float(m.group(1).replace(",", ""))
-        if m.group(2):
-            value *= _SCALES[fold_key(m.group(2), _SCALES)]
-        elif m.group(3):
-            value *= _SUFFIX_SCALE[fold_key(m.group(3), _SUFFIX_SCALE)]
-        cands.append((m.start(), m.end(), value))
-    for m in _SOFT_RE.finditer(text):
-        floor = _SOFT_FLOORS[fold_key(" ".join(m.group(1).split()), _SOFT_FLOORS)]
-        cands.append((m.start(), m.end(), floor))
-    cands += _word_number_runs(text)
+    if a.digit:
+        for m in _JOINED_RUN_RE.finditer(text):
+            lead = float(m.group(0).split(":")[0].split("/")[0].split("-")[0])
+            cands.append((m.start(), m.end(), lead))
+        for m in _DIGIT_RE.finditer(text):
+            value = float(m.group(1).replace(",", ""))
+            if m.group(2):
+                value *= _SCALES[fold_key(m.group(2), _SCALES)]
+            elif m.group(3):
+                value *= _SUFFIX_SCALE[fold_key(m.group(3), _SUFFIX_SCALE)]
+            cands.append((m.start(), m.end(), value))
+    if _any_in(a.folded, _SOFT_KEYS):
+        for m in _SOFT_RE.finditer(text):
+            floor = _SOFT_FLOORS[fold_key(" ".join(m.group(1).split()), _SOFT_FLOORS)]
+            cands.append((m.start(), m.end(), floor))
+    if _any_in(a.folded, _RUN_KEYS):
+        cands += _word_number_runs(text)
     return [
         NumericPhrase(
             span=(start, end),

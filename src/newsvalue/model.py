@@ -25,7 +25,7 @@ from .linear import (
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
 from .scope import ScopeFeatures, TextAnalysis, lexicon
-from .textvec import SparseVector, TfidfModel, nearest_centroid, tokenize, vectorize
+from .textvec import Centroids, TfidfModel, nearest_centroid, tokenize, vectorize
 
 POSITIVE_CLASS = "matched"
 
@@ -49,7 +49,7 @@ class FeatureContext(NamedTuple):
 
     gazetteer: Gazetteer
     tfidf: TfidfModel
-    centroids: dict[str, SparseVector]
+    centroids: Centroids
     impact_model: LinearModel
     background: Optional[BackgroundIndex] = None
 
@@ -57,7 +57,7 @@ class FeatureContext(NamedTuple):
 def build_context(
     gazetteer: Gazetteer,
     tfidf: TfidfModel,
-    centroids: dict[str, SparseVector],
+    centroids: Centroids,
     background: Optional[BackgroundIndex] = None,
     *,
     seed: int,

@@ -291,7 +291,8 @@ def read_ndjson(
 
     A line that is not UTF-8, not a JSON object (or nested too deep to
     parse), or that `parse` rejects (missing key, wrong type, a number out
-    of range) is an error, not a record.
+    of range) is an error, not a record. A KeyError of `parse` names the
+    missing key: its error reads `<key>: missing`.
     """
     out: list[T] = []
     errors: list[tuple[int, str]] = []
@@ -308,7 +309,9 @@ def read_ndjson(
                 if not isinstance(rec, dict):
                     raise ValueError("not a JSON object")
                 out.append(parse(rec))
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+            except KeyError as exc:
+                errors.append((lineno, f"{exc.args[0]}: missing"))
+            except (ValueError, TypeError, OverflowError, RecursionError) as exc:
                 errors.append((lineno, str(exc) or exc.__class__.__name__))
     return out, errors
 

@@ -360,9 +360,17 @@ _RICHTER_GATE_RE = re.compile(r"[Mm]\s?\d")  # case-sensitive, like the M/m patt
 # and makes İ two characters. So every keyword a finder matches
 # case-insensitively is a substring of text.translate(_FOLD).lower().
 _FOLD = {0x130: "i", 0x131: "i", 0x17F: "s", 0x212A: "k"}
-# English number words none of which holds another as a substring
-# ("seventeen" holds "seven"), so any number word hits one of them.
-_NUMBER_WORDS = tuple(w for w in WORD_NUMBERS if not any(v != w and v in w for v in WORD_NUMBERS))
+
+
+def _least_keys(words: Iterable[str]) -> tuple[str, ...]:
+    """The words, sorted, that hold no other of them as a substring
+    ("seventeen" holds "seven"): a text holds one of `words` only if it
+    holds one of these."""
+    words = sorted(words)
+    return tuple(w for w in words if not any(v != w and v in w for v in words))
+
+
+_NUMBER_WORDS = _least_keys(WORD_NUMBERS)
 
 
 def _any_in(folded: str, words: Iterable[str]) -> bool:
@@ -409,10 +417,17 @@ class TextAnalysis:
     streams stay apart: spans (token_spans, offsets into the raw text) feed
     masking and numeric-phrase context; tokens (tokenize, URLs and mentions
     rewritten) feed taxonomy features, impact tf.idf and the gazetteer.
+    The gates of the scope finders and of the numeric-phrase patterns read
+    `folded` (each character re.IGNORECASE matches to an ASCII letter
+    mapped to it, then lower-cased) and `digit` (the text holds a `\\d`),
+    set here: every text is masked, so its finds are always read, and a
+    plain attribute costs less than a cached_property's first access.
     """
 
     def __init__(self, text: str):
         self.text = text
+        self.folded = (text if text.isascii() else text.translate(_FOLD)).lower()
+        self.digit = _DIGIT_RE.search(text) is not None
 
     @cached_property
     def spans(self) -> list[tuple[str, int, int]]:
@@ -425,9 +440,7 @@ class TextAnalysis:
     @cached_property
     def finds(self) -> dict[str, list]:
         """Each numeric scope pattern's candidates; [] where the gate misses."""
-        t = self.text
-        folded = (t if t.isascii() else t.translate(_FOLD)).lower()
-        digit = _DIGIT_RE.search(t) is not None
+        t, folded, digit = self.text, self.folded, self.digit
         return {
             name: finder(t) if gate(t, folded, digit) else [] for name, gate, finder in _FINDERS
         }

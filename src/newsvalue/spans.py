@@ -46,6 +46,8 @@ class PhraseTable:
     def matches(self, tokens: Sequence[str]) -> list[list[tuple[int, int, Any]]]:
         """Per set, its (first token, end token, payload) hits in token order."""
         out: list[list[tuple[int, int, Any]]] = [[] for _ in range(self._sets)]
+        if self._root.keys().isdisjoint(tokens):  # no token starts a phrase
+            return out
         free = [0] * self._sets  # per set, the first token its hits left unconsumed
         n = len(tokens)
         for i, tok in enumerate(tokens):

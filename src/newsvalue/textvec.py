@@ -153,15 +153,58 @@ def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
     return SparseVector(term_weights(tokens, model))
 
 
-def nearest_centroid(v: SparseVector, centroids: dict[str, SparseVector]) -> tuple[str, float]:
-    """Label of the most similar centroid; ties go to the first label in
-    lexicographic order so results are deterministic."""
+class Centroids(Mapping[str, SparseVector]):
+    """Labelled centroids, read-only, indexed once for nearest_centroid:
+    the labels in lexicographic order, and per term the (rank, weight) of
+    each centroid that holds it."""
+
+    def __init__(self, vectors: Mapping[str, SparseVector]):
+        self._vectors = dict(vectors)
+        self._ranked = sorted(self._vectors.items())
+        self._most_terms = max((len(c.entries) for c in self._vectors.values()), default=0)
+        self._postings: dict[str, list[tuple[int, float]]] = {}
+        for rank, (_, c) in enumerate(self._ranked):
+            for term, weight in c.entries.items():
+                self._postings.setdefault(term, []).append((rank, weight))
+
+    def __getitem__(self, label: str) -> SparseVector:
+        return self._vectors[label]
+
+    def __iter__(self):
+        return iter(self._vectors)
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+
+def nearest_centroid(v: SparseVector, centroids: Centroids) -> tuple[str, float]:
+    """Label of the most similar centroid by `cosine`; ties go to the first
+    label in lexicographic order so results are deterministic.
+
+    One pass over v's terms collects each centroid's products (term-at-a-
+    time scoring, Turtle & Flood 1995). `dot` walks the vector with fewer
+    terms, so for a centroid with at least as many terms as v these are
+    the products it sums, in the same order, and one `sum()` of them gives
+    its float; a centroid with fewer terms is scored by `cosine` itself.
+    """
     if not centroids:
         raise DegenerateLabels("nearest_centroid against an empty centroid set")
+    n = len(v.entries)
+    products: list[list[float]] = [[] for _ in centroids._ranked]
+    if n <= centroids._most_terms:  # else no centroid reads them
+        postings = centroids._postings
+        for term, w in v.entries.items():
+            for rank, weight in postings.get(term, ()):
+                products[rank].append(w * weight)
     best_label = None
     best_sim = -1.0
-    for label in sorted(centroids):
-        sim = cosine(v, centroids[label])
+    for (label, c), terms in zip(centroids._ranked, products):
+        if len(c.entries) < n:
+            sim = cosine(v, c)
+        elif v.norm == 0.0 or c.norm == 0.0:
+            sim = 0.0
+        else:
+            sim = max(0.0, min(1.0, sum(terms) / (v.norm * c.norm)))
         if sim > best_sim:
             best_label, best_sim = label, sim
     assert best_label is not None

@@ -177,6 +177,18 @@ class TestLabelCommand:
         config = write_pipeline_inputs(tmp_path, posts=posts)
         assert main(["label", "--config", str(config)]) == EXIT_DEGENERATE_LABELS
 
+    @pytest.mark.parametrize("name", ["posts", "headlines"])
+    def test_no_records_left_exit_3(self, pipeline, capsys, name):
+        # every line skipped, or none at all: the error names the file
+        tmp_path, config = pipeline
+        path = tmp_path / f"{name}.ndjson"
+        path.write_text('{"outlet": "ap"}\n' if name == "headlines" else "")
+        capsys.readouterr()
+        assert main(["label", "--config", str(config)]) == EXIT_DEGENERATE_LABELS
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: no {name} left in {name}.ndjson"
+        )
+
 
 class TestFullPipeline:
     def test_extract_train_predict_evaluate(self, pipeline, capsys):
@@ -860,6 +872,41 @@ class TestInputRecordChecks:
         assert "(record skipped)" in captured.err
         return captured
 
+    @pytest.mark.parametrize(
+        "verb, file, name, row, key",
+        [
+            ("label", "posts.ndjson", "posts.ndjson",
+             {"post_id": "x", "user_id": "u", "created_at": 1}, "text"),
+            ("label", "headlines.ndjson", "headlines.ndjson",
+             {"text": "x", "published_at": 1}, "outlet"),
+            ("curate", "tweets.ndjson", "tweets.ndjson",
+             {"post_id": "x", "user_id": "u", "text": "x"}, "created_at"),
+            ("curate", "profiles.ndjson", "profiles", {"display_name": "x"}, "user_id"),
+            ("curate", "assignments.ndjson", "assignments",
+             {"user_id": "u", "topic": "Law/Crime"}, "count"),
+            ("extract", "background.ndjson", "background",
+             {"created_at": 1, "lat": 0, "lon": 0, "country": "FR"}, "topic"),
+            ("train", "out/labeled.ndjson", "labeled", {"post_id": "x"}, "status"),
+        ],
+        ids=["post", "headline", "tweet", "profile", "assignment", "background", "labeled"],
+    )
+    def test_missing_required_field_named(self, pipeline, capsys, verb, file, name, row, key):
+        tmp_path, config = pipeline
+        if verb == "train":
+            assert main(["label", "--config", str(config)]) == EXIT_OK
+            assert main(["extract", "--config", str(config)]) == EXIT_OK
+        if file == "background.ndjson":
+            cfg = json.loads(config.read_text())
+            cfg["paths"]["background"] = str(tmp_path / file)
+            config.write_text(json.dumps(cfg))
+            write_ndjson_file(tmp_path / file, [dict(row, topic="floods")])
+        lineno = self._append(tmp_path / file, json.dumps(row).encode())
+        capsys.readouterr()
+        assert main([verb, "--config", str(config)]) == EXIT_OK
+        err = capsys.readouterr().err
+        assert f"warning: {name} line {lineno}: {key}: missing (record skipped)\n" in err
+        assert "'" not in err
+
     def test_infinite_assignment_count_skipped(self, pipeline, capsys):
         tmp_path, config = pipeline
         lineno = self._append(
@@ -1032,7 +1079,7 @@ class TestInputRecordChecks:
         if key != "resolved_country":
             reason = "resolved_lat and resolved_lon are required with resolved_name"
         elif value is None:
-            reason = "'resolved_country'"
+            reason = "resolved_country: missing"
         else:
             reason = f"resolved_country {value!r} is not two upper-case letters"
         assert capsys.readouterr().err.splitlines() == [
@@ -1272,6 +1319,16 @@ class TestTimelinessCommand:
         assert "Traceback" not in captured.err
         assert "events: 1" in captured.out
         assert "skipped (present on one side only): e2" in captured.out
+
+    def test_feed_row_without_its_time_skipped(self, tmp_path, capsys):
+        feed = tmp_path / "feed.ndjson"
+        wire = tmp_path / "wire.ndjson"
+        write_ndjson_file(feed, [{"event_id": "e1"}])
+        write_ndjson_file(wire, [{"event_id": "e1", "wire_alert_at": 600}])
+        assert main(["timeliness", "--feed", str(feed), "--wire", str(wire)]) == EXIT_OK
+        assert capsys.readouterr().err == (
+            "warning: feed line 1: first_tweet_at: missing (record skipped)\n"
+        )
 
     def test_bad_wire_row_skipped(self, tmp_path, capsys):
         feed = tmp_path / "feed.ndjson"

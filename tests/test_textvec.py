@@ -12,6 +12,7 @@ from newsvalue.curation import build_trbc_centroids
 from newsvalue.errors import DegenerateLabels
 from newsvalue.records import Headline
 from newsvalue.textvec import (
+    Centroids,
     SparseVector,
     centroid,
     cosine,
@@ -167,11 +168,11 @@ class TestCentroid:
 
 class TestNearestCentroid:
     def _cs(self):
-        return {
+        return Centroids({
             "alpha": SparseVector({"a": 1.0}),
             "beta": SparseVector({"b": 1.0}),
             "gamma": SparseVector({"c": 1.0, "a": 0.2}),
-        }
+        })
 
     def test_exact_match(self):
         label, sim = nearest_centroid(SparseVector({"b": 3.0}), self._cs())
@@ -206,7 +207,7 @@ class TestNearestCentroid:
         with pytest.raises(
             DegenerateLabels, match="nearest_centroid against an empty centroid set"
         ):
-            nearest_centroid(SparseVector({"a": 1.0}), {})
+            nearest_centroid(SparseVector({"a": 1.0}), Centroids({}))
 
     def test_zero_norm_centroid_rejected(self):
         # floods' only headline holds no word token: its centroid has norm 0

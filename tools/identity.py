@@ -68,11 +68,15 @@ for seed in range(10):
 # mention of a place name, characters that lower() lengthens (İ) or that
 # case-insensitive patterns fold (ſ), fullwidth letters and digits, a
 # two-word place name split by a mention (which names no place) or by a
-# hashtag (which keeps its word), and a text left as it is.
+# hashtag (which keeps its word), number words that the numeric-phrase
+# gates see but no `\b`-anchored pattern matches (inside a URL, inside
+# longer words), soft quantities spelled with ſ and a Kelvin sign K, and a
+# text left as it is.
 DECORATIONS = (
     "HTTPS://News.Example.COM/Quake?id=7", "via WWW.Example.ORG:", "@user says",
     "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris",
-    "New @York", "Times #Square", "",
+    "New @York", "Times #Square", "https://t.co/three-dead", "someone often lifts weights",
+    "ſeveral la\u212ah", "",
 )
 
 
