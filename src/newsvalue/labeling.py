@@ -45,20 +45,35 @@ def default_mask_rules() -> PhraseTable:
 
 def _claimed_spans(a: TextAnalysis, rules: PhraseTable) -> list[tuple[int, int, str]]:
     """Spans the scope patterns and each taxonomy claim, longest then leftmost;
-    ties go to the pattern spans, then to the taxonomies in rule order."""
-    return select_spans(a.pattern_spans + rules.spans(a.spans))
+    ties go to the pattern spans, then to the taxonomies in rule order.
+    The taxonomies walk the token strings, and offsets are built only
+    for a hit, or first where there are pattern spans (which extract's
+    numeric-phrase context reads), so that `words` is read from them."""
+    pattern = a.pattern_spans
+    toks = a.spans if pattern else None
+    hits = [hit for per_set in rules.matches(a.words) for hit in per_set]
+    if not hits:
+        return pattern
+    if toks is None:
+        toks = a.spans
+    return select_spans(pattern + [(toks[i][1], toks[j - 1][2], p) for i, j, p in hits])
 
 
-def masked_text(a: TextAnalysis) -> str:
-    """Replace every claimed span with its feature-name token."""
-    out = a.text
-    for start, end, name in reversed(_claimed_spans(a, default_mask_rules())):
-        out = out[:start] + name + out[end:]
-    return out
+def masked_tokens(a: TextAnalysis) -> list[str]:
+    """The tokens of the text with every claimed span replaced by its
+    feature-name token: the text's own tokens when nothing is claimed."""
+    claimed = _claimed_spans(a, default_mask_rules())
+    if not claimed:
+        return a.tokens
+    text = a.text
+    for start, end, name in reversed(claimed):
+        text = text[:start] + name + text[end:]
+    return tokenize(text)
 
 
-def mask_taxonomy_tokens(text: str) -> str:
-    return masked_text(TextAnalysis(text))
+def mask_taxonomy_tokens(text: str) -> list[str]:
+    """The tokens of the text with its taxonomy and pattern spans masked."""
+    return masked_tokens(TextAnalysis(text))
 
 
 class MatchResult(NamedTuple):
@@ -282,10 +297,11 @@ def label_corpus(
     same_user_threshold: float,
 ) -> tuple[list[MatchResult], dict[str, int]]:
     """Mask both sides, fit one shared tf.idf vocabulary, match, propagate;
-    returns (one result per post, counters). Each masked text is tokenized
-    once and vectorized once."""
-    documents = [tokenize(mask_taxonomy_tokens(p.text)) for p in posts]
-    documents += [tokenize(mask_taxonomy_tokens(h.text)) for h in headlines]
+    returns (one result per post, counters). Each text is masked once, its
+    masked tokens take at most one tokenize (none when nothing is claimed
+    and the text's own tokens serve), and each is vectorized once."""
+    documents = [mask_taxonomy_tokens(p.text) for p in posts]
+    documents += [mask_taxonomy_tokens(h.text) for h in headlines]
     tfidf = fit_tfidf(documents)
     vectors = [vectorize(tokens, tfidf) for tokens in documents]  # posts, then headlines
     index = TermTimeIndex([h.published_at for h in headlines], vectors[len(posts) :])

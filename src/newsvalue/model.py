@@ -18,14 +18,14 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import DegenerateLabels, SchemaMismatch
 from .geo import Gazetteer, _best_entry, first_place
 from .impact import bootstrap_impact_model, impact_labels, numeric_phrases
-from .labeling import masked_text
+from .labeling import masked_tokens
 from .linear import (
     InternedRow, LinearModel, SGDConfig, epoch_orders, intern, largest_row_norm, train_binary_hinge,
 )
 from .rarity import BackgroundIndex, grid_cell, rarity
 from .records import LabeledExample, Post, SourceProfile
 from .scope import ScopeFeatures, TextAnalysis, lexicon
-from .textvec import Centroids, TfidfModel, nearest_centroid, tokenize, vectorize
+from .textvec import Centroids, TfidfModel, nearest_centroid, vectorize
 
 POSITIVE_CLASS = "matched"
 
@@ -119,9 +119,7 @@ def assemble_features(
     features: dict[str, float] = {}
 
     a = TextAnalysis(post.text)
-    masked = masked_text(a)
-    mtokens = tokenize(masked)
-    tvec = vectorize(mtokens, ctx.tfidf)
+    tvec = vectorize(masked_tokens(a), ctx.tfidf)
     for term, weight in sorted(tvec.entries.items()):
         features[f"text_{term}"] = weight
 

@@ -88,8 +88,3 @@ class PhraseTable:
             if end:
                 return i, end, entries[0][1]
         return None
-
-    def spans(self, toks: Sequence[tuple[str, int, int]]) -> list[tuple[int, int, Any]]:
-        """matches() over token_spans() output as character spans, set by set."""
-        hits = self.matches([tok for tok, _, _ in toks])
-        return [(toks[i][1], toks[j - 1][2], p) for per_set in hits for i, j, p in per_set]

@@ -1,23 +1,40 @@
 """Shared synthetic fixtures: a topic-coded headline corpus, the 12-profile
 curation fixture, per-post labeling under a given vocabulary, the
-all-places tagger, and file writers for CLI runs."""
+all-places tagger, file writers for CLI runs, and tools/identity.py."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
 from newsvalue.curation import build_trbc_centroids
 from newsvalue.geo import _best_entry, load_gazetteer
-from newsvalue.labeling import TermTimeIndex, match_to_headlines, propagate_links
+from newsvalue.labeling import (
+    TermTimeIndex, _claimed_spans, default_mask_rules, match_to_headlines, propagate_links,
+)
 from newsvalue.records import Headline, Post, SourceProfile, TopicAssignment
+from newsvalue.scope import TextAnalysis
 from newsvalue.textvec import tokenize, vectorize
 
 BASE_TS = 1_500_000_000  # 2017-07-14 02:40 UTC
-GAZETTEER_PATH = Path(__file__).resolve().parents[1] / "src/newsvalue/data/world_cities.txt"
+ROOT = Path(__file__).resolve().parents[1]
+GAZETTEER_PATH = ROOT / "src/newsvalue/data/world_cities.txt"
+
+
+def _load_identity():
+    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+identity = _load_identity()  # tools/identity.py, loaded by path
 
 TRBC_VOCAB = {
     "earthquakes_seismic": ["earthquake", "quake", "seismic", "tremor", "aftershock", "struck"],
@@ -168,6 +185,14 @@ def curation_fixture() -> tuple[list[SourceProfile], dict[str, list[Post]], list
 # per-post labeling: the vectors and index label_corpus builds, under a
 # vocabulary the test chose
 # ---------------------------------------------------------------------------
+
+def masked_text(text):
+    """The text with every span masking claims replaced by its feature
+    name: the text whose tokens `mask_taxonomy_tokens` returns."""
+    for start, end, name in reversed(_claimed_spans(TextAnalysis(text), default_mask_rules())):
+        text = text[:start] + name + text[end:]
+    return text
+
 
 def match_one(post, headlines, tfidf, threshold):
     index = TermTimeIndex(

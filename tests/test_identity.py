@@ -7,29 +7,15 @@ corpus's texts get."""
 from __future__ import annotations
 
 import fnmatch
-import importlib.util
 import json
 import math
 import shutil
-import sys
 import tempfile
-from pathlib import Path
 
 import pytest
+from conftest import ROOT, identity
 
-ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-
-
-def _load_identity():
-    spec = importlib.util.spec_from_file_location("identity", ROOT / "tools" / "identity.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses resolve their module by name
-    spec.loader.exec_module(module)
-    return module
-
-
-identity = _load_identity()
 BOOTSTRAP = [case for case in identity.CASES if case.name == "bootstrap"]
 
 

@@ -20,7 +20,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from conftest import match_one, propagate
+from conftest import masked_text, match_one, propagate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +33,6 @@ from newsvalue.labeling import (
     MatchResult,
     TermTimeIndex,
     label_corpus,
-    mask_taxonomy_tokens,
     match_to_headlines,
     propagate_links,
 )
@@ -133,8 +132,8 @@ def brute_propagate_vectors(results, posts, vectors, link_threshold, same_user_t
 
 def brute_label(posts, headlines, threshold, link_threshold, same_user_threshold):
     """label_corpus's masking and vocabulary, all-pairs matching and linking."""
-    posts = [p._replace(text=mask_taxonomy_tokens(p.text)) for p in posts]
-    headlines = [h._replace(text=mask_taxonomy_tokens(h.text)) for h in headlines]
+    posts = [p._replace(text=masked_text(p.text)) for p in posts]
+    headlines = [h._replace(text=masked_text(h.text)) for h in headlines]
     tfidf = fit_tfidf([tokenize(t.text) for t in (*posts, *headlines)])
     first = [brute_match(p, headlines, tfidf, threshold) for p in posts]
     return brute_propagate(first, posts, tfidf, link_threshold, same_user_threshold)

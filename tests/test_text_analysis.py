@@ -19,7 +19,7 @@ import sys
 import zlib
 
 import pytest
-from conftest import GAZETTEER_PATH, match_one, propagate
+from conftest import GAZETTEER_PATH, masked_text, match_one, propagate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -422,7 +422,7 @@ REF_RULES = ref_mask_rules()
 @example("death toll 21 people missing @firedept https://t.co/Ab12 #wildfire")
 def test_masking_equals_reference(text):
     assert _claimed_spans(TextAnalysis(text), RULES) == ref_mask_spans(text, REF_RULES)
-    assert mask_taxonomy_tokens(text) == ref_mask(text, REF_RULES)
+    assert mask_taxonomy_tokens(text) == tokenize(ref_mask(text, REF_RULES))
 
 
 @SETTINGS
@@ -502,7 +502,7 @@ def test_extractors_total_over_unicode(ctx, text):
     for p in numeric_phrases(TextAnalysis(text)):
         assert 0 <= p.span[0] < p.span[1] <= len(text) and math.isfinite(p.value)
     first_place(a.tokens, ctx.gazetteer)
-    assert isinstance(mask_taxonomy_tokens(text), str)
+    assert all(isinstance(tok, str) for tok in mask_taxonomy_tokens(text))
     feats = assemble_features(Post("p", "u", 0, text), None, ctx)
     assert all(math.isfinite(v) for v in feats.values())
 
@@ -648,10 +648,37 @@ def test_finders_run_only_where_their_gate_hits(monkeypatch, text, runs):
 
 
 # ---------------------------------------------------------------------------
-# labeling tokenizes and vectorizes each masked text once
+# labeling tokenizes each masked text at most once and vectorizes it once
 # ---------------------------------------------------------------------------
 
+def count_token_passes(monkeypatch):
+    """The texts tokenize and token_spans are called with, wherever
+    labeling and feature assembly call them."""
+    calls = {"tokenize": [], "token_spans": []}
+
+    def counted(name, fn):
+        def wrapper(text):
+            calls[name].append(text)
+            return fn(text)
+        return wrapper
+
+    for mod in (scope, impact, geo, labeling, model):
+        for name, fn in (("token_spans", textvec.token_spans), ("tokenize", textvec.tokenize)):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    return calls
+
+
+def _plain(text):
+    """ASCII, and none of the literals tokenize rewrites at."""
+    low = text.lower()
+    return text.isascii() and not any(lit in low for lit in ("@", "#", "://", "www."))
+
+
 def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch):
+    """Each text's masked tokens take at most one tokenize: of the masked
+    text when something is claimed, of the text when nothing is and it is
+    not plain, none for a plain text that nothing claims."""
     day = 86400
     headlines = [
         Headline("3-alarm fire destroys warehouse near Paris", "ap", 10 * day + 3600),
@@ -664,31 +691,43 @@ def test_label_corpus_tokenizes_and_vectorizes_each_masked_text_once(monkeypatch
         Post("c", "u1", 10 * day + 60, "warehouse fire near Paris, crews say, more soon"),
         Post("d", "u3", 10 * day, "story about a flood in London"),
         Post("e", "u4", 10 * day, "bake sale at the community hall"),
+        Post("f", "u5", 10 * day, "@mayor says bake sale at the WWW.Town.org hall #town"),
+        Post("g", "u6", 10 * day, "bake sale at the İstanbul hall"),
     ]
-    masked_posts = [p._replace(text=mask_taxonomy_tokens(p.text)) for p in posts]
-    masked_headlines = [h._replace(text=mask_taxonomy_tokens(h.text)) for h in headlines]
-    masked = [p.text for p in masked_posts] + [h.text for h in masked_headlines]
-    tokenized, vectorized = [], []
-
-    def counted_tokenize(text):
-        tokenized.append(text)
-        return tokenize(text)
+    texts = [p.text for p in posts] + [h.text for h in headlines]
+    masked = [masked_text(t) for t in texts]
+    tokenized, vectorized = count_token_passes(monkeypatch)["tokenize"], []
 
     def counted_vectorize(tokens, model):
         vectorized.append(tuple(tokens))
         return vectorize(tokens, model)
 
-    monkeypatch.setattr(labeling, "tokenize", counted_tokenize)
     monkeypatch.setattr(labeling, "vectorize", counted_vectorize)
     results, stats = labeling.label_corpus(posts, headlines, 0.5, 0.5, 0.3)
-    assert sorted(tokenized) == sorted(masked)
-    assert sorted(vectorized) == sorted(tuple(tokenize(t)) for t in masked)
+    assert sorted(tokenized) == sorted(m for t, m in zip(texts, masked) if m != t or not _plain(t))
+    assert sum(not _plain(t) for t in texts) == 2
+    assert sorted(vectorized) == sorted(tuple(tokenize(m)) for m in masked)
     assert {r.status for r in results} == {"matched", "tardy", "unmatched"}
     assert stats["via_link"] == 1
 
     # The vectors label_corpus passes down are those of the masked texts
     # under the shared vocabulary.
     monkeypatch.undo()
+    masked_posts = [p._replace(text=m) for p, m in zip(posts, masked)]
+    masked_headlines = [h._replace(text=m) for h, m in zip(headlines, masked[len(posts):])]
     tfidf = textvec.fit_tfidf([tokenize(t) for t in masked])
     first = [match_one(p, masked_headlines, tfidf, 0.5) for p in masked_posts]
     assert results == propagate(first, masked_posts, tfidf, 0.5, 0.3)
+
+
+def test_a_plain_text_nothing_claims_builds_no_offsets_and_no_tokenize(ctx, monkeypatch):
+    """Labeling and feature assembly read such a text's token strings from
+    one findall: no token_spans, no tokenize."""
+    plain = "Bake sale at the community hall, all welcome"
+    calls = count_token_passes(monkeypatch)
+    headline = Headline("Community bake sale draws crowds", "ap", 60)
+    labeling.label_corpus([Post("p", "u", 0, plain)], [headline], 0.5, 0.5, 0.3)
+    assert calls == {"tokenize": [], "token_spans": []}
+    feats = assemble_features(Post("p", "u", 0, plain), None, ctx)
+    assert any(name.startswith("text_") for name in feats)
+    assert calls == {"tokenize": [], "token_spans": []}

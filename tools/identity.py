@@ -70,13 +70,15 @@ for seed in range(10):
 # two-word place name split by a mention (which names no place) or by a
 # hashtag (which keeps its word), number words that the numeric-phrase
 # gates see but no `\b`-anchored pattern matches (inside a URL, inside
-# longer words), soft quantities spelled with ſ and a Kelvin sign K, and a
+# longer words), soft quantities spelled with ſ and a Kelvin sign K, the
+# keywords that open a scope finder's gate without a digit inside longer
+# words (`ems`, `bus`, `car`, `van`), a `WWW.` that starts no URL, and a
 # text left as it is.
 DECORATIONS = (
     "HTTPS://News.Example.COM/Quake?id=7", "via WWW.Example.ORG:", "@user says",
     "#Tag #BREAKING", "İstanbul İZMİR", "ſ httpſ://t.co/ſ", "Ｗ１２ ＦＩＲＥ", "@Paris",
     "New @York", "Times #Square", "https://t.co/three-dead", "someone often lifts weights",
-    "ſeveral la\u212ah", "",
+    "ſeveral la\u212ah", "systems business scarce caravan", "WWW.", "",
 )
 
 
@@ -113,8 +115,10 @@ CASES = (
     *(Case(f"{_chain(w, 1, 0.5)}-C{c}", start=_chain(w, 1, 0.5), svm=(("C", float(c)),),
            verbs=("train", "evaluate"))
       for w in ("feed-rich", "model-fit") for c in ("1e150", "1e300")),
-    # URLs, mentions, hashtags and non-ASCII text in every text file
-    Case(f"{_chain('feed-rich', 1, 0.5)}-decorated", corpus=("feed-rich", 1, 0.5), decorated=True),
+    # URLs, mentions, hashtags and non-ASCII text in every text file; on
+    # wire-dense, mostly in front of plain texts that nothing is masked in
+    *(Case(f"{_chain(w, 1, 0.5)}-decorated", corpus=(w, 1, 0.5), decorated=True)
+      for w in ("feed-rich", "wire-dense")),
     # 300 epochs, where most SGD steps reuse a row's stored dot product
     Case(f"{_chain('model-fit', 1, 0.5)}-epochs300", start=_chain("model-fit", 1, 0.5),
          svm=(("epochs", 300),), verbs=("train", "evaluate")),
