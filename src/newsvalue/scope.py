@@ -8,15 +8,14 @@ candidate. When a text carries several candidates for the same
 indicator, the largest value wins: these features measure severity
 ceilings. TextAnalysis holds the scans of one text that masking, scope,
 impact and geo share, and runs each pattern finder only when the text
-passes that finder's gate (see _FINDERS); a text with no digit passes one
-keyword search first.
+passes that finder's gate (see _FINDERS).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -356,8 +355,6 @@ def find_hail_sizes(text: str) -> list[tuple[int, int, float]]:
 
 _DIGIT_RE = re.compile(r"\d")
 _RICHTER_GATE_RE = re.compile(r"[Mm]\s?\d")  # case-sensitive, like the M/m patterns
-_INTENSITY_KEYS = ("intensity", "mercalli", "mmi", "ems", "csis")
-_HAIL_KEYS = ("hail",)
 # The non-ASCII characters re.IGNORECASE matches to an ASCII letter (İ,
 # dotless ı, long ſ, Kelvin K), each mapped to it: str.lower() keeps ı and ſ
 # and makes İ two characters. So every keyword a finder matches
@@ -384,7 +381,7 @@ def _any_in(folded: str, words: Iterable[str]) -> bool:
 
 
 def _quake_gate(text: str, folded: str, digit: bool) -> bool:
-    return _any_in(folded, _INTENSITY_KEYS) or digit and (
+    return _any_in(folded, ("intensity", "mercalli", "mmi", "ems", "csis")) or digit and (
         _any_in(folded, ("mag", "shindo", "jma")) or _RICHTER_GATE_RE.search(text) is not None
     )
 
@@ -406,27 +403,8 @@ _FINDERS = (
     ("scope_weather_scale",
      lambda t, f, d: d and _any_in(f, ("ef", "force", "beaufort", "torro", "tornado")),
      find_weather_scales),
-    ("scope_hail_size", lambda t, f, d: _any_in(f, _HAIL_KEYS), find_hail_sizes),
+    ("scope_hail_size", lambda t, f, d: "hail" in f, find_hail_sizes),
 )
-# The keywords of the gates that open without a digit, which read the same
-# tuples: an intensity scale, a vehicle noun or hail. A text with no digit
-# and none of them opens no gate, and one search tells.
-_DIGIT_FREE_GATE_RE = re.compile("|".join(_least_keys(_INTENSITY_KEYS + _VEH_NOUNS + _HAIL_KEYS)))
-
-
-class _cached:
-    """functools.cached_property without the lock it takes on a first
-    access (dropped in Python 3.12): computed on first access and kept in
-    the instance dict, which every later access reads without calling this."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
 
 
 def _largest(cands: list) -> float | None:
@@ -446,7 +424,8 @@ class TextAnalysis:
     `folded` (each character re.IGNORECASE matches to an ASCII letter
     mapped to it, then lower-cased) and `digit` (the text holds a `\\d`),
     set here with `ascii`: every text is masked, so its finds are always
-    read, and a plain attribute costs less than a cached one's first access.
+    read, and a plain attribute costs less than a cached_property's first
+    access.
     """
 
     def __init__(self, text: str):
@@ -455,11 +434,11 @@ class TextAnalysis:
         self.folded = (text if self.ascii else text.translate(_FOLD)).lower()
         self.digit = _DIGIT_RE.search(text) is not None
 
-    @_cached
+    @cached_property
     def spans(self) -> list[tuple[str, int, int]]:
         return token_spans(self.text)
 
-    @_cached
+    @cached_property
     def words(self) -> list[str]:
         """The token strings of `spans`. On ASCII, lower() keeps every
         character's length and class, so one findall over `folded` gives
@@ -469,7 +448,7 @@ class TextAnalysis:
             return _TOKEN_RE.findall(self.folded)
         return [tok for tok, _, _ in self.spans]
 
-    @_cached
+    @cached_property
     def tokens(self) -> list[str]:
         """tokenize(text): `words` on ASCII text holding none of the
         literals tokenize rewrites at, tested as it tests them, on the
@@ -479,17 +458,15 @@ class TextAnalysis:
             return self.words
         return tokenize(self.text)
 
-    @_cached
+    @cached_property
     def finds(self) -> dict[str, list]:
         """Each numeric scope pattern's candidates; [] where the gate misses."""
         t, folded, digit = self.text, self.folded, self.digit
-        if not digit and _DIGIT_FREE_GATE_RE.search(folded) is None:
-            return {name: [] for name, _, _ in _FINDERS}
         return {
             name: finder(t) if gate(t, folded, digit) else [] for name, gate, finder in _FINDERS
         }
 
-    @_cached
+    @cached_property
     def pattern_spans(self) -> list[tuple[int, int, str]]:
         """Their spans, tagged by feature name: masked, and discarded as
         numeric phrases."""

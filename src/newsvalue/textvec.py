@@ -143,19 +143,14 @@ def fit_tfidf(documents: Sequence[Sequence[str]]) -> TfidfModel:
 
 def term_weights(tokens: Sequence[str], model: TfidfModel) -> dict[str, float]:
     """tf × smoothed-idf weight of each term, in order of first occurrence;
-    unseen terms get the df=0 idf. Every weight is a positive float: each
-    count is at least 1, and each idf at least 1.0."""
-    idf, unseen = model._idf, model._unseen_idf
-    return {t: count * idf.get(t, unseen) for t, count in Counter(tokens).items()}
+    unseen terms get the df=0 idf. Every weight is positive."""
+    idf = model.idf
+    return {t: count * idf(t) for t, count in Counter(tokens).items()}
 
 
 def vectorize(tokens: Sequence[str], model: TfidfModel) -> SparseVector:
-    """The tf.idf vector of the tokens: their `term_weights`, kept as they
-    are, since SparseVector() would only copy positive floats."""
-    v = SparseVector.__new__(SparseVector)
-    v.entries = term_weights(tokens, model)
-    v.norm = math.sqrt(sum(w * w for w in v.entries.values()))
-    return v
+    """The tf.idf vector of the tokens: their `term_weights`."""
+    return SparseVector(term_weights(tokens, model))
 
 
 class Centroids(Mapping[str, SparseVector]):

@@ -3,19 +3,15 @@ skipping.
 
 Reference copies of the ungated code: the numeric-phrase scan that runs all
 four of its patterns on every text, the phrase-table walk from every
-token, the nearest centroid by one `cosine` per centroid, masking that
-walks the taxonomies over `token_spans` and tokenizes the masked text,
-and `vectorize` through `SparseVector()`. The gated scans, the token
-strings read without offsets, the digit-free pre-gate of the scope finders
-and the one-pass vectors must give exactly their results.
+token, the nearest centroid by one `cosine` per centroid, and masking
+that walks the taxonomies over `token_spans` and tokenizes the masked
+text. The gated scans, the one-pass centroid scoring and the token
+strings read without offsets must give exactly their results.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import re
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,8 +25,7 @@ from newsvalue.labeling import default_mask_rules, mask_taxonomy_tokens
 from newsvalue.scope import TextAnalysis, fold_key, lexicon
 from newsvalue.spans import select_spans
 from newsvalue.textvec import (
-    Centroids, SparseVector, cosine, fit_tfidf, nearest_centroid, term_weights, token_spans,
-    tokenize, vectorize,
+    Centroids, SparseVector, cosine, nearest_centroid, token_spans, tokenize, vectorize,
 )
 
 # ---------------------------------------------------------------------------
@@ -98,12 +93,6 @@ def ref_masked_text(a):
     for start, end, name in reversed(claimed):
         out = out[:start] + name + out[end:]
     return out
-
-
-def ref_vectorize(tokens, model):
-    """vectorize through SparseVector(), which copies each weight with
-    float() and drops zeros."""
-    return SparseVector({t: count * model.idf(t) for t, count in Counter(tokens).items()})
 
 
 def ref_nearest_centroid(v, centroids):
@@ -313,17 +302,12 @@ def test_one_pass_centroid_scores_on_the_topic_centroids(trbc_model, wire_headli
 
 
 # ---------------------------------------------------------------------------
-# masking: token strings without offsets, tokens reused, one pre-gate
+# masking: token strings without offsets, tokens reused
 # ---------------------------------------------------------------------------
 
-# The keywords each scope finder's gate opens on without a digit: an
-# intensity scale, hail, a vehicle noun next to a number word.
-DIGIT_FREE_WITNESSES = ["intensity", "mercalli", "mmi", "ems", "csis", "hail"] + [
-    f"{w} {n}" for w, n in zip(scope.WORD_NUMBERS, itertools.cycle(scope._VEH_NOUNS))
-]
-# Every keyword any gate reads, digit or not, for texts with no digit.
-GATE_WORDS = DIGIT_FREE_WITNESSES + [
-    "alarm", "mag", "shindo", "jma", "acre", "sq", "mile", "ef", "force", "beaufort", "torro",
+# Every keyword any scope finder's gate reads, digit or not.
+GATE_WORDS = [
+    "intensity", "mercalli", "mmi", "ems", "csis", "hail", "alarm", "mag", "shindo", "jma", "acre", "sq", "mile", "ef", "force", "beaufort", "torro",
     "tornado", *scope._VEH_NOUNS, *scope.WORD_NUMBERS,
 ]
 
@@ -366,47 +350,3 @@ def test_token_strings_and_tokens_equal_their_token_passes(text):
     a = TextAnalysis(text)
     a.words
     assert a.tokens == tokenize(text)
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(*map(respelled, DIGIT_FREE_WITNESSES)), numeric_texts(masking_part))
-def test_every_text_that_opens_a_finder_gate_passes_the_pre_gate(witnesses, text):
-    """On each digit-free witness alone (respelled with ſ, İ, ı or K) and
-    on arbitrary texts: a gate that opens on a text with no digit implies
-    the pre-gate hits, and the finds are the gated finders run alone."""
-    for t in (*witnesses, text):
-        folded = t.translate(scope._FOLD).lower()
-        opens = any(gate(t, folded, False) for _, gate, _ in scope._FINDERS)
-        assert opens or t not in witnesses
-        if opens:
-            assert scope._DIGIT_FREE_GATE_RE.search(folded), t
-        digit = re.search(r"\d", t) is not None
-        gated = {name: find(t) if gate(t, folded, digit) else [] for name, gate, find in scope._FINDERS}
-        assert TextAnalysis(t).finds == gated
-
-
-# ---------------------------------------------------------------------------
-# vectorize
-# ---------------------------------------------------------------------------
-
-VOCAB = ["a", "b", "c", "d", "fire", "dead", "__url__", "12"]
-documents = st.lists(st.lists(st.sampled_from(VOCAB), max_size=8), min_size=1, max_size=6)
-
-
-@settings(max_examples=300, deadline=None)
-@given(documents, st.lists(st.sampled_from(VOCAB + ["unseen", "x"]), max_size=20),
-       st.booleans())
-@example([["a"]], ["a", "a", "b"], False)
-@example([["a", "b"], ["a"], ["a", "c"]], ["a", "c", "unseen", "a"], True)
-def test_one_pass_vectors_equal_sparse_vector_of_term_weights(docs, tokens, everywhere):
-    """The same entries in the same order and the same norm, bit for bit;
-    a term in every document has the least idf, 1.0."""
-    if everywhere:
-        docs = [doc + ["fire"] for doc in docs]
-    model = fit_tfidf(docs)
-    got, ref = vectorize(tokens, model), ref_vectorize(tokens, model)
-    assert [(t, w.hex()) for t, w in got.entries.items()] == [
-        (t, w.hex()) for t, w in ref.entries.items()
-    ]
-    assert got.norm.hex() == ref.norm.hex()
-    assert list(term_weights(tokens, model).items()) == list(ref.entries.items())
